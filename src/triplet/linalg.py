@@ -67,12 +67,19 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        # Columns left of c are already zero in the pivot row; only its
+        # nonzero entries change the other rows.
+        support = [j for j in range(c, cols) if prow[j]]
+        inv = 1 / prow[c]
+        for j in support:
+            prow[j] *= inv
         for i in range(rows):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+            row = m[i]
+            if i != r and row[c]:
+                factor = row[c]
+                for j in support:
+                    row[j] -= factor * prow[j]
         pivots.append(c)
         r += 1
         if r == rows:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .fusion import cg_oracle
+from .fusion import fuse_C
 
 
 @dataclass(frozen=True)
@@ -80,60 +80,35 @@ def check_brackets(rep: Irrep) -> bool:
 
 @lru_cache(maxsize=None)
 def invariant_form(n: int) -> BilinForm:
-    """The invariant bilinear form on the weight-n irreducible.
+    """The invariant bilinear form on the weight-n irreducible, in closed form.
 
-    Solves X^T B + B X = 0 for X in {E,F,H} as one linear system; the
-    solution space must be one-dimensional.  Normalized so the pairing of
-    the highest- and lowest-weight vectors is 1.
+    In the integral basis the form is antidiagonal, B[k][n-k] = (-1)^k.  It
+    pairs weight n-2k only with weight 2k-n, so H-invariance holds by
+    construction, and it pairs the highest- and lowest-weight vectors to 1.
+    E- and F-invariance (X^T B + B X = 0) reduce to n two-term equations
+    each, and nondegeneracy to a nonzero antidiagonal; both are checked
+    here in O(n).  Uniqueness is checked against the nullspace solve in
+    `verify`.
     """
     rep = build_irrep(n)
     dim = n + 1
-    rows: list[list[Fraction]] = []
-    for mat in (rep.e, rep.f, rep.h):
-        x = [list(r) for r in mat]
-        # (X^T B + B X)[i][j] = sum_k X[k][i] B[k][j] + B[i][k] X[k][j]
-        for i in range(dim):
-            for j in range(dim):
-                row = [Fraction(0)] * (dim * dim)
-                for k in range(dim):
-                    if x[k][i]:
-                        row[k * dim + j] += x[k][i]
-                    if x[k][j]:
-                        row[i * dim + k] += x[k][j]
-                if any(row):
-                    rows.append(row)
-    # n = 0 imposes no constraints; keep the column count visible.
-    basis = linalg.nullspace(rows or [[Fraction(0)] * (dim * dim)])
-    if len(basis) != 1:
-        raise AssertionError(
-            f"invariant-form space of V_{n} has dimension {len(basis)}, expected 1"
-        )
-    flat = basis[0]
-    b = [[flat[i * dim + j] for j in range(dim)] for i in range(dim)]
-    top = b[0][dim - 1]
-    if top == 0:
-        raise AssertionError("invariant form does not pair highest against lowest")
-    b = [[x / top for x in row] for row in b]
-    _, pivots = linalg.rref(b)
-    if len(pivots) != dim:
+    b = linalg.zeros(dim, dim)
+    for k in range(dim):
+        b[k][n - k] = Fraction(1 if k % 2 == 0 else -1)
+    # E maps v_i to a multiple of v_{i-1} and F maps v_i to v_{i+1}, so the
+    # only entries of X^T B + B X that can be nonzero lie on i + j = n + 1
+    # for X = E and on i + j = n - 1 for X = F.
+    for i in range(1, dim):
+        j = n + 1 - i
+        if rep.e[i - 1][i] * b[i - 1][j] + b[i][j - 1] * rep.e[j - 1][j]:
+            raise AssertionError(f"invariant form on V_{n} is not E-invariant at ({i},{j})")
+    for i in range(dim - 1):
+        j = n - 1 - i
+        if rep.f[i + 1][i] * b[i + 1][j] + b[i][j + 1] * rep.f[j + 1][j]:
+            raise AssertionError(f"invariant form on V_{n} is not F-invariant at ({i},{j})")
+    if any(b[k][n - k] == 0 for k in range(dim)):
         raise AssertionError(f"invariant form on V_{n} is degenerate")
     return BilinForm(n=n, matrix=_freeze(b))
-
-
-def _kron_sum(a: list, b: list) -> list:
-    # a (x) I + I (x) b on the basis e_i (x) e_j -> i*dim_b + j
-    da, db = len(a), len(b)
-    out = linalg.zeros(da * db, da * db)
-    for i in range(da):
-        for j in range(db):
-            row = out[i * db + j]
-            for k in range(da):
-                if a[i][k]:
-                    row[k * db + j] += a[i][k]
-            for k in range(db):
-                if b[j][k]:
-                    row[i * db + k] += b[j][k]
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -141,58 +116,78 @@ def _cg_system(m: int, n: int) -> dict[int, tuple[tuple, tuple]]:
     """All (projection, inclusion) pairs for V_m (x) V_n, keyed by channel.
 
     Inclusions are built by running F down from the highest-weight vector
-    of each channel; projections are the rows of the inverse of the
-    assembled change-of-basis matrix, which enforces biorthogonality and
-    completeness by construction.
+    of each channel.  Every inclusion column is a weight vector, so the
+    change-of-basis matrix is block diagonal by weight: the block of weight
+    m+n-2s has the rows v_a (x) v_b with a + b = s and one column per
+    channel that reaches that weight, at most min(m,n)+1 of each.
+    Projections are the rows of the block inverses, which enforces
+    biorthogonality and completeness by construction.  The dense inverse of
+    the whole matrix is kept in `verify` as the oracle.
     """
     rep_m = build_irrep(m)
     rep_n = build_irrep(n)
     dim = (m + 1) * (n + 1)
-    e_t = _kron_sum([list(r) for r in rep_m.e], [list(r) for r in rep_n.e])
-    f_t = _kron_sum([list(r) for r in rep_m.f], [list(r) for r in rep_n.f])
-    channels = cg_oracle(m, n)
+    channels = fuse_C(m, n)
+    # levels[s]: the pairs (a, b) with a + b = s, spanning weight m+n-2s.
+    levels = [
+        [(a, s - a) for a in range(max(0, s - n), min(m, s) + 1)] for s in range(m + n + 1)
+    ]
+    position = [{pair: i for i, pair in enumerate(level)} for level in levels]
 
-    def weight_indices(w: int) -> list[int]:
-        out = []
-        for a in range(m + 1):
-            for b in range(n + 1):
-                if (m - 2 * a) + (n - 2 * b) == w:
-                    out.append(a * (n + 1) + b)
-        return out
-
-    columns: list[list[Fraction]] = []
-    blocks: dict[int, tuple[int, int]] = {}
-    for k in channels:
-        idx = weight_indices(k)
-        # Highest-weight vectors of weight k: nullspace of E restricted to
-        # the weight-k coordinates.
-        restricted = [[e_t[i][j] for j in idx] for i in range(dim)]
-        basis = linalg.nullspace([row for row in restricted if any(row)] or [[Fraction(0)] * len(idx)])
+    def highest_weight_vector(s: int) -> list[Fraction]:
+        # Nullspace of E restricted to the columns of level s and the rows of
+        # level s - 1 (weight k+2), the only rows E can reach.
+        cols = levels[s]
+        restricted = [[Fraction(0)] * len(cols) for _ in levels[s - 1]] if s else []
+        for c, (a, b) in enumerate(cols):
+            if a:
+                restricted[position[s - 1][(a - 1, b)]][c] += rep_m.e[a - 1][a]
+            if b:
+                restricted[position[s - 1][(a, b - 1)]][c] += rep_n.e[b - 1][b]
+        basis = linalg.nullspace(restricted or [[Fraction(0)] * len(cols)])
         if len(basis) != 1:
             raise AssertionError(
-                f"channel {k} of V_{m} (x) V_{n} has multiplicity {len(basis)}, expected 1"
+                f"channel {m + n - 2 * s} of V_{m} (x) V_{n} has multiplicity "
+                f"{len(basis)}, expected 1"
             )
-        vec = [Fraction(0)] * dim
-        for pos, coeff in zip(idx, basis[0]):
-            vec[pos] = coeff
-        lead = next(x for x in vec if x)
-        vec = [x / lead for x in vec]
-        start = len(columns)
-        columns.append(vec)
-        for _ in range(k):
-            vec = linalg.mat_vec(f_t, vec)
-            columns.append(vec)
-        blocks[k] = (start, start + k + 1)
+        lead = next(x for x in basis[0] if x)
+        return [x / lead for x in basis[0]]
 
-    change = [list(row) for row in zip(*columns)]  # dim x dim, blocks as columns
-    inverse = linalg.invert(change)
-    out: dict[int, tuple[tuple, tuple]] = {}
+    def apply_f(vec: list[Fraction], s: int) -> list[Fraction]:
+        # F(v_a (x) v_b) = v_{a+1} (x) v_b + v_a (x) v_{b+1}: level s to s+1.
+        out = [Fraction(0)] * len(levels[s + 1])
+        for (a, b), x in zip(levels[s], vec):
+            if x:
+                if a < m:
+                    out[position[s + 1][(a + 1, b)]] += rep_m.f[a + 1][a] * x
+                if b < n:
+                    out[position[s + 1][(a, b + 1)]] += rep_n.f[b + 1][b] * x
+        return out
+
+    # blocks[s]: (channel, step down from its top, column on level s).
+    blocks: list[list[tuple[int, int, list[Fraction]]]] = [[] for _ in levels]
     for k in channels:
-        start, stop = blocks[k]
-        incl = [[change[i][c] for c in range(start, stop)] for i in range(dim)]
-        proj = [inverse[c] for c in range(start, stop)]
-        out[k] = (_freeze(proj), _freeze(incl))
-    return out
+        top = (m + n - k) // 2
+        vec = highest_weight_vector(top)
+        blocks[top].append((k, 0, vec))
+        for step in range(1, k + 1):
+            vec = apply_f(vec, top + step - 1)
+            blocks[top + step].append((k, step, vec))
+
+    proj = {k: [None] * (k + 1) for k in channels}
+    incl_cols = {k: [None] * (k + 1) for k in channels}
+    for s, block in enumerate(blocks):
+        inverse = linalg.invert([list(row) for row in zip(*(col for _, _, col in block))])
+        flat = [a * (n + 1) + b for a, b in levels[s]]
+        for (k, step, col), inv_row in zip(block, inverse):
+            proj_row = [Fraction(0)] * dim
+            incl_col = [Fraction(0)] * dim
+            for i, x, y in zip(flat, inv_row, col):
+                proj_row[i] = x
+                incl_col[i] = y
+            proj[k][step] = proj_row
+            incl_cols[k][step] = incl_col
+    return {k: (_freeze(proj[k]), tuple(zip(*incl_cols[k]))) for k in channels}
 
 
 def cg_maps(m: int, n: int, k: int) -> tuple[list, list]:
@@ -218,14 +213,15 @@ def simplicity_witness(n: int, v: list) -> list:
     v = [Fraction(x) for x in v]
     if all(x == 0 for x in v):
         raise ValueError("the zero vector has no pairing witness")
-    form = invariant_form(2 * n)
     if len(v) != 2 * n + 1:
         raise ValueError(f"expected a vector in V_{2*n} of length {2*n+1}, got {len(v)}")
+    form = invariant_form(2 * n)
     image = linalg.mat_vec([list(r) for r in form.matrix], v)
     for i, x in enumerate(image):
         if x:
             witness = [Fraction(0)] * (2 * n + 1)
             witness[i] = Fraction(1)
-            assert form.pair(witness, v) != 0
+            if form.pair(witness, v) == 0:
+                raise AssertionError(f"basis vector {i} does not pair with v under the form")
             return witness
     raise AssertionError("nondegenerate form produced a zero pairing image")

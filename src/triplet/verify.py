@@ -11,7 +11,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from . import braidfmat, fusion, kacmod, sl2rep, wpq
+from . import braidfmat, fusion, kacmod, linalg, sl2rep, wpq
 from .exactnum import ParamScalar, Phase
 from .virasoro import Params, VirLabel, canonical_label, conformal_weight, kac_k, simple_l
 
@@ -264,6 +264,121 @@ def suite_braidfmat() -> list[Result]:
     ]
 
 
+def invariant_form_oracle(n: int) -> tuple:
+    """The invariant form on V_n by brute force, as a matrix of tuples.
+
+    Solves X^T B + B X = 0 for X in {E,F,H} as one linear system and raises
+    unless the solution space is one-dimensional.  Normalized so the pairing
+    of the highest- and lowest-weight vectors is 1.
+    """
+    rep = sl2rep.build_irrep(n)
+    dim = n + 1
+    rows: list[list[Fraction]] = []
+    for mat in (rep.e, rep.f, rep.h):
+        x = [list(r) for r in mat]
+        # (X^T B + B X)[i][j] = sum_k X[k][i] B[k][j] + B[i][k] X[k][j]
+        for i in range(dim):
+            for j in range(dim):
+                row = [Fraction(0)] * (dim * dim)
+                for k in range(dim):
+                    if x[k][i]:
+                        row[k * dim + j] += x[k][i]
+                    if x[k][j]:
+                        row[i * dim + k] += x[k][j]
+                if any(row):
+                    rows.append(row)
+    # n = 0 imposes no constraints; keep the column count visible.
+    basis = linalg.nullspace(rows or [[Fraction(0)] * (dim * dim)])
+    if len(basis) != 1:
+        raise AssertionError(
+            f"invariant-form space of V_{n} has dimension {len(basis)}, expected 1"
+        )
+    flat = basis[0]
+    b = [[flat[i * dim + j] for j in range(dim)] for i in range(dim)]
+    top = b[0][dim - 1]
+    if top == 0:
+        raise AssertionError("invariant form does not pair highest against lowest")
+    b = [[x / top for x in row] for row in b]
+    _, pivots = linalg.rref(b)
+    if len(pivots) != dim:
+        raise AssertionError(f"invariant form on V_{n} is degenerate")
+    return tuple(tuple(row) for row in b)
+
+
+def _kron_sum(a: list, b: list) -> list:
+    """a (x) I + I (x) b on the basis e_i (x) e_j -> i*dim_b + j."""
+    da, db = len(a), len(b)
+    out = linalg.zeros(da * db, da * db)
+    for i in range(da):
+        for j in range(db):
+            row = out[i * db + j]
+            for k in range(da):
+                if a[i][k]:
+                    row[k * db + j] += a[i][k]
+            for k in range(db):
+                if b[j][k]:
+                    row[i * db + k] += b[j][k]
+    return out
+
+
+def cg_system_oracle(m: int, n: int) -> dict[int, tuple[tuple, tuple]]:
+    """The Clebsch-Gordan system of V_m (x) V_n by dense elimination.
+
+    Same layout as `sl2rep._cg_system`: channels from `cg_oracle`, each
+    highest-weight vector from the nullspace of the full E on its weight
+    space, F applied as a dense matrix, and projections from the dense
+    inverse of the whole change-of-basis matrix.
+    """
+    rep_m = sl2rep.build_irrep(m)
+    rep_n = sl2rep.build_irrep(n)
+    dim = (m + 1) * (n + 1)
+    e_t = _kron_sum([list(r) for r in rep_m.e], [list(r) for r in rep_n.e])
+    f_t = _kron_sum([list(r) for r in rep_m.f], [list(r) for r in rep_n.f])
+    channels = fusion.cg_oracle(m, n)
+
+    def weight_indices(w: int) -> list[int]:
+        out = []
+        for a in range(m + 1):
+            for b in range(n + 1):
+                if (m - 2 * a) + (n - 2 * b) == w:
+                    out.append(a * (n + 1) + b)
+        return out
+
+    columns: list[list[Fraction]] = []
+    blocks: dict[int, tuple[int, int]] = {}
+    for k in channels:
+        idx = weight_indices(k)
+        restricted = [[e_t[i][j] for j in idx] for i in range(dim)]
+        basis = linalg.nullspace(
+            [row for row in restricted if any(row)] or [[Fraction(0)] * len(idx)]
+        )
+        if len(basis) != 1:
+            raise AssertionError(
+                f"channel {k} of V_{m} (x) V_{n} has multiplicity {len(basis)}, expected 1"
+            )
+        vec = [Fraction(0)] * dim
+        for pos, coeff in zip(idx, basis[0]):
+            vec[pos] = coeff
+        lead = next(x for x in vec if x)
+        vec = [x / lead for x in vec]
+        start = len(columns)
+        columns.append(vec)
+        for _ in range(k):
+            vec = linalg.mat_vec(f_t, vec)
+            columns.append(vec)
+        blocks[k] = (start, start + k + 1)
+
+    change = [list(row) for row in zip(*columns)]  # dim x dim, blocks as columns
+    inverse = linalg.invert(change)
+    out: dict[int, tuple[tuple, tuple]] = {}
+    for k in channels:
+        start, stop = blocks[k]
+        incl = [[change[i][c] for c in range(start, stop)] for i in range(dim)]
+        proj = [inverse[c] for c in range(start, stop)]
+        out[k] = (tuple(tuple(r) for r in proj), tuple(tuple(r) for r in incl))
+    return out
+
+
 def suite_sl2rep() -> list[Result]:
     def brackets():
         for n in range(11):
@@ -271,7 +386,10 @@ def suite_sl2rep() -> list[Result]:
 
     def forms():
         for n in range(11):
-            form = sl2rep.invariant_form(n)  # raises unless solution space is 1-dim
+            form = sl2rep.invariant_form(n)
+            if n <= 8:
+                # The oracle raises unless the solution space is 1-dim.
+                assert form.matrix == invariant_form_oracle(n), f"n={n}"
             b = [list(r) for r in form.matrix]
             sign = 1 if n % 2 == 0 else -1
             if n <= 6:
@@ -280,10 +398,10 @@ def suite_sl2rep() -> list[Result]:
                 )
 
     def cg_projections():
-        from . import linalg
-
         for m in range(7):
             for n in range(7):
+                if m <= 5 and n <= 5:
+                    assert sl2rep._cg_system(m, n) == cg_system_oracle(m, n), f"(m,n)=({m},{n})"
                 channels = fusion.cg_oracle(m, n)
                 dim = (m + 1) * (n + 1)
                 total = linalg.zeros(dim, dim)

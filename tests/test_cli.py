@@ -220,6 +220,8 @@ def test_sl2_subcommand():
     assert code == 2 and "requires" in err
     code, _, _ = run_cli(["sl2", "--n", "2", "--op", "cg", "--m", "2", "--k", "1"])
     assert code == 2
+    code, out, err = run_cli(["sl2", "--n", "1", "--op", "cg", "--m", "-1", "--k", "0"])
+    assert (code, out, err) == (2, "", "error: highest weight must be >= 0, got -1\n")
 
 
 def test_verify_single_suite():

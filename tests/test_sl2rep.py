@@ -1,11 +1,12 @@
 """Explicit sl2 matrices, invariant forms, CG maps, simplicity witnesses."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from triplet import linalg
+from triplet import linalg, sl2rep
 from triplet.fusion import cg_oracle
 from triplet.sl2rep import (
     build_irrep,
@@ -14,6 +15,7 @@ from triplet.sl2rep import (
     invariant_form,
     simplicity_witness,
 )
+from triplet.verify import _kron_sum, cg_system_oracle, invariant_form_oracle
 
 
 def test_build_irrep_small():
@@ -63,6 +65,40 @@ def test_invariant_form_invariance_equations():
             )
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_invariant_form_equals_nullspace_oracle(n):
+    assert invariant_form(n).matrix == invariant_form_oracle(n)
+
+
+def test_invariant_form_antidiagonal_closed_form():
+    for n in (0, 1, 5, 40):
+        b = invariant_form(n).matrix
+        for i in range(n + 1):
+            for j in range(n + 1):
+                assert b[i][j] == ((-1) ** i if i + j == n else 0)
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_cg_system_equals_dense_inverse_oracle(m):
+    for n in range(8):
+        assert sl2rep._cg_system(m, n) == cg_system_oracle(m, n), (m, n)
+
+
+def test_large_sizes_stay_within_budget():
+    # The dense solves took minutes here (form n=40: ~4.5 min, CG 20x20:
+    # ~60 s); the closed form and the weight blocks must stay far below.
+    sl2rep.invariant_form.cache_clear()
+    sl2rep._cg_system.cache_clear()
+    start = time.perf_counter()
+    invariant_form(40)
+    assert time.perf_counter() - start < 0.5
+    start = time.perf_counter()
+    for k in range(0, 41, 2):
+        proj, incl = cg_maps(20, 20, k)
+        assert len(proj) == k + 1 and len(incl) == 441
+    assert time.perf_counter() - start < 5.0
+
+
 def test_cg_maps_singlet_of_two_spinors():
     proj, incl = cg_maps(1, 1, 0)
     assert proj == [[0, Fraction(1, 2), Fraction(-1, 2), 0]]
@@ -90,18 +126,6 @@ def test_cg_maps_completeness_2_2():
             [a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, linalg.mat_mul(incl, proj))
         ]
     assert total == linalg.identity(dim)
-
-
-def _kron_sum(a, b):
-    da, db = len(a), len(b)
-    out = linalg.zeros(da * db, da * db)
-    for i in range(da):
-        for j in range(db):
-            for k in range(da):
-                out[i * db + j][k * db + j] += a[i][k]
-            for k in range(db):
-                out[i * db + j][i * db + k] += b[j][k]
-    return out
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2)])
@@ -170,3 +194,10 @@ def test_simplicity_witness_rejects_zero():
         simplicity_witness(1, [0, 0, 0])
     with pytest.raises(ValueError):
         simplicity_witness(2, [1, 0, 0])  # wrong dimension for V_4
+
+
+def test_simplicity_witness_checks_length_before_building_form():
+    sl2rep.invariant_form.cache_clear()
+    with pytest.raises(ValueError, match="length 81"):
+        simplicity_witness(40, [1, 0, 0])
+    assert sl2rep.invariant_form.cache_info().currsize == 0
