@@ -5,7 +5,7 @@ F-matrices, explicit Clebsch-Gordan linear algebra, and graded decompositions,
 all over exact rational and root-of-unity arithmetic.
 """
 
-from .exactnum import ParamScalar, Phase, Rat, phase_from_weight, phase_mul, phase_pow, rat_str
+from .exactnum import ParamScalar, Phase, Rat, phase_from_weight, rat_str
 from .virasoro import (
     ObjLabel,
     Params,
@@ -31,8 +31,6 @@ __all__ = [
     "kac_dual_k11",
     "kac_k",
     "phase_from_weight",
-    "phase_mul",
-    "phase_pow",
     "rat_str",
     "simple_l",
 ]

@@ -79,9 +79,7 @@ def r_scalar_formula(params: Params, n: int, k: int) -> Phase:
     p = params.p
     hk = conformal_weight(params, VirLabel((k + 2) * p - 1, 1))
     hn = conformal_weight(params, VirLabel((n + 2) * p - 1, 1))
-    phase = Phase(hk - 2 * hn)
-    assert (4 * params.p * params.q) % phase.exponent.denominator == 0
-    return phase
+    return Phase(hk - 2 * hn)
 
 
 def balancing_check(params: Params, n: int) -> dict[int, Phase]:
@@ -111,11 +109,9 @@ def hexagon_solutions(params: Params) -> list[FSolution]:
     Every returned matrix is re-checked against the full constraint.
     """
     eps = _epsilon(params)
-    diagonal_roots = [x for x in (Fraction(0), Fraction(eps)) if x != 0]
-    assert diagonal_roots == [Fraction(eps)]
-    f_diag = diagonal_roots[0]
-    # F20*(F00 + F22) = -eps*F20 with F00 + F22 = 2*eps leaves only F20 = 0.
-    assert 2 * f_diag != -eps
+    # x^2 = eps*x has the one nonzero root eps, and F20*(F00 + F22) = -eps*F20
+    # with F00 + F22 = 2*eps != -eps leaves only F20 = 0.
+    f_diag = Fraction(eps)
     diag = FSolution(
         kind="Diagonal",
         epsilon=eps,

@@ -2,6 +2,7 @@
 
 Exit codes: 0 success, 2 argument or validation failure, 3 structurally
 unsupported request (e.g. the Loewy diagram of a general Kac label).
+`verify` exits 1 when a property fails and 2 under `python -O`.
 Output is deterministic: same argv, byte-identical bytes.
 """
 
@@ -148,9 +149,14 @@ def _fmatrix_json(matrix: braidfmat.FMatrix) -> list[list[str]]:
 def _cmd_hexagon(args) -> int:
     params = _resolve_params(args)
     solutions = braidfmat.hexagon_solutions(params)
-    t0 = Fraction(args.t) if args.t is not None else None
-    if t0 == 0:
-        raise ValueError("--t must be nonzero")
+    t0 = None
+    if args.t is not None:
+        try:
+            t0 = Fraction(args.t)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--t is not a rational number: {args.t!r}") from None
+        if t0 == 0:
+            raise ValueError("--t must be nonzero")
     payload = {
         "epsilon": solutions[0].epsilon,
         "solutions": [],
@@ -281,6 +287,9 @@ def _cmd_sl2(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if sys.flags.optimize:
+        sys.stderr.write("error: verify cannot run under python -O, which strips its assert checks\n")
+        return 2
     names = args.suite or ["all"]
     if "all" in names:
         names = list(verify.SUITES)

@@ -24,11 +24,6 @@ def rat_str(x: Rat) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def rat_parse(s: str) -> Rat:
-    """Parse the "num/den" form produced by :func:`rat_str`."""
-    return Fraction(s)
-
-
 @dataclass(frozen=True)
 class Phase:
     """The root of unity e^{i*pi*exponent} with exponent rational mod 2.
@@ -67,14 +62,6 @@ class Phase:
 
     def __str__(self) -> str:
         return f"e^(i*pi*{rat_str(self.exponent)})"
-
-
-def phase_mul(a: Phase, b: Phase) -> Phase:
-    return a * b
-
-
-def phase_pow(a: Phase, k: int) -> Phase:
-    return a**k
 
 
 def phase_from_weight(h: Rat, multiple: int) -> Phase:

@@ -15,7 +15,6 @@ from typing import Literal, Optional, Union
 
 from .virasoro import (
     KAC_DUAL_K11,
-    KAC_K,
     SIMPLE_L,
     ObjLabel,
     Params,
@@ -261,7 +260,7 @@ def composition_factors(params: Params, obj: ObjLabel) -> Counter:
         )
     if obj.kind == SIMPLE_L:
         return Counter([canonical_label(params, obj.label)])
-    assert obj.kind == KAC_K
+    # ObjLabel admits no kind besides the three, so obj is a Kac module.
     lbl = obj.label
     p, q = params.p, params.q
     two = _length2_factors(params, lbl)

@@ -1,14 +1,22 @@
-"""Self-contained property suites behind the `triplet verify` subcommand.
+"""The exact properties behind `triplet verify`, registered once.
 
-Each suite re-checks the structural identities of one module with exact
-arithmetic and no tolerance.  A property either holds on its whole stated
-range or the suite fails; there is nothing to calibrate.
+Each property re-checks one structural identity of one module with exact
+arithmetic and no tolerance: it holds on its whole stated range or it
+fails; there is nothing to calibrate.  ``PROPERTIES`` is the ordered
+registry, suite by suite, of zero-argument checks that raise on failure.
+The ``suite_<name>`` runners, ``triplet verify`` and the test suite all read
+it, so no check is written twice.  A property that samples seeds its own
+generator and checks the same values alone as inside its suite.
+
+The checks are ``assert`` statements, which ``python -O`` strips; the CLI
+refuses to run them there.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Callable
 from fractions import Fraction
 
 from . import braidfmat, fusion, kacmod, linalg, sl2rep, wpq
@@ -19,91 +27,104 @@ TEST_PARAMS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4,
 
 Result = tuple[str, bool, str]
 
-
-def _check(name: str, fn) -> Result:
-    try:
-        fn()
-        return (name, True, "")
-    except Exception as exc:  # noqa: BLE001 - a failed property is the payload here
-        return (name, False, f"{type(exc).__name__}: {exc}")
+PROPERTIES: dict[str, dict[str, Callable[[], None]]] = {}
 
 
-def suite_exactnum() -> list[Result]:
-    rng = random.Random(20240 + 1)
+def _property(suite: str):
+    """Register the decorated check as ``suite.<function name>``, in order."""
 
-    def rand_rat() -> Fraction:
-        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+    def register(fn: Callable[[], None]) -> Callable[[], None]:
+        PROPERTIES.setdefault(suite, {})[fn.__name__] = fn
+        return fn
 
-    def rat_exact():
-        for _ in range(200):
-            a, b = rand_rat(), rand_rat()
-            assert (a + b) - b == a
-
-    def phase_group():
-        exps = [Fraction(n, d) for d in (1, 2, 3, 4, 5, 12) for n in range(0, 2 * d)]
-        sample = [Phase(e) for e in exps]
-        one = Phase(Fraction(0))
-        for a in sample:
-            assert a * one == a
-            order = 2 * a.exponent.denominator
-            assert (a**order).is_one()
-        for _ in range(200):
-            a, b, c = (rng.choice(sample) for _ in range(3))
-            assert a * b == b * a
-            assert (a * b) * c == a * (b * c)
-
-    def param_eval():
-        t = ParamScalar.t()
-        for _ in range(100):
-            f = ParamScalar.const(rand_rat()) + t * rand_rat()
-            g = ParamScalar.const(rand_rat()) / (t * t + 1) + t
-            t0 = rand_rat()
-            assert (f * g).eval(t0) == f.eval(t0) * g.eval(t0)
-            assert (f + g).eval(t0) == f.eval(t0) + g.eval(t0)
-
-    return [
-        _check("rat_addition_exact", rat_exact),
-        _check("phase_abelian_group", phase_group),
-        _check("param_scalar_evaluation_hom", param_eval),
-    ]
+    return register
 
 
-def suite_virasoro() -> list[Result]:
-    def translation_symmetry():
-        for params in TEST_PARAMS:
-            for r in range(1, 51):
-                for s in range(1, 51):
-                    lbl = VirLabel(r, s)
-                    shifted = VirLabel(r + params.p, s + params.q)
-                    assert conformal_weight(params, lbl) == conformal_weight(params, shifted)
+# --- exactnum ---------------------------------------------------------------
 
-    def canonical_props():
-        for params in TEST_PARAMS:
-            for r in range(1, 41):
-                for s in range(1, 41):
-                    lbl = VirLabel(r, s)
-                    can = canonical_label(params, lbl)
-                    assert can.r >= 1 and 1 <= can.s <= params.q
-                    assert params.q * can.r >= params.p * can.s
-                    assert canonical_label(params, can) == can
-                    assert conformal_weight(params, can) == conformal_weight(params, lbl)
 
-    def weight_identities():
-        for params in TEST_PARAMS:
-            p, q = params.p, params.q
-            for n in range(1, 21):
-                assert conformal_weight(params, VirLabel(2 * n * p - 1, 1)) == (n * p - 1) * (
-                    n * q - 1
-                )
-                assert conformal_weight(params, VirLabel(n * p - 1, 1)) == Fraction(
-                    (n * p - 2) * (n * q - 2), 4
-                )
+def _rand_rat(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
 
-    return [
-        _check("weight_translation_symmetry", translation_symmetry),
-        _check("canonical_label_idempotent_and_weight_preserving", canonical_props),
-        _check("family_weight_identities", weight_identities),
-    ]
+
+@_property("exactnum")
+def rat_addition_exact():
+    rng = random.Random(20241)
+    for _ in range(200):
+        a, b = _rand_rat(rng), _rand_rat(rng)
+        assert (a + b) - b == a
+
+
+@_property("exactnum")
+def phase_abelian_group():
+    rng = random.Random(20242)
+    # Exponents from [-2, 2) so that the reduction mod 2 is exercised too.
+    exps = [Fraction(n, d) for d in (1, 2, 3, 4, 5, 12, 48) for n in range(-2 * d, 2 * d)]
+    sample = [Phase(e) for e in exps]
+    one = Phase(Fraction(0))
+    for a in sample:
+        assert a * one == a
+        order = 2 * a.exponent.denominator
+        assert (a**order).is_one()
+    for _ in range(200):
+        a, b, c = (rng.choice(sample) for _ in range(3))
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+
+
+@_property("exactnum")
+def param_scalar_evaluation_hom():
+    rng = random.Random(20243)
+    t = ParamScalar.t()
+    for _ in range(100):
+        f = ParamScalar.const(_rand_rat(rng)) + t * _rand_rat(rng)
+        g = ParamScalar.const(_rand_rat(rng)) / (t * t + 1) + t
+        t0 = _rand_rat(rng)
+        assert (f * g).eval(t0) == f.eval(t0) * g.eval(t0)
+        assert (f + g).eval(t0) == f.eval(t0) + g.eval(t0)
+        assert (f - g).eval(t0) == f.eval(t0) - g.eval(t0)
+
+
+# --- virasoro ---------------------------------------------------------------
+
+
+@_property("virasoro")
+def weight_translation_symmetry():
+    for params in TEST_PARAMS:
+        for r in range(1, 51):
+            for s in range(1, 51):
+                lbl = VirLabel(r, s)
+                shifted = VirLabel(r + params.p, s + params.q)
+                assert conformal_weight(params, lbl) == conformal_weight(params, shifted)
+
+
+@_property("virasoro")
+def canonical_label_idempotent_and_weight_preserving():
+    for params in TEST_PARAMS:
+        for r in range(1, 41):
+            for s in range(1, 41):
+                lbl = VirLabel(r, s)
+                can = canonical_label(params, lbl)
+                assert can.r >= 1 and 1 <= can.s <= params.q
+                assert params.q * can.r >= params.p * can.s
+                assert canonical_label(params, can) == can
+                assert conformal_weight(params, can) == conformal_weight(params, lbl)
+
+
+@_property("virasoro")
+def family_weight_identities():
+    for params in TEST_PARAMS:
+        p, q = params.p, params.q
+        for n in range(1, 21):
+            assert conformal_weight(params, VirLabel(2 * n * p - 1, 1)) == (n * p - 1) * (
+                n * q - 1
+            )
+            assert conformal_weight(params, VirLabel(n * p - 1, 1)) == Fraction(
+                (n * p - 2) * (n * q - 2), 4
+            )
+
+
+# --- kacmod -----------------------------------------------------------------
 
 
 def expanded_factor_multiset(params: Params, decomp: fusion.DecompList) -> Counter:
@@ -116,152 +137,164 @@ def expanded_factor_multiset(params: Params, decomp: fusion.DecompList) -> Count
     return out
 
 
-def suite_kacmod() -> list[Result]:
-    def diagram_shape():
-        for params in TEST_PARAMS:
-            for m in range(2, 7):
-                for n in range(2, m + 1):
-                    d = kacmod.kac_mm_nn_diagram(params, m, n)
-                    assert len(d.nodes) == 4 * n - 2
-                    sizes = tuple(len(d.layer_labels(layer)) for layer in ("top", "middle", "socle"))
-                    assert sizes == (n - 1, 2 * n - 1, n)
-                    canon = [canonical_label(params, node.label) for node in d.nodes]
-                    assert len(set(canon)) == len(canon)
-                    ref = VirLabel(m * params.p - 1, n * params.q - 1)
-                    assert kacmod.diagram_weights_congruent(params, d, ref)
-                    has_l11 = VirLabel(1, 1) in d.layer_labels("middle")
-                    assert has_l11 == (m == n)
+@_property("kacmod")
+def diagram_node_counts_layers_distinct_weights():
+    for params in TEST_PARAMS:
+        for m in range(2, 7):
+            for n in range(2, m + 1):
+                d = kacmod.kac_mm_nn_diagram(params, m, n)
+                assert len(d.nodes) == 4 * n - 2
+                sizes = tuple(len(d.layer_labels(layer)) for layer in ("top", "middle", "socle"))
+                assert sizes == (n - 1, 2 * n - 1, n)
+                canon = [canonical_label(params, node.label) for node in d.nodes]
+                assert len(set(canon)) == len(canon)
+                ref = VirLabel(m * params.p - 1, n * params.q - 1)
+                assert kacmod.diagram_weights_congruent(params, d, ref)
+                has_l11 = VirLabel(1, 1) in d.layer_labels("middle")
+                assert has_l11 == (m == n)
 
-    def edges_layered():
-        for params in TEST_PARAMS[:2]:
-            for m in range(2, 7):
-                for n in range(2, m + 1):
-                    d = kacmod.kac_mm_nn_diagram(params, m, n)
-                    order = {"top": 0, "middle": 1, "socle": 2}
-                    for src, dst in d.edges:
-                        assert order[d.node_by_id(dst).layer] == order[d.node_by_id(src).layer] + 1
 
-    def fusion_consistency():
-        for params in TEST_PARAMS:
-            for m in range(2, 7):
-                for n in range(2, m + 1):
-                    d = kacmod.kac_mm_nn_diagram(params, m, n)
-                    top = Counter(canonical_label(params, lbl) for lbl in d.layer_labels("top"))
-                    if m == n:
-                        top[canonical_label(params, VirLabel(1, 1))] += 1
-                    fused = expanded_factor_multiset(params, fusion.fuse_L_family(params, m, n))
-                    assert top == fused, f"(m,n)=({m},{n}): {top} != {fused}"
+@_property("kacmod")
+def diagram_edges_respect_layers():
+    for params in TEST_PARAMS[:2]:
+        for m in range(2, 7):
+            for n in range(2, m + 1):
+                d = kacmod.kac_mm_nn_diagram(params, m, n)
+                order = {"top": 0, "middle": 1, "socle": 2}
+                for src, dst in d.edges:
+                    assert order[d.node_by_id(dst).layer] == order[d.node_by_id(src).layer] + 1
 
-    def quotient_lists():
-        for params in TEST_PARAMS:
-            for m in range(2, 7):
-                for n in range(2, m + 1):
-                    top = kacmod.simple_quotients(params, "top_mm_nn", m, n)
-                    assert top == kacmod.kac_mm_nn_diagram(params, m, n).layer_labels("top")
-                    assert len(kacmod.simple_quotients(params, "mp_plus1", m, n)) == n - 1
-                    col = kacmod.simple_quotients(params, "mp_minus1_nq_plus1", m, n)
-                    assert len(col) == (n if m > n else n - 1)
 
-    return [
-        _check("diagram_node_counts_layers_distinct_weights", diagram_shape),
-        _check("diagram_edges_respect_layers", edges_layered),
-        _check("diagram_vs_fusion_factor_multisets", fusion_consistency),
-        _check("simple_quotient_list_shapes", quotient_lists),
+@_property("kacmod")
+def diagram_vs_fusion_factor_multisets():
+    for params in TEST_PARAMS:
+        for m in range(2, 7):
+            for n in range(2, m + 1):
+                d = kacmod.kac_mm_nn_diagram(params, m, n)
+                top = Counter(canonical_label(params, lbl) for lbl in d.layer_labels("top"))
+                if m == n:
+                    top[canonical_label(params, VirLabel(1, 1))] += 1
+                fused = expanded_factor_multiset(params, fusion.fuse_L_family(params, m, n))
+                assert top == fused, f"(m,n)=({m},{n}): {top} != {fused}"
+
+
+@_property("kacmod")
+def simple_quotient_list_shapes():
+    for params in TEST_PARAMS:
+        for m in range(2, 7):
+            for n in range(2, m + 1):
+                top = kacmod.simple_quotients(params, "top_mm_nn", m, n)
+                assert top == kacmod.kac_mm_nn_diagram(params, m, n).layer_labels("top")
+                assert len(kacmod.simple_quotients(params, "mp_plus1", m, n)) == n - 1
+                col = kacmod.simple_quotients(params, "mp_minus1_nq_plus1", m, n)
+                assert len(col) == (n if m > n else n - 1)
+
+
+# --- fusion -----------------------------------------------------------------
+
+
+@_property("fusion")
+def fuse_C_equals_cg_oracle():
+    for m in range(13):
+        for n in range(13):
+            assert fusion.fuse_C(m, n) == fusion.cg_oracle(m, n)
+
+
+@_property("fusion")
+def fusion_ring_commutative_associative():
+    params = Params(2, 3)
+    basis = [
+        fusion.decomp_from_pairs([(1, fusion.sl2_index_to_obj(params, k))]) for k in range(11)
     ]
+    prod = lambda x, y: fusion.fusion_ring_product(params, x, y)
+    for a in basis:
+        for b in basis:
+            assert prod(a, b) == prod(b, a)
+    for a in basis:
+        for b in basis:
+            for c in basis:
+                assert prod(prod(a, b), c) == prod(a, prod(b, c))
 
 
-def suite_fusion() -> list[Result]:
-    def oracle_equivalence():
-        for m in range(13):
-            for n in range(13):
-                assert fusion.fuse_C(m, n) == fusion.cg_oracle(m, n)
+@_property("fusion")
+def dimension_grading():
+    for m in range(13):
+        for n in range(13):
+            assert sum(k + 1 for k in fusion.fuse_C(m, n)) == (m + 1) * (n + 1)
 
-    def ring_laws():
-        params = Params(2, 3)
-        basis = [
-            fusion.decomp_from_pairs([(1, fusion.sl2_index_to_obj(params, k))]) for k in range(11)
+
+@_property("fusion")
+def even_subring_closed():
+    for m in range(0, 13, 2):
+        for n in range(0, 13, 2):
+            assert all(k % 2 == 0 for k in fusion.fuse_C(m, n))
+
+
+# --- braidfmat --------------------------------------------------------------
+
+
+@_property("braidfmat")
+def squared_r_scalars_equal_balancing():
+    for params in TEST_PARAMS:
+        for n in range(9):
+            balancing = braidfmat.balancing_check(params, n)
+            for k in fusion.fuse_C(n, n):
+                if k > 8:
+                    continue
+                formula = braidfmat.r_scalar_formula(params, n, k)
+                assert formula**2 == balancing[k]
+        for k in (0, 2):
+            table = braidfmat.r_scalar_table(params, 1, k)
+            assert table**2 == braidfmat.balancing_check(params, 1)[k]
+
+
+@_property("braidfmat")
+def balancing_n1_is_parity_sign():
+    for params in TEST_PARAMS:
+        eps = Fraction((-1) ** (params.p * params.q))
+        for k in (0, 2):
+            assert braidfmat.balancing_check(params, 1)[k].as_rat_sign() == eps
+
+
+@_property("braidfmat")
+def hexagon_solutions_zero_residual():
+    for params in TEST_PARAMS:
+        for sol in braidfmat.hexagon_solutions(params):
+            residual = braidfmat.hexagon_residual(params, sol.matrix)
+            assert all(ParamScalar.coerce(x).is_zero() for x in residual.entries())
+
+
+@_property("braidfmat")
+def hexagon_sign_flip_invariance():
+    for params in TEST_PARAMS:
+        r0 = braidfmat.r_scalar_table(params, 1, 0)
+        r2 = braidfmat.r_scalar_table(params, 1, 2)
+        flipped0 = Phase(r0.exponent + 1)
+        flipped2 = Phase(r2.exponent + 1)
+        signs = braidfmat.hexagon_sign_matrix(r0, r2)
+        assert signs == braidfmat.hexagon_sign_matrix(flipped0, flipped2)
+        eps = Fraction((-1) ** (params.p * params.q))
+        assert signs == ((eps, -eps), (-eps, eps))
+        # The weight-formula convention is one of the two flips, so it
+        # derives the same matrix equation.
+        f0 = braidfmat.r_scalar_formula(params, 1, 0)
+        f2 = braidfmat.r_scalar_formula(params, 1, 2)
+        assert braidfmat.hexagon_sign_matrix(f0, f2) == signs
+
+
+@_property("braidfmat")
+def intrinsic_dimensions():
+    for params in TEST_PARAMS:
+        eps = (-1) ** (params.p * params.q)
+        dims = [
+            braidfmat.intrinsic_dimension(sol, params)
+            for sol in braidfmat.hexagon_solutions(params)
         ]
-        prod = lambda x, y: fusion.fusion_ring_product(params, x, y)
-        for a in basis:
-            for b in basis:
-                assert prod(a, b) == prod(b, a)
-        for a in basis:
-            for b in basis:
-                for c in basis:
-                    assert prod(prod(a, b), c) == prod(a, prod(b, c))
-
-    def dimension_grading():
-        for m in range(13):
-            for n in range(13):
-                assert sum(k + 1 for k in fusion.fuse_C(m, n)) == (m + 1) * (n + 1)
-
-    def even_subring_closed():
-        for m in range(0, 13, 2):
-            for n in range(0, 13, 2):
-                assert all(k % 2 == 0 for k in fusion.fuse_C(m, n))
-
-    return [
-        _check("fuse_C_equals_cg_oracle", oracle_equivalence),
-        _check("fusion_ring_commutative_associative", ring_laws),
-        _check("dimension_grading", dimension_grading),
-        _check("even_subring_closed", even_subring_closed),
-    ]
+        assert dims == [Fraction(eps), Fraction(-2 * eps)]
+        assert all(d in (1, -1, 2, -2) for d in dims)
 
 
-def suite_braidfmat() -> list[Result]:
-    def squared_scalars_match_balancing():
-        for params in TEST_PARAMS:
-            for n in range(9):
-                balancing = braidfmat.balancing_check(params, n)
-                for k in fusion.fuse_C(n, n):
-                    if k > 8:
-                        continue
-                    formula = braidfmat.r_scalar_formula(params, n, k)
-                    assert formula**2 == balancing[k]
-            for k in (0, 2):
-                table = braidfmat.r_scalar_table(params, 1, k)
-                assert table**2 == braidfmat.balancing_check(params, 1)[k]
-
-    def balancing_n1_sign():
-        for params in TEST_PARAMS:
-            eps = Fraction((-1) ** (params.p * params.q))
-            for k in (0, 2):
-                assert braidfmat.balancing_check(params, 1)[k].as_rat_sign() == eps
-
-    def hexagon_residuals():
-        for params in TEST_PARAMS:
-            for sol in braidfmat.hexagon_solutions(params):
-                residual = braidfmat.hexagon_residual(params, sol.matrix)
-                assert all(ParamScalar.coerce(x).is_zero() for x in residual.entries())
-
-    def sign_flip_invariance():
-        for params in TEST_PARAMS:
-            r0 = braidfmat.r_scalar_table(params, 1, 0)
-            r2 = braidfmat.r_scalar_table(params, 1, 2)
-            flipped0 = Phase(r0.exponent + 1)
-            flipped2 = Phase(r2.exponent + 1)
-            signs = braidfmat.hexagon_sign_matrix(r0, r2)
-            assert signs == braidfmat.hexagon_sign_matrix(flipped0, flipped2)
-            eps = Fraction((-1) ** (params.p * params.q))
-            assert signs == ((eps, -eps), (-eps, eps))
-
-    def intrinsic_dims():
-        for params in TEST_PARAMS:
-            eps = (-1) ** (params.p * params.q)
-            dims = [
-                braidfmat.intrinsic_dimension(sol, params)
-                for sol in braidfmat.hexagon_solutions(params)
-            ]
-            assert dims == [Fraction(eps), Fraction(-2 * eps)]
-            assert all(d in (1, -1, 2, -2) for d in dims)
-
-    return [
-        _check("squared_r_scalars_equal_balancing", squared_scalars_match_balancing),
-        _check("balancing_n1_is_parity_sign", balancing_n1_sign),
-        _check("hexagon_solutions_zero_residual", hexagon_residuals),
-        _check("hexagon_sign_flip_invariance", sign_flip_invariance),
-        _check("intrinsic_dimensions", intrinsic_dims),
-    ]
+# --- sl2rep -----------------------------------------------------------------
 
 
 def invariant_form_oracle(n: int) -> tuple:
@@ -379,143 +412,187 @@ def cg_system_oracle(m: int, n: int) -> dict[int, tuple[tuple, tuple]]:
     return out
 
 
+@_property("sl2rep")
+def bracket_relations():
+    for n in range(11):
+        assert sl2rep.check_brackets(sl2rep.build_irrep(n))
+
+
+@_property("sl2rep")
+def invariant_form_unique_nondegenerate_symmetry():
+    for n in range(11):
+        form = sl2rep.invariant_form(n)
+        if n <= 8:
+            # The oracle raises unless the solution space is 1-dim.
+            assert form.matrix == invariant_form_oracle(n), f"n={n}"
+        b = [list(r) for r in form.matrix]
+        _, pivots = linalg.rref(b)
+        assert len(pivots) == n + 1
+        sign = 1 if n % 2 == 0 else -1
+        if n <= 6:
+            assert all(b[i][j] == sign * b[j][i] for i in range(n + 1) for j in range(n + 1))
+
+
+@_property("sl2rep")
+def cg_biorthogonality_and_completeness():
+    # With every channel's projection rows stacked into P and inclusion
+    # columns into I, biorthogonality of all channel pairs is P*I == Id and
+    # completeness is I*P == Id.
+    for m in range(7):
+        for n in range(7):
+            if m <= 5 and n <= 5:
+                assert sl2rep._cg_system(m, n) == cg_system_oracle(m, n), f"(m,n)=({m},{n})"
+            dim = (m + 1) * (n + 1)
+            stacked_proj: list = []
+            stacked_incl: list = [[] for _ in range(dim)]
+            for k in fusion.cg_oracle(m, n):
+                proj_k, incl_k = sl2rep.cg_maps(m, n, k)
+                stacked_proj += proj_k
+                for row, part in zip(stacked_incl, incl_k):
+                    row += part
+            assert linalg.mat_mul(stacked_proj, stacked_incl) == linalg.identity(dim)
+            assert linalg.mat_mul(stacked_incl, stacked_proj) == linalg.identity(dim)
+
+
+@_property("sl2rep")
+def unit_channel_projection_is_bilinear_form():
+    # The invariant pairing spans the one-dimensional space of unit-channel
+    # functionals, so the channel-0 projection must be proportional to it.
+    for n in range(1, 4):
+        proj, _ = sl2rep.cg_maps(2 * n, 2 * n, 0)
+        b = [list(r) for r in sl2rep.invariant_form(2 * n).matrix]
+        dim = 2 * n + 1
+        flat = [b[i][j] for i in range(dim) for j in range(dim)]
+        row = proj[0]
+        ratio = None
+        for x, y in zip(row, flat):
+            if (x == 0) != (y == 0):
+                raise AssertionError("projection and pairing have different supports")
+            if x:
+                if ratio is None:
+                    ratio = x / y
+                assert x == ratio * y
+        assert ratio is not None and ratio != 0
+
+
+@_property("sl2rep")
+def simplicity_witnesses_exist():
+    rng = random.Random(20240 + 4)
+    for _ in range(100):
+        v = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(5)]
+        if all(x == 0 for x in v):
+            v[rng.randrange(5)] = Fraction(1)
+        w = sl2rep.simplicity_witness(2, v)
+        assert sl2rep.invariant_form(4).pair(w, v) != 0
+
+
+# --- wpq --------------------------------------------------------------------
+
+
+@_property("wpq")
+def truncations_are_prefixes():
+    for params in TEST_PARAMS:
+        big = wpq.decompose_wpq(params, 12)
+        for n_max in range(2, 12):
+            small = wpq.decompose_wpq(params, n_max)
+            assert small.entries == big.entries[: len(small.entries)]
+
+
+@_property("wpq")
+def equivariant_dimension_agreement():
+    for params in TEST_PARAMS:
+        plain = wpq.decompose_wpq(params, 20)
+        graded = wpq.decompose_wpq_equivariant(params, 20)
+        assert len(plain.entries) == len(graded.entries)
+        for pe, ge in zip(plain.entries, graded.entries):
+            assert pe.mult == ge.mult == (ge.psl2 + 1)
+            assert pe.obj == ge.obj and pe.lowest_weight == ge.lowest_weight
+
+
+@_property("wpq")
+def ideal_and_quotient_bookkeeping():
+    for params in TEST_PARAMS:
+        full = wpq.decompose_wpq(params, 10)
+        ideal = wpq.decompose_ideal(params, 10)
+        assert full.entries[0].obj == kac_k(1, 1)
+        assert full.entries[1:] == ideal.entries[1:]
+        socle = kacmod.kac_length2_seq(params, "k11").sub
+        assert ideal.entries[0].obj == socle
+        assert ideal.entries[0].lowest_weight == conformal_weight(params, socle.label)
+        assert ideal.entries[0].lowest_weight == (params.p - 1) * (params.q - 1)
+        # Ideal plus the simple quotient L_{1,1} accounts for all factors
+        # of the full algebra: K_{1,1} = socle + L_{1,1}.
+        quot = kacmod.kac_length2_seq(params, "k11").quot
+        assert quot == simple_l(1, 1)
+        full_factors = expanded_factor_multiset(
+            params, fusion.decomp_from_pairs((e.mult, e.obj) for e in full.entries)
+        )
+        ideal_factors = Counter(
+            {canonical_label(params, e.obj.label): e.mult for e in ideal.entries}
+        )
+        ideal_factors[canonical_label(params, quot.label)] += 1
+        assert full_factors == ideal_factors
+
+
+@_property("wpq")
+def multiplicity_totals_square():
+    for params in TEST_PARAMS:
+        for n_max in (2, 3, 5, 10, 20):
+            total = sum(e.mult for e in wpq.decompose_wpq(params, n_max).entries)
+            assert total == n_max * n_max
+            graded = wpq.decompose_wpq_equivariant(params, n_max)
+            assert sum(e.psl2 + 1 for e in graded.entries) == n_max * n_max
+
+
+@_property("wpq")
+def o0_weight_identity_integral():
+    for params in TEST_PARAMS:
+        for n, diff, flag in wpq.o0_weight_identity(params, 20):
+            assert flag and diff.denominator == 1 and diff >= 0
+            assert diff == (n * params.p - 1) * (n * params.q - 2)
+
+
+# --- runners ----------------------------------------------------------------
+
+
+def _check(name: str, fn) -> Result:
+    try:
+        fn()
+        return (name, True, "")
+    except Exception as exc:  # noqa: BLE001 - a failed property is the payload here
+        return (name, False, f"{type(exc).__name__}: {exc}")
+
+
+def _run(suite: str) -> list[Result]:
+    return [_check(name, fn) for name, fn in PROPERTIES[suite].items()]
+
+
+def suite_exactnum() -> list[Result]:
+    return _run("exactnum")
+
+
+def suite_virasoro() -> list[Result]:
+    return _run("virasoro")
+
+
+def suite_kacmod() -> list[Result]:
+    return _run("kacmod")
+
+
+def suite_fusion() -> list[Result]:
+    return _run("fusion")
+
+
+def suite_braidfmat() -> list[Result]:
+    return _run("braidfmat")
+
+
 def suite_sl2rep() -> list[Result]:
-    def brackets():
-        for n in range(11):
-            assert sl2rep.check_brackets(sl2rep.build_irrep(n))
-
-    def forms():
-        for n in range(11):
-            form = sl2rep.invariant_form(n)
-            if n <= 8:
-                # The oracle raises unless the solution space is 1-dim.
-                assert form.matrix == invariant_form_oracle(n), f"n={n}"
-            b = [list(r) for r in form.matrix]
-            sign = 1 if n % 2 == 0 else -1
-            if n <= 6:
-                assert all(
-                    b[i][j] == sign * b[j][i] for i in range(n + 1) for j in range(n + 1)
-                )
-
-    def cg_projections():
-        for m in range(7):
-            for n in range(7):
-                if m <= 5 and n <= 5:
-                    assert sl2rep._cg_system(m, n) == cg_system_oracle(m, n), f"(m,n)=({m},{n})"
-                channels = fusion.cg_oracle(m, n)
-                dim = (m + 1) * (n + 1)
-                total = linalg.zeros(dim, dim)
-                for k in channels:
-                    proj_k, incl_k = sl2rep.cg_maps(m, n, k)
-                    for kp in channels:
-                        proj_kp, _ = sl2rep.cg_maps(m, n, kp)
-                        comp = linalg.mat_mul(proj_kp, incl_k)
-                        expected = linalg.identity(k + 1) if kp == k else linalg.zeros(kp + 1, k + 1)
-                        assert comp == expected
-                    total = [
-                        [a + b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(total, linalg.mat_mul(incl_k, proj_k))
-                    ]
-                assert total == linalg.identity(dim)
-
-    def form_is_unit_channel_projection():
-        # The invariant pairing spans the one-dimensional space of unit-channel
-        # functionals, so the channel-0 projection must be proportional to it.
-        for n in range(1, 4):
-            proj, _ = sl2rep.cg_maps(2 * n, 2 * n, 0)
-            b = [list(r) for r in sl2rep.invariant_form(2 * n).matrix]
-            dim = 2 * n + 1
-            flat = [b[i][j] for i in range(dim) for j in range(dim)]
-            row = proj[0]
-            ratio = None
-            for x, y in zip(row, flat):
-                if (x == 0) != (y == 0):
-                    raise AssertionError("projection and pairing have different supports")
-                if x:
-                    if ratio is None:
-                        ratio = x / y
-                    assert x == ratio * y
-            assert ratio is not None and ratio != 0
-
-    def witnesses():
-        rng = random.Random(20240 + 4)
-        for _ in range(100):
-            v = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(5)]
-            if all(x == 0 for x in v):
-                v[rng.randrange(5)] = Fraction(1)
-            w = sl2rep.simplicity_witness(2, v)
-            assert sl2rep.invariant_form(4).pair(w, v) != 0
-
-    return [
-        _check("bracket_relations", brackets),
-        _check("invariant_form_unique_nondegenerate_symmetry", forms),
-        _check("cg_biorthogonality_and_completeness", cg_projections),
-        _check("unit_channel_projection_is_bilinear_form", form_is_unit_channel_projection),
-        _check("simplicity_witnesses_exist", witnesses),
-    ]
+    return _run("sl2rep")
 
 
 def suite_wpq() -> list[Result]:
-    def truncation_prefix():
-        for params in TEST_PARAMS:
-            big = wpq.decompose_wpq(params, 12)
-            for n_max in range(2, 12):
-                small = wpq.decompose_wpq(params, n_max)
-                assert small.entries == big.entries[: len(small.entries)]
-
-    def equivariant_multiplicities():
-        for params in TEST_PARAMS:
-            plain = wpq.decompose_wpq(params, 20)
-            graded = wpq.decompose_wpq_equivariant(params, 20)
-            assert len(plain.entries) == len(graded.entries)
-            for pe, ge in zip(plain.entries, graded.entries):
-                assert pe.mult == ge.mult == (ge.psl2 + 1)
-                assert pe.obj == ge.obj and pe.lowest_weight == ge.lowest_weight
-
-    def ideal_bookkeeping():
-        for params in TEST_PARAMS:
-            full = wpq.decompose_wpq(params, 10)
-            ideal = wpq.decompose_ideal(params, 10)
-            assert full.entries[0].obj == kac_k(1, 1)
-            assert full.entries[1:] == ideal.entries[1:]
-            socle = kacmod.kac_length2_seq(params, "k11").sub
-            assert ideal.entries[0].obj == socle
-            assert ideal.entries[0].lowest_weight == conformal_weight(params, socle.label)
-            assert ideal.entries[0].lowest_weight == (params.p - 1) * (params.q - 1)
-            # Ideal plus the simple quotient L_{1,1} accounts for all factors
-            # of the full algebra: K_{1,1} = socle + L_{1,1}.
-            quot = kacmod.kac_length2_seq(params, "k11").quot
-            assert quot == simple_l(1, 1)
-            full_factors = expanded_factor_multiset(
-                params, fusion.decomp_from_pairs((e.mult, e.obj) for e in full.entries)
-            )
-            ideal_factors = Counter(
-                {canonical_label(params, e.obj.label): e.mult for e in ideal.entries}
-            )
-            ideal_factors[canonical_label(params, quot.label)] += 1
-            assert full_factors == ideal_factors
-
-    def multiplicity_totals():
-        for params in TEST_PARAMS:
-            for n_max in (2, 5, 20):
-                total = sum(e.mult for e in wpq.decompose_wpq(params, n_max).entries)
-                assert total == n_max * n_max
-                graded = wpq.decompose_wpq_equivariant(params, n_max)
-                assert sum(e.psl2 + 1 for e in graded.entries) == n_max * n_max
-
-    def o0_identities():
-        for params in TEST_PARAMS:
-            for n, diff, flag in wpq.o0_weight_identity(params, 20):
-                assert flag and diff.denominator == 1 and diff >= 0
-                assert diff == (n * params.p - 1) * (n * params.q - 2)
-
-    return [
-        _check("truncations_are_prefixes", truncation_prefix),
-        _check("equivariant_dimension_agreement", equivariant_multiplicities),
-        _check("ideal_and_quotient_bookkeeping", ideal_bookkeeping),
-        _check("multiplicity_totals_square", multiplicity_totals),
-        _check("o0_weight_identity_integral", o0_identities),
-    ]
+    return _run("wpq")
 
 
 SUITES = {

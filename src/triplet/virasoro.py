@@ -136,12 +136,10 @@ def canonical_label(params: Params, lbl: VirLabel) -> VirLabel:
         r_star = r_img + k * p
         if r_star >= 1 and q * r_star >= p * s_star:
             candidates.append(VirLabel(r_star, s_star))
-    uniq = sorted(set(candidates), key=lambda v: v.pair())
-    if len(uniq) != 1:
-        raise AssertionError(f"canonicalization of {lbl} not unique: {uniq}")
-    out = uniq[0]
-    assert conformal_weight(params, out) == conformal_weight(params, lbl)
-    return out
+    # Both signs land on the same label when (r,s) is its own reflection.
+    if not candidates or candidates[0] != candidates[-1]:
+        raise AssertionError(f"canonicalization of {lbl} not unique: {candidates}")
+    return candidates[0]
 
 
 def canonical_obj(params: Params, obj: ObjLabel) -> ObjLabel:

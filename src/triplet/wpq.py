@@ -40,7 +40,6 @@ class GradedDecomp:
 def _family_entry(params: Params, n: int, graded: bool) -> GradedEntry:
     obj = simple_l(2 * n * params.p - 1, 1)
     h = conformal_weight(params, obj.label)
-    assert h == (n * params.p - 1) * (n * params.q - 1)
     return GradedEntry(
         psl2=2 * n - 2 if graded else None, mult=2 * n - 1, obj=obj, lowest_weight=h
     )

@@ -1,64 +1,74 @@
-"""Acceptance criteria: exact, zero-tolerance checks with stated time budgets.
+"""Acceptance criteria: the verify registry's properties under time budgets.
 
-Each test covers one numbered criterion and prints a single pass line with
-its runtime; any failure surfaces as an ordinary assertion error.
+Each numbered criterion is one row of ``CRITERIA``: a label, a budget in
+seconds and the registry properties (``suite.name``) it covers.  Its test
+runs them and prints a single pass line with the runtime.  Every property
+that no criterion names runs once, unbudgeted, as ``test_property[suite.name]``,
+so each registry property runs exactly once in this module.
 """
 
 import io
 import time
-from collections import Counter
-from contextlib import redirect_stdout
-from fractions import Fraction
+from contextlib import redirect_stderr, redirect_stdout
 
-from triplet import braidfmat, fusion, kacmod, linalg, sl2rep, wpq
+import pytest
+
+from triplet import sl2rep
 from triplet.cli import main as cli_main
-from triplet.exactnum import ParamScalar
-from triplet.verify import expanded_factor_multiset
-from triplet.virasoro import Params, VirLabel, canonical_label, conformal_weight, simple_l
+from triplet.verify import PROPERTIES
 
-PAIRS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
-PRESET_PAIRS = [(2, 3), (3, 4), (2, 5)]
-
-GOLDEN_EDGES = {
-    (2, 2): {
-        ("L_3_1", "L_1_1"),
-        ("L_3_1", "L_1_7"),
-        ("L_3_1", "L_5_1"),
-        ("L_1_1", "L_1_4"),
-        ("L_1_7", "L_1_4"),
-        ("L_1_7", "L_1_10"),
-        ("L_5_1", "L_1_4"),
-        ("L_5_1", "L_1_10"),
-    },
-    (3, 2): {
-        ("L_5_1", "L_1_4"),
-        ("L_5_1", "L_1_10"),
-        ("L_5_1", "L_7_1"),
-        ("L_1_4", "L_1_7"),
-        ("L_1_10", "L_1_7"),
-        ("L_1_10", "L_1_13"),
-        ("L_7_1", "L_1_7"),
-        ("L_7_1", "L_1_13"),
-    },
-    (3, 3): {
-        ("L_3_1", "L_1_1"),
-        ("L_3_1", "L_1_7"),
-        ("L_3_1", "L_5_1"),
-        ("L_7_1", "L_1_7"),
-        ("L_7_1", "L_5_1"),
-        ("L_7_1", "L_1_13"),
-        ("L_7_1", "L_9_1"),
-        ("L_1_1", "L_1_4"),
-        ("L_1_7", "L_1_4"),
-        ("L_1_7", "L_1_10"),
-        ("L_1_13", "L_1_10"),
-        ("L_1_13", "L_1_16"),
-        ("L_5_1", "L_1_4"),
-        ("L_5_1", "L_1_10"),
-        ("L_9_1", "L_1_10"),
-        ("L_9_1", "L_1_16"),
-    },
+CRITERIA = {
+    1: ("fuse_C equals cg_oracle, m,n <= 12", 1.0, ["fusion.fuse_C_equals_cg_oracle"]),
+    2: ("ring laws on L_0..L_10, exhaustive", 5.0, ["fusion.fusion_ring_commutative_associative"]),
+    3: (
+        "weight identities and symmetries",
+        1.0,
+        [
+            "virasoro.family_weight_identities",
+            "wpq.o0_weight_identity_integral",
+            "virasoro.weight_translation_symmetry",
+        ],
+    ),
+    4: (
+        "hexagon solution families",
+        1.0,
+        ["braidfmat.hexagon_solutions_zero_residual", "braidfmat.intrinsic_dimensions"],
+    ),
+    5: (
+        "squared R-scalars equal balancing phases",
+        1.0,
+        ["braidfmat.squared_r_scalars_equal_balancing", "braidfmat.balancing_n1_is_parity_sign"],
+    ),
+    6: (
+        "Loewy diagram structure and golden adjacency",
+        2.0,
+        ["kacmod.diagram_node_counts_layers_distinct_weights", "kacmod.diagram_edges_respect_layers"],
+    ),
+    7: (
+        "diagram tops match fusion factor multisets",
+        1.0,
+        ["kacmod.diagram_vs_fusion_factor_multisets"],
+    ),
+    8: (
+        "sl2 brackets, forms, CG system, witnesses",
+        10.0,
+        [f"sl2rep.{name}" for name in PROPERTIES["sl2rep"]],
+    ),
+    9: (
+        "multiplicity grading and ideal bookkeeping",
+        1.0,
+        ["wpq.equivariant_dimension_agreement", "wpq.ideal_and_quotient_bookkeeping"],
+    ),
 }
+
+ALL_PROPERTIES = [f"{suite}.{name}" for suite, props in PROPERTIES.items() for name in props]
+NAMED = [name for _, _, names in CRITERIA.values() for name in names]
+UNBUDGETED = [name for name in ALL_PROPERTIES if name not in NAMED]
+
+
+def _registered(qualified: str):
+    suite, name = qualified.split(".")
+    return PROPERTIES[suite][name]
 
 
 class criterion:
@@ -84,224 +94,103 @@ class criterion:
         return False
 
 
+def run_criterion(number: int) -> None:
+    label, budget, names = CRITERIA[number]
+    checks = [_registered(name) for name in names]
+    with criterion(number, label, budget):
+        for check in checks:
+            check()
+
+
+def test_every_property_runs_exactly_once():
+    assert sorted(NAMED + UNBUDGETED) == sorted(ALL_PROPERTIES)
+
+
 def test_c01_fusion_oracle_equivalence():
-    with criterion(1, "fuse_C equals cg_oracle, m,n <= 12", 1.0):
-        for m in range(13):
-            for n in range(13):
-                assert fusion.fuse_C(m, n) == fusion.cg_oracle(m, n)
+    run_criterion(1)
 
 
 def test_c02_fusion_ring_laws():
-    with criterion(2, "ring laws on L_0..L_10, exhaustive", 5.0):
-        params = Params(2, 3)
-        basis = [
-            fusion.decomp_from_pairs([(1, fusion.sl2_index_to_obj(params, k))])
-            for k in range(11)
-        ]
-        products = {}
-        for i, a in enumerate(basis):
-            for j, b in enumerate(basis):
-                ab = fusion.fusion_ring_product(params, a, b)
-                assert ab == fusion.fusion_ring_product(params, b, a)
-                products[i, j] = ab
-        for i, a in enumerate(basis):
-            for j, b in enumerate(basis):
-                for k, c in enumerate(basis):
-                    lhs = fusion.fusion_ring_product(params, products[i, j], c)
-                    rhs = fusion.fusion_ring_product(params, a, products[j, k])
-                    assert lhs == rhs
+    run_criterion(2)
 
 
 def test_c03_weight_identities():
-    with criterion(3, "weight identities and symmetries", 1.0):
-        for params in PAIRS:
-            p, q = params.p, params.q
-            for n in range(1, 21):
-                assert conformal_weight(params, VirLabel(2 * n * p - 1, 1)) == (n * p - 1) * (
-                    n * q - 1
-                )
-                assert conformal_weight(params, VirLabel(n * p - 1, 1)) == Fraction(
-                    (n * p - 2) * (n * q - 2), 4
-                )
-                if n >= 2:
-                    diff = conformal_weight(params, VirLabel(1, 2 * n * q - 2)) - conformal_weight(
-                        params, VirLabel(1, 2)
-                    )
-                    assert diff == (n * p - 1) * (n * q - 2)
-            for r in range(1, 51):
-                for s in range(1, 51):
-                    assert conformal_weight(params, VirLabel(r, s)) == conformal_weight(
-                        params, VirLabel(r + p, s + q)
-                    )
+    run_criterion(3)
 
 
 def test_c04_hexagon_solver():
-    with criterion(4, "hexagon solution families", 1.0):
-        for params in PAIRS:
-            eps = (-1) ** (params.p * params.q)
-            solutions = braidfmat.hexagon_solutions(params)
-            assert [sol.kind for sol in solutions] == ["Diagonal", "Parametrized"]
-            diag, param = solutions
-            assert diag.matrix.entries() == (
-                Fraction(eps),
-                Fraction(0),
-                Fraction(0),
-                Fraction(eps),
-            )
-            assert param.matrix.f00 == ParamScalar.const(Fraction(-eps, 2))
-            assert param.matrix.f22 == ParamScalar.const(Fraction(-eps, 2))
-            assert param.matrix.f02 == ParamScalar.t()
-            assert param.matrix.f20 == ParamScalar.const(Fraction(-3, 4)) / ParamScalar.t()
-            for sol in solutions:
-                residual = braidfmat.hexagon_residual(params, sol.matrix)
-                assert all(ParamScalar.coerce(x).is_zero() for x in residual.entries())
-                f00 = sol.matrix.f00
-                value = f00.as_rat() if isinstance(f00, ParamScalar) else Fraction(f00)
-                assert value != 0
-            dims = [braidfmat.intrinsic_dimension(sol, params) for sol in solutions]
-            assert dims == [Fraction(eps), Fraction(-2 * eps)]
+    run_criterion(4)
 
 
 def test_c05_balancing():
-    with criterion(5, "squared R-scalars equal balancing phases", 1.0):
-        for params in PAIRS:
-            eps = Fraction((-1) ** (params.p * params.q))
-            for n in range(9):
-                balancing = braidfmat.balancing_check(params, n)
-                for k in fusion.fuse_C(n, n):
-                    if k > 8:
-                        continue
-                    assert braidfmat.r_scalar_formula(params, n, k) ** 2 == balancing[k]
-            one = braidfmat.balancing_check(params, 1)
-            for k in (0, 2):
-                assert braidfmat.r_scalar_table(params, 1, k) ** 2 == one[k]
-                assert one[k].as_rat_sign() == eps
+    run_criterion(5)
 
 
 def test_c06_kac_diagrams():
-    with criterion(6, "Loewy diagram structure and golden adjacency", 2.0):
-        for params in PAIRS:
-            for m in range(2, 7):
-                for n in range(2, m + 1):
-                    d = kacmod.kac_mm_nn_diagram(params, m, n)
-                    assert len(d.nodes) == 4 * n - 2
-                    sizes = tuple(
-                        len(d.layer_labels(layer)) for layer in ("top", "middle", "socle")
-                    )
-                    assert sizes == (n - 1, 2 * n - 1, n)
-                    canon = [canonical_label(params, node.label) for node in d.nodes]
-                    assert len(set(canon)) == len(canon)
-                    ref = VirLabel(m * params.p - 1, n * params.q - 1)
-                    assert kacmod.diagram_weights_congruent(params, d, ref)
-                    assert (VirLabel(1, 1) in d.layer_labels("middle")) == (m == n)
-        for (m, n), edges in GOLDEN_EDGES.items():
-            d = kacmod.kac_mm_nn_diagram(Params(2, 3), m, n)
-            assert set(d.edges) == edges
+    run_criterion(6)
 
 
 def test_c07_diagram_fusion_consistency():
-    with criterion(7, "diagram tops match fusion factor multisets", 1.0):
-        for params in PAIRS:
-            for m in range(2, 7):
-                for n in range(2, m + 1):
-                    d = kacmod.kac_mm_nn_diagram(params, m, n)
-                    top = Counter(canonical_label(params, lbl) for lbl in d.layer_labels("top"))
-                    if m == n:
-                        top[canonical_label(params, VirLabel(1, 1))] += 1
-                    fused = expanded_factor_multiset(
-                        params, fusion.fuse_L_family(params, m, n)
-                    )
-                    assert top == fused
+    run_criterion(7)
 
 
 def test_c08_sl2_suite():
+    # Cold caches, so that the budget covers building the sl2 systems.
     sl2rep.build_irrep.cache_clear()
     sl2rep.invariant_form.cache_clear()
     sl2rep._cg_system.cache_clear()
-    with criterion(8, "sl2 brackets, forms, CG system, witnesses", 10.0):
-        import random
-
-        for n in range(11):
-            assert sl2rep.check_brackets(sl2rep.build_irrep(n))
-            form = sl2rep.invariant_form(n)  # unique solution enforced inside
-            _, pivots = linalg.rref([list(r) for r in form.matrix])
-            assert len(pivots) == n + 1
-        for m in range(7):
-            for n in range(7):
-                channels = fusion.cg_oracle(m, n)
-                dim = (m + 1) * (n + 1)
-                total = linalg.zeros(dim, dim)
-                for k in channels:
-                    proj_k, incl_k = sl2rep.cg_maps(m, n, k)
-                    for kp in channels:
-                        proj_kp, _ = sl2rep.cg_maps(m, n, kp)
-                        expected = (
-                            linalg.identity(k + 1) if kp == k else linalg.zeros(kp + 1, k + 1)
-                        )
-                        assert linalg.mat_mul(proj_kp, incl_k) == expected
-                    composite = linalg.mat_mul(incl_k, proj_k)
-                    total = [
-                        [a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, composite)
-                    ]
-                assert total == linalg.identity(dim)
-        rng = random.Random(908)
-        form4 = sl2rep.invariant_form(4)
-        for _ in range(100):
-            v = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(5)]
-            if all(x == 0 for x in v):
-                v[2] = Fraction(1)
-            witness = sl2rep.simplicity_witness(2, v)
-            assert form4.pair(witness, v) != 0
+    run_criterion(8)
 
 
 def test_c09_decomposition_suite():
-    with criterion(9, "multiplicity grading and ideal bookkeeping", 1.0):
-        for params in PAIRS:
-            plain = wpq.decompose_wpq(params, 20)
-            graded = wpq.decompose_wpq_equivariant(params, 20)
-            assert len(plain.entries) == len(graded.entries)
-            for pe, ge in zip(plain.entries, graded.entries):
-                assert pe.mult == ge.mult == ge.psl2 + 1
-                assert pe.obj == ge.obj and pe.lowest_weight == ge.lowest_weight
-            full = wpq.decompose_wpq(params, 8)
-            ideal = wpq.decompose_ideal(params, 8)
-            full_factors = expanded_factor_multiset(
-                params, fusion.decomp_from_pairs((e.mult, e.obj) for e in full.entries)
-            )
-            ideal_factors = Counter(
-                {canonical_label(params, e.obj.label): e.mult for e in ideal.entries}
-            )
-            ideal_factors[canonical_label(params, simple_l(1, 1).label)] += 1
-            assert full_factors == ideal_factors
+    run_criterion(9)
 
 
-def _cli_capture(argv) -> tuple[int, str]:
-    out = io.StringIO()
-    with redirect_stdout(out):
+@pytest.mark.parametrize("name", UNBUDGETED)
+def test_property(name):
+    _registered(name)()
+
+
+PRESET_PAIRS = [(2, 3), (3, 4), (2, 5)]
+PRESET_COMMANDS = [
+    ["weights", "--r", "7", "--s", "1"],
+    ["fuse-L", "--m", "3", "--n", "2"],
+    ["kac-diagram", "--m", "3", "--n", "2"],
+    ["kac-diagram", "--m", "2", "--n", "2", "--format", "dot"],
+    ["hexagon"],
+    ["braiding", "--n", "1"],
+    ["decompose", "--target", "wpq-equivariant", "--nmax", "4"],
+    ["o0-check", "--nmax", "5"],
+]
+FIXED_COMMANDS = [
+    ["fuse-C", "--m", "2", "--n", "2"],
+    ["fuse-C", "--m", "5", "--n", "3"],
+    ["sl2", "--n", "2", "--op", "form"],
+    ["sl2", "--n", "3", "--op", "form"],
+    ["fuse-L", "--p", "3", "--q", "4", "--m", "4", "--n", "2"],
+    ["kac-diagram", "--p", "2", "--q", "5", "--m", "3", "--n", "2"],
+    ["kac-diagram", "--p", "2", "--q", "3", "--m", "3", "--n", "3", "--format", "dot"],
+    ["hexagon", "--p", "3", "--q", "4", "--t", "2/7"],
+    ["braiding", "--p", "2", "--q", "5", "--n", "1"],
+    ["verify", "--suite", "exactnum"],
+]
+
+
+def _cli_capture(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = cli_main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_c10_cli_determinism():
+    commands = [
+        [cmd[0], "--p", str(p), "--q", str(q), *cmd[1:]]
+        for p, q in PRESET_PAIRS
+        for cmd in PRESET_COMMANDS
+    ] + FIXED_COMMANDS
     with criterion(10, "CLI output byte-identical across repeats", 30.0):
-        for p, q in PRESET_PAIRS:
-            pq = ["--p", str(p), "--q", str(q)]
-            commands = [
-                ["weights", *pq, "--r", "7", "--s", "1"],
-                ["fuse-L", *pq, "--m", "3", "--n", "2"],
-                ["fuse-C", "--m", "2", "--n", "2"],
-                ["kac-diagram", *pq, "--m", "3", "--n", "2"],
-                ["kac-diagram", *pq, "--m", "2", "--n", "2", "--format", "dot"],
-                ["hexagon", *pq],
-                ["braiding", *pq, "--n", "1"],
-                ["decompose", *pq, "--target", "wpq-equivariant", "--nmax", "4"],
-                ["o0-check", *pq, "--nmax", "5"],
-                ["sl2", "--n", "2", "--op", "form"],
-            ]
-            for argv in commands:
-                first = _cli_capture(argv)
-                second = _cli_capture(argv)
-                assert first[0] == 0 and second[0] == 0
-                assert first[1] == second[1], f"non-deterministic output for {argv}"
-        report = ["verify", "--suite", "exactnum"]
-        assert _cli_capture(report) == _cli_capture(report)
+        for argv in commands:
+            first = _cli_capture(argv)
+            assert first[0] == 0, argv
+            assert _cli_capture(argv) == first, f"non-deterministic output for {argv}"

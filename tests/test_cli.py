@@ -1,4 +1,4 @@
-"""CLI grammar, JSON/DOT output, exit codes, and determinism."""
+"""CLI grammar, JSON/DOT output, exit codes, and the verify report."""
 
 import io
 import json
@@ -6,8 +6,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-import pytest
-
+from triplet import verify
 from triplet.cli import main
 from triplet.virasoro import ObjLabel
 
@@ -146,7 +145,10 @@ def test_hexagon_with_t():
     param = payload["solutions"][1]
     assert param["F_at_t"] == [["-1/2", "1/2"], ["-3/2", "-1/2"]]
     code, _, err = run_cli(["hexagon", "--p", "2", "--q", "3", "--t", "0"])
-    assert code == 2
+    assert (code, err) == (2, "error: --t must be nonzero\n")
+    for bad in ("1/0", "abc"):
+        code, out, err = run_cli(["hexagon", "--p", "2", "--q", "3", "--t", bad])
+        assert (code, out, err) == (2, "", f"error: --t is not a rational number: '{bad}'\n")
 
 
 def test_braiding_output():
@@ -231,24 +233,74 @@ def test_verify_single_suite():
     assert out.strip().endswith("properties passed")
 
 
-def test_determinism_across_repeats(monkeypatch):
-    commands = [
-        ["weights", "--p", "2", "--q", "3", "--r", "7", "--s", "1"],
-        ["fuse-L", "--p", "3", "--q", "4", "--m", "4", "--n", "2"],
-        ["fuse-C", "--m", "5", "--n", "3"],
-        ["kac-diagram", "--p", "2", "--q", "5", "--m", "3", "--n", "2"],
-        ["kac-diagram", "--p", "2", "--q", "3", "--m", "3", "--n", "3", "--format", "dot"],
-        ["hexagon", "--p", "3", "--q", "4", "--t", "2/7"],
-        ["braiding", "--p", "2", "--q", "5", "--n", "1"],
-        ["decompose", "--p", "2", "--q", "3", "--target", "wpq-equivariant", "--nmax", "4"],
-        ["o0-check", "--p", "2", "--q", "3", "--nmax", "5"],
-        ["sl2", "--n", "3", "--op", "form"],
+VERIFY_ALL_PROPERTIES = [
+    "exactnum.rat_addition_exact",
+    "exactnum.phase_abelian_group",
+    "exactnum.param_scalar_evaluation_hom",
+    "virasoro.weight_translation_symmetry",
+    "virasoro.canonical_label_idempotent_and_weight_preserving",
+    "virasoro.family_weight_identities",
+    "kacmod.diagram_node_counts_layers_distinct_weights",
+    "kacmod.diagram_edges_respect_layers",
+    "kacmod.diagram_vs_fusion_factor_multisets",
+    "kacmod.simple_quotient_list_shapes",
+    "fusion.fuse_C_equals_cg_oracle",
+    "fusion.fusion_ring_commutative_associative",
+    "fusion.dimension_grading",
+    "fusion.even_subring_closed",
+    "braidfmat.squared_r_scalars_equal_balancing",
+    "braidfmat.balancing_n1_is_parity_sign",
+    "braidfmat.hexagon_solutions_zero_residual",
+    "braidfmat.hexagon_sign_flip_invariance",
+    "braidfmat.intrinsic_dimensions",
+    "sl2rep.bracket_relations",
+    "sl2rep.invariant_form_unique_nondegenerate_symmetry",
+    "sl2rep.cg_biorthogonality_and_completeness",
+    "sl2rep.unit_channel_projection_is_bilinear_form",
+    "sl2rep.simplicity_witnesses_exist",
+    "wpq.truncations_are_prefixes",
+    "wpq.equivariant_dimension_agreement",
+    "wpq.ideal_and_quotient_bookkeeping",
+    "wpq.multiplicity_totals_square",
+    "wpq.o0_weight_identity_integral",
+]
+
+
+def test_verify_all_lists_registry_in_order(monkeypatch):
+    # The properties themselves run in test_acceptance; here only the
+    # names, their order and the report format are pinned.
+    for props in verify.PROPERTIES.values():
+        for name in props:
+            monkeypatch.setitem(props, name, lambda: None)
+    code, out, _ = run_cli(["verify", "--suite", "all"])
+    expected = "".join(f"ok   {name}\n" for name in VERIFY_ALL_PROPERTIES)
+    assert (code, out) == (0, expected + "29/29 properties passed\n")
+
+
+def test_verify_reports_a_failed_property(monkeypatch):
+    def broken():
+        raise AssertionError("x != y")
+
+    monkeypatch.setitem(verify.PROPERTIES["exactnum"], "phase_abelian_group", broken)
+    code, out, _ = run_cli(["verify", "--suite", "exactnum"])
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "FAIL exactnum.phase_abelian_group: AssertionError: x != y",
+        "ok   exactnum.param_scalar_evaluation_hom",
+        "2/3 properties passed, 1 failed",
     ]
-    for argv in commands:
-        first = run_cli(argv)
-        second = run_cli(argv)
-        assert first == second
-        assert first[0] == 0
+
+
+def test_verify_refuses_to_run_under_python_O():
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "triplet", "verify", "--suite", "exactnum"],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        "error: verify cannot run under python -O, which strips its assert checks\n"
+    )
 
 
 def test_console_entry_point():

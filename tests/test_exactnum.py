@@ -6,31 +6,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from triplet.exactnum import (
-    ParamScalar,
-    Phase,
-    phase_from_weight,
-    phase_mul,
-    phase_pow,
-    rat_parse,
-    rat_str,
-)
+from triplet.exactnum import ParamScalar, Phase, phase_from_weight, rat_str
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
-phases = st.fractions(min_value=-100, max_value=100, max_denominator=48).map(Phase)
 
 
 def test_phase_mul_examples():
-    assert phase_mul(Phase(Fraction(1, 2)), Phase(Fraction(1, 2))) == Phase(Fraction(1))
+    assert Phase(Fraction(1, 2)) * Phase(Fraction(1, 2)) == Phase(Fraction(1))
     x = Phase(Fraction(7, 5))
-    assert phase_mul(x, Phase(Fraction(0))) == x
-    assert phase_mul(Phase(Fraction(3, 2)), Phase(Fraction(3, 4))) == Phase(Fraction(1, 4))
+    assert x * Phase(Fraction(0)) == x
+    assert Phase(Fraction(3, 2)) * Phase(Fraction(3, 4)) == Phase(Fraction(1, 4))
 
 
 def test_phase_pow_examples():
-    assert phase_pow(Phase(Fraction(1, 2)), 2) == Phase(Fraction(1))
-    assert phase_pow(Phase(Fraction(11, 7)), 0) == Phase(Fraction(0))
-    assert phase_pow(Phase(Fraction(2, 3)), 4) == Phase(Fraction(2, 3))
+    assert Phase(Fraction(1, 2)) ** 2 == Phase(Fraction(1))
+    assert Phase(Fraction(11, 7)) ** 0 == Phase(Fraction(0))
+    assert Phase(Fraction(2, 3)) ** 4 == Phase(Fraction(2, 3))
 
 
 def test_phase_from_weight_examples():
@@ -53,26 +44,9 @@ def test_phase_sign_extraction():
         Phase(Fraction(1, 2)).as_rat_sign()
 
 
-@given(phases, phases, phases)
-def test_phase_group_laws(a, b, c):
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * Phase(Fraction(0)) == a
-
-
-@given(phases)
-def test_phase_order_divides_twice_denominator(a):
-    assert (a ** (2 * a.exponent.denominator)).is_one()
-
-
-@given(rationals, rationals)
-def test_rat_addition_exact(a, b):
-    assert (a + b) - b == a
-
-
 @given(rationals)
 def test_rat_str_round_trip(a):
-    assert rat_parse(rat_str(a)) == a
+    assert Fraction(rat_str(a)) == a
 
 
 def test_rat_str_format():
@@ -98,12 +72,3 @@ def test_param_scalar_constant_extraction_and_errors():
         ParamScalar.t() / ParamScalar.const(Fraction(0))
     with pytest.raises(ZeroDivisionError):
         (ParamScalar.const(Fraction(1)) / ParamScalar.t()).eval(Fraction(0))
-
-
-@given(rationals, rationals, rationals)
-def test_param_scalar_evaluation_homomorphism(a, b, t0):
-    t = ParamScalar.t()
-    f = ParamScalar.const(a) + t * b
-    g = ParamScalar.const(b) / (t * t + 1) - t
-    assert (f * g).eval(t0) == f.eval(t0) * g.eval(t0)
-    assert (f - g).eval(t0) == f.eval(t0) - g.eval(t0)
