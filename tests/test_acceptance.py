@@ -164,14 +164,7 @@ PRESET_COMMANDS = [
 ]
 FIXED_COMMANDS = [
     ["fuse-C", "--m", "2", "--n", "2"],
-    ["fuse-C", "--m", "5", "--n", "3"],
     ["sl2", "--n", "2", "--op", "form"],
-    ["sl2", "--n", "3", "--op", "form"],
-    ["fuse-L", "--p", "3", "--q", "4", "--m", "4", "--n", "2"],
-    ["kac-diagram", "--p", "2", "--q", "5", "--m", "3", "--n", "2"],
-    ["kac-diagram", "--p", "2", "--q", "3", "--m", "3", "--n", "3", "--format", "dot"],
-    ["hexagon", "--p", "3", "--q", "4", "--t", "2/7"],
-    ["braiding", "--p", "2", "--q", "5", "--n", "1"],
     ["verify", "--suite", "exactnum"],
 ]
 

@@ -16,6 +16,7 @@ from triplet.braidfmat import (
 )
 from triplet.exactnum import ParamScalar, Phase
 from triplet.fusion import fuse_C
+from triplet.verify import PROPERTIES
 from triplet.virasoro import Params
 
 PAIRS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
@@ -81,6 +82,10 @@ def test_balancing_examples():
         assert balancing_check(params, 0)[0] == Phase(Fraction(0))
 
 
+def test_squared_scalars_equal_balancing():
+    PROPERTIES["braidfmat"]["squared_r_scalars_equal_balancing"]()
+
+
 def test_phase_denominators_divide_4pq():
     for params in PAIRS:
         bound = 4 * params.p * params.q
@@ -115,11 +120,19 @@ def test_hexagon_substitution_at_t_one():
     assert square == (a, -b, -c, d)
 
 
+def test_hexagon_residuals_identically_zero():
+    PROPERTIES["braidfmat"]["hexagon_solutions_zero_residual"]()
+
+
 def test_hexagon_rejects_non_solutions():
     p23 = Params(2, 3)
     bogus = FMatrix(Fraction(1), Fraction(1), Fraction(1), Fraction(1))
     residual = hexagon_residual(p23, bogus)
     assert not all(ParamScalar.coerce(x).is_zero() for x in residual.entries())
+
+
+def test_intrinsic_dimensions():
+    PROPERTIES["braidfmat"]["intrinsic_dimensions"]()
 
 
 def test_intrinsic_dimension_rejects_zero_f00():

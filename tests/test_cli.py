@@ -303,6 +303,26 @@ def test_verify_refuses_to_run_under_python_O():
     )
 
 
+def test_determinism_across_repeats():
+    commands = [
+        ["weights", "--p", "2", "--q", "3", "--r", "7", "--s", "1"],
+        ["fuse-L", "--p", "3", "--q", "4", "--m", "4", "--n", "2"],
+        ["fuse-C", "--m", "5", "--n", "3"],
+        ["kac-diagram", "--p", "2", "--q", "5", "--m", "3", "--n", "2"],
+        ["kac-diagram", "--p", "2", "--q", "3", "--m", "3", "--n", "3", "--format", "dot"],
+        ["hexagon", "--p", "3", "--q", "4", "--t", "2/7"],
+        ["braiding", "--p", "2", "--q", "5", "--n", "1"],
+        ["decompose", "--p", "2", "--q", "3", "--target", "wpq-equivariant", "--nmax", "4"],
+        ["o0-check", "--p", "2", "--q", "3", "--nmax", "5"],
+        ["sl2", "--n", "3", "--op", "form"],
+    ]
+    for argv in commands:
+        first = run_cli(argv)
+        second = run_cli(argv)
+        assert first == second
+        assert first[0] == 0
+
+
 def test_console_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "triplet", "weights", "--p", "2", "--q", "3", "--r", "1", "--s", "1"],

@@ -7,8 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from triplet.exactnum import ParamScalar, Phase, phase_from_weight, rat_str
+from triplet.verify import PROPERTIES
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
+phases = st.fractions(min_value=-100, max_value=100, max_denominator=48).map(Phase)
 
 
 def test_phase_mul_examples():
@@ -42,6 +44,15 @@ def test_phase_sign_extraction():
     assert Phase(Fraction(1)).as_rat_sign() == -1
     with pytest.raises(ValueError):
         Phase(Fraction(1, 2)).as_rat_sign()
+
+
+def test_phase_group_laws():
+    PROPERTIES["exactnum"]["phase_abelian_group"]()
+
+
+@given(phases)
+def test_phase_order_divides_twice_denominator(a):
+    assert (a ** (2 * a.exponent.denominator)).is_one()
 
 
 @given(rationals)

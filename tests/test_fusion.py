@@ -13,6 +13,7 @@ from triplet.fusion import (
     fusion_ring_product,
 )
 from triplet.kacmod import UnsupportedObjectError
+from triplet.verify import PROPERTIES
 from triplet.virasoro import Params, kac_dual_k11, kac_k, simple_l, sl2_index_to_obj
 
 PAIRS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
@@ -33,6 +34,10 @@ def test_cg_oracle_examples():
     assert cg_oracle(2, 2) == [0, 2, 4]
     for m in range(8):
         assert cg_oracle(m, 0) == [m]
+
+
+def test_fuse_C_matches_oracle():
+    PROPERTIES["fusion"]["fuse_C_equals_cg_oracle"]()
 
 
 def test_char_poly_invariants():
@@ -85,6 +90,10 @@ def test_fusion_ring_associativity_example():
         [(1, sl2_index_to_obj(params, 0)), (2, sl2_index_to_obj(params, 2)), (1, sl2_index_to_obj(params, 4))]
     )
     assert lhs == expected
+
+
+def test_fusion_ring_laws_exhaustive():
+    PROPERTIES["fusion"]["fusion_ring_commutative_associative"]()
 
 
 def test_even_subring_closed():

@@ -13,6 +13,7 @@ from triplet.kacmod import (
     kac_mm_nn_diagram,
     simple_quotients,
 )
+from triplet.verify import PROPERTIES
 from triplet.virasoro import Params, VirLabel, canonical_label, kac_dual_k11, kac_k, simple_l
 
 PAIRS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
@@ -137,6 +138,10 @@ def test_diagram_3_3_golden():
     sizes = tuple(len(d.layer_labels(layer)) for layer in ("top", "middle", "socle"))
     assert sizes == (2, 5, 3)
     assert set(d.edges) == GOLDEN_33
+
+
+def test_diagram_shape_all_pairs():
+    PROPERTIES["kacmod"]["diagram_node_counts_layers_distinct_weights"]()
 
 
 def test_diagram_preconditions():

@@ -13,7 +13,7 @@ from triplet.sl2rep import (
     invariant_form,
     simplicity_witness,
 )
-from triplet.verify import _kron_sum, cg_system_oracle, invariant_form_oracle
+from triplet.verify import PROPERTIES, _kron_sum, cg_system_oracle, invariant_form_oracle
 
 
 def test_build_irrep_small():
@@ -23,6 +23,10 @@ def test_build_irrep_small():
     assert [list(r) for r in rep1.h] == [[1, 0], [0, -1]]
     assert [list(r) for r in rep1.f] == [[0, 0], [1, 0]]
     assert [list(r) for r in rep1.e] == [[0, 1], [0, 0]]
+
+
+def test_bracket_relations():
+    PROPERTIES["sl2rep"]["bracket_relations"]()
 
 
 def test_invariant_form_small():
@@ -153,10 +157,18 @@ def test_cg_maps_invalid_channel():
         cg_maps(2, 2, 6)
 
 
+def test_unit_channel_projection_is_pairing():
+    PROPERTIES["sl2rep"]["unit_channel_projection_is_bilinear_form"]()
+
+
 def test_simplicity_witness_highest_lowest():
     v = [Fraction(1), 0, 0]  # highest-weight vector of the n=1 module V_2
     witness = simplicity_witness(1, v)
     assert witness == [0, 0, Fraction(1)]
+
+
+def test_simplicity_witness_randomized():
+    PROPERTIES["sl2rep"]["simplicity_witnesses_exist"]()
 
 
 def test_simplicity_witness_rejects_zero():

@@ -17,6 +17,7 @@ from triplet.virasoro import (
     simple_l,
     sl2_index_to_obj,
 )
+from triplet.verify import PROPERTIES
 
 PAIRS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
 
@@ -51,6 +52,14 @@ def test_canonical_label_examples():
     assert canonical_label(p23, VirLabel(1, 5)) == VirLabel(3, 1)
     assert canonical_label(p23, VirLabel(7, 1)) == VirLabel(7, 1)
     assert canonical_label(p23, VirLabel(1, 11)) == VirLabel(7, 1)
+
+
+def test_translation_symmetry():
+    PROPERTIES["virasoro"]["weight_translation_symmetry"]()
+
+
+def test_family_weight_identities():
+    PROPERTIES["virasoro"]["family_weight_identities"]()
 
 
 def test_row_column_identification():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from triplet.kacmod import kac_length2_seq
+from triplet.verify import PROPERTIES
 from triplet.virasoro import Params, kac_dual_k11, kac_k, simple_l
 from triplet.wpq import (
     decompose_ideal,
@@ -65,6 +66,10 @@ def test_ideal_socle_matches_k11_sequence():
         # the n=1 term is inside K_{1,1}, not among the visible simple summands
         wpq_objs = {e.obj for e in decompose_wpq(params, 3).entries}
         assert socle not in wpq_objs
+
+
+def test_exact_sequence_bookkeeping():
+    PROPERTIES["wpq"]["ideal_and_quotient_bookkeeping"]()
 
 
 def test_decompose_wprime():
