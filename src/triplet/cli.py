@@ -146,17 +146,36 @@ def _fmatrix_json(matrix: braidfmat.FMatrix) -> list[list[str]]:
     ]
 
 
+T_MAX_CHARS = 100
+T_MAX_EXPONENT = 100
+
+
+def _parse_t(text: str) -> Fraction:
+    """`hexagon --t` as a nonzero Fraction; its size is capped before parsing."""
+    if len(text) > T_MAX_CHARS:
+        raise ValueError(f"--t is longer than {T_MAX_CHARS} characters")
+    _, has_exp, exponent = text.lower().partition("e")
+    try:
+        too_big = bool(has_exp) and abs(int(exponent)) > T_MAX_EXPONENT
+    except ValueError:
+        too_big = False  # not an integer exponent: Fraction rejects it below
+    if too_big:
+        raise ValueError(
+            f"--t exponent is outside [-{T_MAX_EXPONENT}, {T_MAX_EXPONENT}]: {text!r}"
+        )
+    try:
+        t0 = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--t is not a rational number: {text!r}") from None
+    if t0 == 0:
+        raise ValueError("--t must be nonzero")
+    return t0
+
+
 def _cmd_hexagon(args) -> int:
     params = _resolve_params(args)
+    t0 = None if args.t is None else _parse_t(args.t)
     solutions = braidfmat.hexagon_solutions(params)
-    t0 = None
-    if args.t is not None:
-        try:
-            t0 = Fraction(args.t)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"--t is not a rational number: {args.t!r}") from None
-        if t0 == 0:
-            raise ValueError("--t must be nonzero")
     payload = {
         "epsilon": solutions[0].epsilon,
         "solutions": [],

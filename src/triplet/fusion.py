@@ -13,12 +13,13 @@ from dataclasses import dataclass
 from .kacmod import UnsupportedObjectError
 from .virasoro import (
     KAC_DUAL_K11,
+    SIMPLE_L,
     ObjLabel,
     Params,
+    canonical_label,
     canonical_obj,
     kac_dual_k11,
     kac_k,
-    obj_to_sl2_index,
     simple_l,
     sl2_index_to_obj,
 )
@@ -162,56 +163,73 @@ def fuse_L_family(params: Params, m: int, n: int) -> DecompList:
     return decomp_from_pairs(pairs)
 
 
-L11 = simple_l(1, 1)
+# Classes of a fusion-ring entry besides its sl2 index n >= 0 (None when
+# the entry is unsupported).
+_L11 = -1
+_SOCLE = -2
 
 
-def _basis_product(params: Params, a: ObjLabel, b: ObjLabel) -> DecompList:
-    a = canonical_obj(params, a)
-    b = canonical_obj(params, b)
-    if a == L11 or b == L11:
-        if a == b:
-            raise UnsupportedObjectError(
-                "L_{1,1} (x) L_{1,1} is outside the computed fusion families"
-            )
-        return DecompList(())
-    ia = obj_to_sl2_index(params, a)
-    ib = obj_to_sl2_index(params, b)
-    socle = simple_l(2 * params.p - 1, 1)
-    if a == socle or b == socle:
-        # L_{2p-1,1} is not an sl2-type object, but its products with the
-        # supported labels are known: it squares to K'_{1,1} and fixes
-        # every sl2-type object.
-        if a == b:
-            return decomp_from_pairs([(1, kac_dual_k11())])
-        other = ib if a == socle else ia
-        if other is None:
-            raise UnsupportedObjectError(f"unsupported fusion entry {a} (x) {b}")
-        return decomp_from_pairs([(1, sl2_index_to_obj(params, other))])
-    if ia is None or ib is None:
-        bad = a if ia is None else b
-        raise UnsupportedObjectError(f"unsupported fusion entry {bad}")
-    return decomp_from_pairs((1, sl2_index_to_obj(params, k)) for k in fuse_C(ia, ib))
+def _classify(params: Params, obj: ObjLabel) -> int | None:
+    """The sl2 index of obj, _L11, _SOCLE (L_{2p-1,1}) or None, canonicalizing once."""
+    if obj.kind == KAC_DUAL_K11:
+        return 0
+    if obj.kind != SIMPLE_L:
+        return None
+    lbl = canonical_label(params, obj.label)
+    if lbl.s != 1:
+        return None
+    if lbl.r == 1:
+        return _L11
+    n, rem = divmod(lbl.r + 1, params.p)
+    if rem or n < 2:
+        return None
+    return _SOCLE if n == 2 else n - 2
 
 
 def fusion_ring_product(params: Params, a: DecompList, b: DecompList) -> DecompList:
-    """Bilinear extension of the sl2-type fusion rules.
+    """Bilinear extension of the sl2-type fusion rules, computed on sl2 indices.
 
     Entries may be K'_{1,1}, any L_{(n+2)p-1,1} with n >= 1, the socle
-    label L_{2p-1,1}, or L_{1,1}; products against L_{1,1} vanish.
+    label L_{2p-1,1}, or L_{1,1}; products against L_{1,1} vanish.  Each
+    entry is canonicalized and mapped to its sl2 index once, the indices
+    are combined with ``fuse_C``, and the result is listed unit first, then
+    by index.  ``verify.fusion_ring_product_oracle`` is the per-pair oracle.
     """
-    pairs = []
+    b_classes = [(eb, _classify(params, eb.obj)) for eb in b.entries]
+    acc: dict[int, int] = {}
     for ea in a.entries:
-        for eb in b.entries:
-            prod = _basis_product(params, ea.obj, eb.obj)
-            pairs.extend((ea.mult * eb.mult * e.mult, e.obj) for e in prod.entries)
-    merged = decomp_from_pairs(pairs)
-    # Stable presentation: unit first, then simple labels by index.
-    def key(entry: DecompEntry):
-        if entry.obj.kind == KAC_DUAL_K11:
-            return (0, 0, 0)
-        return (1, entry.obj.label.r, entry.obj.label.s)
-
-    return DecompList(tuple(sorted(merged.entries, key=key)))
+        ia = _classify(params, ea.obj)
+        for eb, ib in b_classes:
+            if ia == _L11 or ib == _L11:
+                if ia == ib:
+                    raise UnsupportedObjectError(
+                        "L_{1,1} (x) L_{1,1} is outside the computed fusion families"
+                    )
+                continue
+            if ia == _SOCLE or ib == _SOCLE:
+                # L_{2p-1,1} is not an sl2-type object, but its products with
+                # the supported labels are known: it squares to K'_{1,1} and
+                # fixes every sl2-type object.
+                other = ib if ia == _SOCLE else ia
+                if other is None:
+                    raise UnsupportedObjectError(
+                        f"unsupported fusion entry {canonical_obj(params, ea.obj)}"
+                        f" (x) {canonical_obj(params, eb.obj)}"
+                    )
+                channels = [0] if other == _SOCLE else [other]
+            elif ia is None or ib is None:
+                bad = ea.obj if ia is None else eb.obj
+                raise UnsupportedObjectError(
+                    f"unsupported fusion entry {canonical_obj(params, bad)}"
+                )
+            else:
+                channels = fuse_C(ia, ib)
+            mult = ea.mult * eb.mult
+            for k in channels:
+                acc[k] = acc.get(k, 0) + mult
+    return DecompList(
+        tuple(DecompEntry(acc[k], sl2_index_to_obj(params, k)) for k in sorted(acc))
+    )
 
 
 def fuse_Kr1_K1s(params: Params, r: int, s: int) -> ObjLabel:

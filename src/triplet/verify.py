@@ -21,7 +21,20 @@ from fractions import Fraction
 
 from . import braidfmat, fusion, kacmod, linalg, sl2rep, wpq
 from .exactnum import ParamScalar, Phase
-from .virasoro import Params, VirLabel, canonical_label, conformal_weight, kac_k, simple_l
+from .virasoro import (
+    KAC_DUAL_K11,
+    ObjLabel,
+    Params,
+    VirLabel,
+    canonical_label,
+    canonical_obj,
+    conformal_weight,
+    kac_dual_k11,
+    kac_k,
+    obj_to_sl2_index,
+    simple_l,
+    sl2_index_to_obj,
+)
 
 TEST_PARAMS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
 
@@ -88,6 +101,17 @@ def param_scalar_evaluation_hom():
 # --- virasoro ---------------------------------------------------------------
 
 
+def conformal_weight_oracle(params: Params, lbl: VirLabel) -> Fraction:
+    """h_{r,s} = (r^2-1)q/4p - (rs-1)/2 + (s^2-1)p/4q, term by term."""
+    p, q = params.p, params.q
+    r, s = lbl.r, lbl.s
+    return (
+        Fraction((r * r - 1) * q, 4 * p)
+        - Fraction(r * s - 1, 2)
+        + Fraction((s * s - 1) * p, 4 * q)
+    )
+
+
 @_property("virasoro")
 def weight_translation_symmetry():
     for params in TEST_PARAMS:
@@ -96,6 +120,8 @@ def weight_translation_symmetry():
                 lbl = VirLabel(r, s)
                 shifted = VirLabel(r + params.p, s + params.q)
                 assert conformal_weight(params, lbl) == conformal_weight(params, shifted)
+                if r <= 20 and s <= 20:
+                    assert conformal_weight(params, lbl) == conformal_weight_oracle(params, lbl)
 
 
 @_property("virasoro")
@@ -193,6 +219,58 @@ def simple_quotient_list_shapes():
 # --- fusion -----------------------------------------------------------------
 
 
+def _basis_product_oracle(params: Params, a: ObjLabel, b: ObjLabel) -> fusion.DecompList:
+    a = canonical_obj(params, a)
+    b = canonical_obj(params, b)
+    l11 = simple_l(1, 1)
+    if a == l11 or b == l11:
+        if a == b:
+            raise kacmod.UnsupportedObjectError(
+                "L_{1,1} (x) L_{1,1} is outside the computed fusion families"
+            )
+        return fusion.DecompList(())
+    ia = obj_to_sl2_index(params, a)
+    ib = obj_to_sl2_index(params, b)
+    socle = simple_l(2 * params.p - 1, 1)
+    if a == socle or b == socle:
+        if a == b:
+            return fusion.decomp_from_pairs([(1, kac_dual_k11())])
+        other = ib if a == socle else ia
+        if other is None:
+            raise kacmod.UnsupportedObjectError(f"unsupported fusion entry {a} (x) {b}")
+        return fusion.decomp_from_pairs([(1, sl2_index_to_obj(params, other))])
+    if ia is None or ib is None:
+        bad = a if ia is None else b
+        raise kacmod.UnsupportedObjectError(f"unsupported fusion entry {bad}")
+    return fusion.decomp_from_pairs(
+        (1, sl2_index_to_obj(params, k)) for k in fusion.fuse_C(ia, ib)
+    )
+
+
+def fusion_ring_product_oracle(
+    params: Params, a: fusion.DecompList, b: fusion.DecompList
+) -> fusion.DecompList:
+    """`fusion.fusion_ring_product` one basis pair at a time, on labels.
+
+    Canonicalizes both labels of every pair, multiplies them as objects and
+    merges the products with `decomp_from_pairs`, then sorts unit first and
+    simple labels by (r,s).
+    """
+    pairs = []
+    for ea in a.entries:
+        for eb in b.entries:
+            prod = _basis_product_oracle(params, ea.obj, eb.obj)
+            pairs.extend((ea.mult * eb.mult * e.mult, e.obj) for e in prod.entries)
+    merged = fusion.decomp_from_pairs(pairs)
+
+    def key(entry: fusion.DecompEntry):
+        if entry.obj.kind == KAC_DUAL_K11:
+            return (0, 0, 0)
+        return (1, entry.obj.label.r, entry.obj.label.s)
+
+    return fusion.DecompList(tuple(sorted(merged.entries, key=key)))
+
+
 @_property("fusion")
 def fuse_C_equals_cg_oracle():
     for m in range(13):
@@ -209,7 +287,7 @@ def fusion_ring_commutative_associative():
     prod = lambda x, y: fusion.fusion_ring_product(params, x, y)
     for a in basis:
         for b in basis:
-            assert prod(a, b) == prod(b, a)
+            assert prod(a, b) == prod(b, a) == fusion_ring_product_oracle(params, a, b)
     for a in basis:
         for b in basis:
             for c in basis:

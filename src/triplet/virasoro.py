@@ -108,14 +108,9 @@ def central_charge(params: Params) -> Rat:
 
 
 def conformal_weight(params: Params, lbl: VirLabel) -> Rat:
-    """h_{r,s} = (r^2-1)q/4p - (rs-1)/2 + (s^2-1)p/4q, exactly."""
+    """h_{r,s} = ((qr - ps)^2 - (p - q)^2) / 4pq, exactly, as one Fraction."""
     p, q = params.p, params.q
-    r, s = lbl.r, lbl.s
-    return (
-        Fraction((r * r - 1) * q, 4 * p)
-        - Fraction(r * s - 1, 2)
-        + Fraction((s * s - 1) * p, 4 * q)
-    )
+    return Fraction((q * lbl.r - p * lbl.s) ** 2 - (p - q) ** 2, 4 * p * q)
 
 
 def canonical_label(params: Params, lbl: VirLabel) -> VirLabel:
@@ -127,7 +122,7 @@ def canonical_label(params: Params, lbl: VirLabel) -> VirLabel:
     remaining constraints.
     """
     p, q = params.p, params.q
-    candidates = []
+    found = None
     for sign in (1, -1):
         s_img = sign * lbl.s
         r_img = sign * lbl.r
@@ -135,11 +130,15 @@ def canonical_label(params: Params, lbl: VirLabel) -> VirLabel:
         k = (s_star - s_img) // q
         r_star = r_img + k * p
         if r_star >= 1 and q * r_star >= p * s_star:
-            candidates.append(VirLabel(r_star, s_star))
-    # Both signs land on the same label when (r,s) is its own reflection.
-    if not candidates or candidates[0] != candidates[-1]:
-        raise AssertionError(f"canonicalization of {lbl} not unique: {candidates}")
-    return candidates[0]
+            # Both signs land on the same label when (r,s) is its own reflection.
+            if found is not None and found != (r_star, s_star):
+                raise AssertionError(
+                    f"canonicalization of {lbl} not unique: {found} and {(r_star, s_star)}"
+                )
+            found = (r_star, s_star)
+    if found is None:
+        raise AssertionError(f"canonicalization of {lbl} found no representative")
+    return VirLabel(*found)
 
 
 def canonical_obj(params: Params, obj: ObjLabel) -> ObjLabel:

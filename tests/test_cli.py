@@ -149,6 +149,14 @@ def test_hexagon_with_t():
     for bad in ("1/0", "abc"):
         code, out, err = run_cli(["hexagon", "--p", "2", "--q", "3", "--t", bad])
         assert (code, out, err) == (2, "", f"error: --t is not a rational number: '{bad}'\n")
+    # Size caps apply before Fraction builds the number.
+    for bad in ("1e5000", "1E-101", "2.5e+1_000"):
+        code, out, err = run_cli(["hexagon", "--p", "2", "--q", "3", "--t", bad])
+        assert (code, out, err) == (2, "", f"error: --t exponent is outside [-100, 100]: '{bad}'\n")
+    code, out, err = run_cli(["hexagon", "--p", "2", "--q", "3", "--t", "1" * 101])
+    assert (code, out, err) == (2, "", "error: --t is longer than 100 characters\n")
+    code, out, _ = run_cli(["hexagon", "--p", "2", "--q", "3", "--t", "1e-100"])
+    assert code == 0 and json.loads(out)["t"] == "1/1" + "0" * 100
 
 
 def test_braiding_output():

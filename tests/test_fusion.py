@@ -1,5 +1,7 @@
 """Fusion products against the character oracle, and the ring laws."""
 
+import random
+
 import pytest
 
 from triplet.fusion import (
@@ -13,7 +15,7 @@ from triplet.fusion import (
     fusion_ring_product,
 )
 from triplet.kacmod import UnsupportedObjectError
-from triplet.verify import PROPERTIES
+from triplet.verify import PROPERTIES, fusion_ring_product_oracle
 from triplet.virasoro import Params, kac_dual_k11, kac_k, simple_l, sl2_index_to_obj
 
 PAIRS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
@@ -118,6 +120,65 @@ def test_fusion_ring_rejections():
         fusion_ring_product(params, one(simple_l(1, 4)), one(kac_dual_k11()))
     with pytest.raises(UnsupportedObjectError):
         fusion_ring_product(params, one(kac_k(1, 2)), one(kac_dual_k11()))
+    # L_{1,1} annihilates before the other entry is looked at.
+    assert fusion_ring_product(params, l11, one(kac_k(1, 2))).is_zero()
+    assert fusion_ring_product(params, one(kac_k(1, 2)), l11).is_zero()
+    # The socle message names both canonical labels; L_{1,5} is L_{3,1} here.
+    for socle in (simple_l(3, 1), simple_l(1, 5)):
+        with pytest.raises(UnsupportedObjectError) as exc:
+            fusion_ring_product(params, one(socle), one(kac_k(1, 2)))
+        assert str(exc.value) == "unsupported fusion entry L_{3,1} (x) K_{1,2}"
+    # Pairs run in order, so the first bad pair names the second operand's
+    # K_{1,2}, not the later L_{1,4} = L_{3,2} of the first operand.
+    a = decomp_from_pairs([(1, kac_dual_k11()), (2, simple_l(1, 4))])
+    b = decomp_from_pairs([(1, sl2_index_to_obj(params, 1)), (3, kac_k(1, 2))])
+    with pytest.raises(UnsupportedObjectError) as exc:
+        fusion_ring_product(params, a, b)
+    assert str(exc.value) == "unsupported fusion entry K_{1,2}"
+
+
+def _label_pool(params):
+    p, q = params.p, params.q
+    pool = [kac_dual_k11(), simple_l(1, 1), simple_l(2 * p - 1, 1)]
+    pool += [sl2_index_to_obj(params, n) for n in range(12)]
+    pool += [kac_k(1, 2), simple_l(1, 4)]
+    pool += [simple_l(r, s) for r in range(1, 3 * p + 3) for s in range(1, q + 3)]
+    return list(dict.fromkeys(pool))
+
+
+def _assert_equals_oracle(params, a, b):
+    outcomes = []
+    for product in (fusion_ring_product, fusion_ring_product_oracle):
+        try:
+            outcomes.append(product(params, a, b))
+        except Exception as exc:  # noqa: BLE001 - the error is the compared value
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1], (params, a, b)
+
+
+def test_fusion_ring_product_equals_oracle():
+    # Every ordered pair of the label pool, for all five pairs (p,q); errors
+    # must agree in type and message.
+    for params in PAIRS:
+        pool = [one(obj) for obj in _label_pool(params)]
+        for a in pool:
+            for b in pool:
+                _assert_equals_oracle(params, a, b)
+
+
+def test_fusion_ring_product_equals_oracle_on_mixed_lists():
+    rng = random.Random(4242)
+    for params in PAIRS:
+        pool = _label_pool(params)
+        supported = [kac_dual_k11(), simple_l(2 * params.p - 1, 1)]
+        supported += [sl2_index_to_obj(params, n) for n in range(1, 12)]
+
+        def draw():
+            objs = rng.sample(rng.choice((pool, supported)), rng.randint(1, 4))
+            return decomp_from_pairs((rng.randint(1, 4), obj) for obj in objs)
+
+        for _ in range(300):
+            _assert_equals_oracle(params, draw(), draw())
 
 
 def test_fuse_Kr1_K1s():

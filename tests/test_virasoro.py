@@ -17,7 +17,7 @@ from triplet.virasoro import (
     simple_l,
     sl2_index_to_obj,
 )
-from triplet.verify import PROPERTIES
+from triplet.verify import PROPERTIES, conformal_weight_oracle
 
 PAIRS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
 
@@ -35,6 +35,14 @@ def test_conformal_weight_values():
     assert conformal_weight(p23, VirLabel(7, 1)) == 15  # = (2p-1)(2q-1) at n=2
     assert conformal_weight(p23, VirLabel(1, 5)) == 2
     assert conformal_weight(p23, VirLabel(3, 1)) == 2
+
+
+def test_conformal_weight_equals_oracle():
+    for params in PAIRS:
+        for r in range(1, 80):
+            for s in range(1, 80):
+                lbl = VirLabel(r, s)
+                assert conformal_weight(params, lbl) == conformal_weight_oracle(params, lbl)
 
 
 def test_params_validation():
