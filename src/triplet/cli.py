@@ -4,6 +4,10 @@ Exit codes: 0 success, 2 argument or validation failure, 3 structurally
 unsupported request (e.g. the Loewy diagram of a general Kac label).
 `verify` exits 1 when a property fails and 2 under `python -O`.
 Output is deterministic: same argv, byte-identical bytes.
+
+Only the scalar and label layers load with this module; each subcommand
+imports the structure, linear-algebra or verify layer it runs when it is
+called, so a call pays for no layer it does not use.
 """
 
 from __future__ import annotations
@@ -14,16 +18,24 @@ import os
 import sys
 from fractions import Fraction
 
-from . import braidfmat, fusion, kacmod, sl2rep, verify, wpq
 from .exactnum import ParamScalar, Phase, rat_str
-from .kacmod import UnsupportedObjectError
-from .virasoro import Params, VirLabel, canonical_label, central_charge, conformal_weight
+from .virasoro import (
+    Params,
+    UnsupportedObjectError,
+    VirLabel,
+    canonical_label,
+    central_charge,
+    conformal_weight,
+)
 
 PQ_PRESETS = {
     "2,3": (2, 3),  # critical percolation
     "3,4": (3, 4),
     "2,5": (2, 5),
 }
+
+# The `verify --suite` choices; a test keeps this equal to sorted(verify.SUITES).
+VERIFY_SUITES = ("braidfmat", "exactnum", "fusion", "kacmod", "sl2rep", "virasoro", "wpq")
 
 
 def _emit(payload: dict) -> None:
@@ -80,6 +92,8 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_fuse_l(args) -> int:
+    from . import fusion
+
     params = _resolve_params(args)
     result = fusion.fuse_L_family(params, args.m, args.n)
     _emit(result.to_json())
@@ -87,6 +101,8 @@ def _cmd_fuse_l(args) -> int:
 
 
 def _cmd_fuse_c(args) -> int:
+    from . import fusion
+
     channels = fusion.fuse_C(args.m, args.n)
     _emit({"entries": [{"mult": 1, "obj": {"kind": "Ln", "n": k}} for k in channels]})
     return 0
@@ -98,7 +114,7 @@ def _diagram_args_to_mn(params: Params, args) -> tuple[int, int]:
             raise ValueError("give either --m/--n or --r/--s, not both")
         if args.r is None or args.s is None:
             raise ValueError("--r and --s must be given together")
-        r, s = args.r, args.s
+        r, s = VirLabel(args.r, args.s).pair()
         if (r + 1) % params.p == 0 and (s + 1) % params.q == 0:
             m, n = (r + 1) // params.p, (s + 1) // params.q
             if m >= n >= 2:
@@ -112,6 +128,8 @@ def _diagram_args_to_mn(params: Params, args) -> tuple[int, int]:
 
 
 def _cmd_kac_diagram(args) -> int:
+    from . import kacmod
+
     params = _resolve_params(args)
     m, n = _diagram_args_to_mn(params, args)
     diagram = kacmod.kac_mm_nn_diagram(params, m, n)
@@ -139,7 +157,7 @@ def _cmd_kac_diagram(args) -> int:
     return 0
 
 
-def _fmatrix_json(matrix: braidfmat.FMatrix) -> list[list[str]]:
+def _fmatrix_json(matrix) -> list[list[str]]:
     return [
         [_scalar_str(matrix.f00), _scalar_str(matrix.f02)],
         [_scalar_str(matrix.f20), _scalar_str(matrix.f22)],
@@ -173,6 +191,8 @@ def _parse_t(text: str) -> Fraction:
 
 
 def _cmd_hexagon(args) -> int:
+    from . import braidfmat
+
     params = _resolve_params(args)
     t0 = None if args.t is None else _parse_t(args.t)
     solutions = braidfmat.hexagon_solutions(params)
@@ -200,6 +220,8 @@ def _cmd_hexagon(args) -> int:
 
 
 def _cmd_braiding(args) -> int:
+    from . import braidfmat, fusion
+
     params = _resolve_params(args)
     n = args.n
     if n < 0:
@@ -229,7 +251,7 @@ def _cmd_braiding(args) -> int:
     return 0
 
 
-def _graded_json(decomp: wpq.GradedDecomp, target: str) -> dict:
+def _graded_json(decomp, target: str) -> dict:
     entries = []
     for e in decomp.entries:
         row = {}
@@ -243,6 +265,8 @@ def _graded_json(decomp: wpq.GradedDecomp, target: str) -> dict:
 
 
 def _cmd_decompose(args) -> int:
+    from . import wpq
+
     params = _resolve_params(args)
     target = args.target
     if target == "wpq":
@@ -258,6 +282,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_o0_check(args) -> int:
+    from . import wpq
+
     params = _resolve_params(args)
     rows = [
         {"n": n, "difference": rat_str(diff), "integral": flag}
@@ -272,6 +298,8 @@ def _matrix_json(matrix) -> list[list[str]]:
 
 
 def _cmd_sl2(args) -> int:
+    from . import sl2rep
+
     if args.n < 0:
         raise ValueError(f"--n must be >= 0, got {args.n}")
     if args.op == "irrep":
@@ -309,6 +337,8 @@ def _cmd_verify(args) -> int:
     if sys.flags.optimize:
         sys.stderr.write("error: verify cannot run under python -O, which strips its assert checks\n")
         return 2
+    from . import verify
+
     names = args.suite or ["all"]
     if "all" in names:
         names = list(verify.SUITES)
@@ -396,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite",
         action="append",
-        choices=["all"] + sorted(verify.SUITES),
+        choices=["all", *VERIFY_SUITES],
         help="suite to run (repeatable); default all",
     )
     p_verify.set_defaults(func=_cmd_verify)

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kacmod import UnsupportedObjectError
 from .virasoro import (
     KAC_DUAL_K11,
     SIMPLE_L,
     ObjLabel,
     Params,
+    UnsupportedObjectError,
     canonical_label,
     canonical_obj,
     kac_dual_k11,

@@ -18,6 +18,7 @@ from .virasoro import (
     SIMPLE_L,
     ObjLabel,
     Params,
+    UnsupportedObjectError,
     VirLabel,
     canonical_label,
     conformal_weight,
@@ -25,10 +26,6 @@ from .virasoro import (
     kac_k,
     simple_l,
 )
-
-
-class UnsupportedObjectError(ValueError):
-    """Raised for structure requests the source results do not cover."""
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,10 @@ from fractions import Fraction
 from .exactnum import Rat
 
 
+class UnsupportedObjectError(ValueError):
+    """Raised for structure requests the source results do not cover."""
+
+
 @dataclass(frozen=True)
 class Params:
     """The coprime pair (p,q), both >= 2, fixing the central charge."""

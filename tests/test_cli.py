@@ -2,13 +2,18 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
-from triplet import verify
+import pytest
+
+import triplet
+from triplet import cli, fusion, kacmod, verify, virasoro
 from triplet.cli import main
-from triplet.virasoro import ObjLabel
+from triplet.virasoro import ObjLabel, Params, kac_k, simple_l
 
 
 def run_cli(argv, env_format=None, monkeypatch=None):
@@ -126,6 +131,31 @@ def test_exit_3_on_general_kac_diagram():
     assert code == 0 and json.loads(out)["m"] == 2
 
 
+def test_exit_2_on_kac_label_below_one():
+    # Checked as a Kac label, like `weights`, before the family check.
+    for label, pair in (("0", "(0,0)"), ("-1", "(-1,-1)")):
+        argv = ["kac-diagram", "--p", "2", "--q", "3", "--r", label, "--s", label]
+        assert run_cli(argv) == (2, "", f"error: Kac labels need r,s >= 1, got {pair}\n")
+
+
+def test_unsupported_object_error_is_one_class(monkeypatch):
+    assert kacmod.UnsupportedObjectError is virasoro.UnsupportedObjectError
+    assert cli.UnsupportedObjectError is virasoro.UnsupportedObjectError
+    params = Params(2, 3)
+    socle = fusion.decomp_from_pairs([(1, simple_l(3, 1))])
+    k12 = fusion.decomp_from_pairs([(1, kac_k(1, 2))])
+    message = "unsupported fusion entry L_{3,1} (x) K_{1,2}"
+    with pytest.raises(cli.UnsupportedObjectError) as exc:
+        fusion.fusion_ring_product(params, socle, k12)
+    assert str(exc.value) == message
+    # Raised inside fusion during a call, it is caught by main and exits 3.
+    monkeypatch.setattr(
+        fusion, "fuse_L_family", lambda params, m, n: fusion.fusion_ring_product(params, socle, k12)
+    )
+    argv = ["fuse-L", "--p", "2", "--q", "3", "--m", "2", "--n", "2"]
+    assert run_cli(argv) == (3, "", f"error: {message}\n")
+
+
 def test_hexagon_output():
     code, out, _ = run_cli(["hexagon", "--p", "2", "--q", "3"])
     assert code == 0
@@ -234,6 +264,10 @@ def test_sl2_subcommand():
     assert (code, out, err) == (2, "", "error: highest weight must be >= 0, got -1\n")
 
 
+def test_verify_suite_choices_match_registry():
+    assert cli.VERIFY_SUITES == tuple(sorted(verify.SUITES))
+
+
 def test_verify_single_suite():
     code, out, _ = run_cli(["verify", "--suite", "exactnum"])
     assert code == 0
@@ -339,3 +373,54 @@ def test_console_entry_point():
         check=True,
     )
     assert json.loads(result.stdout) == {"c": "0", "h": "0", "canonical": [1, 1]}
+
+
+# The triplet modules each call loads, besides triplet, triplet.cli and the
+# scalar and label layers (exactnum, virasoro) that every call needs.
+LOADED_LAYERS = [
+    (None, set()),
+    (["weights", "--p", "2", "--q", "3", "--r", "7", "--s", "1"], set()),
+    (["fuse-C", "--m", "1", "--n", "1"], {"fusion"}),
+    (["sl2", "--n", "2", "--op", "irrep"], {"fusion", "linalg", "sl2rep"}),
+    (["kac-diagram", "--p", "2", "--q", "3", "--m", "2", "--n", "2"], {"kacmod"}),
+    (["hexagon", "--p", "2", "--q", "3"], {"fusion", "braidfmat"}),
+    (["decompose", "--p", "2", "--q", "3", "--target", "wpq", "--nmax", "2"], {"wpq"}),
+    (
+        ["verify", "--suite", "wpq"],
+        {"kacmod", "fusion", "wpq", "braidfmat", "linalg", "sl2rep", "verify"},
+    ),
+]
+
+LOADED_MODULES_SCRIPT = """
+import io, json, sys
+from contextlib import redirect_stdout
+import triplet.cli
+argv = json.loads(sys.argv[1])
+code = 0
+if argv is not None:
+    with redirect_stdout(io.StringIO()):
+        code = triplet.cli.main(argv)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "triplet")
+print(json.dumps({"exit": code, "modules": loaded}))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, layers", LOADED_LAYERS, ids=[a[0] if a else "import" for a, _ in LOADED_LAYERS]
+)
+def test_subcommand_loads_only_its_layers(argv, layers):
+    # A fresh interpreter per call: what this one has imported says nothing.
+    src = str(Path(triplet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES_SCRIPT, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    base = {"triplet", "triplet.cli", "triplet.exactnum", "triplet.virasoro"}
+    assert json.loads(result.stdout) == {
+        "exit": 0,
+        "modules": sorted(base | {f"triplet.{layer}" for layer in layers}),
+    }
