@@ -74,7 +74,7 @@ def r_scalar_table(params: Params, n: int, k: int) -> Phase:
 
 def r_scalar_formula(params: Params, n: int, k: int) -> Phase:
     """R_n^k = e^{i*pi*(h_{(k+2)p-1,1} - 2*h_{(n+2)p-1,1})} on a valid channel."""
-    if n < 0 or k not in fuse_C(n, n):
+    if n < 0 or not (0 <= k <= 2 * n and k % 2 == 0):
         raise ValueError(f"k={k} is not a channel of L_{n} (x) L_{n}")
     p = params.p
     hk = conformal_weight(params, VirLabel((k + 2) * p - 1, 1))

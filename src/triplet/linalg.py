@@ -1,8 +1,11 @@
-"""Dense exact linear algebra over Fraction: just enough for this package.
+"""Dense exact linear algebra over Fraction, for the oracles in `verify`.
 
+Only `verify` loads it: the production sl2 maps in `sl2rep` are closed
+forms, and this module builds the brute-force constructions they are
+checked against (nullspace solves, dense inverses, matrix products).
 Matrices are lists of lists of Fraction.  Elimination skips zero entries,
-which keeps the very sparse systems used here (weight-space blocks,
-two-term invariance equations) fast despite the dense layout.
+which keeps the very sparse invariance systems fast despite the dense
+layout.
 """
 
 from __future__ import annotations

@@ -3,6 +3,9 @@
 The (n+1)-dimensional module uses the integral convention: F steps down
 the weight ladder with coefficient 1 and E steps up with k(n-k+1), so all
 matrices, forms, and projection/inclusion systems stay over the rationals.
+Every map here is a closed form built entry by entry; nothing is solved
+or inverted.  The brute-force constructions they are checked against live
+in `verify`, which is also the only module that loads `linalg`.
 """
 
 from __future__ import annotations
@@ -11,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg
-from .fusion import fuse_C
+# One bound for every cache here: far above the distinct arguments that
+# `verify --suite all` asks for (at most a few dozen per cache).
+CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -34,23 +38,31 @@ class BilinForm:
     matrix: tuple
 
     def pair(self, v: list, w: list) -> Fraction:
-        bw = linalg.mat_vec([list(r) for r in self.matrix], w)
-        return sum((vi * bi for vi, bi in zip(v, bw) if vi and bi), Fraction(0))
+        # The form is antidiagonal: row i holds only B[i][n-i].
+        n = self.n
+        return sum(
+            (v[i] * row[n - i] * w[n - i] for i, row in enumerate(self.matrix) if v[i] and w[n - i]),
+            Fraction(0),
+        )
 
 
 def _freeze(m: list) -> tuple:
     return tuple(tuple(row) for row in m)
 
 
-@lru_cache(maxsize=None)
-def build_irrep(n: int) -> Irrep:
-    """The (n+1)-dimensional irreducible with E v_0 = 0 and F v_k = v_{k+1}."""
+def _check_weight(n: int) -> None:
     if n < 0:
         raise ValueError(f"highest weight must be >= 0, got {n}")
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def build_irrep(n: int) -> Irrep:
+    """The (n+1)-dimensional irreducible with E v_0 = 0 and F v_k = v_{k+1}."""
+    _check_weight(n)
     dim = n + 1
-    e = linalg.zeros(dim, dim)
-    f = linalg.zeros(dim, dim)
-    h = linalg.zeros(dim, dim)
+    e = [[Fraction(0)] * dim for _ in range(dim)]
+    f = [[Fraction(0)] * dim for _ in range(dim)]
+    h = [[Fraction(0)] * dim for _ in range(dim)]
     for k in range(dim):
         h[k][k] = Fraction(n - 2 * k)
         if k + 1 < dim:
@@ -60,25 +72,7 @@ def build_irrep(n: int) -> Irrep:
     return Irrep(n=n, e=_freeze(e), f=_freeze(f), h=_freeze(h))
 
 
-def bracket(a: list, b: list) -> list:
-    return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
-
-
-def check_brackets(rep: Irrep) -> bool:
-    """[H,E] = 2E, [H,F] = -2F, [E,F] = H, exactly."""
-    e = [list(r) for r in rep.e]
-    f = [list(r) for r in rep.f]
-    h = [list(r) for r in rep.h]
-    two_e = [[2 * x for x in row] for row in e]
-    minus_two_f = [[-2 * x for x in row] for row in f]
-    return (
-        linalg.is_zero_matrix(linalg.mat_sub(bracket(h, e), two_e))
-        and linalg.is_zero_matrix(linalg.mat_sub(bracket(h, f), minus_two_f))
-        and linalg.is_zero_matrix(linalg.mat_sub(bracket(e, f), h))
-    )
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def invariant_form(n: int) -> BilinForm:
     """The invariant bilinear form on the weight-n irreducible, in closed form.
 
@@ -92,7 +86,7 @@ def invariant_form(n: int) -> BilinForm:
     """
     rep = build_irrep(n)
     dim = n + 1
-    b = linalg.zeros(dim, dim)
+    b = [[Fraction(0)] * dim for _ in range(dim)]
     for k in range(dim):
         b[k][n - k] = Fraction(1 if k % 2 == 0 else -1)
     # E maps v_i to a multiple of v_{i-1} and F maps v_i to v_{i+1}, so the
@@ -111,97 +105,74 @@ def invariant_form(n: int) -> BilinForm:
     return BilinForm(n=n, matrix=_freeze(b))
 
 
-@lru_cache(maxsize=None)
-def _cg_system(m: int, n: int) -> dict[int, tuple[tuple, tuple]]:
-    """All (projection, inclusion) pairs for V_m (x) V_n, keyed by channel.
-
-    Inclusions are built by running F down from the highest-weight vector
-    of each channel.  Every inclusion column is a weight vector, so the
-    change-of-basis matrix is block diagonal by weight: the block of weight
-    m+n-2s has the rows v_a (x) v_b with a + b = s and one column per
-    channel that reaches that weight, at most min(m,n)+1 of each.
-    Projections are the rows of the block inverses, which enforces
-    biorthogonality and completeness by construction.  The dense inverse of
-    the whole matrix is kept in `verify` as the oracle.
-    """
-    rep_m = build_irrep(m)
-    rep_n = build_irrep(n)
-    dim = (m + 1) * (n + 1)
-    channels = fuse_C(m, n)
-    # levels[s]: the pairs (a, b) with a + b = s, spanning weight m+n-2s.
-    levels = [
-        [(a, s - a) for a in range(max(0, s - n), min(m, s) + 1)] for s in range(m + n + 1)
-    ]
-    position = [{pair: i for i, pair in enumerate(level)} for level in levels]
-
-    def highest_weight_vector(s: int) -> list[Fraction]:
-        # Nullspace of E restricted to the columns of level s and the rows of
-        # level s - 1 (weight k+2), the only rows E can reach.
-        cols = levels[s]
-        restricted = [[Fraction(0)] * len(cols) for _ in levels[s - 1]] if s else []
-        for c, (a, b) in enumerate(cols):
-            if a:
-                restricted[position[s - 1][(a - 1, b)]][c] += rep_m.e[a - 1][a]
-            if b:
-                restricted[position[s - 1][(a, b - 1)]][c] += rep_n.e[b - 1][b]
-        basis = linalg.nullspace(restricted or [[Fraction(0)] * len(cols)])
-        if len(basis) != 1:
-            raise AssertionError(
-                f"channel {m + n - 2 * s} of V_{m} (x) V_{n} has multiplicity "
-                f"{len(basis)}, expected 1"
-            )
-        lead = next(x for x in basis[0] if x)
-        return [x / lead for x in basis[0]]
-
-    def apply_f(vec: list[Fraction], s: int) -> list[Fraction]:
-        # F(v_a (x) v_b) = v_{a+1} (x) v_b + v_a (x) v_{b+1}: level s to s+1.
-        out = [Fraction(0)] * len(levels[s + 1])
-        for (a, b), x in zip(levels[s], vec):
-            if x:
-                if a < m:
-                    out[position[s + 1][(a + 1, b)]] += rep_m.f[a + 1][a] * x
-                if b < n:
-                    out[position[s + 1][(a, b + 1)]] += rep_n.f[b + 1][b] * x
-        return out
-
-    # blocks[s]: (channel, step down from its top, column on level s).
-    blocks: list[list[tuple[int, int, list[Fraction]]]] = [[] for _ in levels]
-    for k in channels:
-        top = (m + n - k) // 2
-        vec = highest_weight_vector(top)
-        blocks[top].append((k, 0, vec))
-        for step in range(1, k + 1):
-            vec = apply_f(vec, top + step - 1)
-            blocks[top + step].append((k, step, vec))
-
-    proj = {k: [None] * (k + 1) for k in channels}
-    incl_cols = {k: [None] * (k + 1) for k in channels}
-    for s, block in enumerate(blocks):
-        inverse = linalg.invert([list(row) for row in zip(*(col for _, _, col in block))])
-        flat = [a * (n + 1) + b for a, b in levels[s]]
-        for (k, step, col), inv_row in zip(block, inverse):
-            proj_row = [Fraction(0)] * dim
-            incl_col = [Fraction(0)] * dim
-            for i, x, y in zip(flat, inv_row, col):
-                proj_row[i] = x
-                incl_col[i] = y
-            proj[k][step] = proj_row
-            incl_cols[k][step] = incl_col
-    return {k: (_freeze(proj[k]), tuple(zip(*incl_cols[k]))) for k in channels}
-
-
 def cg_maps(m: int, n: int, k: int) -> tuple[list, list]:
     """(projection, inclusion) for the channel V_k inside V_m (x) V_n.
 
     Both matrices intertwine E, F, H, the projection is a left inverse of
     the inclusion, and over all channels the composites sum to the
-    identity on V_m (x) V_n.
+    identity on V_m (x) V_n.  Only channel k is built, in closed form:
+
+    - The highest-weight vector sits on level s = (m+n-k)/2, the span of
+      v_a (x) v_b with a + b = s.  E kills it exactly when its coefficients
+      obey c_a = -c_{a-1} (b+1)(n-b) / (a(m-a+1)) with b = s - a, and
+      c_a = 1 at the first a = max(0, s-n).
+    - Inclusion column j is F^j of that vector, applied sparsely, using
+      F(v_a (x) v_b) = v_{a+1} (x) v_b + v_a (x) v_{b+1}.
+    - With B = B_m (x) B_n the invariant form, which pairs v_a (x) v_b only
+      with v_{m-a} (x) v_{n-b}, by the sign (-1)^{a+b}, projection row i is
+      (-1)^{k-i} (iota e_{k-i})^T B / c_k, where c_k = <iota e_0, iota e_k>_B.
+      Column k-i lies on level s+k-i, so the two signs multiply to (-1)^s:
+      row i holds column k-i read at (m-a, n-b), divided by (-1)^s c_k.
+      A zero c_k raises; no inverse is taken.
     """
-    system = _cg_system(m, n)
-    if k not in system:
+    _check_weight(m)
+    _check_weight(n)
+    if not (abs(m - n) <= k <= m + n and (m + n - k) % 2 == 0):
         raise ValueError(f"k={k} is not a channel of V_{m} (x) V_{n}")
-    proj, incl = system[k]
-    return [list(r) for r in proj], [list(r) for r in incl]
+    s = (m + n - k) // 2
+    # columns[j]: a -> coefficient of v_a (x) v_{s+j-a} in F^j of the top.
+    coeff = Fraction(1)
+    top = {max(0, s - n): coeff}
+    for a in range(max(0, s - n) + 1, min(m, s) + 1):
+        b = s - a
+        coeff = -coeff * (b + 1) * (n - b) / (a * (m - a + 1))
+        top[a] = coeff
+    columns = [top]
+    for level in range(s, s + k):
+        down: dict[int, Fraction] = {}
+        for a, x in columns[-1].items():
+            if a < m:
+                down[a + 1] = down.get(a + 1, 0) + x
+            if level - a < n:
+                down[a] = down.get(a, 0) + x
+        columns.append(down)
+    # (-1)^s c_k: the top paired with the bottom of the channel.
+    scale = sum((x * columns[k].get(m - a, 0) for a, x in top.items()), Fraction(0))
+    if scale == 0:
+        raise AssertionError(f"channel {k} of V_{m} (x) V_{n} pairs to zero under the form")
+    dim = (m + 1) * (n + 1)
+    proj = [[Fraction(0)] * dim for _ in range(k + 1)]
+    incl = [[Fraction(0)] * (k + 1) for _ in range(dim)]
+    for j, column in enumerate(columns):
+        row = proj[k - j]
+        for a, x in column.items():
+            b = s + j - a
+            incl[a * (n + 1) + b][j] = x
+            row[(m - a) * (n + 1) + n - b] = x / scale
+    return proj, incl
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _cg_system(m: int, n: int) -> dict[int, tuple[tuple, tuple]]:
+    """All frozen (projection, inclusion) pairs for V_m (x) V_n, by channel.
+
+    One closed-form `cg_maps` call per channel.  `verify.cg_system_oracle`
+    builds the same dict from the nullspace of E and the dense inverse of
+    the whole change of basis, and the `sl2rep` suite compares the two.
+    """
+    _check_weight(m)
+    _check_weight(n)
+    return {k: tuple(map(_freeze, cg_maps(m, n, k))) for k in range(abs(m - n), m + n + 1, 2)}
 
 
 def simplicity_witness(n: int, v: list) -> list:
@@ -216,9 +187,9 @@ def simplicity_witness(n: int, v: list) -> list:
     if len(v) != 2 * n + 1:
         raise ValueError(f"expected a vector in V_{2*n} of length {2*n+1}, got {len(v)}")
     form = invariant_form(2 * n)
-    image = linalg.mat_vec([list(r) for r in form.matrix], v)
-    for i, x in enumerate(image):
-        if x:
+    # Entry i of B v is B[i][2n-i] * v[2n-i]: the form is antidiagonal.
+    for i, row in enumerate(form.matrix):
+        if row[2 * n - i] * v[2 * n - i]:
             witness = [Fraction(0)] * (2 * n + 1)
             witness[i] = Fraction(1)
             if form.pair(witness, v) == 0:

@@ -67,10 +67,12 @@ def test_r_scalar_conventions_differ_by_global_sign():
 
 
 def test_r_scalar_formula_domain():
-    with pytest.raises(ValueError):
-        r_scalar_formula(Params(2, 3), 1, 1)
-    with pytest.raises(ValueError):
-        r_scalar_formula(Params(2, 3), 1, 4)
+    for n, k in [(1, 1), (1, 4), (1, -2), (2, 3), (-1, 0)]:
+        with pytest.raises(ValueError, match=rf"^k={k} is not a channel of L_{n} \(x\) L_{n}$"):
+            r_scalar_formula(Params(2, 3), n, k)
+    for n in range(6):
+        for k in fuse_C(n, n):
+            r_scalar_formula(Params(2, 3), n, k)
 
 
 def test_balancing_examples():

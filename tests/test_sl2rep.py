@@ -85,7 +85,7 @@ def test_cg_system_equals_dense_inverse_oracle(m):
 
 def test_large_sizes_stay_within_budget():
     # The dense solves took minutes here (form n=40: ~4.5 min, CG 20x20:
-    # ~60 s); the closed form and the weight blocks must stay far below.
+    # ~60 s); the closed forms must stay far below.
     sl2rep.invariant_form.cache_clear()
     sl2rep._cg_system.cache_clear()
     start = time.perf_counter()
@@ -96,6 +96,48 @@ def test_large_sizes_stay_within_budget():
         proj, incl = cg_maps(20, 20, k)
         assert len(proj) == k + 1 and len(incl) == 441
     assert time.perf_counter() - start < 5.0
+    # One channel at a time: about 0.1 s for all 25 on a 2-vCPU Xeon.
+    start = time.perf_counter()
+    for k in range(0, 49, 2):
+        proj, incl = cg_maps(24, 24, k)
+        assert len(proj) == k + 1 and len(incl) == 625
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("m,n,channels", [(20, 20, (0, 2, 22, 40)), (24, 12, (12, 14, 26, 36))])
+def test_cg_maps_beyond_oracle_range(m, n, channels):
+    # The dense oracle is too slow at these sizes; check the defining
+    # identities directly: pi * iota = Id and pi intertwines E and F.
+    rep_m, rep_n = build_irrep(m), build_irrep(n)
+    big = {
+        name: _kron_sum(
+            [list(r) for r in getattr(rep_m, name)], [list(r) for r in getattr(rep_n, name)]
+        )
+        for name in ("e", "f")
+    }
+    for k in channels:
+        rep_k = build_irrep(k)
+        proj, incl = cg_maps(m, n, k)
+        assert linalg.mat_mul(proj, incl) == linalg.identity(k + 1), k
+        for name, x in big.items():
+            small = [list(r) for r in getattr(rep_k, name)]
+            assert linalg.mat_mul(proj, x) == linalg.mat_mul(small, proj), (k, name)
+
+
+def test_caches_stay_bounded():
+    bound = sl2rep.CACHE_SIZE
+    caches = (sl2rep.build_irrep, sl2rep.invariant_form, sl2rep._cg_system)
+    assert all(cache.cache_info().maxsize == bound for cache in caches)
+    sl2rep._cg_system.cache_clear()
+    pairs = [(m, n) for m in range(17) for n in range(17 - m)]
+    assert len(pairs) > bound
+    for m, n in pairs:
+        sl2rep._cg_system(m, n)
+    info = sl2rep._cg_system.cache_info()
+    assert (info.misses, info.currsize) == (len(pairs), bound)
+    sl2rep._cg_system(*pairs[-1])
+    assert sl2rep._cg_system.cache_info().hits == 1
+    sl2rep._cg_system.cache_clear()
 
 
 def test_cg_maps_singlet_of_two_spinors():
@@ -153,10 +195,13 @@ def test_cg_maps_channel_counts():
 
 
 def test_cg_maps_invalid_channel():
-    with pytest.raises(ValueError):
-        cg_maps(1, 1, 1)
-    with pytest.raises(ValueError):
-        cg_maps(2, 2, 6)
+    for m, n, k in [(1, 1, 1), (2, 2, 6), (2, 2, -2), (5, 2, 1), (5, 2, 9)]:
+        with pytest.raises(ValueError, match=rf"^k={k} is not a channel of V_{m} \(x\) V_{n}$"):
+            cg_maps(m, n, k)
+    with pytest.raises(ValueError, match="highest weight must be >= 0, got -1"):
+        cg_maps(-1, 3, 4)
+    with pytest.raises(ValueError, match="highest weight must be >= 0, got -1"):
+        sl2rep._cg_system(2, -1)
 
 
 def test_unit_channel_projection_is_pairing():
