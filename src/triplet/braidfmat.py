@@ -10,25 +10,23 @@ discrepancy is flagged rather than resolved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Union
 
-from .exactnum import ParamScalar, Phase, Rat, phase_from_weight
+from .exactnum import ParamScalar, Phase, Rat, Value, phase_from_weight
 from .fusion import fuse_C
 from .virasoro import Params, VirLabel, conformal_weight, sl2_lowest_weight
 
 Scalar = Union[Rat, ParamScalar]
 
 
-@dataclass(frozen=True)
-class FMatrix:
+class FMatrix(Value):
     """The 2x2 change-of-bracketing matrix on the channels {0,2}."""
 
-    f00: Scalar
-    f02: Scalar
-    f20: Scalar
-    f22: Scalar
+    __slots__ = ("f00", "f02", "f20", "f22")
+
+    def __init__(self, f00: Scalar, f02: Scalar, f20: Scalar, f22: Scalar) -> None:
+        self._assign(f00, f02, f20, f22)
 
     def entries(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
         return (self.f00, self.f02, self.f20, self.f22)
@@ -44,17 +42,17 @@ class FMatrix:
         return FMatrix(*(ev(x) for x in self.entries()))
 
 
-@dataclass(frozen=True)
-class FSolution:
+class FSolution(Value):
     """One invertible solution family of the hexagon constraint.
 
     Diagonal: epsilon * Id with epsilon = (-1)^{pq}.
     Parametrized: off-diagonal entries t and -3/(4t), diagonal -epsilon/2.
     """
 
-    kind: Literal["Diagonal", "Parametrized"]
-    epsilon: int
-    matrix: FMatrix
+    __slots__ = ("kind", "epsilon", "matrix")
+
+    def __init__(self, kind: Literal["Diagonal", "Parametrized"], epsilon: int, matrix: FMatrix) -> None:
+        self._assign(kind, epsilon, matrix)
 
 
 def _epsilon(params: Params) -> int:

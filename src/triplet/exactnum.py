@@ -8,7 +8,6 @@ of pi (``Phase``), or a rational function in one formal parameter t
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 # Arbitrary-precision rational, always stored reduced with positive
@@ -24,18 +23,69 @@ def rat_str(x: Rat) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class Phase:
+class Value:
+    """Base of the immutable value classes of every layer.
+
+    A subclass names its fields in ``__slots__`` and sets them once, in its
+    own ``__init__``, after its checks.  Instances compare equal only to
+    instances of the same class with equal fields, hash as the tuple of
+    their fields, print as ``Name(field=value, ...)`` and refuse assignment
+    and deletion.  Pickle and copy rebuild through ``__init__``, so a loaded
+    value passes the same checks.
+    """
+
+    __slots__ = ()
+
+    def _assign(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), self._fields())
+
+
+class Phase(Value):
     """The root of unity e^{i*pi*exponent} with exponent rational mod 2.
 
     Exponents of e^{i*pi*(-)} rather than e^{2*pi*i*(-)} because the
     braiding scalars are half-integer multiples of conformal weights.
     """
 
-    exponent: Rat
+    __slots__ = ("exponent",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponent", Fraction(self.exponent) % 2)
+    def __init__(self, exponent: Rat) -> None:
+        object.__setattr__(self, "exponent", Fraction(exponent) % 2)
+
+    # Hashed and compared in the inner loops of `verify`, so the field tuple
+    # is spelled out rather than built by `Value`.
+    def __eq__(self, other):
+        if other.__class__ is Phase:
+            return self.exponent == other.exponent
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.exponent,))
 
     def __mul__(self, other: "Phase") -> "Phase":
         return Phase(self.exponent + other.exponent)
@@ -179,19 +229,17 @@ def poly_str(a: Poly) -> str:
     return out
 
 
-@dataclass(frozen=True)
-class ParamScalar:
+class ParamScalar(Value):
     """An element num(t)/den(t) of the rational-function field Q(t).
 
     Stored gcd-reduced with monic denominator; zero is 0/1.
     """
 
-    num: Poly
-    den: Poly
+    __slots__ = ("num", "den")
 
-    def __post_init__(self) -> None:
-        num = poly_from_coeffs(self.num)
-        den = poly_from_coeffs(self.den)
+    def __init__(self, num: Poly, den: Poly) -> None:
+        num = poly_from_coeffs(num)
+        den = poly_from_coeffs(den)
         if not den:
             raise ZeroDivisionError("ParamScalar with zero denominator")
         if not num:
@@ -203,8 +251,7 @@ class ParamScalar:
             lead = den[-1]
             num = tuple(c / lead for c in num)
             den = tuple(c / lead for c in den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self._assign(num, den)
 
     @staticmethod
     def const(c: Rat) -> "ParamScalar":

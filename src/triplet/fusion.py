@@ -8,8 +8,7 @@ each can check the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .exactnum import Value
 from .virasoro import (
     KAC_DUAL_K11,
     SIMPLE_L,
@@ -25,26 +24,29 @@ from .virasoro import (
 )
 
 
-@dataclass(frozen=True)
-class DecompEntry:
-    mult: int
-    obj: ObjLabel
+class DecompEntry(Value):
+    __slots__ = ("mult", "obj")
+
+    # One per product entry in `verify`, so the fields are set directly.
+    def __init__(self, mult: int, obj: ObjLabel) -> None:
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "obj", obj)
 
     def to_json(self) -> dict:
         return {"mult": self.mult, "obj": self.obj.to_json()}
 
 
-@dataclass(frozen=True)
-class DecompList:
+class DecompList(Value):
     """A formal non-negative-integer combination of module labels."""
 
-    entries: tuple[DecompEntry, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        if any(e.mult < 1 for e in self.entries):
+    def __init__(self, entries: tuple[DecompEntry, ...]) -> None:
+        if any(e.mult < 1 for e in entries):
             raise ValueError("multiplicities must be >= 1")
-        if len({e.obj for e in self.entries}) != len(self.entries):
+        if len({e.obj for e in entries}) != len(entries):
             raise ValueError("entries must be pairwise distinct")
+        self._assign(entries)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -72,11 +74,13 @@ def decomp_from_pairs(pairs) -> DecompList:
     return DecompList(tuple(DecompEntry(acc[o], o) for o in order if acc[o]))
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(Value):
     """A symmetric Laurent polynomial with non-negative integer coefficients."""
 
-    coeffs: tuple[tuple[int, int], ...]  # sorted (degree, coefficient) pairs
+    __slots__ = ("coeffs",)  # sorted (degree, coefficient) pairs
+
+    def __init__(self, coeffs: tuple[tuple[int, int], ...]) -> None:
+        self._assign(coeffs)
 
     @staticmethod
     def from_dict(d: dict[int, int]) -> "CharPoly":

@@ -10,9 +10,9 @@ with boundary nodes covering fewer.  Golden tests pin the small cases.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Literal, Optional, Union
 
+from .exactnum import Value
 from .virasoro import (
     KAC_DUAL_K11,
     SIMPLE_L,
@@ -28,33 +28,37 @@ from .virasoro import (
 )
 
 
-@dataclass(frozen=True)
-class FusionExpr:
+class FusionExpr(Value):
     """A formal fusion product left (x) right, used as the middle of a sequence."""
 
-    left: ObjLabel
-    right: ObjLabel
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: ObjLabel, right: ObjLabel) -> None:
+        self._assign(left, right)
 
     def __str__(self) -> str:
         return f"{self.left} (x) {self.right}"
 
 
-@dataclass(frozen=True)
-class ExactSeq:
+class ExactSeq(Value):
     """A short exact sequence 0 -> sub -> mid -> quot -> 0.
 
     ``sub`` is None for a zero submodule, in which case ``splits`` is
     None (not applicable) and mid is isomorphic to quot.
     """
 
-    sub: Optional[ObjLabel]
-    mid: Union[ObjLabel, FusionExpr]
-    quot: ObjLabel
-    splits: Optional[bool]
+    __slots__ = ("sub", "mid", "quot", "splits")
 
-    def __post_init__(self) -> None:
-        if self.sub is None and self.splits is not None:
+    def __init__(
+        self,
+        sub: Optional[ObjLabel],
+        mid: Union[ObjLabel, FusionExpr],
+        quot: ObjLabel,
+        splits: Optional[bool],
+    ) -> None:
+        if sub is None and splits is not None:
             raise ValueError("a sequence with zero submodule has no split question")
+        self._assign(sub, mid, quot, splits)
 
     def __str__(self) -> str:
         sub = "0" if self.sub is None else str(self.sub)
@@ -64,19 +68,20 @@ class ExactSeq:
 Layer = Literal["top", "middle", "socle"]
 
 
-@dataclass(frozen=True)
-class LoewyNode:
-    id: str
-    label: VirLabel
-    layer: Layer
+class LoewyNode(Value):
+    __slots__ = ("id", "label", "layer")
+
+    def __init__(self, id: str, label: VirLabel, layer: Layer) -> None:
+        self._assign(id, label, layer)
 
 
-@dataclass(frozen=True)
-class LoewyDiagram:
+class LoewyDiagram(Value):
     """Layered composition-factor graph; edges run top->middle->socle."""
 
-    nodes: tuple[LoewyNode, ...]
-    edges: tuple[tuple[str, str], ...]
+    __slots__ = ("nodes", "edges")
+
+    def __init__(self, nodes: tuple[LoewyNode, ...], edges: tuple[tuple[str, str], ...]) -> None:
+        self._assign(nodes, edges)
 
     def layer_labels(self, layer: Layer) -> list[VirLabel]:
         return [n.label for n in self.nodes if n.layer == layer]

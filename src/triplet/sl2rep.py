@@ -10,32 +10,33 @@ in `verify`, which is also the only module that loads `linalg`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .exactnum import Value
 
 # One bound for every cache here: far above the distinct arguments that
 # `verify --suite all` asks for (at most a few dozen per cache).
 CACHE_SIZE = 128
 
 
-@dataclass(frozen=True)
-class Irrep:
+class Irrep(Value):
     """Highest weight n, with E, F, H acting on the basis v_0..v_n."""
 
-    n: int
-    e: tuple
-    f: tuple
-    h: tuple
+    __slots__ = ("n", "e", "f", "h")
+
+    def __init__(self, n: int, e: tuple, f: tuple, h: tuple) -> None:
+        self._assign(n, e, f, h)
 
     def matrices(self) -> dict[str, list]:
         return {"E": [list(r) for r in self.e], "F": [list(r) for r in self.f], "H": [list(r) for r in self.h]}
 
 
-@dataclass(frozen=True)
-class BilinForm:
-    n: int
-    matrix: tuple
+class BilinForm(Value):
+    __slots__ = ("n", "matrix")
+
+    def __init__(self, n: int, matrix: tuple) -> None:
+        self._assign(n, matrix)
 
     def pair(self, v: list, w: list) -> Fraction:
         # The form is antidiagonal: row i holds only B[i][n-i].

@@ -9,40 +9,48 @@ picks the unique representative with r >= 1, 1 <= s <= q and q*r >= p*s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Rat
+from .exactnum import Rat, Value
 
 
 class UnsupportedObjectError(ValueError):
     """Raised for structure requests the source results do not cover."""
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(Value):
     """The coprime pair (p,q), both >= 2, fixing the central charge."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if self.p < 2 or self.q < 2:
-            raise ValueError(f"p and q must be >= 2, got ({self.p},{self.q})")
-        if math.gcd(self.p, self.q) != 1:
-            raise ValueError(f"p and q must be coprime, got ({self.p},{self.q})")
+    def __init__(self, p: int, q: int) -> None:
+        if p < 2 or q < 2:
+            raise ValueError(f"p and q must be >= 2, got ({p},{q})")
+        if math.gcd(p, q) != 1:
+            raise ValueError(f"p and q must be coprime, got ({p},{q})")
+        self._assign(p, q)
 
 
-@dataclass(frozen=True)
-class VirLabel:
+class VirLabel(Value):
     """A Kac label (r,s) with r,s >= 1."""
 
-    r: int
-    s: int
+    __slots__ = ("r", "s")
 
-    def __post_init__(self) -> None:
-        if self.r < 1 or self.s < 1:
-            raise ValueError(f"Kac labels need r,s >= 1, got ({self.r},{self.s})")
+    def __init__(self, r: int, s: int) -> None:
+        if r < 1 or s < 1:
+            raise ValueError(f"Kac labels need r,s >= 1, got ({r},{s})")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+
+    # VirLabel and ObjLabel are hashed and compared in the inner loops of
+    # `verify`, so both spell out the field tuple rather than use `Value`'s.
+    def __eq__(self, other):
+        if other.__class__ is VirLabel:
+            return self.r == other.r and self.s == other.s
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.s))
 
     def pair(self) -> tuple[int, int]:
         return (self.r, self.s)
@@ -53,25 +61,33 @@ KAC_K = "KacK"
 KAC_DUAL_K11 = "KacDualK11"
 
 
-@dataclass(frozen=True)
-class ObjLabel:
+class ObjLabel(Value):
     """A named module: a simple L_{r,s}, a Kac module K_{r,s}, or K'_{1,1}.
 
     The contragredient K'_{1,1} carries no label; it always means the dual
     of the Kac module at (1,1).
     """
 
-    kind: str
-    label: VirLabel | None = None
+    __slots__ = ("kind", "label")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (SIMPLE_L, KAC_K, KAC_DUAL_K11):
-            raise ValueError(f"unknown ObjLabel kind {self.kind!r}")
-        if self.kind == KAC_DUAL_K11:
-            if self.label is not None:
+    def __init__(self, kind: str, label: VirLabel | None = None) -> None:
+        if kind not in (SIMPLE_L, KAC_K, KAC_DUAL_K11):
+            raise ValueError(f"unknown ObjLabel kind {kind!r}")
+        if kind == KAC_DUAL_K11:
+            if label is not None:
                 raise ValueError("KacDualK11 carries no label")
-        elif self.label is None:
-            raise ValueError(f"{self.kind} requires a label")
+        elif label is None:
+            raise ValueError(f"{kind} requires a label")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "label", label)
+
+    def __eq__(self, other):
+        if other.__class__ is ObjLabel:
+            return self.kind == other.kind and self.label == other.label
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.label))
 
     def __str__(self) -> str:
         if self.kind == KAC_DUAL_K11:

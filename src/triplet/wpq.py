@@ -7,34 +7,30 @@ the dimension of the grading module V_{2n-2} in the equivariant form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Rat
+from .exactnum import Rat, Value
 from .virasoro import ObjLabel, Params, VirLabel, conformal_weight, kac_dual_k11, kac_k, simple_l
 
 
-@dataclass(frozen=True)
-class GradedEntry:
-    psl2: int | None  # even highest weight 2n of the multiplicity module, if graded
-    mult: int
-    obj: ObjLabel
-    lowest_weight: Rat
+class GradedEntry(Value):
+    # psl2 is the even highest weight 2n of the multiplicity module, if graded.
+    __slots__ = ("psl2", "mult", "obj", "lowest_weight")
 
-    def __post_init__(self) -> None:
-        if self.psl2 is not None:
-            if self.psl2 % 2 or self.psl2 < 0:
-                raise ValueError(f"grading labels are even and >= 0, got {self.psl2}")
-            if self.mult != self.psl2 + 1:
-                raise ValueError(
-                    f"multiplicity {self.mult} must equal dim V_{self.psl2} = {self.psl2 + 1}"
-                )
+    def __init__(self, psl2: int | None, mult: int, obj: ObjLabel, lowest_weight: Rat) -> None:
+        if psl2 is not None:
+            if psl2 % 2 or psl2 < 0:
+                raise ValueError(f"grading labels are even and >= 0, got {psl2}")
+            if mult != psl2 + 1:
+                raise ValueError(f"multiplicity {mult} must equal dim V_{psl2} = {psl2 + 1}")
+        self._assign(psl2, mult, obj, lowest_weight)
 
 
-@dataclass(frozen=True)
-class GradedDecomp:
-    entries: tuple[GradedEntry, ...]
-    n_max: int
+class GradedDecomp(Value):
+    __slots__ = ("entries", "n_max")
+
+    def __init__(self, entries: tuple[GradedEntry, ...], n_max: int) -> None:
+        self._assign(entries, n_max)
 
 
 def _family_entry(params: Params, n: int, graded: bool) -> GradedEntry:
