@@ -1,9 +1,11 @@
-"""Exact scalar arithmetic: rationals, roots of unity, rational functions in t.
+"""Exact scalar arithmetic: rationals, roots of unity, Laurent polynomials in t.
 
 Every scalar this package produces is one of three things: an exact
 rational (``Rat``), a single root of unity stored as a rational multiple
-of pi (``Phase``), or a rational function in one formal parameter t
-(``ParamScalar``).  Nothing here is ever floating point.
+of pi (``Phase``), or a Laurent polynomial in one formal parameter t
+(``ParamScalar``), which is all the hexagon-constrained F-matrix needs:
+its entries are constants, t and -3/(4t).  Nothing here is ever floating
+point.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ def phase_from_weight(h: Rat, multiple: int) -> Phase:
 
 # ---------------------------------------------------------------------------
 # Univariate polynomials over Rat, dense coefficient lists (index = degree).
-# Only what ParamScalar needs: ring ops, divmod, gcd, evaluation, printing.
+# Only what ParamScalar needs: ring ops, shifts, evaluation, printing.
 # ---------------------------------------------------------------------------
 
 Poly = tuple  # tuple[Rat, ...], normalized so the last entry is nonzero
@@ -142,8 +144,9 @@ def poly_const(c: Rat) -> Poly:
     return poly_from_coeffs([c])
 
 
-def poly_deg(a: Poly) -> int:
-    return len(a) - 1  # -1 for the zero polynomial
+def poly_shift(a: Poly, k: int) -> Poly:
+    """a * t^k for k >= 0."""
+    return (Fraction(0),) * k + a if a and k else a
 
 
 def poly_add(a: Poly, b: Poly) -> Poly:
@@ -166,39 +169,6 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
     return poly_from_coeffs(out)
-
-
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    rem = list(a)
-    while len(rem) >= len(b):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        shift = len(rem) - len(b)
-        factor = rem[-1] / b[-1]
-        quot[shift] = factor
-        for i, cb in enumerate(b):
-            rem[shift + i] -= factor * cb
-        rem.pop()
-    return poly_from_coeffs(quot), poly_from_coeffs(rem)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if not a:
-        return POLY_ZERO
-    return poly_monic(a)
-
-
-def poly_monic(a: Poly) -> Poly:
-    if not a:
-        return POLY_ZERO
-    lead = a[-1]
-    return tuple(c / lead for c in a)
 
 
 def poly_eval(a: Poly, t0: Rat) -> Rat:
@@ -230,9 +200,13 @@ def poly_str(a: Poly) -> str:
 
 
 class ParamScalar(Value):
-    """An element num(t)/den(t) of the rational-function field Q(t).
+    """An element num(t)/t^k of the Laurent polynomial ring Q[t, 1/t].
 
-    Stored gcd-reduced with monic denominator; zero is 0/1.
+    ``den`` is the monic monomial t^k with k >= 0, and t divides ``num``
+    only when k = 0; zero is 0/1.  The hexagon F-matrix divides only by t,
+    so division is defined only by a nonzero monomial c*t^j.  Dividing by
+    anything else, or constructing with a ``den`` of more than one term,
+    raises ``ValueError``.
     """
 
     __slots__ = ("num", "den")
@@ -242,66 +216,89 @@ class ParamScalar(Value):
         den = poly_from_coeffs(den)
         if not den:
             raise ZeroDivisionError("ParamScalar with zero denominator")
+        k = len(den) - 1
+        if any(den[:k]):
+            raise ValueError(f"ParamScalar denominator {poly_str(den)} is not a monomial c*t^k")
+        lead = den[k]
+        self._assign(*ParamScalar._reduced(tuple([c / lead for c in num]), k))
+
+    @staticmethod
+    def _reduced(num: Poly, k: int) -> tuple[Poly, Poly]:
+        """The fields of num/t^k, for a normalized num, with common powers of t cancelled."""
         if not num:
-            den = POLY_ONE
-        else:
-            g = poly_gcd(num, den)
-            num = poly_divmod(num, g)[0]
-            den = poly_divmod(den, g)[0]
-            lead = den[-1]
-            num = tuple(c / lead for c in num)
-            den = tuple(c / lead for c in den)
-        self._assign(num, den)
+            return POLY_ZERO, POLY_ONE
+        low = 0
+        while low < k and not num[low]:
+            low += 1
+        return num[low:], poly_shift(POLY_ONE, k - low)
+
+    @staticmethod
+    def _laurent(num: Poly, k: int) -> "ParamScalar":
+        out = object.__new__(ParamScalar)
+        out._assign(*ParamScalar._reduced(num, k))
+        return out
 
     @staticmethod
     def const(c: Rat) -> "ParamScalar":
-        return ParamScalar(poly_const(Fraction(c)), POLY_ONE)
+        return ParamScalar._laurent(poly_const(c), 0)
 
     @staticmethod
     def t() -> "ParamScalar":
-        return ParamScalar(POLY_T, POLY_ONE)
+        return ParamScalar._laurent(POLY_T, 0)
 
     @staticmethod
     def coerce(x) -> "ParamScalar":
         if isinstance(x, ParamScalar):
             return x
-        return ParamScalar.const(Fraction(x))
+        return ParamScalar.const(x)
 
     def __add__(self, other) -> "ParamScalar":
         other = ParamScalar.coerce(other)
-        return ParamScalar(
-            poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
-            poly_mul(self.den, other.den),
+        j, k = len(self.den) - 1, len(other.den) - 1
+        m = max(j, k)
+        return ParamScalar._laurent(
+            poly_add(poly_shift(self.num, m - j), poly_shift(other.num, m - k)), m
         )
 
     def __sub__(self, other) -> "ParamScalar":
         return self + (-ParamScalar.coerce(other))
 
     def __neg__(self) -> "ParamScalar":
-        return ParamScalar(poly_neg(self.num), self.den)
+        return ParamScalar._laurent(poly_neg(self.num), len(self.den) - 1)
 
     def __mul__(self, other) -> "ParamScalar":
         other = ParamScalar.coerce(other)
-        return ParamScalar(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
+        return ParamScalar._laurent(
+            poly_mul(self.num, other.num), len(self.den) + len(other.den) - 2
+        )
 
     def __truediv__(self, other) -> "ParamScalar":
         other = ParamScalar.coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return ParamScalar(poly_mul(self.num, other.den), poly_mul(self.den, other.num))
+        # With self = a/t^j and other = c*t^i/t^k, self / other = (a/c) / t^(j + i - k).
+        i = len(other.num) - 1
+        if any(other.num[:i]):
+            raise ValueError(f"division by {other}, which is not a monomial c*t^j")
+        c = other.num[i]
+        num = tuple([x / c for x in self.num])
+        e = len(self.den) + i - len(other.den)
+        if e < 0:
+            return ParamScalar._laurent(poly_shift(num, -e), 0)
+        return ParamScalar._laurent(num, e)
 
     def is_zero(self) -> bool:
         return not self.num
 
     def eval(self, t0: Rat) -> Rat:
-        den = poly_eval(self.den, t0)
-        if den == 0:
+        k = len(self.den) - 1
+        if k and t0 == 0:
             raise ZeroDivisionError(f"denominator vanishes at t={t0}")
-        return poly_eval(self.num, t0) / den
+        return poly_eval(self.num, t0) / t0**k
 
     def as_rat(self) -> Rat:
         """Return the value when constant; error otherwise."""
-        if poly_deg(self.num) > 0 or poly_deg(self.den) > 0:
+        if len(self.num) > 1 or len(self.den) > 1:
             raise ValueError(f"{self} is not a constant")
         return self.num[0] if self.num else Fraction(0)
 

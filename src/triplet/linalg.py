@@ -3,9 +3,9 @@
 Only `verify` loads it: the production sl2 maps in `sl2rep` are closed
 forms, and this module builds the brute-force constructions they are
 checked against (nullspace solves, dense inverses, matrix products).
-Matrices are lists of lists of Fraction.  Elimination skips zero entries,
-which keeps the very sparse invariance systems fast despite the dense
-layout.
+Matrices are lists of lists of Fraction.  Elimination and products skip
+zero entries, which keeps the very sparse invariance systems fast despite
+the dense layout.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: list) -> list:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]
+    support = [j for j, x in enumerate(v) if x]
+    return [sum((row[j] * v[j] for j in support if row[j]), Fraction(0)) for row in a]
 
 
 def transpose(a: Matrix) -> Matrix:

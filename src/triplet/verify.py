@@ -85,17 +85,26 @@ def phase_abelian_group():
         assert (a * b) * c == a * (b * c)
 
 
+def _nonzero_rand_rat(rng: random.Random) -> Fraction:
+    x = _rand_rat(rng)
+    while not x:
+        x = _rand_rat(rng)
+    return x
+
+
 @_property("exactnum")
 def param_scalar_evaluation_hom():
     rng = random.Random(20243)
     t = ParamScalar.t()
     for _ in range(100):
-        f = ParamScalar.const(_rand_rat(rng)) + t * _rand_rat(rng)
-        g = ParamScalar.const(_rand_rat(rng)) / (t * t + 1) + t
-        t0 = _rand_rat(rng)
+        a, b, c, d = (_rand_rat(rng) for _ in range(4))
+        f = ParamScalar.const(a) + t * b + ParamScalar.const(c) / t
+        g = ParamScalar.const(d) / (t * t) + t
+        t0, e = _nonzero_rand_rat(rng), _nonzero_rand_rat(rng)
         assert (f * g).eval(t0) == f.eval(t0) * g.eval(t0)
         assert (f + g).eval(t0) == f.eval(t0) + g.eval(t0)
         assert (f - g).eval(t0) == f.eval(t0) - g.eval(t0)
+        assert (f / (t * e)).eval(t0) == f.eval(t0) / (e * t0)
 
 
 # --- virasoro ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI grammar, JSON/DOT output, exit codes, and the verify report."""
 
+import hashlib
 import io
 import json
 import os
@@ -190,6 +191,23 @@ def test_hexagon_with_t():
     assert code == 0 and json.loads(out)["t"] == "1/1" + "0" * 100
 
 
+# sha256 of the stdout bytes; every preset has epsilon = 1, so the three
+# presets print the same payload.
+HEXAGON_STDOUT_SHA256 = {
+    None: "bc2b903b9f8875b84c5ba635ccd8671bd80fc9f05dc97addf87978a232eb6907",
+    "1/2": "238fb0f74f3ef45ba7704f78aeb75a8bacf26a5c31f03500528ff56cbd808994",
+}
+
+
+@pytest.mark.parametrize("t", [None, "1/2"])
+@pytest.mark.parametrize("preset", ["2,3", "3,4", "2,5"])
+def test_hexagon_stdout_bytes_are_pinned(preset, t):
+    argv = ["hexagon", "--pq-preset", preset] + ([] if t is None else ["--t", t])
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HEXAGON_STDOUT_SHA256[t]
+
+
 def test_braiding_output():
     code, out, _ = run_cli(["braiding", "--p", "2", "--q", "3", "--n", "1"])
     assert code == 0
@@ -345,11 +363,18 @@ def test_verify_reports_a_failed_property(monkeypatch):
     ]
 
 
+def _child_env() -> dict:
+    """The environment for a child interpreter that imports this checkout's triplet."""
+    src = str(Path(triplet.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=src)
+
+
 def test_verify_refuses_to_run_under_python_O():
     result = subprocess.run(
         [sys.executable, "-O", "-m", "triplet", "verify", "--suite", "exactnum"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == (
@@ -383,6 +408,7 @@ def test_console_entry_point():
         capture_output=True,
         text=True,
         check=True,
+        env=_child_env(),
     )
     assert json.loads(result.stdout) == {"c": "0", "h": "0", "canonical": [1, 1]}
 
@@ -423,14 +449,12 @@ print(json.dumps({"exit": code, "modules": loaded, "slow_stdlib": slow}))
 )
 def test_subcommand_loads_only_its_layers(argv, layers):
     # A fresh interpreter per call: what this one has imported says nothing.
-    src = str(Path(triplet.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run(
         [sys.executable, "-c", LOADED_MODULES_SCRIPT, json.dumps(argv)],
         capture_output=True,
         text=True,
         check=True,
-        env=env,
+        env=_child_env(),
     )
     base = {"triplet", "triplet.cli", "triplet.exactnum", "triplet.virasoro"}
     # No layer builds its value classes with `dataclasses`, which would

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: phases, rationals, and the t-parameter field."""
+"""Exact scalar arithmetic: phases, rationals, and Laurent polynomials in t."""
 
 from fractions import Fraction
 
@@ -73,6 +73,19 @@ def test_param_scalar_normalization():
     half_inv = ParamScalar.const(Fraction(1)) / (ParamScalar.const(Fraction(2)) * t)
     assert half_inv.den == t.num
     assert half_inv.num == (Fraction(1, 2),)
+    # the common power of t cancels: t^2/t^3 stores as 1/t
+    inv = (t * t) / (t * t * t)
+    assert inv == ParamScalar.const(Fraction(1)) / t
+    assert (inv.num, inv.den) == ((Fraction(1),), (Fraction(0), Fraction(1)))
+    assert ParamScalar((0, 0, 6), (0, 0, 0, 2)) == ParamScalar((3,), (0, 1))
+
+
+def test_param_scalar_divides_only_by_monomials():
+    t = ParamScalar.t()
+    with pytest.raises(ValueError, match=r"division by t\^2 \+ 1, which is not a monomial"):
+        t / (t * t + 1)
+    with pytest.raises(ValueError, match=r"denominator t \+ 1 is not a monomial"):
+        ParamScalar((1,), (1, 1))
 
 
 def test_param_scalar_constant_extraction_and_errors():

@@ -112,6 +112,15 @@ def test_pickle_load_reruns_the_checks():
         pickle.loads(data)
 
 
+def test_pickle_load_rejects_a_non_monomial_denominator():
+    forged = object.__new__(ParamScalar)
+    object.__setattr__(forged, "num", (Fraction(1),))
+    object.__setattr__(forged, "den", (Fraction(1), Fraction(1)))
+    data = pickle.dumps(forged)
+    with pytest.raises(ValueError, match="is not a monomial"):
+        pickle.loads(data)
+
+
 def test_reprs_read_like_the_constructor_call():
     assert repr(VirLabel(2, 3)) == "VirLabel(r=2, s=3)"
     assert repr(Phase(Fraction(5, 2))) == "Phase(exponent=Fraction(1, 2))"
