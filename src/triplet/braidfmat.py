@@ -151,7 +151,7 @@ def hexagon_sign_matrix(r0: Phase, r2: Phase) -> tuple[tuple[Rat, Rat], tuple[Ra
     return ((signs[(0, 0)], signs[(0, 2)]), (signs[(2, 0)], signs[(2, 2)]))
 
 
-def intrinsic_dimension(sol: FSolution, params: Params) -> Rat:
+def intrinsic_dimension(sol: FSolution) -> Rat:
     """1/F00: the evaluation-coevaluation composite on the unit channel."""
     f00 = sol.matrix.f00
     value = f00.as_rat() if isinstance(f00, ParamScalar) else Fraction(f00)

@@ -109,19 +109,19 @@ def _cmd_fuse_c(args) -> int:
 
 
 def _diagram_args_to_mn(params: Params, args) -> tuple[int, int]:
+    from . import kacmod
+
     if args.r is not None or args.s is not None:
         if args.m is not None or args.n is not None:
             raise ValueError("give either --m/--n or --r/--s, not both")
         if args.r is None or args.s is None:
             raise ValueError("--r and --s must be given together")
-        r, s = VirLabel(args.r, args.s).pair()
-        if (r + 1) % params.p == 0 and (s + 1) % params.q == 0:
-            m, n = (r + 1) // params.p, (s + 1) // params.q
-            if m >= n >= 2:
-                return m, n
-        raise UnsupportedObjectError(
-            f"no Loewy diagram available for the general Kac label K_{{{r},{s}}}"
-        )
+        mn = kacmod.mm_nn_indices(params, VirLabel(args.r, args.s))
+        if mn is None:
+            raise UnsupportedObjectError(
+                f"no Loewy diagram available for the general Kac label K_{{{args.r},{args.s}}}"
+            )
+        return mn
     if args.m is None or args.n is None:
         raise ValueError("missing --m/--n")
     return args.m, args.n
@@ -208,7 +208,7 @@ def _cmd_hexagon(args) -> int:
         entry = {
             "kind": sol.kind,
             "F": _fmatrix_json(sol.matrix),
-            "intrinsic_dimension": rat_str(braidfmat.intrinsic_dimension(sol, params)),
+            "intrinsic_dimension": rat_str(braidfmat.intrinsic_dimension(sol)),
         }
         if t0 is not None:
             entry["F_at_t"] = _fmatrix_json(sol.matrix.evaluate(t0))
@@ -268,16 +268,13 @@ def _cmd_decompose(args) -> int:
     from . import wpq
 
     params = _resolve_params(args)
-    target = args.target
-    if target == "wpq":
-        decomp = wpq.decompose_wpq(params, args.nmax)
-    elif target == "wpq-equivariant":
-        decomp = wpq.decompose_wpq_equivariant(params, args.nmax)
-    elif target == "ideal":
-        decomp = wpq.decompose_ideal(params, args.nmax)
-    else:
-        decomp = wpq.decompose_wprime(params, args.nmax)
-    _emit(_graded_json(decomp, target))
+    decompose = {
+        "wpq": wpq.decompose_wpq,
+        "wpq-equivariant": wpq.decompose_wpq_equivariant,
+        "ideal": wpq.decompose_ideal,
+        "wprime": wpq.decompose_wprime,
+    }[args.target]
+    _emit(_graded_json(decompose(params, args.nmax), args.target))
     return 0
 
 
@@ -304,19 +301,11 @@ def _cmd_sl2(args) -> int:
         raise ValueError(f"--n must be >= 0, got {args.n}")
     if args.op == "irrep":
         rep = sl2rep.build_irrep(args.n)
-        mats = rep.matrices()
-        _emit(
-            {
-                "n": args.n,
-                "E": _matrix_json(mats["E"]),
-                "F": _matrix_json(mats["F"]),
-                "H": _matrix_json(mats["H"]),
-            }
-        )
+        _emit({"n": args.n, "E": _matrix_json(rep.e), "F": _matrix_json(rep.f), "H": _matrix_json(rep.h)})
         return 0
     if args.op == "form":
         form = sl2rep.invariant_form(args.n)
-        _emit({"n": args.n, "B": _matrix_json([list(r) for r in form.matrix])})
+        _emit({"n": args.n, "B": _matrix_json(form.matrix)})
         return 0
     if args.m is None or args.k is None:
         raise ValueError("--op cg requires --m and --k")

@@ -3,7 +3,9 @@
 ``fuse_C`` implements the closed-form channel rule; ``cg_oracle`` reaches
 the same multiset independently by multiplying Weyl characters and peeling
 irreducible characters from the top degree down.  The two stay separate so
-each can check the other.
+each can check the other.  ``fuse_L_family`` and ``fusion_ring_product``
+do not restate the rule: both read ``fuse_C`` through the dictionary
+``virasoro.sl2_index_to_obj`` (L_0 = K'_{1,1}, L_n = L_{(n+2)p-1,1}).
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ from .virasoro import (
     UnsupportedObjectError,
     canonical_label,
     canonical_obj,
-    kac_dual_k11,
     kac_k,
-    simple_l,
     sl2_index_to_obj,
 )
 
@@ -151,20 +151,12 @@ def cg_oracle(m: int, n: int) -> list[int]:
 def fuse_L_family(params: Params, m: int, n: int) -> DecompList:
     """L_{mp-1,1} (x) L_{np-1,1} for m,n >= 2.
 
-    For m != n the result is the direct sum of L_{ip-1,1} with i running
-    from |m-n|+2 to m+n-2 in steps of 2; for m = n the unit K'_{1,1}
-    appears together with L_{2jp-1,1} for 2 <= j <= n-1.
+    L_{mp-1,1} is the sl2-type object L_{m-2}, so the product is
+    ``fuse_C(m-2, n-2)`` read back through :func:`sl2_index_to_obj`.
     """
     if m < 2 or n < 2:
         raise ValueError(f"family fusion needs m,n >= 2, got ({m},{n})")
-    p = params.p
-    if m != n:
-        return decomp_from_pairs(
-            (1, simple_l(i * p - 1, 1)) for i in range(abs(m - n) + 2, m + n - 1, 2)
-        )
-    pairs = [(1, kac_dual_k11())]
-    pairs += [(1, simple_l(2 * j * p - 1, 1)) for j in range(2, n)]
-    return decomp_from_pairs(pairs)
+    return decomp_from_pairs((1, sl2_index_to_obj(params, k)) for k in fuse_C(m - 2, n - 2))
 
 
 # Classes of a fusion-ring entry besides its sl2 index n >= 0 (None when

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Literal, Optional, Union
 
-from .exactnum import Value
+from .exactnum import Value, rat_str
 from .virasoro import (
     KAC_DUAL_K11,
     SIMPLE_L,
@@ -195,14 +195,11 @@ def kac_mm_nn_diagram(params: Params, m: int, n: int) -> LoewyDiagram:
                 edges.append((top[i].id, mid_col[k].id))
             if k in mid_row:
                 edges.append((top[i].id, mid_row[k].id))
-    for i in mid_col_idx:
-        for k in (i - 1, i + 1):
-            if k in socle:
-                edges.append((mid_col[i].id, socle[k].id))
-    for j in mid_row_idx:
-        for k in (j - 1, j + 1):
-            if k in socle:
-                edges.append((mid_row[j].id, socle[k].id))
+    for middle in (mid_col, mid_row):
+        for i, node in middle.items():
+            for k in (i - 1, i + 1):
+                if k in socle:
+                    edges.append((node.id, socle[k].id))
 
     return LoewyDiagram(nodes=tuple(nodes), edges=tuple(edges))
 
@@ -235,17 +232,12 @@ def simple_quotients(params: Params, family: QuotientFamily, m: int, n: int) -> 
     raise ValueError(f"unknown quotient family {family!r}")
 
 
-def _length2_factors(params: Params, lbl: VirLabel) -> list[VirLabel] | None:
-    # Factors of a length-2 Kac module from the two displayed families,
-    # or None when (r,s) is not of that shape.
-    p, q = params.p, params.q
-    if lbl.s == 1 and lbl.r % p != 0:
-        m, r = divmod(lbl.r, p)
-        return [VirLabel((m + 2) * p - r, 1), VirLabel(m * p + r, 1)]
-    if lbl.r == 1 and lbl.s % q != 0:
-        n, s = divmod(lbl.s, q)
-        return [VirLabel(1, (n + 2) * q - s), VirLabel(1, n * q + s)]
-    return None
+def mm_nn_indices(params: Params, lbl: VirLabel) -> tuple[int, int] | None:
+    """(m, n) when lbl = (mp-1, nq-1) with m >= n >= 2, else None."""
+    if (lbl.r + 1) % params.p or (lbl.s + 1) % params.q:
+        return None
+    m, n = (lbl.r + 1) // params.p, (lbl.s + 1) // params.q
+    return (m, n) if m >= n >= 2 else None
 
 
 def composition_factors(params: Params, obj: ObjLabel) -> Counter:
@@ -255,28 +247,29 @@ def composition_factors(params: Params, obj: ObjLabel) -> Counter:
     (including K_{1,1}), and K_{mp-1,nq-1} with m >= n >= 2.  Anything
     else raises :class:`UnsupportedObjectError`.
     """
-    if obj.kind == KAC_DUAL_K11:
-        seq = kac_length2_seq(params, "k11dual")
-        return Counter(
-            canonical_label(params, lbl) for lbl in (seq.sub.label, seq.quot.label)
-        )
     if obj.kind == SIMPLE_L:
         return Counter([canonical_label(params, obj.label)])
-    # ObjLabel admits no kind besides the three, so obj is a Kac module.
-    lbl = obj.label
-    p, q = params.p, params.q
-    two = _length2_factors(params, lbl)
-    if two is not None:
-        return Counter(canonical_label(params, v) for v in two)
-    if (lbl.r + 1) % p == 0 and (lbl.s + 1) % q == 0:
-        m = (lbl.r + 1) // p
-        n = (lbl.s + 1) // q
-        if m >= n >= 2:
-            diagram = kac_mm_nn_diagram(params, m, n)
+    if obj.kind == KAC_DUAL_K11:
+        seq = kac_length2_seq(params, "k11dual")
+    else:
+        # ObjLabel admits no kind besides the three, so obj is a Kac module.
+        lbl = obj.label
+        p, q = params.p, params.q
+        if lbl.s == 1 and lbl.r % p:
+            m, r = divmod(lbl.r, p)
+            seq = kac_length2_seq(params, "row", m=m, r=r)
+        elif lbl.r == 1 and lbl.s % q:
+            n, s = divmod(lbl.s, q)
+            seq = kac_length2_seq(params, "column", n=n, s=s)
+        else:
+            mn = mm_nn_indices(params, lbl)
+            if mn is None:
+                raise UnsupportedObjectError(
+                    f"composition factors of K_{{{lbl.r},{lbl.s}}} are outside the supported families"
+                )
+            diagram = kac_mm_nn_diagram(params, *mn)
             return Counter(canonical_label(params, node.label) for node in diagram.nodes)
-    raise UnsupportedObjectError(
-        f"composition factors of K_{{{lbl.r},{lbl.s}}} are outside the supported families"
-    )
+    return Counter(canonical_label(params, o.label) for o in (seq.sub, seq.quot))
 
 
 def diagram_weights_congruent(params: Params, diagram: LoewyDiagram, reference: VirLabel) -> bool:
@@ -296,8 +289,7 @@ def diagram_to_dot(params: Params, diagram: LoewyDiagram) -> str:
         if ids:
             lines.append("  { rank=same; " + "; ".join(f'"{i}"' for i in ids) + "; }")
     for node in diagram.nodes:
-        h = conformal_weight(params, node.label)
-        hs = str(h.numerator) if h.denominator == 1 else f"{h.numerator}/{h.denominator}"
+        hs = rat_str(conformal_weight(params, node.label))
         lines.append(f'  "{node.id}" [label="L_{{{node.label.r},{node.label.s}}} (h={hs})"];')
     for src, dst in diagram.edges:
         lines.append(f'  "{src}" -> "{dst}";')

@@ -28,9 +28,6 @@ class Irrep(Value):
     def __init__(self, n: int, e: tuple, f: tuple, h: tuple) -> None:
         self._assign(n, e, f, h)
 
-    def matrices(self) -> dict[str, list]:
-        return {"E": [list(r) for r in self.e], "F": [list(r) for r in self.f], "H": [list(r) for r in self.h]}
-
 
 class BilinForm(Value):
     __slots__ = ("n", "matrix")

@@ -373,10 +373,7 @@ def hexagon_sign_flip_invariance():
 def intrinsic_dimensions():
     for params in TEST_PARAMS:
         eps = (-1) ** (params.p * params.q)
-        dims = [
-            braidfmat.intrinsic_dimension(sol, params)
-            for sol in braidfmat.hexagon_solutions(params)
-        ]
+        dims = [braidfmat.intrinsic_dimension(sol) for sol in braidfmat.hexagon_solutions(params)]
         assert dims == [Fraction(eps), Fraction(-2 * eps)]
         assert all(d in (1, -1, 2, -2) for d in dims)
 

@@ -52,9 +52,6 @@ class VirLabel(Value):
     def __hash__(self) -> int:
         return hash((self.r, self.s))
 
-    def pair(self) -> tuple[int, int]:
-        return (self.r, self.s)
-
 
 SIMPLE_L = "SimpleL"
 KAC_K = "KacK"

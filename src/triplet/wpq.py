@@ -1,8 +1,11 @@
 """Truncated decompositions of the triplet algebra, its ideal, and its dual.
 
-Every decomposition is a finite prefix: entry n carries the simple module
-L_{2np-1,1} of lowest weight (np-1)(nq-1) with multiplicity 2n-1, which is
-the dimension of the grading module V_{2n-2} in the equivariant form.
+Every decomposition is a finite prefix of the sum over n >= 1 of
+(2n-1) L_{2np-1,1}: entry n carries the simple module of lowest weight
+(np-1)(nq-1) with multiplicity 2n-1, which is the dimension of the
+grading module V_{2n-2}.  The ideal is that sum; the algebra and its
+contragredient put K_{1,1} or K'_{1,1} in place of the n = 1 term.  The
+graded form of the algebra and the contragredient carry the labels 2n-2.
 """
 
 from __future__ import annotations
@@ -33,63 +36,45 @@ class GradedDecomp(Value):
         self._assign(entries, n_max)
 
 
-def _family_entry(params: Params, n: int, graded: bool) -> GradedEntry:
-    obj = simple_l(2 * n * params.p - 1, 1)
-    h = conformal_weight(params, obj.label)
-    return GradedEntry(
-        psl2=2 * n - 2 if graded else None, mult=2 * n - 1, obj=obj, lowest_weight=h
-    )
+def _decompose(params: Params, head: ObjLabel | None, graded: bool, n_max: int) -> GradedDecomp:
+    # Entry n is (2n-1) L_{2np-1,1}, graded by V_{2n-2}; a head of weight 0
+    # takes the place of the n = 1 term.
+    first = 1 if head is None else 2
+    if n_max < first:
+        raise ValueError(f"n_max must be >= {first}, got {n_max}")
+    entries = []
+    for n in range(1, n_max + 1):
+        if n == 1 and head is not None:
+            obj, h = head, Fraction(0)
+        else:
+            obj = simple_l(2 * n * params.p - 1, 1)
+            h = conformal_weight(params, obj.label)
+        entries.append(
+            GradedEntry(psl2=2 * n - 2 if graded else None, mult=2 * n - 1, obj=obj, lowest_weight=h)
+        )
+    return GradedDecomp(entries=tuple(entries), n_max=n_max)
 
 
 def decompose_wpq(params: Params, n_max: int) -> GradedDecomp:
-    """The triplet algebra as a plain Virasoro module, truncated at n_max.
-
-    K_{1,1} with multiplicity 1, then (2n-1) copies of L_{2np-1,1} for
-    2 <= n <= n_max.
-    """
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
-    entries = [GradedEntry(psl2=None, mult=1, obj=kac_k(1, 1), lowest_weight=Fraction(0))]
-    entries += [_family_entry(params, n, graded=False) for n in range(2, n_max + 1)]
-    return GradedDecomp(entries=tuple(entries), n_max=n_max)
+    """The triplet algebra as a plain Virasoro module: K_{1,1}, then (2n-1)
+    copies of L_{2np-1,1} for 2 <= n <= n_max."""
+    return _decompose(params, kac_k(1, 1), False, n_max)
 
 
 def decompose_wpq_equivariant(params: Params, n_max: int) -> GradedDecomp:
     """The triplet algebra with its symmetry grading: V_0 on K_{1,1} and
     V_{2n-2} on L_{2np-1,1}."""
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
-    entries = [GradedEntry(psl2=0, mult=1, obj=kac_k(1, 1), lowest_weight=Fraction(0))]
-    entries += [_family_entry(params, n, graded=True) for n in range(2, n_max + 1)]
-    return GradedDecomp(entries=tuple(entries), n_max=n_max)
+    return _decompose(params, kac_k(1, 1), True, n_max)
 
 
 def decompose_ideal(params: Params, n_max: int) -> GradedDecomp:
     """The simple ideal: (2n-1) copies of L_{2np-1,1} for 1 <= n <= n_max."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    entries = [_family_entry(params, n, graded=False) for n in range(1, n_max + 1)]
-    return GradedDecomp(entries=tuple(entries), n_max=n_max)
+    return _decompose(params, None, False, n_max)
 
 
-def decompose_wprime(params: Params, n_max: int, equivariant: bool = True) -> GradedDecomp:
-    """The contragredient algebra: K'_{1,1} in place of K_{1,1}.
-
-    With ``equivariant=False`` the grading labels are dropped and only the
-    forgetful multiplicities 1, 3, 5, ... remain.
-    """
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
-    entries = [
-        GradedEntry(
-            psl2=0 if equivariant else None,
-            mult=1,
-            obj=kac_dual_k11(),
-            lowest_weight=Fraction(0),
-        )
-    ]
-    entries += [_family_entry(params, n, graded=equivariant) for n in range(2, n_max + 1)]
-    return GradedDecomp(entries=tuple(entries), n_max=n_max)
+def decompose_wprime(params: Params, n_max: int) -> GradedDecomp:
+    """The contragredient algebra, graded: K'_{1,1} in place of K_{1,1}."""
+    return _decompose(params, kac_dual_k11(), True, n_max)
 
 
 def o0_weight_identity(params: Params, n_max: int) -> list[tuple[int, Rat, bool]]:

@@ -144,7 +144,7 @@ def test_intrinsic_dimension_rejects_zero_f00():
         matrix=FMatrix(Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
     )
     with pytest.raises(ValueError):
-        intrinsic_dimension(broken, Params(2, 3))
+        intrinsic_dimension(broken)
 
 
 def test_determinants_nonzero():

@@ -208,6 +208,26 @@ def test_hexagon_stdout_bytes_are_pinned(preset, t):
     assert hashlib.sha256(out.encode()).hexdigest() == HEXAGON_STDOUT_SHA256[t]
 
 
+# The benchmark's byte contract: each request's exit code and stdout sha256,
+# keyed by the space-joined argv.  `verify --suite all` is left to
+# `test_verify_all_lists_registry_in_order` and `test_acceptance.py`.
+BENCHMARK_GOLDENS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json").read_text()
+)["goldens"]
+GOLDEN_REQUESTS = sorted(req for req in BENCHMARK_GOLDENS if req != "verify --suite all")
+
+
+@pytest.mark.parametrize("request_line", GOLDEN_REQUESTS)
+def test_cli_matches_benchmark_goldens(request_line, monkeypatch):
+    monkeypatch.delenv("TRIPLET_OUTPUT", raising=False)
+    code, out, _ = run_cli(request_line.split())
+    golden = BENCHMARK_GOLDENS[request_line]
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        golden["exit"],
+        golden["stdout_sha256"],
+    )
+
+
 def test_braiding_output():
     code, out, _ = run_cli(["braiding", "--p", "2", "--q", "3", "--n", "1"])
     assert code == 0

@@ -62,6 +62,16 @@ def test_fuse_L_family_examples():
             [(1, kac_dual_k11()), (1, simple_l(4 * p - 1, 1))]
         )
         assert fuse_L_family(params, 2, 3) == fuse_L_family(params, 3, 2)
+    # The stated rule: L_{ip-1,1} for i = |m-n|+2, ..., m+n-2 in steps of 2,
+    # with K'_{1,1} in place of i = 2 (which occurs exactly when m = n).
+    for params in PAIRS:
+        for m in range(2, 13):
+            for n in range(2, 13):
+                stated = [
+                    kac_dual_k11() if i == 2 else simple_l(i * params.p - 1, 1)
+                    for i in range(abs(m - n) + 2, m + n - 1, 2)
+                ]
+                assert fuse_L_family(params, m, n) == decomp_from_pairs((1, o) for o in stated)
     with pytest.raises(ValueError):
         fuse_L_family(Params(2, 3), 1, 2)
 

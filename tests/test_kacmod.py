@@ -1,9 +1,13 @@
 """Kac-module sequences, Loewy diagrams, quotient lists, factor multisets."""
 
+import io
+import json
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from triplet import cli
 from triplet.kacmod import (
     UnsupportedObjectError,
     composition_factors,
@@ -11,6 +15,7 @@ from triplet.kacmod import (
     k12_fusion_seq,
     kac_length2_seq,
     kac_mm_nn_diagram,
+    mm_nn_indices,
     simple_quotients,
 )
 from triplet.verify import PROPERTIES
@@ -221,6 +226,45 @@ def test_composition_factors_unsupported():
         composition_factors(p23, kac_k(4, 4))
     with pytest.raises(UnsupportedObjectError):
         composition_factors(p23, kac_k(3, 8))  # r = mp-1, s = nq-1 but m < n
+
+
+def test_mm_nn_indices_golden():
+    p23 = Params(2, 3)
+    assert mm_nn_indices(p23, VirLabel(3, 5)) == (2, 2)
+    assert mm_nn_indices(p23, VirLabel(5, 5)) == (3, 2)
+    assert mm_nn_indices(p23, VirLabel(3, 8)) is None  # m = 2 < n = 3
+    assert mm_nn_indices(p23, VirLabel(4, 4)) is None
+    assert mm_nn_indices(p23, VirLabel(1, 2)) is None
+
+
+def test_mm_nn_indices_drives_kac_diagram_and_composition_factors(monkeypatch):
+    # The CLI's --r/--s request and `composition_factors` share one test for
+    # "K_{r,s} is K_{mp-1,nq-1} with m >= n >= 2"; check both against it.
+    # One parser serves every call: building it is nine tenths of a call.
+    monkeypatch.delenv("TRIPLET_OUTPUT", raising=False)
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    for params in PAIRS:
+        p, q = params.p, params.q
+        for r in range(1, 4 * p + 1):
+            for s in range(1, 4 * q + 1):
+                out, err = io.StringIO(), io.StringIO()
+                argv = ["kac-diagram", "--p", str(p), "--q", str(q), "--r", str(r), "--s", str(s)]
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli.main(argv)
+                mn = mm_nn_indices(params, VirLabel(r, s))
+                if mn is None:
+                    assert (code, out.getvalue()) == (3, "")
+                    assert err.getvalue() == (
+                        f"error: no Loewy diagram available for the general Kac label K_{{{r},{s}}}\n"
+                    )
+                    continue
+                payload = json.loads(out.getvalue())
+                assert (code, (payload["m"], payload["n"])) == (0, mn)
+                diagram = Counter(
+                    canonical_label(params, VirLabel(*node["label"])) for node in payload["nodes"]
+                )
+                assert composition_factors(params, kac_k(r, s)) == diagram
 
 
 def test_dot_output():

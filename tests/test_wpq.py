@@ -79,9 +79,6 @@ def test_decompose_wprime():
         assert prime.entries[0].obj == kac_dual_k11()
         assert graded.entries[0].obj == kac_k(1, 1)
         assert prime.entries[1:] == graded.entries[1:]
-        forgetful = decompose_wprime(params, 4, equivariant=False)
-        assert [e.mult for e in forgetful.entries] == [1, 3, 5, 7]
-        assert all(e.psl2 is None for e in forgetful.entries)
     n2 = decompose_wprime(Params(3, 4), 2).entries[1]
     assert (n2.psl2, n2.obj, n2.lowest_weight) == (2, simple_l(11, 1), 35)
 
