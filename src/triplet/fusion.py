@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from .exactnum import Value
 from .virasoro import (
-    KAC_DUAL_K11,
     SIMPLE_L,
     ObjLabel,
     Params,
@@ -20,6 +19,7 @@ from .virasoro import (
     canonical_label,
     canonical_obj,
     kac_k,
+    obj_to_sl2_index,
     sl2_index_to_obj,
 )
 
@@ -31,6 +31,16 @@ class DecompEntry(Value):
     def __init__(self, mult: int, obj: ObjLabel) -> None:
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "obj", obj)
+
+    # Entries and lists are compared in the inner loops of `verify`, so both
+    # spell out the field tuple rather than use `Value`'s.
+    def __eq__(self, other):
+        if other.__class__ is DecompEntry:
+            return self.mult == other.mult and self.obj == other.obj
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.mult, self.obj))
 
     def to_json(self) -> dict:
         return {"mult": self.mult, "obj": self.obj.to_json()}
@@ -47,6 +57,14 @@ class DecompList(Value):
         if len({e.obj for e in entries}) != len(entries):
             raise ValueError("entries must be pairwise distinct")
         self._assign(entries)
+
+    def __eq__(self, other):
+        if other.__class__ is DecompList:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -166,20 +184,20 @@ _SOCLE = -2
 
 
 def _classify(params: Params, obj: ObjLabel) -> int | None:
-    """The sl2 index of obj, _L11, _SOCLE (L_{2p-1,1}) or None, canonicalizing once."""
-    if obj.kind == KAC_DUAL_K11:
-        return 0
-    if obj.kind != SIMPLE_L:
-        return None
+    """The sl2 index of obj, _L11, _SOCLE (L_{2p-1,1}) or None.
+
+    An sl2-type entry is canonicalized once, by :func:`obj_to_sl2_index`;
+    only the other simple labels are canonicalized again.
+    """
+    index = obj_to_sl2_index(params, obj)
+    if index is not None or obj.kind != SIMPLE_L:
+        return index
     lbl = canonical_label(params, obj.label)
     if lbl.s != 1:
         return None
     if lbl.r == 1:
         return _L11
-    n, rem = divmod(lbl.r + 1, params.p)
-    if rem or n < 2:
-        return None
-    return _SOCLE if n == 2 else n - 2
+    return _SOCLE if lbl.r == 2 * params.p - 1 else None
 
 
 def fusion_ring_product(params: Params, a: DecompList, b: DecompList) -> DecompList:

@@ -3,20 +3,28 @@
 Only `verify` loads it: the production sl2 maps in `sl2rep` are closed
 forms, and this module builds the brute-force constructions they are
 checked against (nullspace solves, dense inverses, matrix products).
-Matrices are lists of lists of Fraction.  Elimination and products skip
-zero entries, which keeps the very sparse invariance systems fast despite
-the dense layout.
+Matrices are lists of rows of Fraction; a product also takes tuple rows.
+Elimination and products skip zero entries, which keeps the very sparse
+invariance systems fast despite the dense layout.  A product accumulates
+integers over the row denominators of its left factor and the column
+denominators of its right one, and builds one Fraction per nonzero entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Matrix = list
 
 
+# Shared by every zero entry that `zeros`, `identity` and `mat_mul` write,
+# so comparing such matrices mostly compares entries by identity.
+_ZERO = Fraction(0)
+
+
 def zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
+    return [[_ZERO] * cols for _ in range(rows)]
 
 
 def identity(n: int) -> Matrix:
@@ -27,18 +35,28 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(rows, cols)
-    for i in range(rows):
-        arow = a[i]
-        orow = out[i]
-        for k in range(inner):
-            aik = arow[k]
-            if aik:
-                brow = b[k]
-                for j in range(cols):
-                    if brow[j]:
-                        orow[j] += aik * brow[j]
+    """a*b, exactly.
+
+    Row i of a is A_i/d_i and column j of b is B_j/e_j with A_i, B_j
+    integral (d_i, e_j the lcm of the denominators), so entry (i,j) is the
+    integer A_i . B_j over d_i*e_j.  Only nonzero entries are multiplied.
+    """
+    col_dens = [lcm(*[x.denominator for x in col]) for col in zip(*b)]
+    # Row k of b times the column denominators: (j, integer) for each nonzero.
+    b_int = [
+        [(j, x.numerator * (col_dens[j] // x.denominator)) for j, x in enumerate(brow) if x]
+        for brow in b
+    ]
+    out = []
+    for arow in a:
+        support = [(k, x) for k, x in enumerate(arow) if x]
+        d = lcm(*[x.denominator for _, x in support])
+        acc = [0] * len(col_dens)
+        for k, x in support:
+            ak = x.numerator * (d // x.denominator)
+            for j, bkj in b_int[k]:
+                acc[j] += ak * bkj
+        out.append([Fraction(x, d * e) if x else _ZERO for x, e in zip(acc, col_dens)])
     return out
 
 

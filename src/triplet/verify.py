@@ -294,13 +294,17 @@ def fusion_ring_commutative_associative():
         fusion.decomp_from_pairs([(1, fusion.sl2_index_to_obj(params, k))]) for k in range(11)
     ]
     prod = lambda x, y: fusion.fusion_ring_product(params, x, y)
-    for a in basis:
-        for b in basis:
-            assert prod(a, b) == prod(b, a) == fusion_ring_product_oracle(params, a, b)
-    for a in basis:
-        for b in basis:
-            for c in basis:
-                assert prod(prod(a, b), c) == prod(a, prod(b, c))
+    # Each basis product is computed once and reused on both sides of
+    # (ab)c == a(bc).
+    pairs = {}
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            pairs[i, j] = prod(a, b)
+            assert pairs[i, j] == prod(b, a) == fusion_ring_product_oracle(params, a, b)
+    for i, a in enumerate(basis):
+        for j in range(len(basis)):
+            for k, c in enumerate(basis):
+                assert prod(pairs[i, j], c) == prod(a, pairs[j, k])
 
 
 @_property("fusion")
@@ -539,16 +543,19 @@ def invariant_form_unique_nondegenerate_symmetry():
 def cg_biorthogonality_and_completeness():
     # With every channel's projection rows stacked into P and inclusion
     # columns into I, biorthogonality of all channel pairs is P*I == Id and
-    # completeness is I*P == Id.
+    # completeness is I*P == Id.  The channel set is checked against
+    # `cg_oracle` at every size, the whole system against the dense oracle
+    # for m,n <= 5.
     for m in range(7):
         for n in range(7):
+            system = sl2rep._cg_system(m, n)
+            assert sorted(system) == fusion.cg_oracle(m, n), f"(m,n)=({m},{n})"
             if m <= 5 and n <= 5:
-                assert sl2rep._cg_system(m, n) == cg_system_oracle(m, n), f"(m,n)=({m},{n})"
+                assert system == cg_system_oracle(m, n), f"(m,n)=({m},{n})"
             dim = (m + 1) * (n + 1)
             stacked_proj: list = []
             stacked_incl: list = [[] for _ in range(dim)]
-            for k in fusion.cg_oracle(m, n):
-                proj_k, incl_k = sl2rep.cg_maps(m, n, k)
+            for proj_k, incl_k in system.values():
                 stacked_proj += proj_k
                 for row, part in zip(stacked_incl, incl_k):
                     row += part

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from triplet import fusion
 from triplet.fusion import (
     CharPoly,
+    DecompEntry,
     DecompList,
     cg_oracle,
     decomp_from_pairs,
@@ -106,6 +108,26 @@ def test_fusion_ring_associativity_example():
 
 def test_fusion_ring_laws_exhaustive():
     PROPERTIES["fusion"]["fusion_ring_commutative_associative"]()
+
+
+def test_fusion_ring_laws_catch_a_wrong_reused_product(monkeypatch):
+    # Only the associativity step multiplies a left operand with several
+    # entries, and there one side reuses a basis product computed earlier.
+    right = fusion.fusion_ring_product
+    wrong_calls = []
+
+    def wrong(params, a, b):
+        out = right(params, a, b)
+        if len(a.entries) < 2:
+            return out
+        wrong_calls.append((a, b))
+        first = out.entries[0]
+        return DecompList((DecompEntry(first.mult + 1, first.obj),) + out.entries[1:])
+
+    monkeypatch.setattr(fusion, "fusion_ring_product", wrong)
+    with pytest.raises(AssertionError):
+        PROPERTIES["fusion"]["fusion_ring_commutative_associative"]()
+    assert len(wrong_calls) == 1
 
 
 def test_even_subring_closed():

@@ -83,6 +83,24 @@ def test_cg_system_equals_dense_inverse_oracle(m):
             assert sl2rep._cg_system(m, n) == cg_system_oracle(m, n), (m, n)
 
 
+def test_cg_property_catches_a_wrong_system_beyond_the_oracle(monkeypatch):
+    # (6,6) is outside the dense oracle's range in the property, so only the
+    # stacked products P*I and I*P can see the changed projection entry.
+    right = sl2rep._cg_system
+
+    def wrong(m, n):
+        system = right(m, n)
+        if (m, n) != (6, 6):
+            return system
+        proj, incl = system[0]
+        row = (proj[0][0] + 1,) + proj[0][1:]
+        return {**system, 0: ((row,) + proj[1:], incl)}
+
+    monkeypatch.setattr(sl2rep, "_cg_system", wrong)
+    with pytest.raises(AssertionError):
+        PROPERTIES["sl2rep"]["cg_biorthogonality_and_completeness"]()
+
+
 def test_large_sizes_stay_within_budget():
     # The dense solves took minutes here (form n=40: ~4.5 min, CG 20x20:
     # ~60 s); the closed forms must stay far below.
