@@ -60,8 +60,8 @@ def _resolve_params(args) -> Params:
 
 
 def _add_pq(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p", type=int, default=None, help="first member of the coprime pair")
-    parser.add_argument("--q", type=int, default=None, help="second member of the coprime pair")
+    parser.add_argument("--p", type=_int_arg, default=None, help="first member of the coprime pair")
+    parser.add_argument("--q", type=_int_arg, default=None, help="second member of the coprime pair")
     parser.add_argument(
         "--pq-preset",
         choices=sorted(PQ_PRESETS),
@@ -166,6 +166,23 @@ def _fmatrix_json(matrix) -> list[list[str]]:
 
 T_MAX_CHARS = 100
 T_MAX_EXPONENT = 100
+# Every integer option is capped at this many characters before it is
+# parsed, so a huge value is refused by its length alone: its digits are
+# never converted, and never echoed back in the message.
+INT_MAX_CHARS = 100
+
+
+def _int_arg(text: str) -> int:
+    """The `type` of every integer option: int(text), capped at INT_MAX_CHARS."""
+    if len(text) > INT_MAX_CHARS:
+        # argparse prefixes "argument --NAME: " and exits 2.
+        raise argparse.ArgumentTypeError(f"integer is longer than {INT_MAX_CHARS} characters")
+    return int(text)
+
+
+# argparse reports a malformed value as "invalid <__name__> value: ...";
+# keep the message of the plain `int` type.
+_int_arg.__name__ = "int"
 
 
 def _parse_t(text: str) -> Fraction:
@@ -357,27 +374,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_weights = sub.add_parser("weights", help="central charge, conformal weight, canonical label")
     _add_pq(p_weights)
-    p_weights.add_argument("--r", type=int, required=True)
-    p_weights.add_argument("--s", type=int, required=True)
+    p_weights.add_argument("--r", type=_int_arg, required=True)
+    p_weights.add_argument("--s", type=_int_arg, required=True)
     p_weights.set_defaults(func=_cmd_weights)
 
     p_fuse_l = sub.add_parser("fuse-L", help="fusion of L_{mp-1,1} with L_{np-1,1}")
     _add_pq(p_fuse_l)
-    p_fuse_l.add_argument("--m", type=int, required=True)
-    p_fuse_l.add_argument("--n", type=int, required=True)
+    p_fuse_l.add_argument("--m", type=_int_arg, required=True)
+    p_fuse_l.add_argument("--n", type=_int_arg, required=True)
     p_fuse_l.set_defaults(func=_cmd_fuse_l)
 
     p_fuse_c = sub.add_parser("fuse-C", help="sl2-type fusion channels of L_m with L_n")
-    p_fuse_c.add_argument("--m", type=int, required=True)
-    p_fuse_c.add_argument("--n", type=int, required=True)
+    p_fuse_c.add_argument("--m", type=_int_arg, required=True)
+    p_fuse_c.add_argument("--n", type=_int_arg, required=True)
     p_fuse_c.set_defaults(func=_cmd_fuse_c)
 
     p_diagram = sub.add_parser("kac-diagram", help="Loewy diagram of K_{mp-1,nq-1}")
     _add_pq(p_diagram)
-    p_diagram.add_argument("--m", type=int, default=None)
-    p_diagram.add_argument("--n", type=int, default=None)
-    p_diagram.add_argument("--r", type=int, default=None, help="request by raw Kac label instead")
-    p_diagram.add_argument("--s", type=int, default=None)
+    p_diagram.add_argument("--m", type=_int_arg, default=None)
+    p_diagram.add_argument("--n", type=_int_arg, default=None)
+    p_diagram.add_argument("--r", type=_int_arg, default=None, help="request by raw Kac label instead")
+    p_diagram.add_argument("--s", type=_int_arg, default=None)
     p_diagram.add_argument("--format", choices=("json", "dot"), default=None)
     p_diagram.set_defaults(func=_cmd_kac_diagram)
 
@@ -388,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_braid = sub.add_parser("braiding", help="R-scalars and balancing phases on L_n (x) L_n")
     _add_pq(p_braid)
-    p_braid.add_argument("--n", type=int, required=True)
+    p_braid.add_argument("--n", type=_int_arg, required=True)
     p_braid.set_defaults(func=_cmd_braiding)
 
     p_dec = sub.add_parser("decompose", help="truncated decompositions of the triplet algebra")
@@ -396,19 +413,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument(
         "--target", choices=("wpq", "wpq-equivariant", "ideal", "wprime"), required=True
     )
-    p_dec.add_argument("--nmax", type=int, required=True)
+    p_dec.add_argument("--nmax", type=_int_arg, required=True)
     p_dec.set_defaults(func=_cmd_decompose)
 
     p_o0 = sub.add_parser("o0-check", help="weight-congruence identities for induction")
     _add_pq(p_o0)
-    p_o0.add_argument("--nmax", type=int, required=True)
+    p_o0.add_argument("--nmax", type=_int_arg, required=True)
     p_o0.set_defaults(func=_cmd_o0_check)
 
     p_sl2 = sub.add_parser("sl2", help="explicit sl2 irreducibles, forms, and CG maps")
-    p_sl2.add_argument("--n", type=int, required=True)
+    p_sl2.add_argument("--n", type=_int_arg, required=True)
     p_sl2.add_argument("--op", choices=("irrep", "form", "cg"), required=True)
-    p_sl2.add_argument("--m", type=int, default=None)
-    p_sl2.add_argument("--k", type=int, default=None)
+    p_sl2.add_argument("--m", type=_int_arg, default=None)
+    p_sl2.add_argument("--k", type=_int_arg, default=None)
     p_sl2.set_defaults(func=_cmd_sl2)
 
     p_verify = sub.add_parser("verify", help="run the exact property suites")

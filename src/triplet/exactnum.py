@@ -16,6 +16,12 @@ from fractions import Fraction
 # denominator.  fractions.Fraction already guarantees both invariants.
 Rat = Fraction
 
+# One bound for every lru_cache of the package, far above the distinct keys
+# that `verify --suite all` asks for: 11 each in `sl2rep.build_irrep` and
+# `sl2rep.invariant_form`, 49 each in `sl2rep._cg_system` and
+# `virasoro._sl2_obj`, and 21 in `fusion._entry_class`.
+CACHE_SIZE = 128
+
 
 def rat_str(x: Rat) -> str:
     """Serialize a rational as "num/den", omitting "/den" when den == 1."""

@@ -10,7 +10,9 @@ do not restate the rule: both read ``fuse_C`` through the dictionary
 
 from __future__ import annotations
 
-from .exactnum import Value
+from functools import lru_cache
+
+from .exactnum import CACHE_SIZE, Value
 from .virasoro import (
     SIMPLE_L,
     ObjLabel,
@@ -186,9 +188,21 @@ _SOCLE = -2
 def _classify(params: Params, obj: ObjLabel) -> int | None:
     """The sl2 index of obj, _L11, _SOCLE (L_{2p-1,1}) or None.
 
-    An sl2-type entry is canonicalized once, by :func:`obj_to_sl2_index`;
-    only the other simple labels are canonicalized again.
+    The class is read from the bounded cache :func:`_entry_class`, keyed by
+    (p, q, obj), and is computed only on a miss: from
+    :func:`virasoro.obj_to_sl2_index`, the one inverse of the dictionary,
+    plus the canonical label for L_{1,1} and the socle.  The labels L_n of
+    a product come back from the cached dictionary
+    :func:`virasoro.sl2_index_to_obj`.
     """
+    return _entry_class(params.p, params.q, obj)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _entry_class(p: int, q: int, obj: ObjLabel) -> int | None:
+    # An sl2-type entry is canonicalized once, by `obj_to_sl2_index`; only
+    # the other simple labels are canonicalized again.
+    params = Params(p, q)
     index = obj_to_sl2_index(params, obj)
     if index is not None or obj.kind != SIMPLE_L:
         return index
@@ -197,7 +211,7 @@ def _classify(params: Params, obj: ObjLabel) -> int | None:
         return None
     if lbl.r == 1:
         return _L11
-    return _SOCLE if lbl.r == 2 * params.p - 1 else None
+    return _SOCLE if lbl.r == 2 * p - 1 else None
 
 
 def fusion_ring_product(params: Params, a: DecompList, b: DecompList) -> DecompList:
@@ -205,9 +219,10 @@ def fusion_ring_product(params: Params, a: DecompList, b: DecompList) -> DecompL
 
     Entries may be K'_{1,1}, any L_{(n+2)p-1,1} with n >= 1, the socle
     label L_{2p-1,1}, or L_{1,1}; products against L_{1,1} vanish.  Each
-    entry is canonicalized and mapped to its sl2 index once, the indices
-    are combined with ``fuse_C``, and the result is listed unit first, then
-    by index.  ``verify.fusion_ring_product_oracle`` is the per-pair oracle.
+    entry's class (its sl2 index, or one of the two other kinds) is read
+    once, through :func:`_classify`, the indices are combined with
+    ``fuse_C``, and the result is listed unit first, then by index.
+    ``verify.fusion_ring_product_oracle`` is the per-pair oracle.
     """
     b_classes = [(eb, _classify(params, eb.obj)) for eb in b.entries]
     acc: dict[int, int] = {}

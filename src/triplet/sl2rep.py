@@ -13,11 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import Value
-
-# One bound for every cache here: far above the distinct arguments that
-# `verify --suite all` asks for (11 per cache, and 49 for `_cg_system`).
-CACHE_SIZE = 128
+from .exactnum import CACHE_SIZE, Value
 
 
 class Irrep(Value):

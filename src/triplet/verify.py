@@ -123,27 +123,41 @@ def conformal_weight_oracle(params: Params, lbl: VirLabel) -> Fraction:
 
 @_property("virasoro")
 def weight_translation_symmetry():
+    # Each weight of the (50+p) x (50+q) grid is computed once; h[r][s] is
+    # h_{r,s}, and row and column 0 are unused.
     for params in TEST_PARAMS:
+        p, q = params.p, params.q
+        h = [None] + [
+            [None] + [conformal_weight(params, VirLabel(r, s)) for s in range(1, 51 + q)]
+            for r in range(1, 51 + p)
+        ]
         for r in range(1, 51):
+            row, shifted_row = h[r], h[r + p]
             for s in range(1, 51):
-                lbl = VirLabel(r, s)
-                shifted = VirLabel(r + params.p, s + params.q)
-                assert conformal_weight(params, lbl) == conformal_weight(params, shifted)
+                assert row[s] == shifted_row[s + q]
                 if r <= 20 and s <= 20:
-                    assert conformal_weight(params, lbl) == conformal_weight_oracle(params, lbl)
+                    assert row[s] == conformal_weight_oracle(params, VirLabel(r, s))
 
 
 @_property("virasoro")
 def canonical_label_idempotent_and_weight_preserving():
+    # The range and idempotence checks, and the weight, are computed once
+    # per distinct canonical label; every label's weight is compared to it.
     for params in TEST_PARAMS:
+        p, q = params.p, params.q
+        weight_of: dict[tuple[int, int], Fraction] = {}
         for r in range(1, 41):
             for s in range(1, 41):
                 lbl = VirLabel(r, s)
                 can = canonical_label(params, lbl)
-                assert can.r >= 1 and 1 <= can.s <= params.q
-                assert params.q * can.r >= params.p * can.s
-                assert canonical_label(params, can) == can
-                assert conformal_weight(params, can) == conformal_weight(params, lbl)
+                key = (can.r, can.s)
+                h = weight_of.get(key)
+                if h is None:
+                    assert can.r >= 1 and 1 <= can.s <= q
+                    assert q * can.r >= p * can.s
+                    assert canonical_label(params, can) == can
+                    h = weight_of[key] = conformal_weight(params, can)
+                assert conformal_weight(params, lbl) == h
 
 
 @_property("virasoro")
@@ -334,6 +348,11 @@ def squared_r_scalars_equal_balancing():
                     continue
                 formula = braidfmat.r_scalar_formula(params, n, k)
                 assert formula**2 == balancing[k]
+            # The PSL_2 part is symmetric: for even n every channel k is even,
+            # so the lowest weights ((k+2)p-2)((k+2)q-2)/4 of L_k and of L_n
+            # are integers and every balancing phase is 1.
+            if n % 2 == 0:
+                assert all(phase.is_one() for phase in balancing.values()), f"n={n}"
         for k in (0, 2):
             table = braidfmat.r_scalar_table(params, 1, k)
             assert table**2 == braidfmat.balancing_check(params, 1)[k]

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
-from .exactnum import Rat, Value
+from .exactnum import CACHE_SIZE, Rat, Value
 
 
 class UnsupportedObjectError(ValueError):
@@ -173,9 +174,16 @@ def sl2_index_to_obj(params: Params, n: int) -> ObjLabel:
     """The dictionary n -> L_n: K'_{1,1} for n = 0, L_{(n+2)p-1,1} for n >= 1."""
     if n < 0:
         raise ValueError(f"sl2 index must be >= 0, got {n}")
+    return _sl2_obj(params.p, n)
+
+
+# The dictionary depends only on p.  The key is the int p, not Params,
+# whose hash goes through the generic `Value.__hash__`.
+@lru_cache(maxsize=CACHE_SIZE)
+def _sl2_obj(p: int, n: int) -> ObjLabel:
     if n == 0:
         return kac_dual_k11()
-    return simple_l((n + 2) * params.p - 1, 1)
+    return simple_l((n + 2) * p - 1, 1)
 
 
 def obj_to_sl2_index(params: Params, obj: ObjLabel) -> int | None:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from triplet import braidfmat
 from triplet.braidfmat import (
     FMatrix,
     FSolution,
@@ -17,7 +18,7 @@ from triplet.braidfmat import (
 from triplet.exactnum import ParamScalar, Phase
 from triplet.fusion import fuse_C
 from triplet.verify import PROPERTIES
-from triplet.virasoro import Params
+from triplet.virasoro import Params, conformal_weight, sl2_lowest_weight
 
 PAIRS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
 
@@ -86,6 +87,33 @@ def test_balancing_examples():
 
 def test_squared_scalars_equal_balancing():
     PROPERTIES["braidfmat"]["squared_r_scalars_equal_balancing"]()
+
+
+def test_balancing_property_catches_an_asymmetric_psl2_part(monkeypatch):
+    # Shifting the weight of L_n by 1/4 for even n >= 4, in both the R-scalar
+    # formula and the balancing, keeps R^2 equal to the balancing phase on
+    # every channel, and leaves n = 1 alone for the tabulated R-scalars; only
+    # the check that the even-n phases are 1 sees it.
+    def shift(n):
+        return Fraction(1, 4) if n >= 4 and n % 2 == 0 else 0
+
+    def cw(params, lbl):
+        n, rem = divmod(lbl.r + 1, params.p)
+        h = conformal_weight(params, lbl)
+        return h + shift(n - 2) if lbl.s == 1 and rem == 0 else h
+
+    def lowest(params, n):
+        return sl2_lowest_weight(params, n) + shift(n)
+
+    monkeypatch.setattr(braidfmat, "conformal_weight", cw)
+    monkeypatch.setattr(braidfmat, "sl2_lowest_weight", lowest)
+    params = PAIRS[0]
+    for n in range(9):
+        for k in fuse_C(n, n):
+            assert r_scalar_formula(params, n, k) ** 2 == balancing_check(params, n)[k]
+    assert not balancing_check(params, 2)[4].is_one()
+    with pytest.raises(AssertionError):
+        PROPERTIES["braidfmat"]["squared_r_scalars_equal_balancing"]()
 
 
 def test_phase_denominators_divide_4pq():

@@ -1,5 +1,6 @@
 """CLI grammar, JSON/DOT output, exit codes, and the verify report."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -189,6 +190,52 @@ def test_hexagon_with_t():
     assert (code, out, err) == (2, "", "error: --t is longer than 100 characters\n")
     code, out, _ = run_cli(["hexagon", "--p", "2", "--q", "3", "--t", "1e-100"])
     assert code == 0 and json.loads(out)["t"] == "1/1" + "0" * 100
+
+
+@pytest.mark.parametrize("digits", [4000, 5000])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["weights", "--p", "2", "--q", "3", "--s", "1", "--r"], "--r"),
+        (["sl2", "--op", "form", "--n"], "--n"),
+    ],
+)
+def test_integer_options_are_capped_by_length(argv, option, digits):
+    # 4,000 digits used to fail in int-to-str with a message naming no
+    # option, and 5,000 digits were echoed back whole by argparse.
+    code, out, err = run_cli(argv + ["7" * digits])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(
+        f"error: argument {option}: integer is longer than {cli.INT_MAX_CHARS} characters"
+    )
+    assert "7" * 20 not in err and "Traceback" not in err
+
+
+def test_integer_option_cap_boundary_and_messages():
+    base = ["weights", "--p", "2", "--q", "3", "--s", "1", "--r"]
+    code, out, _ = run_cli(base + ["1" * cli.INT_MAX_CHARS])
+    assert code == 0 and json.loads(out)["canonical"] == [int("1" * cli.INT_MAX_CHARS), 1]
+    code, _, err = run_cli(base + ["1" * (cli.INT_MAX_CHARS + 1)])
+    assert code == 2 and "argument --r: integer is longer than" in err
+    # A malformed value keeps the message of argparse's plain int type.
+    code, _, err = run_cli(base + ["abc"])
+    assert code == 2 and err.splitlines()[-1].endswith("argument --r: invalid int value: 'abc'")
+
+
+def test_every_integer_option_is_length_capped():
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    typed = [
+        (name, action.dest, action.type)
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        if action.type is not None
+    ]
+    # `hexagon --t` is a string with its own cap; every other typed option
+    # is an integer.
+    assert [(name, dest) for name, dest, kind in typed if kind is not cli._int_arg] == [
+        ("hexagon", "t")
+    ]
 
 
 # sha256 of the stdout bytes; every preset has epsilon = 1, so the three

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from triplet import fusion
+from triplet import fusion, verify
+from triplet.exactnum import CACHE_SIZE
 from triplet.fusion import (
     CharPoly,
     DecompEntry,
@@ -128,6 +129,46 @@ def test_fusion_ring_laws_catch_a_wrong_reused_product(monkeypatch):
     with pytest.raises(AssertionError):
         PROPERTIES["fusion"]["fusion_ring_commutative_associative"]()
     assert len(wrong_calls) == 1
+
+
+def _class_pool(params):
+    """Entries with their expected class: each kind fusion_ring_product sees."""
+    p, q = params.p, params.q
+    pool = [
+        (kac_dual_k11(), 0),
+        (simple_l(1, 1), fusion._L11),
+        (simple_l(2 * p - 1, 1), fusion._SOCLE),
+        (kac_k(1, 2), None),
+        # Unsupported simple labels: s = 1 off the family, and s = 2.
+        (simple_l(p, 1), None),
+        (simple_l(q, 2), None),
+    ]
+    for n in range(1, 6):
+        r = (n + 2) * p - 1
+        # L_n as spelled by the dictionary, translated, and reflected.
+        k = n + 3
+        pool += [
+            (simple_l(r, 1), n),
+            (simple_l(r + p, 1 + q), n),
+            (simple_l(k * p - r, k * q - 1), n),
+        ]
+    return pool
+
+
+def test_entry_class_cache_is_bounded_and_equals_the_uncached_path():
+    cache = fusion._entry_class
+    assert cache.cache_info().maxsize == CACHE_SIZE
+    cache.cache_clear()
+    for params in verify.TEST_PARAMS:
+        pool = _class_pool(params) + [(sl2_index_to_obj(params, n), n) for n in range(301)]
+        for obj, expected in pool:
+            uncached = cache.__wrapped__(params.p, params.q, obj)
+            assert fusion._classify(params, obj) == uncached == expected, (params, obj)
+    info = cache.cache_info()
+    assert info.currsize == CACHE_SIZE
+    fusion._classify(params, sl2_index_to_obj(params, 300))
+    assert cache.cache_info().hits == info.hits + 1
+    cache.cache_clear()
 
 
 def test_even_subring_closed():

@@ -1,0 +1,86 @@
+"""The package's static rules, checked on the syntax tree of every module.
+
+Runtime invariants raise explicitly, since ``python -O`` strips ``assert``;
+only ``verify``, whose checks the CLI refuses to run under ``-O``, asserts.
+Nothing is floating point, and ``math`` serves only integer gcd/lcm.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import triplet
+
+SOURCES = sorted(Path(triplet.__file__).parent.glob("*.py"))
+MATH_ALLOWED = {"gcd", "lcm"}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _where(path: Path, node: ast.AST) -> str:
+    return f"{path.name}:{node.lineno}"
+
+
+def test_sources_found():
+    assert {"cli.py", "verify.py", "virasoro.py"} <= {path.name for path in SOURCES}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_assert_outside_verify(path):
+    if path.name == "verify.py":
+        return
+    found = [_where(path, n) for n in ast.walk(_tree(path)) if isinstance(n, ast.Assert)]
+    assert found == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_float(path):
+    found = [
+        _where(path, n)
+        for n in ast.walk(_tree(path))
+        if (isinstance(n, ast.Constant) and isinstance(n.value, (float, complex)))
+        or (isinstance(n, ast.Name) and n.id == "float")
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_math_only_for_gcd_and_lcm(path):
+    tree = _tree(path)
+    aliases = set()
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names if a.name == "math"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            bad += [_where(path, node) for a in node.names if a.name not in MATH_ALLOWED]
+    # Every use of the module is an attribute read of gcd or lcm.
+    allowed_reads = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in MATH_ALLOWED
+    }
+    bad += [
+        _where(path, node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in aliases and id(node) not in allowed_reads
+    ]
+    assert bad == []
+
+
+def test_static_rules_catch_a_violation(tmp_path):
+    # The walks above see each kind of violation they are meant to reject.
+    src = tmp_path / "mutant.py"
+    src.write_text("import math\nassert True\nx = 0.5\ny = float(1)\nz = math.sqrt(2)\n")
+    with pytest.raises(AssertionError):
+        test_no_assert_outside_verify(src)
+    with pytest.raises(AssertionError):
+        test_no_float(src)
+    with pytest.raises(AssertionError):
+        test_math_only_for_gcd_and_lcm(src)
+    src.write_text("from math import gcd, isqrt\n")
+    with pytest.raises(AssertionError):
+        test_math_only_for_gcd_and_lcm(src)

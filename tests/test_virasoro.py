@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from triplet import verify, virasoro
+from triplet.exactnum import CACHE_SIZE
 from triplet.virasoro import (
     ObjLabel,
     Params,
@@ -100,3 +102,61 @@ def test_sl2_dictionary_round_trip():
         assert obj_to_sl2_index(params, simple_l(2 * params.p - 1, 1)) is None
         assert obj_to_sl2_index(params, simple_l(1, 1)) is None
         assert obj_to_sl2_index(params, kac_k(1, 1)) is None
+
+
+def test_sl2_dictionary_cache_is_bounded_and_equals_the_uncached_path():
+    cache = virasoro._sl2_obj
+    assert cache.cache_info().maxsize == CACHE_SIZE
+    cache.cache_clear()
+    for params in verify.TEST_PARAMS:
+        p = params.p
+        for n in range(301):
+            obj = sl2_index_to_obj(params, n)
+            assert obj == cache.__wrapped__(p, n)
+            assert obj == (kac_dual_k11() if n == 0 else simple_l((n + 2) * p - 1, 1))
+            # A second read is a hit on the same object.
+            assert sl2_index_to_obj(params, n) is obj
+        with pytest.raises(ValueError):
+            sl2_index_to_obj(params, -1)
+    info = cache.cache_info()
+    # 301 keys per pair, far past the bound; each pair evicts the last.
+    assert (info.misses, info.currsize) == (301 * len(verify.TEST_PARAMS), CACHE_SIZE)
+    cache.cache_clear()
+
+
+# (50+p, 50+q) is a grid label that the translation property reaches only as
+# the shift of (50,50); (40,40) is a non-canonical label of the 40 x 40 box.
+def _weight_wrong_at(target):
+    def wrong(params, lbl):
+        h = conformal_weight(params, lbl)
+        return h + 1 if (lbl.r, lbl.s) == target(params) else h
+
+    return wrong
+
+
+def test_translation_property_catches_a_wrong_shifted_weight(monkeypatch):
+    wrong = _weight_wrong_at(lambda params: (50 + params.p, 50 + params.q))
+    monkeypatch.setattr(verify, "conformal_weight", wrong)
+    with pytest.raises(AssertionError):
+        PROPERTIES["virasoro"]["weight_translation_symmetry"]()
+
+
+def test_canonical_property_catches_a_wrong_non_canonical_weight(monkeypatch):
+    monkeypatch.setattr(verify, "conformal_weight", _weight_wrong_at(lambda params: (40, 40)))
+    with pytest.raises(AssertionError):
+        PROPERTIES["virasoro"]["canonical_label_idempotent_and_weight_preserving"]()
+
+
+def test_canonical_property_catches_a_non_idempotent_label(monkeypatch):
+    # At (2,3) the property first meets the canonical label (3,1) as the
+    # image of (1,5), so the idempotence check, not the range check, sees the
+    # wrong second application.
+    def wrong(params, lbl):
+        if (lbl.r, lbl.s) == (3, 1):
+            return VirLabel(3 + params.p, 1 + params.q)
+        return canonical_label(params, lbl)
+
+    monkeypatch.setattr(verify, "canonical_label", wrong)
+    with pytest.raises(AssertionError) as excinfo:
+        PROPERTIES["virasoro"]["canonical_label_idempotent_and_weight_preserving"]()
+    assert "canonical_label(params, can) == can" in str(excinfo.traceback[-1].statement)
