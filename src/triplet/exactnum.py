@@ -101,9 +101,6 @@ class Phase(Value):
     def __pow__(self, k: int) -> "Phase":
         return Phase(k * self.exponent)
 
-    def inverse(self) -> "Phase":
-        return Phase(-self.exponent)
-
     def is_one(self) -> bool:
         return self.exponent == 0
 

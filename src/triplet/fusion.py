@@ -1,10 +1,11 @@
-"""Fusion products: the L_{np-1,1} family, sl2-type fusion, and the CG oracle.
+"""Fusion products: the L_{np-1,1} family and sl2-type fusion, in closed form.
 
-``fuse_C`` implements the closed-form channel rule; ``cg_oracle`` reaches
-the same multiset independently by multiplying Weyl characters and peeling
-irreducible characters from the top degree down.  The two stay separate so
-each can check the other.  ``fuse_L_family`` and ``fusion_ring_product``
-do not restate the rule: both read ``fuse_C`` through the dictionary
+``fuse_C`` implements the closed-form channel rule.  Its oracles live in
+``verify``: ``verify.cg_oracle`` reaches the same multiset independently by
+multiplying Weyl characters and peeling irreducible characters from the top
+degree down, and ``verify.fusion_ring_product_oracle`` recomputes the ring
+product on labels.  ``fuse_L_family`` and ``fusion_ring_product`` do not
+restate the rule: both read ``fuse_C`` through the dictionary
 ``virasoro.sl2_index_to_obj`` (L_0 = K'_{1,1}, L_n = L_{(n+2)p-1,1}).
 """
 
@@ -20,7 +21,6 @@ from .virasoro import (
     UnsupportedObjectError,
     canonical_label,
     canonical_obj,
-    kac_k,
     obj_to_sl2_index,
     sl2_index_to_obj,
 )
@@ -68,9 +68,6 @@ class DecompList(Value):
     def __hash__(self) -> int:
         return hash((self.entries,))
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def to_json(self) -> dict:
         return {"entries": [e.to_json() for e in self.entries]}
 
@@ -94,78 +91,11 @@ def decomp_from_pairs(pairs) -> DecompList:
     return DecompList(tuple(DecompEntry(acc[o], o) for o in order if acc[o]))
 
 
-class CharPoly(Value):
-    """A symmetric Laurent polynomial with non-negative integer coefficients."""
-
-    __slots__ = ("coeffs",)  # sorted (degree, coefficient) pairs
-
-    def __init__(self, coeffs: tuple[tuple[int, int], ...]) -> None:
-        self._assign(coeffs)
-
-    @staticmethod
-    def from_dict(d: dict[int, int]) -> "CharPoly":
-        items = tuple(sorted((k, v) for k, v in d.items() if v))
-        return CharPoly(items)
-
-    @staticmethod
-    def irrep(n: int) -> "CharPoly":
-        """Character of the (n+1)-dimensional module: x^n + x^{n-2} + ... + x^{-n}."""
-        return CharPoly.from_dict({d: 1 for d in range(-n, n + 1, 2)})
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
-    def __mul__(self, other: "CharPoly") -> "CharPoly":
-        out: dict[int, int] = {}
-        for da, ca in self.coeffs:
-            for db, cb in other.coeffs:
-                out[da + db] = out.get(da + db, 0) + ca * cb
-        return CharPoly.from_dict(out)
-
-    def is_symmetric(self) -> bool:
-        d = self.as_dict()
-        return all(d.get(-deg, 0) == c for deg, c in d.items())
-
-    def top_degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero character has no top degree")
-        return self.coeffs[-1][0]
-
-    def dimension(self) -> int:
-        return sum(c for _, c in self.coeffs)
-
-
 def fuse_C(m: int, n: int) -> list[int]:
     """Channels of L_m (x) L_n: {k : |m-n| <= k <= m+n, k = m+n mod 2}."""
     if m < 0 or n < 0:
         raise ValueError(f"indices must be >= 0, got ({m},{n})")
     return list(range(abs(m - n), m + n + 1, 2))
-
-
-def cg_oracle(m: int, n: int) -> list[int]:
-    """Clebsch-Gordan channels by character multiplication and greedy peeling.
-
-    Valid because characters of distinct irreducibles have distinct top
-    degrees and all multiplicities are non-negative.
-    """
-    if m < 0 or n < 0:
-        raise ValueError(f"indices must be >= 0, got ({m},{n})")
-    product = (CharPoly.irrep(m) * CharPoly.irrep(n)).as_dict()
-    peeled: list[int] = []
-    while product:
-        k = max(product)
-        if k < 0 or product[k] <= 0:
-            raise AssertionError(f"character peeling failed at degree {k}: {product}")
-        for _ in range(product[k]):
-            peeled.append(k)
-        mult = product[k]
-        for deg in range(-k, k + 1, 2):
-            c = product.get(deg, 0) - mult
-            if c:
-                product[deg] = c
-            else:
-                product.pop(deg, None)
-    return sorted(peeled)
 
 
 def fuse_L_family(params: Params, m: int, n: int) -> DecompList:
@@ -260,9 +190,3 @@ def fusion_ring_product(params: Params, a: DecompList, b: DecompList) -> DecompL
         tuple(DecompEntry(acc[k], sl2_index_to_obj(params, k)) for k in sorted(acc))
     )
 
-
-def fuse_Kr1_K1s(params: Params, r: int, s: int) -> ObjLabel:
-    """K_{r,1} (x) K_{1,s) = K_{r,s} for all r,s >= 1."""
-    if r < 1 or s < 1:
-        raise ValueError(f"Kac labels need r,s >= 1, got ({r},{s})")
-    return kac_k(r, s)

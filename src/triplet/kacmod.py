@@ -10,7 +10,7 @@ with boundary nodes covering fewer.  Golden tests pin the small cases.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Literal, Optional, Union
+from typing import Literal
 
 from .exactnum import Value, rat_str
 from .virasoro import (
@@ -28,41 +28,16 @@ from .virasoro import (
 )
 
 
-class FusionExpr(Value):
-    """A formal fusion product left (x) right, used as the middle of a sequence."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: ObjLabel, right: ObjLabel) -> None:
-        self._assign(left, right)
-
-    def __str__(self) -> str:
-        return f"{self.left} (x) {self.right}"
-
-
 class ExactSeq(Value):
-    """A short exact sequence 0 -> sub -> mid -> quot -> 0.
-
-    ``sub`` is None for a zero submodule, in which case ``splits`` is
-    None (not applicable) and mid is isomorphic to quot.
-    """
+    """A short exact sequence 0 -> sub -> mid -> quot -> 0."""
 
     __slots__ = ("sub", "mid", "quot", "splits")
 
-    def __init__(
-        self,
-        sub: Optional[ObjLabel],
-        mid: Union[ObjLabel, FusionExpr],
-        quot: ObjLabel,
-        splits: Optional[bool],
-    ) -> None:
-        if sub is None and splits is not None:
-            raise ValueError("a sequence with zero submodule has no split question")
+    def __init__(self, sub: ObjLabel, mid: ObjLabel, quot: ObjLabel, splits: bool) -> None:
         self._assign(sub, mid, quot, splits)
 
     def __str__(self) -> str:
-        sub = "0" if self.sub is None else str(self.sub)
-        return f"0 -> {sub} -> {self.mid} -> {self.quot} -> 0"
+        return f"0 -> {self.sub} -> {self.mid} -> {self.quot} -> 0"
 
 
 Layer = Literal["top", "middle", "socle"]
@@ -134,20 +109,6 @@ def kac_length2_seq(
     if family == "k11dual":
         return ExactSeq(sub=simple_l(1, 1), mid=kac_dual_k11(), quot=simple_l(2 * p - 1, 1), splits=False)
     raise ValueError(f"unknown length-2 family {family!r}")
-
-
-def k12_fusion_seq(params: Params, r: int, s: int) -> ExactSeq:
-    """0 -> K_{r,s-1} -> K_{1,2} (x) K_{r,s} -> K_{r,s+1} -> 0, split iff q does not divide s.
-
-    K_{r,0} := 0, so s = 1 degenerates to the unit isomorphism
-    K_{1,2} (x) K_{r,1} = K_{r,2}.
-    """
-    if r < 1 or s < 1:
-        raise ValueError(f"Kac labels need r,s >= 1, got ({r},{s})")
-    mid = FusionExpr(kac_k(1, 2), kac_k(r, s))
-    if s == 1:
-        return ExactSeq(sub=None, mid=mid, quot=kac_k(r, 2), splits=None)
-    return ExactSeq(sub=kac_k(r, s - 1), mid=mid, quot=kac_k(r, s + 1), splits=s % params.q != 0)
 
 
 def _mm_nn_index_sets(m: int, n: int) -> tuple[list[int], list[int], list[int], list[int]]:

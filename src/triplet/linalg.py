@@ -1,8 +1,10 @@
 """Dense exact linear algebra over Fraction, for the oracles in `verify`.
 
 Only `verify` loads it: the production sl2 maps in `sl2rep` are closed
-forms, and this module builds the brute-force constructions they are
-checked against (nullspace solves, dense inverses, matrix products).
+forms.  The oracles themselves (`verify.cg_system_oracle`,
+`verify.invariant_form_oracle`) live in `verify`; this module holds the
+dense steps they are built from (nullspace solves, dense inverses, matrix
+products).
 Matrices are lists of rows of Fraction; a product also takes tuple rows.
 Elimination and products skip zero entries, which keeps the very sparse
 invariance systems fast despite the dense layout.  A product accumulates
@@ -67,10 +69,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 def mat_vec(a: Matrix, v: list) -> list:
     support = [j for j, x in enumerate(v) if x]
     return [sum((row[j] * v[j] for j in support if row[j]), Fraction(0)) for row in a]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def is_zero_matrix(a: Matrix) -> bool:

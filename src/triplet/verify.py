@@ -34,6 +34,7 @@ from .virasoro import (
     obj_to_sl2_index,
     simple_l,
     sl2_index_to_obj,
+    sl2_lowest_weight,
 )
 
 TEST_PARAMS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
@@ -294,11 +295,43 @@ def fusion_ring_product_oracle(
     return fusion.DecompList(tuple(sorted(merged.entries, key=key)))
 
 
+def _weyl_character(n: int) -> dict[int, int]:
+    """Character of V_n as {degree: multiplicity}: x^n + x^{n-2} + ... + x^{-n}."""
+    return {d: 1 for d in range(-n, n + 1, 2)}
+
+
+def cg_oracle(m: int, n: int) -> list[int]:
+    """Clebsch-Gordan channels by character multiplication and greedy peeling.
+
+    Valid because characters of distinct irreducibles have distinct top
+    degrees and all multiplicities are non-negative.  Independent of
+    `fusion`: it never reads the closed-form rule it checks.
+    """
+    if m < 0 or n < 0:
+        raise ValueError(f"indices must be >= 0, got ({m},{n})")
+    product: dict[int, int] = {}
+    for da in _weyl_character(m):
+        for db in _weyl_character(n):
+            product[da + db] = product.get(da + db, 0) + 1
+    peeled: list[int] = []
+    while product:
+        k = max(product)
+        mult = product[k]
+        if k < 0 or mult <= 0:
+            raise AssertionError(f"character peeling failed at degree {k}: {product}")
+        peeled += [k] * mult
+        for deg in _weyl_character(k):
+            product[deg] = product.get(deg, 0) - mult
+            if not product[deg]:
+                del product[deg]
+    return sorted(peeled)
+
+
 @_property("fusion")
 def fuse_C_equals_cg_oracle():
     for m in range(13):
         for n in range(13):
-            assert fusion.fuse_C(m, n) == fusion.cg_oracle(m, n)
+            assert fusion.fuse_C(m, n) == cg_oracle(m, n)
 
 
 @_property("fusion")
@@ -474,7 +507,7 @@ def cg_system_oracle(m: int, n: int) -> dict[int, tuple[tuple, tuple]]:
     dim = (m + 1) * (n + 1)
     e_t = _kron_sum([list(r) for r in rep_m.e], [list(r) for r in rep_n.e])
     f_t = _kron_sum([list(r) for r in rep_m.f], [list(r) for r in rep_n.f])
-    channels = fusion.cg_oracle(m, n)
+    channels = cg_oracle(m, n)
 
     def weight_indices(w: int) -> list[int]:
         out = []
@@ -568,7 +601,7 @@ def cg_biorthogonality_and_completeness():
     for m in range(7):
         for n in range(7):
             system = sl2rep._cg_system(m, n)
-            assert sorted(system) == fusion.cg_oracle(m, n), f"(m,n)=({m},{n})"
+            assert sorted(system) == cg_oracle(m, n), f"(m,n)=({m},{n})"
             if m <= 5 and n <= 5:
                 assert system == cg_system_oracle(m, n), f"(m,n)=({m},{n})"
             dim = (m + 1) * (n + 1)
@@ -635,6 +668,12 @@ def equivariant_dimension_agreement():
         for pe, ge in zip(plain.entries, graded.entries):
             assert pe.mult == ge.mult == (ge.psl2 + 1)
             assert pe.obj == ge.obj and pe.lowest_weight == ge.lowest_weight
+        # The contragredient is the even part of the sl2 dictionary: entry n
+        # is L_{2n-2}, with K'_{1,1} = L_0 at n = 1.
+        for n, entry in enumerate(wpq.decompose_wprime(params, 20).entries, start=1):
+            assert entry.obj == sl2_index_to_obj(params, 2 * n - 2)
+            assert entry.psl2 == 2 * n - 2 and entry.mult == 2 * n - 1
+            assert entry.lowest_weight == sl2_lowest_weight(params, 2 * n - 2)
 
 
 @_property("wpq")

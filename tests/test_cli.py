@@ -264,6 +264,10 @@ BENCHMARK_GOLDENS = json.loads(
 GOLDEN_REQUESTS = sorted(req for req in BENCHMARK_GOLDENS if req != "verify --suite all")
 
 
+def _no_float(text: str):
+    raise AssertionError(f"non-exact number in JSON output: {text}")
+
+
 @pytest.mark.parametrize("request_line", GOLDEN_REQUESTS)
 def test_cli_matches_benchmark_goldens(request_line, monkeypatch):
     monkeypatch.delenv("TRIPLET_OUTPUT", raising=False)
@@ -273,6 +277,10 @@ def test_cli_matches_benchmark_goldens(request_line, monkeypatch):
         golden["exit"],
         golden["stdout_sha256"],
     )
+    # Exact values are printed as strings or integers; a float, NaN or
+    # Infinity in the JSON would mean an inexact value reached the output.
+    if out.startswith("{"):
+        json.loads(out, parse_float=_no_float, parse_constant=_no_float)
 
 
 def test_braiding_output():

@@ -7,21 +7,19 @@ import pytest
 from triplet import fusion, verify
 from triplet.exactnum import CACHE_SIZE
 from triplet.fusion import (
-    CharPoly,
     DecompEntry,
     DecompList,
-    cg_oracle,
     decomp_from_pairs,
     fuse_C,
-    fuse_Kr1_K1s,
     fuse_L_family,
     fusion_ring_product,
 )
 from triplet.kacmod import UnsupportedObjectError
-from triplet.verify import PROPERTIES, fusion_ring_product_oracle
+from triplet.verify import PROPERTIES, cg_oracle, fusion_ring_product_oracle
 from triplet.virasoro import Params, kac_dual_k11, kac_k, simple_l, sl2_index_to_obj
 
 PAIRS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
+ZERO = DecompList(())
 
 
 def one(obj) -> DecompList:
@@ -39,21 +37,42 @@ def test_cg_oracle_examples():
     assert cg_oracle(2, 2) == [0, 2, 4]
     for m in range(8):
         assert cg_oracle(m, 0) == [m]
+    with pytest.raises(ValueError, match=r"indices must be >= 0, got \(-1,2\)"):
+        cg_oracle(-1, 2)
+
+
+def test_cg_oracle_fails_loudly_when_peeling_fails(monkeypatch):
+    # A wrong irreducible character of V_2 (two degrees too wide) peels more
+    # than the product V_1 (x) V_1 holds.
+    right = verify._weyl_character
+    monkeypatch.setattr(
+        verify,
+        "_weyl_character",
+        lambda n: {d: 1 for d in range(-n - 2, n + 3, 2)} if n == 2 else right(n),
+    )
+    with pytest.raises(AssertionError, match="character peeling failed at degree 4"):
+        cg_oracle(1, 1)
 
 
 def test_fuse_C_matches_oracle():
     PROPERTIES["fusion"]["fuse_C_equals_cg_oracle"]()
 
 
-def test_char_poly_invariants():
-    for n in range(9):
-        ch = CharPoly.irrep(n)
-        assert ch.is_symmetric()
-        assert ch.top_degree() == n
-        assert ch.dimension() == n + 1
-    prod = CharPoly.irrep(3) * CharPoly.irrep(5)
-    assert prod.is_symmetric()
-    assert prod.dimension() == 24
+@pytest.mark.parametrize(
+    "name", ["fuse_C_equals_cg_oracle", "dimension_grading", "even_subring_closed"]
+)
+def test_fuse_C_properties_catch_a_wrong_channel(name, monkeypatch):
+    # Wrong only at (4,6), inside every property's range: the lowest channel
+    # is raised by 1, which breaks the oracle, the dimension count and parity.
+    right = fusion.fuse_C
+
+    def wrong(m, n):
+        out = right(m, n)
+        return [out[0] + 1] + out[1:] if (m, n) == (4, 6) else out
+
+    monkeypatch.setattr(fusion, "fuse_C", wrong)
+    with pytest.raises(AssertionError):
+        PROPERTIES["fusion"][name]()
 
 
 def test_fuse_L_family_examples():
@@ -86,9 +105,9 @@ def test_fusion_ring_annihilation_and_unit():
         socle = one(simple_l(2 * p - 1, 1))
         unit = one(kac_dual_k11())
         l1 = one(simple_l(3 * p - 1, 1))
-        assert fusion_ring_product(params, l11, socle).is_zero()
-        assert fusion_ring_product(params, l11, l1).is_zero()
-        assert fusion_ring_product(params, l11, unit).is_zero()
+        assert fusion_ring_product(params, l11, socle) == ZERO
+        assert fusion_ring_product(params, l11, l1) == ZERO
+        assert fusion_ring_product(params, l11, unit) == ZERO
         assert fusion_ring_product(params, unit, l1) == l1
         assert fusion_ring_product(params, socle, l1) == l1
         assert fusion_ring_product(params, socle, socle) == unit
@@ -194,8 +213,8 @@ def test_fusion_ring_rejections():
     with pytest.raises(UnsupportedObjectError):
         fusion_ring_product(params, one(kac_k(1, 2)), one(kac_dual_k11()))
     # L_{1,1} annihilates before the other entry is looked at.
-    assert fusion_ring_product(params, l11, one(kac_k(1, 2))).is_zero()
-    assert fusion_ring_product(params, one(kac_k(1, 2)), l11).is_zero()
+    assert fusion_ring_product(params, l11, one(kac_k(1, 2))) == ZERO
+    assert fusion_ring_product(params, one(kac_k(1, 2)), l11) == ZERO
     # The socle message names both canonical labels; L_{1,5} is L_{3,1} here.
     for socle in (simple_l(3, 1), simple_l(1, 5)):
         with pytest.raises(UnsupportedObjectError) as exc:
@@ -252,16 +271,6 @@ def test_fusion_ring_product_equals_oracle_on_mixed_lists():
 
         for _ in range(300):
             _assert_equals_oracle(params, draw(), draw())
-
-
-def test_fuse_Kr1_K1s():
-    params = Params(2, 3)
-    assert fuse_Kr1_K1s(params, 1, 1) == kac_k(1, 1)
-    assert fuse_Kr1_K1s(params, 3, 5) == kac_k(3, 5)
-    for s in range(1, 6):
-        assert fuse_Kr1_K1s(params, 1, s) == kac_k(1, s)
-    with pytest.raises(ValueError):
-        fuse_Kr1_K1s(params, 0, 1)
 
 
 def test_decomp_list_invariants():

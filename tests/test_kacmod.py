@@ -12,7 +12,6 @@ from triplet.kacmod import (
     UnsupportedObjectError,
     composition_factors,
     diagram_to_dot,
-    k12_fusion_seq,
     kac_length2_seq,
     kac_mm_nn_diagram,
     mm_nn_indices,
@@ -63,17 +62,6 @@ def test_length2_range_errors():
         kac_length2_seq(Params(2, 3), "column", n=-1, s=1)
     with pytest.raises(ValueError):
         kac_length2_seq(Params(2, 3), "column", n=0, s=3)  # s must be <= q-1
-
-
-def test_k12_fusion_seq():
-    p23 = Params(2, 3)
-    unit = k12_fusion_seq(p23, 1, 1)
-    assert unit.sub is None and unit.splits is None
-    assert unit.quot == kac_k(1, 2)
-    assert k12_fusion_seq(p23, 1, 3).splits is False  # q | s
-    assert k12_fusion_seq(p23, 2, 2).splits is True
-    seq = k12_fusion_seq(p23, 2, 5)
-    assert seq.sub == kac_k(2, 4) and seq.quot == kac_k(2, 6)
 
 
 GOLDEN_22 = {

@@ -6,14 +6,19 @@ from fractions import Fraction
 import pytest
 
 from triplet import linalg, sl2rep
-from triplet.fusion import cg_oracle
 from triplet.sl2rep import (
     build_irrep,
     cg_maps,
     invariant_form,
     simplicity_witness,
 )
-from triplet.verify import PROPERTIES, _kron_sum, cg_system_oracle, invariant_form_oracle
+from triplet.verify import (
+    PROPERTIES,
+    _kron_sum,
+    cg_oracle,
+    cg_system_oracle,
+    invariant_form_oracle,
+)
 
 
 def test_build_irrep_small():
@@ -55,7 +60,7 @@ def test_invariant_form_invariance_equations():
         b = [list(r) for r in invariant_form(n).matrix]
         for mat in (rep.e, rep.f, rep.h):
             x = [list(r) for r in mat]
-            lhs = linalg.mat_mul(linalg.transpose(x), b)
+            lhs = linalg.mat_mul([list(col) for col in zip(*x)], b)
             rhs = linalg.mat_mul(b, x)
             assert linalg.is_zero_matrix(
                 [[a + c for a, c in zip(ra, rc)] for ra, rc in zip(lhs, rhs)]

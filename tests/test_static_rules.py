@@ -3,6 +3,8 @@
 Runtime invariants raise explicitly, since ``python -O`` strips ``assert``;
 only ``verify``, whose checks the CLI refuses to run under ``-O``, asserts.
 Nothing is floating point, and ``math`` serves only integer gcd/lcm.
+Brute-force oracles live only in ``verify``, and the character oracle never
+reads the closed form it checks.
 """
 
 import ast
@@ -71,6 +73,44 @@ def test_math_only_for_gcd_and_lcm(path):
     assert bad == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_oracles_only_in_verify(path):
+    if path.name == "verify.py":
+        return
+    found = [
+        _where(path, n)
+        for n in _tree(path).body
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name.endswith("_oracle")
+    ]
+    assert found == []
+
+
+def _names_used(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def _names_reached(path: Path, root: str) -> set[str]:
+    """The names used by function `root` of `path` and, transitively, by the
+    module-level functions it calls."""
+    functions = {n.name: n for n in _tree(path).body if isinstance(n, ast.FunctionDef)}
+    pending, seen, used = [root], set(), set()
+    while pending:
+        name = pending.pop()
+        if name not in seen:
+            seen.add(name)
+            names = _names_used(functions[name])
+            used |= names
+            pending += sorted(names & functions.keys())
+    return used
+
+
+def test_cg_oracle_does_not_read_fusion():
+    verify_py = next(path for path in SOURCES if path.name == "verify.py")
+    assert not _names_reached(verify_py, "cg_oracle") & {"fuse_C", "fusion"}
+
+
 def test_static_rules_catch_a_violation(tmp_path):
     # The walks above see each kind of violation they are meant to reject.
     src = tmp_path / "mutant.py"
@@ -84,3 +124,8 @@ def test_static_rules_catch_a_violation(tmp_path):
     src.write_text("from math import gcd, isqrt\n")
     with pytest.raises(AssertionError):
         test_math_only_for_gcd_and_lcm(src)
+    src.write_text("class CharOracle:\n    pass\ndef cg_oracle(m, n):\n    return []\n")
+    with pytest.raises(AssertionError):
+        test_oracles_only_in_verify(src)
+    src.write_text("def cg_oracle(m, n):\n    return _peel(m, n)\ndef _peel(m, n):\n    return fuse_C(m)\n")
+    assert "fuse_C" in _names_reached(src, "cg_oracle")

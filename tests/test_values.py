@@ -16,8 +16,8 @@ import pytest
 import triplet
 from triplet.braidfmat import hexagon_solutions
 from triplet.exactnum import ParamScalar, Phase, Value
-from triplet.fusion import CharPoly, DecompEntry, DecompList, fuse_L_family
-from triplet.kacmod import ExactSeq, FusionExpr, k12_fusion_seq, kac_mm_nn_diagram
+from triplet.fusion import DecompEntry, DecompList, fuse_L_family
+from triplet.kacmod import kac_length2_seq, kac_mm_nn_diagram
 from triplet.sl2rep import build_irrep, invariant_form
 from triplet.virasoro import ObjLabel, Params, VirLabel, kac_dual_k11, kac_k, simple_l
 from triplet.wpq import GradedEntry, decompose_wpq_equivariant
@@ -36,9 +36,7 @@ INSTANCES = [
     simple_l(5, 1),
     DecompEntry(2, kac_k(1, 2)),
     fuse_L_family(P23, 2, 3),
-    CharPoly.irrep(2),
-    FusionExpr(kac_k(1, 2), kac_k(2, 1)),
-    k12_fusion_seq(P23, 2, 2),
+    kac_length2_seq(P23, "k11"),
     DIAGRAM.nodes[0],
     DIAGRAM,
     WPQ.entries[-1],
@@ -67,7 +65,7 @@ def test_instances_cover_every_value_class():
                 classes.add(sub)
                 pending.append(sub)
     assert classes == {type(x) for x in INSTANCES}
-    assert len(INSTANCES) == 18
+    assert len(INSTANCES) == 16
 
 
 def test_equal_fields_of_different_classes_are_unequal():
@@ -149,11 +147,6 @@ def test_obj_label_default_and_keyword_construction():
             "entries must be pairwise distinct",
         ),
         (
-            lambda: ExactSeq(None, kac_k(1, 2), kac_k(1, 2), False),
-            ValueError,
-            "a sequence with zero submodule has no split question",
-        ),
-        (
             lambda: GradedEntry(3, 4, kac_k(1, 1), Fraction(0)),
             ValueError,
             "grading labels are even and >= 0, got 3",
@@ -180,7 +173,6 @@ def test_obj_label_default_and_keyword_construction():
         "paramscalar-zero-den",
         "decomplist-mult",
         "decomplist-distinct",
-        "exactseq-split",
         "gradedentry-odd",
         "gradedentry-negative",
         "gradedentry-mult",
@@ -195,8 +187,7 @@ def test_constructor_checks(build, error, message):
 
 def test_checks_pass_on_valid_edge_cases():
     # The boundary values each check admits.
-    assert ExactSeq(None, kac_k(1, 2), kac_k(1, 2), None).splits is None
     assert GradedEntry(None, 7, kac_k(1, 1), Fraction(0)).mult == 7
     assert GradedEntry(0, 1, kac_k(1, 1), Fraction(0)).psl2 == 0
     assert ParamScalar((), (0, 5)) == ParamScalar.const(0)
-    assert DecompList(()).is_zero()
+    assert DecompList(()).entries == ()

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from triplet import wpq
 from triplet.kacmod import kac_length2_seq
 from triplet.verify import PROPERTIES
 from triplet.virasoro import Params, kac_dual_k11, kac_k, simple_l
@@ -88,3 +89,12 @@ def test_o0_weight_identity():
     assert rows == [(2, Fraction(12), True)]
     rows34 = o0_weight_identity(Params(3, 4), 2)
     assert rows34 == [(2, Fraction(30), True)]
+
+
+def test_contragredient_property_catches_a_wrong_head(monkeypatch):
+    # K_{1,1} in place of K'_{1,1}: every multiplicity, grading label and
+    # lowest weight is unchanged, so only the dictionary comparison fails.
+    wrong = lambda params, n_max: wpq._decompose(params, kac_k(1, 1), True, n_max)
+    monkeypatch.setattr(wpq, "decompose_wprime", wrong)
+    with pytest.raises(AssertionError):
+        PROPERTIES["wpq"]["equivariant_dimension_agreement"]()
