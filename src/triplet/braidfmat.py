@@ -11,35 +11,34 @@ discrepancy is flagged rather than resolved.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Literal, Union
+from typing import Literal
 
 from .exactnum import ParamScalar, Phase, Rat, Value, phase_from_weight
 from .fusion import fuse_C
 from .virasoro import Params, VirLabel, conformal_weight, sl2_lowest_weight
 
-Scalar = Union[Rat, ParamScalar]
-
 
 class FMatrix(Value):
-    """The 2x2 change-of-bracketing matrix on the channels {0,2}."""
+    """The 2x2 change-of-bracketing matrix on the channels {0,2}.
+
+    Entries are stored as ``ParamScalar``; a rational entry is coerced to a
+    constant.
+    """
 
     __slots__ = ("f00", "f02", "f20", "f22")
 
-    def __init__(self, f00: Scalar, f02: Scalar, f20: Scalar, f22: Scalar) -> None:
-        self._assign(f00, f02, f20, f22)
+    def __init__(self, f00, f02, f20, f22) -> None:
+        self._assign(*[ParamScalar.coerce(x) for x in (f00, f02, f20, f22)])
 
-    def entries(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    def entries(self) -> tuple[ParamScalar, ParamScalar, ParamScalar, ParamScalar]:
         return (self.f00, self.f02, self.f20, self.f22)
 
     def determinant(self) -> ParamScalar:
-        a, b, c, d = (ParamScalar.coerce(x) for x in self.entries())
+        a, b, c, d = self.entries()
         return a * d - b * c
 
     def evaluate(self, t0: Rat) -> "FMatrix":
-        def ev(x: Scalar) -> Rat:
-            return x.eval(t0) if isinstance(x, ParamScalar) else Fraction(x)
-
-        return FMatrix(*(ev(x) for x in self.entries()))
+        return FMatrix(*(x.eval(t0) for x in self.entries()))
 
 
 class FSolution(Value):
@@ -109,19 +108,14 @@ def hexagon_solutions(params: Params) -> list[FSolution]:
     eps = _epsilon(params)
     # x^2 = eps*x has the one nonzero root eps, and F20*(F00 + F22) = -eps*F20
     # with F00 + F22 = 2*eps != -eps leaves only F20 = 0.
-    f_diag = Fraction(eps)
-    diag = FSolution(
-        kind="Diagonal",
-        epsilon=eps,
-        matrix=FMatrix(f_diag, Fraction(0), Fraction(0), f_diag),
-    )
+    diag = FSolution(kind="Diagonal", epsilon=eps, matrix=FMatrix(eps, 0, 0, eps))
     t = ParamScalar.t()
     f00 = ParamScalar.const(Fraction(-eps, 2))  # F00 = F22 = -eps/2
     f20 = (f00 * eps - f00 * f00) / t  # eps*F00 = F00^2 + F02*F20
     param = FSolution(kind="Parametrized", epsilon=eps, matrix=FMatrix(f00, t, f20, f00))
     for sol in (diag, param):
         residual = hexagon_residual(params, sol.matrix)
-        if any(not ParamScalar.coerce(x).is_zero() for x in residual.entries()):
+        if any(not x.is_zero() for x in residual.entries()):
             raise AssertionError(f"hexagon solution {sol.kind} fails the constraint")
         if sol.matrix.determinant().is_zero():
             raise AssertionError(f"hexagon solution {sol.kind} is not invertible")
@@ -131,7 +125,7 @@ def hexagon_solutions(params: Params) -> list[FSolution]:
 def hexagon_residual(params: Params, matrix: FMatrix) -> FMatrix:
     """(-1)^{pq} * [[F00,-F02],[-F20,F22]] - F^2 over the rational-function field."""
     eps = _epsilon(params)
-    a, b, c, d = (ParamScalar.coerce(x) for x in matrix.entries())
+    a, b, c, d = matrix.entries()
     sq = (a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d)
     lhs = (a * eps, -b * eps, -c * eps, d * eps)
     return FMatrix(*(l - s for l, s in zip(lhs, sq)))
@@ -153,8 +147,7 @@ def hexagon_sign_matrix(r0: Phase, r2: Phase) -> tuple[tuple[Rat, Rat], tuple[Ra
 
 def intrinsic_dimension(sol: FSolution) -> Rat:
     """1/F00: the evaluation-coevaluation composite on the unit channel."""
-    f00 = sol.matrix.f00
-    value = f00.as_rat() if isinstance(f00, ParamScalar) else Fraction(f00)
+    value = sol.matrix.f00.as_rat()
     if value == 0:
         raise ValueError("F00 = 0: not an invertible hexagon solution")
     return 1 / value

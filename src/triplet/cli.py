@@ -18,7 +18,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .exactnum import ParamScalar, Phase, rat_str
+from .exactnum import Phase, rat_str
 from .virasoro import (
     Params,
     UnsupportedObjectError,
@@ -40,12 +40,6 @@ VERIFY_SUITES = ("braidfmat", "exactnum", "fusion", "kacmod", "sl2rep", "virasor
 
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _scalar_str(x) -> str:
-    if isinstance(x, ParamScalar):
-        return str(x)
-    return rat_str(Fraction(x))
 
 
 def _resolve_params(args) -> Params:
@@ -159,8 +153,8 @@ def _cmd_kac_diagram(args) -> int:
 
 def _fmatrix_json(matrix) -> list[list[str]]:
     return [
-        [_scalar_str(matrix.f00), _scalar_str(matrix.f02)],
-        [_scalar_str(matrix.f20), _scalar_str(matrix.f22)],
+        [str(matrix.f00), str(matrix.f02)],
+        [str(matrix.f20), str(matrix.f22)],
     ]
 
 
@@ -220,7 +214,7 @@ def _cmd_hexagon(args) -> int:
     }
     for sol in solutions:
         residual = braidfmat.hexagon_residual(params, sol.matrix)
-        zero = all(ParamScalar.coerce(x).is_zero() for x in residual.entries())
+        zero = all(x.is_zero() for x in residual.entries())
         payload["residual_zero"] = payload["residual_zero"] and zero
         entry = {
             "kind": sol.kind,

@@ -4,8 +4,9 @@ Every scalar this package produces is one of three things: an exact
 rational (``Rat``), a single root of unity stored as a rational multiple
 of pi (``Phase``), or a Laurent polynomial in one formal parameter t
 (``ParamScalar``), which is all the hexagon-constrained F-matrix needs:
-its entries are constants, t and -3/(4t).  Nothing here is ever floating
-point.
+its entries are constants, t and -3/(4t).  A ``ParamScalar`` is its tuple
+of (exponent, coefficient) terms, sorted by exponent, with no zero
+coefficients.  Nothing here is ever floating point.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from fractions import Fraction
 # denominator.  fractions.Fraction already guarantees both invariants.
 Rat = Fraction
 
-# One bound for every lru_cache of the package, far above the distinct keys
+# One bound for every lru_cache of the package, above the distinct keys
 # that `verify --suite all` asks for: 11 each in `sl2rep.build_irrep` and
-# `sl2rep.invariant_form`, 49 each in `sl2rep._cg_system` and
+# `sl2rep.invariant_form`, 49 in `sl2rep._cg_system`, 83 in
 # `virasoro._sl2_obj`, and 21 in `fusion._entry_class`.
 CACHE_SIZE = 128
 
@@ -124,130 +125,35 @@ def phase_from_weight(h: Rat, multiple: int) -> Phase:
     return Phase(multiple * Fraction(h))
 
 
-# ---------------------------------------------------------------------------
-# Univariate polynomials over Rat, dense coefficient lists (index = degree).
-# Only what ParamScalar needs: ring ops, shifts, evaluation, printing.
-# ---------------------------------------------------------------------------
-
-Poly = tuple  # tuple[Rat, ...], normalized so the last entry is nonzero
-
-POLY_ZERO: Poly = ()
-POLY_ONE: Poly = (Fraction(1),)
-POLY_T: Poly = (Fraction(0), Fraction(1))
-
-
-def poly_from_coeffs(coeffs) -> Poly:
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def poly_const(c: Rat) -> Poly:
-    return poly_from_coeffs([c])
-
-
-def poly_shift(a: Poly, k: int) -> Poly:
-    """a * t^k for k >= 0."""
-    return (Fraction(0),) * k + a if a and k else a
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return poly_from_coeffs(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def poly_neg(a: Poly) -> Poly:
-    return tuple(-c for c in a)
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return POLY_ZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return poly_from_coeffs(out)
-
-
-def poly_eval(a: Poly, t0: Rat) -> Rat:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * t0 + c
-    return acc
-
-
-def poly_str(a: Poly) -> str:
-    if not a:
-        return "0"
-    terms = []
-    for deg in range(len(a) - 1, -1, -1):
-        c = a[deg]
-        if c == 0:
-            continue
-        if deg == 0:
-            terms.append(rat_str(c))
-        elif deg == 1:
-            terms.append("t" if c == 1 else "-t" if c == -1 else f"{rat_str(c)}*t")
-        else:
-            base = f"t^{deg}"
-            terms.append(base if c == 1 else f"-{base}" if c == -1 else f"{rat_str(c)}*{base}")
-    out = terms[0]
-    for term in terms[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out
-
-
 class ParamScalar(Value):
-    """An element num(t)/t^k of the Laurent polynomial ring Q[t, 1/t].
+    """An element sum_e c_e*t^e of the Laurent polynomial ring Q[t, 1/t].
 
-    ``den`` is the monic monomial t^k with k >= 0, and t divides ``num``
-    only when k = 0; zero is 0/1.  The hexagon F-matrix divides only by t,
-    so division is defined only by a nonzero monomial c*t^j.  Dividing by
-    anything else, or constructing with a ``den`` of more than one term,
-    raises ``ValueError``.
+    ``terms`` holds the pairs (e, c_e) with increasing exponents and nonzero
+    Fraction coefficients; zero has no terms.  The constructor takes any
+    iterable of (exponent, coefficient) pairs and merges equal exponents,
+    drops zeros and sorts, so a pickled or copied value is normalized again.
+    The hexagon F-matrix divides only by t, so division is defined only by
+    a one-term divisor c*t^j; dividing by anything else raises
+    ``ValueError``.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("terms",)
 
-    def __init__(self, num: Poly, den: Poly) -> None:
-        num = poly_from_coeffs(num)
-        den = poly_from_coeffs(den)
-        if not den:
-            raise ZeroDivisionError("ParamScalar with zero denominator")
-        k = len(den) - 1
-        if any(den[:k]):
-            raise ValueError(f"ParamScalar denominator {poly_str(den)} is not a monomial c*t^k")
-        lead = den[k]
-        self._assign(*ParamScalar._reduced(tuple([c / lead for c in num]), k))
-
-    @staticmethod
-    def _reduced(num: Poly, k: int) -> tuple[Poly, Poly]:
-        """The fields of num/t^k, for a normalized num, with common powers of t cancelled."""
-        if not num:
-            return POLY_ZERO, POLY_ONE
-        low = 0
-        while low < k and not num[low]:
-            low += 1
-        return num[low:], poly_shift(POLY_ONE, k - low)
-
-    @staticmethod
-    def _laurent(num: Poly, k: int) -> "ParamScalar":
-        out = object.__new__(ParamScalar)
-        out._assign(*ParamScalar._reduced(num, k))
-        return out
+    def __init__(self, terms) -> None:
+        merged: dict[int, Rat] = {}
+        for e, c in terms:
+            if c.__class__ is not Fraction:
+                c = Fraction(c)
+            merged[e] = merged[e] + c if e in merged else c
+        object.__setattr__(self, "terms", tuple([(e, c) for e, c in sorted(merged.items()) if c]))
 
     @staticmethod
     def const(c: Rat) -> "ParamScalar":
-        return ParamScalar._laurent(poly_const(c), 0)
+        return ParamScalar(((0, c),))
 
     @staticmethod
     def t() -> "ParamScalar":
-        return ParamScalar._laurent(POLY_T, 0)
+        return ParamScalar(((1, 1),))
 
     @staticmethod
     def coerce(x) -> "ParamScalar":
@@ -256,56 +162,71 @@ class ParamScalar(Value):
         return ParamScalar.const(x)
 
     def __add__(self, other) -> "ParamScalar":
-        other = ParamScalar.coerce(other)
-        j, k = len(self.den) - 1, len(other.den) - 1
-        m = max(j, k)
-        return ParamScalar._laurent(
-            poly_add(poly_shift(self.num, m - j), poly_shift(other.num, m - k)), m
-        )
+        return ParamScalar(self.terms + ParamScalar.coerce(other).terms)
 
     def __sub__(self, other) -> "ParamScalar":
         return self + (-ParamScalar.coerce(other))
 
     def __neg__(self) -> "ParamScalar":
-        return ParamScalar._laurent(poly_neg(self.num), len(self.den) - 1)
+        return ParamScalar([(e, -c) for e, c in self.terms])
 
     def __mul__(self, other) -> "ParamScalar":
         other = ParamScalar.coerce(other)
-        return ParamScalar._laurent(
-            poly_mul(self.num, other.num), len(self.den) + len(other.den) - 2
-        )
+        return ParamScalar([(i + j, a * b) for i, a in self.terms for j, b in other.terms])
 
     def __truediv__(self, other) -> "ParamScalar":
         other = ParamScalar.coerce(other)
-        if other.is_zero():
+        if not other.terms:
             raise ZeroDivisionError("division by the zero rational function")
-        # With self = a/t^j and other = c*t^i/t^k, self / other = (a/c) / t^(j + i - k).
-        i = len(other.num) - 1
-        if any(other.num[:i]):
+        if len(other.terms) > 1:
             raise ValueError(f"division by {other}, which is not a monomial c*t^j")
-        c = other.num[i]
-        num = tuple([x / c for x in self.num])
-        e = len(self.den) + i - len(other.den)
-        if e < 0:
-            return ParamScalar._laurent(poly_shift(num, -e), 0)
-        return ParamScalar._laurent(num, e)
+        ((j, c),) = other.terms
+        return ParamScalar([(e - j, x / c) for e, x in self.terms])
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.terms
 
     def eval(self, t0: Rat) -> Rat:
-        k = len(self.den) - 1
-        if k and t0 == 0:
+        # Sum c*t0^(e - low), then divide by t0^(-low): every power is >= 0, so an
+        # int t0 never meets a negative power, which would give a float.
+        low = min(0, self.terms[0][0]) if self.terms else 0
+        if low and t0 == 0:
             raise ZeroDivisionError(f"denominator vanishes at t={t0}")
-        return poly_eval(self.num, t0) / t0**k
+        acc = Fraction(0)
+        for e, c in self.terms:
+            acc += c * t0 ** (e - low)
+        return acc / t0**-low
 
     def as_rat(self) -> Rat:
         """Return the value when constant; error otherwise."""
-        if len(self.num) > 1 or len(self.den) > 1:
+        if not self.terms:
+            return Fraction(0)
+        if len(self.terms) > 1 or self.terms[0][0]:
             raise ValueError(f"{self} is not a constant")
-        return self.num[0] if self.num else Fraction(0)
+        return self.terms[0][1]
 
     def __str__(self) -> str:
-        if self.den == POLY_ONE:
-            return poly_str(self.num)
-        return f"({poly_str(self.num)})/({poly_str(self.den)})"
+        """The polynomial when no exponent is negative, else (num)/(t^k) with k = -lowest."""
+        low = self.terms[0][0] if self.terms else 0
+        if low >= 0:
+            return _polynomial_str(self.terms)
+        num = _polynomial_str([(e - low, c) for e, c in self.terms])
+        return f"({num})/(t)" if low == -1 else f"({num})/(t^{-low})"
+
+
+def _polynomial_str(terms) -> str:
+    """Print terms with exponents >= 0, highest first: "-t^2 + 2*t - 1/3"."""
+    out = ""
+    for e, c in reversed(terms):
+        if e == 0:
+            term = rat_str(c)
+        else:
+            base = "t" if e == 1 else f"t^{e}"
+            term = base if c == 1 else f"-{base}" if c == -1 else f"{rat_str(c)}*{base}"
+        if not out:
+            out = term
+        elif term.startswith("-"):
+            out += f" - {term[1:]}"
+        else:
+            out += f" + {term}"
+    return out or "0"

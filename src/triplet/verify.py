@@ -404,7 +404,7 @@ def hexagon_solutions_zero_residual():
     for params in TEST_PARAMS:
         for sol in braidfmat.hexagon_solutions(params):
             residual = braidfmat.hexagon_residual(params, sol.matrix)
-            assert all(ParamScalar.coerce(x).is_zero() for x in residual.entries())
+            assert all(x.is_zero() for x in residual.entries())
 
 
 @_property("braidfmat")

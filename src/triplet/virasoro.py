@@ -205,4 +205,4 @@ def sl2_lowest_weight(params: Params, n: int) -> Rat:
     """Lowest conformal weight of L_n: 0 for the unit K'_{1,1}."""
     if n == 0:
         return Fraction(0)
-    return conformal_weight(params, VirLabel((n + 2) * params.p - 1, 1))
+    return conformal_weight(params, sl2_index_to_obj(params, n).label)

@@ -13,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactnum import Rat, Value
-from .virasoro import ObjLabel, Params, VirLabel, conformal_weight, kac_dual_k11, kac_k, simple_l
+from .virasoro import ObjLabel, Params, VirLabel, conformal_weight, kac_dual_k11, kac_k
+from .virasoro import simple_l, sl2_index_to_obj, sl2_lowest_weight
 
 
 class GradedEntry(Value):
@@ -36,22 +37,19 @@ class GradedDecomp(Value):
         self._assign(entries, n_max)
 
 
-def _decompose(params: Params, head: ObjLabel | None, graded: bool, n_max: int) -> GradedDecomp:
-    # Entry n is (2n-1) L_{2np-1,1}, graded by V_{2n-2}; a head of weight 0
-    # takes the place of the n = 1 term.
-    first = 1 if head is None else 2
-    if n_max < first:
-        raise ValueError(f"n_max must be >= {first}, got {n_max}")
-    entries = []
-    for n in range(1, n_max + 1):
-        if n == 1 and head is not None:
-            obj, h = head, Fraction(0)
-        else:
-            obj = simple_l(2 * n * params.p - 1, 1)
-            h = conformal_weight(params, obj.label)
-        entries.append(
-            GradedEntry(psl2=2 * n - 2 if graded else None, mult=2 * n - 1, obj=obj, lowest_weight=h)
-        )
+def _decompose(
+    params: Params, head: ObjLabel, graded: bool, n_max: int, n_min: int = 2
+) -> GradedDecomp:
+    # Entry 1 is the head, of the weight of its label (0 for K'_{1,1});
+    # entry n >= 2 is (2n-1) copies of the dictionary's L_{2n-2} = L_{2np-1,1},
+    # graded by V_{2n-2}.
+    if n_max < n_min:
+        raise ValueError(f"n_max must be >= {n_min}, got {n_max}")
+    h = Fraction(0) if head.label is None else conformal_weight(params, head.label)
+    entries = [GradedEntry(psl2=0 if graded else None, mult=1, obj=head, lowest_weight=h)]
+    for k in range(2, 2 * n_max - 1, 2):
+        obj, h = sl2_index_to_obj(params, k), sl2_lowest_weight(params, k)
+        entries.append(GradedEntry(k if graded else None, k + 1, obj, h))
     return GradedDecomp(entries=tuple(entries), n_max=n_max)
 
 
@@ -69,7 +67,7 @@ def decompose_wpq_equivariant(params: Params, n_max: int) -> GradedDecomp:
 
 def decompose_ideal(params: Params, n_max: int) -> GradedDecomp:
     """The simple ideal: (2n-1) copies of L_{2np-1,1} for 1 <= n <= n_max."""
-    return _decompose(params, None, False, n_max)
+    return _decompose(params, simple_l(2 * params.p - 1, 1), False, n_max, n_min=1)
 
 
 def decompose_wprime(params: Params, n_max: int) -> GradedDecomp:

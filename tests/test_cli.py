@@ -300,10 +300,16 @@ def test_braiding_output():
 def test_braiding_large_n_within_budget():
     # One R-scalar and one balancing phase per channel: linear in n.  A
     # channel check that rebuilds fuse_C(n, n) per channel is quadratic
-    # (0.9 s at n=5000 on a 2-vCPU Xeon).
-    start = time.perf_counter()
+    # (0.9 s at n=5000 on a 2-vCPU Xeon).  The layers the subcommand imports
+    # are loaded first, so the clock times the call and not the imports, and
+    # it reads this process's CPU time, which other processes on a shared
+    # host do not inflate.
+    import triplet.braidfmat  # noqa: F401
+    import triplet.fusion  # noqa: F401
+
+    start = time.process_time()
     code, out, _ = run_cli(["braiding", "--p", "2", "--q", "3", "--n", "5000"])
-    assert time.perf_counter() - start < 0.5
+    assert time.process_time() - start < 0.5
     assert code == 0
     assert len(json.loads(out)["formula"]) == 5001
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from triplet.exactnum import ParamScalar, Phase, phase_from_weight, rat_str
-from triplet.verify import PROPERTIES
+from triplet import fusion, sl2rep, virasoro
+from triplet.exactnum import CACHE_SIZE, ParamScalar, Phase, phase_from_weight, rat_str
+from triplet.verify import PROPERTIES, SUITES, run_suites
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 phases = st.fractions(min_value=-100, max_value=100, max_denominator=48).map(Phase)
@@ -69,23 +70,28 @@ def test_param_scalar_normalization():
     t = ParamScalar.t()
     two_t_over_two = (t + t) / ParamScalar.const(Fraction(2))
     assert two_t_over_two == t
-    # denominator is kept monic: (1)/(2t) stores as (1/2)/t
+    assert two_t_over_two.terms == ((1, Fraction(1)),)
+    # 1/(2t) stores as the one term (1/2)*t^-1
     half_inv = ParamScalar.const(Fraction(1)) / (ParamScalar.const(Fraction(2)) * t)
-    assert half_inv.den == t.num
-    assert half_inv.num == (Fraction(1, 2),)
+    assert half_inv.terms == ((-1, Fraction(1, 2)),)
     # the common power of t cancels: t^2/t^3 stores as 1/t
     inv = (t * t) / (t * t * t)
     assert inv == ParamScalar.const(Fraction(1)) / t
-    assert (inv.num, inv.den) == ((Fraction(1),), (Fraction(0), Fraction(1)))
-    assert ParamScalar((0, 0, 6), (0, 0, 0, 2)) == ParamScalar((3,), (0, 1))
+    assert inv.terms == ((-1, Fraction(1)),)
+    # the constructor merges equal exponents, drops zeros and sorts
+    merged = ParamScalar([(2, 1), (-1, 3), (0, 0), (2, -1), (-1, Fraction(1, 2)), (1, 6)])
+    assert merged.terms == ((-1, Fraction(7, 2)), (1, Fraction(6)))
+    assert all(type(c) is Fraction for _, c in merged.terms)
+    assert merged == ParamScalar.const(Fraction(7, 2)) / t + t * 6
 
 
 def test_param_scalar_divides_only_by_monomials():
     t = ParamScalar.t()
     with pytest.raises(ValueError, match=r"division by t\^2 \+ 1, which is not a monomial"):
         t / (t * t + 1)
-    with pytest.raises(ValueError, match=r"denominator t \+ 1 is not a monomial"):
-        ParamScalar((1,), (1, 1))
+    with pytest.raises(ValueError, match=r"division by \(t \+ 1\)/\(t\), which is not a monomial"):
+        t / (ParamScalar.const(Fraction(1)) / t + 1)
+    assert (t * t + t) / (t * 3) == (t + 1) / 3
 
 
 def test_param_scalar_constant_extraction_and_errors():
@@ -96,3 +102,57 @@ def test_param_scalar_constant_extraction_and_errors():
         ParamScalar.t() / ParamScalar.const(Fraction(0))
     with pytest.raises(ZeroDivisionError):
         (ParamScalar.const(Fraction(1)) / ParamScalar.t()).eval(Fraction(0))
+
+
+_T = ParamScalar.t()
+_C = ParamScalar.const
+
+
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (lambda: _C(Fraction(0)), "0"),
+        (lambda: _C(Fraction(-22, 5)), "-22/5"),
+        (lambda: _T, "t"),
+        (lambda: -_T, "-t"),
+        (lambda: _C(Fraction(-3, 4)) * _T, "-3/4*t"),
+        (lambda: -_T * _T, "-t^2"),
+        (lambda: _C(Fraction(5, 2)) * _T * _T * _T, "5/2*t^3"),
+        (lambda: _T * _T + 1, "t^2 + 1"),
+        (lambda: -_T * _T + _T * 2 - Fraction(1, 3), "-t^2 + 2*t - 1/3"),
+        (lambda: _C(Fraction(-3, 4)) / _T, "(-3/4)/(t)"),
+        (lambda: _C(Fraction(1)) / (_T * _T), "(1)/(t^2)"),
+        (lambda: (_T - 1) / (_T * _T * _T), "(t - 1)/(t^3)"),
+        (lambda: _C(Fraction(-1)) / _T, "(-1)/(t)"),
+    ],
+)
+def test_param_scalar_str_forms(build, text):
+    assert str(build()) == text
+
+
+# The distinct keys `verify --suite all` asks each cache for, as recorded
+# above `exactnum.CACHE_SIZE` and in the README's cache list.
+VERIFY_ALL_CACHE_KEYS = {
+    "build_irrep": 11,
+    "invariant_form": 11,
+    "_cg_system": 49,
+    "_sl2_obj": 83,
+    "_entry_class": 21,
+}
+
+
+def test_verify_all_cache_sizes_match_the_record():
+    caches = [
+        sl2rep.build_irrep,
+        sl2rep.invariant_form,
+        sl2rep._cg_system,
+        virasoro._sl2_obj,
+        fusion._entry_class,
+    ]
+    for cache in caches:
+        cache.cache_clear()
+    results = run_suites(sorted(SUITES))
+    assert all(ok for _, (_, ok, _) in results)
+    sizes = {cache.__name__: cache.cache_info().currsize for cache in caches}
+    assert sizes == VERIFY_ALL_CACHE_KEYS
+    assert max(sizes.values()) < CACHE_SIZE

@@ -4,7 +4,8 @@ Runtime invariants raise explicitly, since ``python -O`` strips ``assert``;
 only ``verify``, whose checks the CLI refuses to run under ``-O``, asserts.
 Nothing is floating point, and ``math`` serves only integer gcd/lcm.
 Brute-force oracles live only in ``verify``, and the character oracle never
-reads the closed form it checks.
+reads the closed form it checks.  Only ``exactnum`` tests whether a value is
+a ``ParamScalar``.
 """
 
 import ast
@@ -85,6 +86,23 @@ def test_oracles_only_in_verify(path):
     assert found == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_param_scalar_isinstance_outside_exactnum(path):
+    # Every F-matrix entry is a ParamScalar, so no caller branches on the type.
+    if path.name == "exactnum.py":
+        return
+    found = [
+        _where(path, n)
+        for n in ast.walk(_tree(path))
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Name)
+        and n.func.id == "isinstance"
+        and len(n.args) == 2
+        and "ParamScalar" in _names_used(n.args[1])
+    ]
+    assert found == []
+
+
 def _names_used(node: ast.AST) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
         n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
@@ -124,6 +142,9 @@ def test_static_rules_catch_a_violation(tmp_path):
     src.write_text("from math import gcd, isqrt\n")
     with pytest.raises(AssertionError):
         test_math_only_for_gcd_and_lcm(src)
+    src.write_text("def f(x):\n    return isinstance(x, (int, exactnum.ParamScalar))\n")
+    with pytest.raises(AssertionError):
+        test_no_param_scalar_isinstance_outside_exactnum(src)
     src.write_text("class CharOracle:\n    pass\ndef cg_oracle(m, n):\n    return []\n")
     with pytest.raises(AssertionError):
         test_oracles_only_in_verify(src)
