@@ -442,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedObjectError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

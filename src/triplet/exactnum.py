@@ -116,9 +116,6 @@ class Phase(Value):
     def to_json(self) -> dict:
         return {"exp": rat_str(self.exponent)}
 
-    def __str__(self) -> str:
-        return f"e^(i*pi*{rat_str(self.exponent)})"
-
 
 def phase_from_weight(h: Rat, multiple: int) -> Phase:
     """The phase e^{i*pi*multiple*h} for a conformal weight h."""

@@ -71,13 +71,6 @@ class DecompList(Value):
     def to_json(self) -> dict:
         return {"entries": [e.to_json() for e in self.entries]}
 
-    def __str__(self) -> str:
-        if not self.entries:
-            return "0"
-        return " + ".join(
-            str(e.obj) if e.mult == 1 else f"{e.mult}*{e.obj}" for e in self.entries
-        )
-
 
 def decomp_from_pairs(pairs) -> DecompList:
     """Collect (mult, obj) pairs into a DecompList, merging duplicates."""

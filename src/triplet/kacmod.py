@@ -1,5 +1,9 @@
 """Structural data of Kac modules: exact sequences, Loewy diagrams, factors.
 
+``kac_length2_seq(params, obj)`` reads the non-split length-2 sequence of
+K_{mp+r,1} (p not dividing r, K_{1,1} included), K_{1,nq+s} (q not
+dividing s) or K'_{1,1} straight from the module's label.
+
 The three-layer diagram of K_{mp-1,nq-1} is generated positionally: nodes
 are indexed by the integer appearing in their label family, and adjacency
 follows the displayed pattern (top node i covers the middle nodes indexed
@@ -15,6 +19,7 @@ from typing import Literal
 from .exactnum import Value, rat_str
 from .virasoro import (
     KAC_DUAL_K11,
+    KAC_K,
     SIMPLE_L,
     ObjLabel,
     Params,
@@ -22,22 +27,17 @@ from .virasoro import (
     VirLabel,
     canonical_label,
     conformal_weight,
-    kac_dual_k11,
-    kac_k,
     simple_l,
 )
 
 
 class ExactSeq(Value):
-    """A short exact sequence 0 -> sub -> mid -> quot -> 0."""
+    """A non-split short exact sequence 0 -> sub -> mid -> quot -> 0."""
 
-    __slots__ = ("sub", "mid", "quot", "splits")
+    __slots__ = ("sub", "mid", "quot")
 
-    def __init__(self, sub: ObjLabel, mid: ObjLabel, quot: ObjLabel, splits: bool) -> None:
-        self._assign(sub, mid, quot, splits)
-
-    def __str__(self) -> str:
-        return f"0 -> {self.sub} -> {self.mid} -> {self.quot} -> 0"
+    def __init__(self, sub: ObjLabel, mid: ObjLabel, quot: ObjLabel) -> None:
+        self._assign(sub, mid, quot)
 
 
 Layer = Literal["top", "middle", "socle"]
@@ -68,56 +68,28 @@ class LoewyDiagram(Value):
         raise KeyError(node_id)
 
 
-def kac_length2_seq(
-    params: Params,
-    family: Literal["row", "column", "k11", "k11dual"],
-    m: int | None = None,
-    r: int | None = None,
-    n: int | None = None,
-    s: int | None = None,
-) -> ExactSeq:
-    """The length-2 exact sequence of a Kac module.
+def kac_length2_seq(params: Params, obj: ObjLabel) -> ExactSeq:
+    """The length-2 exact sequence of a Kac module, read from its label.
 
-    row:    0 -> L_{(m+2)p-r,1} -> K_{mp+r,1} -> L_{mp+r,1} -> 0,  m>=0, 1<=r<=p-1
-    column: 0 -> L_{1,(n+2)q-s} -> K_{1,nq+s} -> L_{1,nq+s} -> 0,  n>=0, 1<=s<=q-1
-    k11:    0 -> L_{2p-1,1} -> K_{1,1}  -> L_{1,1}    -> 0
-    k11dual:0 -> L_{1,1}    -> K'_{1,1} -> L_{2p-1,1} -> 0
+    K_{mp+r,1}, p !| r:  0 -> L_{(m+2)p-r,1} -> K_{mp+r,1} -> L_{mp+r,1} -> 0
+    K_{1,nq+s}, q !| s:  0 -> L_{1,(n+2)q-s} -> K_{1,nq+s} -> L_{1,nq+s} -> 0
+    K'_{1,1}:            0 -> L_{1,1}        -> K'_{1,1}   -> L_{2p-1,1} -> 0
 
-    All four are non-split.
+    K_{1,1} is the row case m = 0, r = 1.  All of these are non-split; any
+    other module raises :class:`UnsupportedObjectError`.
     """
     p, q = params.p, params.q
-    if family == "row":
-        if m is None or r is None or m < 0 or not 1 <= r <= p - 1:
-            raise ValueError(f"row family needs m >= 0 and 1 <= r <= p-1, got m={m}, r={r}")
-        return ExactSeq(
-            sub=simple_l((m + 2) * p - r, 1),
-            mid=kac_k(m * p + r, 1),
-            quot=simple_l(m * p + r, 1),
-            splits=False,
-        )
-    if family == "column":
-        if n is None or s is None or n < 0 or not 1 <= s <= q - 1:
-            raise ValueError(f"column family needs n >= 0 and 1 <= s <= q-1, got n={n}, s={s}")
-        return ExactSeq(
-            sub=simple_l(1, (n + 2) * q - s),
-            mid=kac_k(1, n * q + s),
-            quot=simple_l(1, n * q + s),
-            splits=False,
-        )
-    if family == "k11":
-        return ExactSeq(sub=simple_l(2 * p - 1, 1), mid=kac_k(1, 1), quot=simple_l(1, 1), splits=False)
-    if family == "k11dual":
-        return ExactSeq(sub=simple_l(1, 1), mid=kac_dual_k11(), quot=simple_l(2 * p - 1, 1), splits=False)
-    raise ValueError(f"unknown length-2 family {family!r}")
-
-
-def _mm_nn_index_sets(m: int, n: int) -> tuple[list[int], list[int], list[int], list[int]]:
-    # Index ranges of the four label families in the K_{mp-1,nq-1} diagram.
-    top = list(range(m - n + 2, m + n - 1, 2))
-    mid_col = list(range(m - n, m + n - 1, 2))  # L_{1,iq+1}
-    mid_row = list(range(m - n + 2, m + n - 1, 2))  # L_{jp+1,1}
-    socle = list(range(m - n + 1, m + n, 2))  # L_{p-1,iq+1}
-    return top, mid_col, mid_row, socle
+    if obj.kind == KAC_DUAL_K11:
+        return ExactSeq(sub=simple_l(1, 1), mid=obj, quot=simple_l(2 * p - 1, 1))
+    if obj.kind == KAC_K:
+        lbl = obj.label
+        if lbl.s == 1 and lbl.r % p:
+            m, r = divmod(lbl.r, p)
+            return ExactSeq(sub=simple_l((m + 2) * p - r, 1), mid=obj, quot=simple_l(lbl.r, 1))
+        if lbl.r == 1 and lbl.s % q:
+            n, s = divmod(lbl.s, q)
+            return ExactSeq(sub=simple_l(1, (n + 2) * q - s), mid=obj, quot=simple_l(1, lbl.s))
+    raise UnsupportedObjectError(f"composition factors of {obj} are outside the supported families")
 
 
 def kac_mm_nn_diagram(params: Params, m: int, n: int) -> LoewyDiagram:
@@ -132,30 +104,27 @@ def kac_mm_nn_diagram(params: Params, m: int, n: int) -> LoewyDiagram:
     if m < n:
         raise ValueError(f"diagram needs m >= n (swap the arguments), got m={m} < n={n}")
     p, q = params.p, params.q
-    top_idx, mid_col_idx, mid_row_idx, socle_idx = _mm_nn_index_sets(m, n)
 
     def make(label: VirLabel, layer: Layer) -> LoewyNode:
         return LoewyNode(id=f"L_{label.r}_{label.s}", label=label, layer=layer)
 
+    # Top node i is L_{ip-1,1} and middle-row node i is L_{ip+1,1}: one index
+    # range.  `list` takes its length first, so an n past the platform's size
+    # limit raises OverflowError before any node is built.
+    top_idx = list(range(m - n + 2, m + n - 1, 2))
     top = {i: make(VirLabel(i * p - 1, 1), "top") for i in top_idx}
-    mid_col = {i: make(VirLabel(1, i * q + 1), "middle") for i in mid_col_idx}
-    mid_row = {j: make(VirLabel(j * p + 1, 1), "middle") for j in mid_row_idx}
-    socle = {i: make(VirLabel(p - 1, i * q + 1), "socle") for i in socle_idx}
-
-    nodes: list[LoewyNode] = (
-        [top[i] for i in top_idx]
-        + [mid_col[i] for i in mid_col_idx]
-        + [mid_row[j] for j in mid_row_idx]
-        + [socle[i] for i in socle_idx]
-    )
+    mid_col = {i: make(VirLabel(1, i * q + 1), "middle") for i in range(m - n, m + n - 1, 2)}
+    mid_row = {j: make(VirLabel(j * p + 1, 1), "middle") for j in top_idx}
+    socle = {i: make(VirLabel(p - 1, i * q + 1), "socle") for i in range(m - n + 1, m + n, 2)}
+    nodes = [*top.values(), *mid_col.values(), *mid_row.values(), *socle.values()]
 
     edges: list[tuple[str, str]] = []
-    for i in top_idx:
+    for i, node in top.items():
         for k in (i - 2, i):
             if k in mid_col:
-                edges.append((top[i].id, mid_col[k].id))
+                edges.append((node.id, mid_col[k].id))
             if k in mid_row:
-                edges.append((top[i].id, mid_row[k].id))
+                edges.append((node.id, mid_row[k].id))
     for middle in (mid_col, mid_row):
         for i, node in middle.items():
             for k in (i - 1, i + 1):
@@ -210,26 +179,12 @@ def composition_factors(params: Params, obj: ObjLabel) -> Counter:
     """
     if obj.kind == SIMPLE_L:
         return Counter([canonical_label(params, obj.label)])
-    if obj.kind == KAC_DUAL_K11:
-        seq = kac_length2_seq(params, "k11dual")
-    else:
-        # ObjLabel admits no kind besides the three, so obj is a Kac module.
-        lbl = obj.label
-        p, q = params.p, params.q
-        if lbl.s == 1 and lbl.r % p:
-            m, r = divmod(lbl.r, p)
-            seq = kac_length2_seq(params, "row", m=m, r=r)
-        elif lbl.r == 1 and lbl.s % q:
-            n, s = divmod(lbl.s, q)
-            seq = kac_length2_seq(params, "column", n=n, s=s)
-        else:
-            mn = mm_nn_indices(params, lbl)
-            if mn is None:
-                raise UnsupportedObjectError(
-                    f"composition factors of K_{{{lbl.r},{lbl.s}}} are outside the supported families"
-                )
+    if obj.kind == KAC_K:
+        mn = mm_nn_indices(params, obj.label)
+        if mn is not None:
             diagram = kac_mm_nn_diagram(params, *mn)
             return Counter(canonical_label(params, node.label) for node in diagram.nodes)
+    seq = kac_length2_seq(params, obj)
     return Counter(canonical_label(params, o.label) for o in (seq.sub, seq.quot))
 
 

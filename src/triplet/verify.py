@@ -683,13 +683,14 @@ def ideal_and_quotient_bookkeeping():
         ideal = wpq.decompose_ideal(params, 10)
         assert full.entries[0].obj == kac_k(1, 1)
         assert full.entries[1:] == ideal.entries[1:]
-        socle = kacmod.kac_length2_seq(params, "k11").sub
+        k11 = kacmod.kac_length2_seq(params, kac_k(1, 1))
+        socle = k11.sub
         assert ideal.entries[0].obj == socle
         assert ideal.entries[0].lowest_weight == conformal_weight(params, socle.label)
         assert ideal.entries[0].lowest_weight == (params.p - 1) * (params.q - 1)
         # Ideal plus the simple quotient L_{1,1} accounts for all factors
         # of the full algebra: K_{1,1} = socle + L_{1,1}.
-        quot = kacmod.kac_length2_seq(params, "k11").quot
+        quot = k11.quot
         assert quot == simple_l(1, 1)
         full_factors = expanded_factor_multiset(
             params, fusion.decomp_from_pairs((e.mult, e.obj) for e in full.entries)

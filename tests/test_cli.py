@@ -222,6 +222,29 @@ def test_integer_option_cap_boundary_and_messages():
     assert code == 2 and err.splitlines()[-1].endswith("argument --r: invalid int value: 'abc'")
 
 
+HUGE = "1" + "0" * 23  # 24 digits: past the platform's index size
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fuse-C", "--m", HUGE, "--n", HUGE],
+        ["fuse-L", "--p", "2", "--q", "3", "--m", HUGE, "--n", HUGE],
+        ["kac-diagram", "--p", "2", "--q", "3", "--m", HUGE, "--n", HUGE],
+        ["braiding", "--p", "2", "--q", "3", "--n", HUGE],
+        ["sl2", "--op", "irrep", "--n", HUGE],
+        ["sl2", "--op", "form", "--n", HUGE],
+    ],
+    ids=["fuse-C", "fuse-L", "kac-diagram", "braiding", "sl2-irrep", "sl2-form"],
+)
+def test_overflowing_sizes_exit_2_with_one_line(argv):
+    # Each of these used to end in an OverflowError traceback and exit 1,
+    # the code of a failed verify property.
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_every_integer_option_is_length_capped():
     parser = cli.build_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

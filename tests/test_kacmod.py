@@ -7,8 +7,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from triplet import cli
+from triplet import cli, kacmod
 from triplet.kacmod import (
+    ExactSeq,
     UnsupportedObjectError,
     composition_factors,
     diagram_to_dot,
@@ -17,7 +18,7 @@ from triplet.kacmod import (
     mm_nn_indices,
     simple_quotients,
 )
-from triplet.verify import PROPERTIES
+from triplet.verify import PROPERTIES, TEST_PARAMS
 from triplet.virasoro import Params, VirLabel, canonical_label, kac_dual_k11, kac_k, simple_l
 
 PAIRS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
@@ -25,43 +26,94 @@ PAIRS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
 
 def test_k11_sequence():
     for params in PAIRS:
-        seq = kac_length2_seq(params, "k11")
+        seq = kac_length2_seq(params, kac_k(1, 1))
         assert seq.sub == simple_l(2 * params.p - 1, 1)
         assert seq.mid == kac_k(1, 1)
         assert seq.quot == simple_l(1, 1)
-        assert seq.splits is False
+        assert ExactSeq.__slots__ == ("sub", "mid", "quot")
 
 
 def test_k11dual_sequence():
     for params in PAIRS:
-        seq = kac_length2_seq(params, "k11dual")
+        seq = kac_length2_seq(params, kac_dual_k11())
         assert seq.sub == simple_l(1, 1)
         assert seq.mid == kac_dual_k11()
         assert seq.quot == simple_l(2 * params.p - 1, 1)
-        assert seq.splits is False
 
 
 def test_column_family_sequence():
-    seq = kac_length2_seq(Params(2, 3), "column", n=1, s=2)
+    seq = kac_length2_seq(Params(2, 3), kac_k(1, 5))  # n = 1, s = 2
     assert seq.sub == simple_l(1, 7)
     assert seq.mid == kac_k(1, 5)
     assert seq.quot == simple_l(1, 5)
 
 
 def test_row_family_sequence():
-    seq = kac_length2_seq(Params(3, 4), "row", m=1, r=2)
+    seq = kac_length2_seq(Params(3, 4), kac_k(5, 1))  # m = 1, r = 2
     assert seq.sub == simple_l(7, 1)
     assert seq.mid == kac_k(5, 1)
     assert seq.quot == simple_l(5, 1)
 
 
 def test_length2_range_errors():
-    with pytest.raises(ValueError):
-        kac_length2_seq(Params(2, 3), "row", m=0, r=2)  # r must be <= p-1
-    with pytest.raises(ValueError):
-        kac_length2_seq(Params(2, 3), "column", n=-1, s=1)
-    with pytest.raises(ValueError):
-        kac_length2_seq(Params(2, 3), "column", n=0, s=3)  # s must be <= q-1
+    # The labels the old (m, r) / (n, s) range checks rejected, and every
+    # module outside the three families, raise UnsupportedObjectError.
+    p23 = Params(2, 3)
+    for obj in (
+        kac_k(2, 1),  # row with r = p: p divides the label
+        kac_k(1, 3),  # column with s = q
+        kac_k(1, 6),
+        kac_k(2, 2),  # neither a row nor a column label
+        kac_k(3, 5),  # K_{mp-1,nq-1}: a three-layer module
+        simple_l(1, 1),
+    ):
+        with pytest.raises(UnsupportedObjectError, match="outside the supported families"):
+            kac_length2_seq(p23, obj)
+
+
+@pytest.mark.parametrize("params", TEST_PARAMS, ids=lambda params: f"{params.p},{params.q}")
+def test_length2_seq_matches_displayed_closed_forms(params):
+    # Row: m <= 30, 1 <= r <= p-1, with K_{1,1} the row case m = 0, r = 1.
+    # Column: n <= 30, 1 <= s <= q-1, except K_{1,1}.  Then K'_{1,1}.
+    p, q = params.p, params.q
+    expected = {}
+    for m in range(31):
+        for r in range(1, p):
+            expected[kac_k(m * p + r, 1)] = (simple_l((m + 2) * p - r, 1), simple_l(m * p + r, 1))
+    assert expected[kac_k(1, 1)] == (simple_l(2 * p - 1, 1), simple_l(1, 1))
+    for n in range(31):
+        for s in range(1, q):
+            if (n, s) != (0, 1):
+                expected[kac_k(1, n * q + s)] = (simple_l(1, (n + 2) * q - s), simple_l(1, n * q + s))
+    expected[kac_dual_k11()] = (simple_l(1, 1), simple_l(2 * p - 1, 1))
+    assert len(expected) == 31 * (p - 1) + 31 * (q - 1)
+    for obj, (sub, quot) in expected.items():
+        assert kac_length2_seq(params, obj) == ExactSeq(sub=sub, mid=obj, quot=quot)
+
+
+def _wrong_at(monkeypatch, obj, **fields):
+    # kac_length2_seq with the given fields replaced at one module.
+    right = kacmod.kac_length2_seq
+
+    def wrong(params, other):
+        seq = right(params, other)
+        if other != obj:
+            return seq
+        return ExactSeq(**{"sub": seq.sub, "mid": seq.mid, "quot": seq.quot, **fields})
+
+    monkeypatch.setattr(kacmod, "kac_length2_seq", wrong)
+
+
+def test_bookkeeping_catches_a_wrong_k11_socle(monkeypatch):
+    _wrong_at(monkeypatch, kac_k(1, 1), sub=simple_l(1, 1))
+    with pytest.raises(AssertionError):
+        PROPERTIES["wpq"]["ideal_and_quotient_bookkeeping"]()
+
+
+def test_factor_multisets_catch_a_wrong_k11dual_quotient(monkeypatch):
+    _wrong_at(monkeypatch, kac_dual_k11(), quot=simple_l(1, 1))
+    with pytest.raises(AssertionError):
+        PROPERTIES["kacmod"]["diagram_vs_fusion_factor_multisets"]()
 
 
 GOLDEN_22 = {

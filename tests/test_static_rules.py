@@ -5,10 +5,13 @@ only ``verify``, whose checks the CLI refuses to run under ``-O``, asserts.
 Nothing is floating point, and ``math`` serves only integer gcd/lcm.
 Brute-force oracles live only in ``verify``, and the character oracle never
 reads the closed form it checks.  Only ``exactnum`` tests whether a value is
-a ``ParamScalar``.
+a ``ParamScalar``.  Every public function and method has a caller in the
+package, or is documented in the README.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,9 @@ import triplet
 
 SOURCES = sorted(Path(triplet.__file__).parent.glob("*.py"))
 MATH_ALLOWED = {"gcd", "lcm"}
+README = Path(__file__).resolve().parents[1] / "README.md"
+# Decorators that register the function they wrap; the registry calls it.
+REGISTRARS = {"_property"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -124,6 +130,47 @@ def _names_reached(path: Path, root: str) -> set[str]:
     return used
 
 
+def _name_counts(node: ast.AST) -> Counter:
+    return Counter(n.id for n in ast.walk(node) if isinstance(n, ast.Name)) + Counter(
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    )
+
+
+def _public_defs(tree: ast.Module) -> list[ast.FunctionDef]:
+    """Public top-level functions and public methods of top-level classes."""
+    defs = []
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        defs += [n for n in body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")]
+    return defs
+
+
+def _unnamed_public_defs(sources: list[Path], readme: str) -> list[str]:
+    """Public functions and methods that no source names outside their own
+    definition, that no registering decorator wraps, and that no README code
+    span mentions."""
+    trees = {path: _tree(path) for path in sources}
+    named = sum((_name_counts(tree) for tree in trees.values()), Counter())
+    fenced = re.findall(r"```(.*?)```", readme, flags=re.S)
+    inline = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", " ", readme, flags=re.S))
+    documented = set(re.findall(r"\w+", " ".join(fenced + inline)))
+    unnamed = []
+    for path, tree in trees.items():
+        for node in _public_defs(tree):
+            registered = any(
+                isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id in REGISTRARS
+                for d in node.decorator_list
+            )
+            outside = named[node.name] - _name_counts(node)[node.name]
+            if not (registered or outside or node.name in documented):
+                unnamed.append(f"{_where(path, node)} {node.name}")
+    return unnamed
+
+
+def test_every_public_function_is_named_outside_its_definition():
+    assert _unnamed_public_defs(SOURCES, README.read_text()) == []
+
+
 def test_cg_oracle_does_not_read_fusion():
     verify_py = next(path for path in SOURCES if path.name == "verify.py")
     assert not _names_reached(verify_py, "cg_oracle") & {"fuse_C", "fusion"}
@@ -150,3 +197,10 @@ def test_static_rules_catch_a_violation(tmp_path):
         test_oracles_only_in_verify(src)
     src.write_text("def cg_oracle(m, n):\n    return _peel(m, n)\ndef _peel(m, n):\n    return fuse_C(m)\n")
     assert "fuse_C" in _names_reached(src, "cg_oracle")
+    src.write_text(
+        "class Seq:\n    def splits(self):\n        return self.splits()\n"
+        "def used():\n    return Seq()\n"
+        "def unused(n):\n    return unused(n - 1)\n"
+        "def main():\n    return used()\n"
+    )
+    assert _unnamed_public_defs([src], "`main`") == ["mutant.py:2 splits", "mutant.py:6 unused"]

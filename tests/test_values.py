@@ -36,7 +36,7 @@ INSTANCES = [
     simple_l(5, 1),
     DecompEntry(2, kac_k(1, 2)),
     fuse_L_family(P23, 2, 3),
-    kac_length2_seq(P23, "k11"),
+    kac_length2_seq(P23, kac_k(1, 1)),
     DIAGRAM.nodes[0],
     DIAGRAM,
     WPQ.entries[-1],

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from triplet import wpq
+from triplet import virasoro, wpq
 from triplet.kacmod import kac_length2_seq
 from triplet.verify import PROPERTIES
 from triplet.virasoro import Params, kac_dual_k11, kac_k, simple_l
@@ -61,12 +61,21 @@ def test_decompose_ideal():
 def test_ideal_socle_matches_k11_sequence():
     for params in PAIRS:
         ideal = decompose_ideal(params, 3)
-        socle = kac_length2_seq(params, "k11").sub
+        socle = kac_length2_seq(params, kac_k(1, 1)).sub
         assert ideal.entries[0].obj == socle
         assert ideal.entries[0].lowest_weight == (params.p - 1) * (params.q - 1)
         # the n=1 term is inside K_{1,1}, not among the visible simple summands
         wpq_objs = {e.obj for e in decompose_wpq(params, 3).entries}
         assert socle not in wpq_objs
+
+
+def test_decompose_looks_up_each_dictionary_entry_once():
+    # Entry n's weight is read from its label, not by a second lookup of
+    # the dictionary index 2n-2.
+    virasoro._sl2_obj.cache_clear()
+    decompose_wpq(Params(2, 3), 1000)
+    info = virasoro._sl2_obj.cache_info()
+    assert info.hits + info.misses == 999
 
 
 def test_exact_sequence_bookkeeping():
