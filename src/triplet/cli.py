@@ -1,9 +1,12 @@
 """Command-line front end: exact JSON/DOT reports plus the verify runner.
 
-Exit codes: 0 success, 2 argument or validation failure, 3 structurally
-unsupported request (e.g. the Loewy diagram of a general Kac label).
-`verify` exits 1 when a property fails and 2 under `python -O`.
-Output is deterministic: same argv, byte-identical bytes.
+This is the one module that knows the output formats: the library layers
+return values, and the private ``_*_json`` and ``_diagram_dot`` helpers
+here write them.  Exit codes: 0 success, 2 argument or validation failure,
+3 structurally unsupported request (e.g. the Loewy diagram of a general
+Kac label).  `verify` exits 1 when a property fails and 2 under
+`python -O`.  Output depends on argv alone: same argv, byte-identical
+bytes, whatever the environment.
 
 Only the scalar and label layers load with this module; each subcommand
 imports the structure, linear-algebra or verify layer it runs when it is
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -64,11 +66,14 @@ def _add_pq(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _default_format() -> str:
-    fmt = os.environ.get("TRIPLET_OUTPUT", "json")
-    if fmt not in ("json", "dot"):
-        raise ValueError(f"TRIPLET_OUTPUT must be 'json' or 'dot', got {fmt!r}")
-    return fmt
+def _obj_json(obj) -> dict:
+    if obj.label is None:  # K'_{1,1}
+        return {"kind": obj.kind}
+    return {"kind": obj.kind, "label": [obj.label.r, obj.label.s]}
+
+
+def _phase_json(phase: Phase) -> dict:
+    return {"exp": rat_str(phase.exponent)}
 
 
 def _cmd_weights(args) -> int:
@@ -90,7 +95,7 @@ def _cmd_fuse_l(args) -> int:
 
     params = _resolve_params(args)
     result = fusion.fuse_L_family(params, args.m, args.n)
-    _emit(result.to_json())
+    _emit({"entries": [{"mult": e.mult, "obj": _obj_json(e.obj)} for e in result.entries]})
     return 0
 
 
@@ -121,15 +126,30 @@ def _diagram_args_to_mn(params: Params, args) -> tuple[int, int]:
     return args.m, args.n
 
 
+def _diagram_dot(params: Params, diagram) -> str:
+    """A Loewy diagram as DOT, rank-grouped by layer."""
+    lines = ["digraph loewy {", "  rankdir=TB;"]
+    for layer in ("top", "middle", "socle"):
+        ids = [n.id for n in diagram.nodes if n.layer == layer]
+        if ids:
+            lines.append("  { rank=same; " + "; ".join(f'"{i}"' for i in ids) + "; }")
+    for node in diagram.nodes:
+        hs = rat_str(conformal_weight(params, node.label))
+        lines.append(f'  "{node.id}" [label="L_{{{node.label.r},{node.label.s}}} (h={hs})"];')
+    for src, dst in diagram.edges:
+        lines.append(f'  "{src}" -> "{dst}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_kac_diagram(args) -> int:
     from . import kacmod
 
     params = _resolve_params(args)
     m, n = _diagram_args_to_mn(params, args)
     diagram = kacmod.kac_mm_nn_diagram(params, m, n)
-    fmt = args.format or _default_format()
-    if fmt == "dot":
-        sys.stdout.write(kacmod.diagram_to_dot(params, diagram))
+    if args.format == "dot":
+        sys.stdout.write(_diagram_dot(params, diagram))
         return 0
     _emit(
         {
@@ -242,11 +262,13 @@ def _cmd_braiding(args) -> int:
     payload = {
         "n": n,
         "channels": channels,
-        "formula": {str(k): braidfmat.r_scalar_formula(params, n, k).to_json() for k in channels},
+        "formula": {
+            str(k): _phase_json(braidfmat.r_scalar_formula(params, n, k)) for k in channels
+        },
     }
     if n == 1:
         payload["table"] = {
-            str(k): braidfmat.r_scalar_table(params, 1, k).to_json() for k in (0, 2)
+            str(k): _phase_json(braidfmat.r_scalar_table(params, 1, k)) for k in (0, 2)
         }
         payload["conventions_differ_by_sign"] = all(
             braidfmat.r_scalar_table(params, 1, k)
@@ -257,22 +279,18 @@ def _cmd_braiding(args) -> int:
             "tabulated and formula R-scalars differ by an overall sign; "
             "both conventions square to the balancing phases"
         )
-    payload["balancing"] = {str(k): balancing[k].to_json() for k in channels}
+    payload["balancing"] = {str(k): _phase_json(balancing[k]) for k in channels}
     _emit(payload)
     return 0
 
 
-def _graded_json(decomp, target: str) -> dict:
-    entries = []
-    for e in decomp.entries:
-        row = {}
-        if e.psl2 is not None:
-            row["psl2"] = e.psl2
-        row["mult"] = e.mult
-        row["obj"] = e.obj.to_json()
-        row["h"] = rat_str(e.lowest_weight)
-        entries.append(row)
-    return {"target": target, "n_max": decomp.n_max, "entries": entries}
+def _graded_json(entries, args) -> dict:
+    rows = []
+    for e in entries:
+        row = {} if e.psl2 is None else {"psl2": e.psl2}
+        row.update(mult=e.mult, obj=_obj_json(e.obj), h=rat_str(e.lowest_weight))
+        rows.append(row)
+    return {"target": args.target, "n_max": args.nmax, "entries": rows}
 
 
 def _cmd_decompose(args) -> int:
@@ -285,7 +303,7 @@ def _cmd_decompose(args) -> int:
         "ideal": wpq.decompose_ideal,
         "wprime": wpq.decompose_wprime,
     }[args.target]
-    _emit(_graded_json(decompose(params, args.nmax), args.target))
+    _emit(_graded_json(decompose(params, args.nmax), args))
     return 0
 
 
@@ -389,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diagram.add_argument("--n", type=_int_arg, default=None)
     p_diagram.add_argument("--r", type=_int_arg, default=None, help="request by raw Kac label instead")
     p_diagram.add_argument("--s", type=_int_arg, default=None)
-    p_diagram.add_argument("--format", choices=("json", "dot"), default=None)
+    p_diagram.add_argument("--format", choices=("json", "dot"), default="json")
     p_diagram.set_defaults(func=_cmd_kac_diagram)
 
     p_hex = sub.add_parser("hexagon", help="invertible F-matrix solutions of the hexagon constraint")

@@ -113,9 +113,6 @@ class Phase(Value):
             return Fraction(-1)
         raise ValueError(f"phase e^(i*pi*{self.exponent}) is not +-1")
 
-    def to_json(self) -> dict:
-        return {"exp": rat_str(self.exponent)}
-
 
 def phase_from_weight(h: Rat, multiple: int) -> Phase:
     """The phase e^{i*pi*multiple*h} for a conformal weight h."""

@@ -44,9 +44,6 @@ class DecompEntry(Value):
     def __hash__(self) -> int:
         return hash((self.mult, self.obj))
 
-    def to_json(self) -> dict:
-        return {"mult": self.mult, "obj": self.obj.to_json()}
-
 
 class DecompList(Value):
     """A formal non-negative-integer combination of module labels."""
@@ -67,9 +64,6 @@ class DecompList(Value):
 
     def __hash__(self) -> int:
         return hash((self.entries,))
-
-    def to_json(self) -> dict:
-        return {"entries": [e.to_json() for e in self.entries]}
 
 
 def decomp_from_pairs(pairs) -> DecompList:

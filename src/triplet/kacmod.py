@@ -9,6 +9,7 @@ are indexed by the integer appearing in their label family, and adjacency
 follows the displayed pattern (top node i covers the middle nodes indexed
 i-2 and i; middle node i covers the socle nodes indexed i-1 and i+1),
 with boundary nodes covering fewer.  Golden tests pin the small cases.
+Everything here returns values; ``cli`` writes a diagram as JSON or DOT.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Literal
 
-from .exactnum import Value, rat_str
+from .exactnum import Value
 from .virasoro import (
     KAC_DUAL_K11,
     KAC_K,
@@ -196,18 +197,3 @@ def diagram_weights_congruent(params: Params, diagram: LoewyDiagram, reference: 
         for node in diagram.nodes
     )
 
-
-def diagram_to_dot(params: Params, diagram: LoewyDiagram) -> str:
-    """Render a Loewy diagram as DOT, rank-grouped by layer."""
-    lines = ["digraph loewy {", "  rankdir=TB;"]
-    for layer in ("top", "middle", "socle"):
-        ids = [n.id for n in diagram.nodes if n.layer == layer]
-        if ids:
-            lines.append("  { rank=same; " + "; ".join(f'"{i}"' for i in ids) + "; }")
-    for node in diagram.nodes:
-        hs = rat_str(conformal_weight(params, node.label))
-        lines.append(f'  "{node.id}" [label="L_{{{node.label.r},{node.label.s}}} (h={hs})"];')
-    for src, dst in diagram.edges:
-        lines.append(f'  "{src}" -> "{dst}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

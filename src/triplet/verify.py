@@ -656,7 +656,7 @@ def truncations_are_prefixes():
         big = wpq.decompose_wpq(params, 12)
         for n_max in range(2, 12):
             small = wpq.decompose_wpq(params, n_max)
-            assert small.entries == big.entries[: len(small.entries)]
+            assert small == big[: len(small)]
 
 
 @_property("wpq")
@@ -664,13 +664,13 @@ def equivariant_dimension_agreement():
     for params in TEST_PARAMS:
         plain = wpq.decompose_wpq(params, 20)
         graded = wpq.decompose_wpq_equivariant(params, 20)
-        assert len(plain.entries) == len(graded.entries)
-        for pe, ge in zip(plain.entries, graded.entries):
+        assert len(plain) == len(graded)
+        for pe, ge in zip(plain, graded):
             assert pe.mult == ge.mult == (ge.psl2 + 1)
             assert pe.obj == ge.obj and pe.lowest_weight == ge.lowest_weight
         # The contragredient is the even part of the sl2 dictionary: entry n
         # is L_{2n-2}, with K'_{1,1} = L_0 at n = 1.
-        for n, entry in enumerate(wpq.decompose_wprime(params, 20).entries, start=1):
+        for n, entry in enumerate(wpq.decompose_wprime(params, 20), start=1):
             assert entry.obj == sl2_index_to_obj(params, 2 * n - 2)
             assert entry.psl2 == 2 * n - 2 and entry.mult == 2 * n - 1
             assert entry.lowest_weight == sl2_lowest_weight(params, 2 * n - 2)
@@ -681,22 +681,22 @@ def ideal_and_quotient_bookkeeping():
     for params in TEST_PARAMS:
         full = wpq.decompose_wpq(params, 10)
         ideal = wpq.decompose_ideal(params, 10)
-        assert full.entries[0].obj == kac_k(1, 1)
-        assert full.entries[1:] == ideal.entries[1:]
+        assert full[0].obj == kac_k(1, 1)
+        assert full[1:] == ideal[1:]
         k11 = kacmod.kac_length2_seq(params, kac_k(1, 1))
         socle = k11.sub
-        assert ideal.entries[0].obj == socle
-        assert ideal.entries[0].lowest_weight == conformal_weight(params, socle.label)
-        assert ideal.entries[0].lowest_weight == (params.p - 1) * (params.q - 1)
+        assert ideal[0].obj == socle
+        assert ideal[0].lowest_weight == conformal_weight(params, socle.label)
+        assert ideal[0].lowest_weight == (params.p - 1) * (params.q - 1)
         # Ideal plus the simple quotient L_{1,1} accounts for all factors
         # of the full algebra: K_{1,1} = socle + L_{1,1}.
         quot = k11.quot
         assert quot == simple_l(1, 1)
         full_factors = expanded_factor_multiset(
-            params, fusion.decomp_from_pairs((e.mult, e.obj) for e in full.entries)
+            params, fusion.decomp_from_pairs((e.mult, e.obj) for e in full)
         )
         ideal_factors = Counter(
-            {canonical_label(params, e.obj.label): e.mult for e in ideal.entries}
+            {canonical_label(params, e.obj.label): e.mult for e in ideal}
         )
         ideal_factors[canonical_label(params, quot.label)] += 1
         assert full_factors == ideal_factors
@@ -706,10 +706,10 @@ def ideal_and_quotient_bookkeeping():
 def multiplicity_totals_square():
     for params in TEST_PARAMS:
         for n_max in (2, 3, 5, 10, 20):
-            total = sum(e.mult for e in wpq.decompose_wpq(params, n_max).entries)
+            total = sum(e.mult for e in wpq.decompose_wpq(params, n_max))
             assert total == n_max * n_max
             graded = wpq.decompose_wpq_equivariant(params, n_max)
-            assert sum(e.psl2 + 1 for e in graded.entries) == n_max * n_max
+            assert sum(e.psl2 + 1 for e in graded) == n_max * n_max
 
 
 @_property("wpq")

@@ -93,19 +93,6 @@ class ObjLabel(Value):
         tag = "L" if self.kind == SIMPLE_L else "K"
         return f"{tag}_{{{self.label.r},{self.label.s}}}"
 
-    def to_json(self) -> dict:
-        if self.kind == KAC_DUAL_K11:
-            return {"kind": self.kind}
-        return {"kind": self.kind, "label": [self.label.r, self.label.s]}
-
-    @staticmethod
-    def from_json(data: dict) -> "ObjLabel":
-        kind = data["kind"]
-        if kind == KAC_DUAL_K11:
-            return kac_dual_k11()
-        r, s = data["label"]
-        return ObjLabel(kind, VirLabel(r, s))
-
 
 def simple_l(r: int, s: int) -> ObjLabel:
     return ObjLabel(SIMPLE_L, VirLabel(r, s))

@@ -6,6 +6,8 @@ Every decomposition is a finite prefix of the sum over n >= 1 of
 grading module V_{2n-2}.  The ideal is that sum; the algebra and its
 contragredient put K_{1,1} or K'_{1,1} in place of the n = 1 term.  The
 graded form of the algebra and the contragredient carry the labels 2n-2.
+Each decomposition is returned as a tuple of ``GradedEntry`` values, entry
+n at index n-1; ``cli`` writes it as JSON.
 """
 
 from __future__ import annotations
@@ -30,16 +32,9 @@ class GradedEntry(Value):
         self._assign(psl2, mult, obj, lowest_weight)
 
 
-class GradedDecomp(Value):
-    __slots__ = ("entries", "n_max")
-
-    def __init__(self, entries: tuple[GradedEntry, ...], n_max: int) -> None:
-        self._assign(entries, n_max)
-
-
 def _decompose(
     params: Params, head: ObjLabel, graded: bool, n_max: int, n_min: int = 2
-) -> GradedDecomp:
+) -> tuple[GradedEntry, ...]:
     # Entry 1 is the head, of the weight of its label (0 for K'_{1,1});
     # entry n >= 2 is (2n-1) copies of the dictionary's L_{2n-2} = L_{2np-1,1},
     # graded by V_{2n-2}.
@@ -51,27 +46,27 @@ def _decompose(
         obj = sl2_index_to_obj(params, k)
         h = conformal_weight(params, obj.label)
         entries.append(GradedEntry(k if graded else None, k + 1, obj, h))
-    return GradedDecomp(entries=tuple(entries), n_max=n_max)
+    return tuple(entries)
 
 
-def decompose_wpq(params: Params, n_max: int) -> GradedDecomp:
+def decompose_wpq(params: Params, n_max: int) -> tuple[GradedEntry, ...]:
     """The triplet algebra as a plain Virasoro module: K_{1,1}, then (2n-1)
     copies of L_{2np-1,1} for 2 <= n <= n_max."""
     return _decompose(params, kac_k(1, 1), False, n_max)
 
 
-def decompose_wpq_equivariant(params: Params, n_max: int) -> GradedDecomp:
+def decompose_wpq_equivariant(params: Params, n_max: int) -> tuple[GradedEntry, ...]:
     """The triplet algebra with its symmetry grading: V_0 on K_{1,1} and
     V_{2n-2} on L_{2np-1,1}."""
     return _decompose(params, kac_k(1, 1), True, n_max)
 
 
-def decompose_ideal(params: Params, n_max: int) -> GradedDecomp:
+def decompose_ideal(params: Params, n_max: int) -> tuple[GradedEntry, ...]:
     """The simple ideal: (2n-1) copies of L_{2np-1,1} for 1 <= n <= n_max."""
     return _decompose(params, simple_l(2 * params.p - 1, 1), False, n_max, n_min=1)
 
 
-def decompose_wprime(params: Params, n_max: int) -> GradedDecomp:
+def decompose_wprime(params: Params, n_max: int) -> tuple[GradedEntry, ...]:
     """The contragredient algebra, graded: K'_{1,1} in place of K_{1,1}."""
     return _decompose(params, kac_dual_k11(), True, n_max)
 

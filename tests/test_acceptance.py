@@ -7,14 +7,12 @@ that no criterion names runs once, unbudgeted, as ``test_property[suite.name]``,
 so each registry property runs exactly once in this module.
 """
 
-import io
 import time
-from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from conftest import run_cli
 
 from triplet import sl2rep
-from triplet.cli import main as cli_main
 from triplet.verify import PROPERTIES
 
 CRITERIA = {
@@ -169,13 +167,6 @@ FIXED_COMMANDS = [
 ]
 
 
-def _cli_capture(argv) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli_main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def test_c10_cli_determinism():
     commands = [
         [cmd[0], "--p", str(p), "--q", str(q), *cmd[1:]]
@@ -184,6 +175,6 @@ def test_c10_cli_determinism():
     ] + FIXED_COMMANDS
     with criterion(10, "CLI output byte-identical across repeats", 30.0):
         for argv in commands:
-            first = _cli_capture(argv)
+            first = run_cli(argv)
             assert first[0] == 0, argv
-            assert _cli_capture(argv) == first, f"non-deterministic output for {argv}"
+            assert run_cli(argv) == first, f"non-deterministic output for {argv}"

@@ -2,33 +2,19 @@
 
 import argparse
 import hashlib
-import io
 import json
 import os
 import subprocess
 import sys
 import time
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from conftest import run_cli
 
 import triplet
 from triplet import cli, fusion, kacmod, verify, virasoro
-from triplet.cli import main
-from triplet.virasoro import ObjLabel, Params, kac_k, simple_l
-
-
-def run_cli(argv, env_format=None, monkeypatch=None):
-    out, err = io.StringIO(), io.StringIO()
-    if env_format is not None:
-        monkeypatch.setenv("TRIPLET_OUTPUT", env_format)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-    except SystemExit as exc:  # argparse errors
-        code = exc.code
-    return code, out.getvalue(), err.getvalue()
+from triplet.virasoro import Params, kac_k, simple_l
 
 
 def test_weights_output():
@@ -52,8 +38,8 @@ def test_fuse_l_output_round_trips():
     code, out, _ = run_cli(["fuse-L", "--p", "2", "--q", "3", "--m", "3", "--n", "3"])
     assert code == 0
     entries = json.loads(out)["entries"]
-    objs = [ObjLabel.from_json(e["obj"]) for e in entries]
-    assert [str(o) for o in objs] == ["K'_{1,1}", "L_{7,1}"]
+    objs = [e["obj"] for e in entries]
+    assert objs == [{"kind": "KacDualK11"}, {"kind": "SimpleL", "label": [7, 1]}]
 
 
 def test_fuse_c_output():
@@ -87,28 +73,46 @@ def test_kac_diagram_dot():
     assert '"L_3_1" [label="L_{3,1} (h=2)"];' in out
 
 
-def test_kac_diagram_env_default(monkeypatch):
-    code, out, _ = run_cli(
-        ["kac-diagram", "--p", "2", "--q", "3", "--m", "2", "--n", "2"],
-        env_format="dot",
-        monkeypatch=monkeypatch,
-    )
-    assert code == 0 and out.startswith("digraph loewy {")
-    code, out, _ = run_cli(
-        ["kac-diagram", "--p", "2", "--q", "3", "--m", "2", "--n", "2", "--format", "json"],
-        env_format="dot",
-        monkeypatch=monkeypatch,
-    )
-    assert code == 0 and out.startswith("{")
+def test_kac_diagram_output_depends_on_argv_alone():
+    # No environment variable selects the format: a variable that once
+    # did, set to a valid or an invalid format, leaves the bytes unchanged.
+    argv = [sys.executable, "-m", "triplet", "kac-diagram", "--p", "2", "--q", "3"]
+    argv += ["--m", "2", "--n", "2"]
+    env = {k: v for k, v in _child_env().items() if k != "TRIPLET_OUTPUT"}
+    plain = subprocess.run(argv, capture_output=True, env=env)
+    assert plain.returncode == 0 and plain.stdout.startswith(b"{")
+    for value in ("dot", "yaml"):
+        run = subprocess.run(argv, capture_output=True, env=dict(env, TRIPLET_OUTPUT=value))
+        assert (run.returncode, run.stdout, run.stderr) == (0, plain.stdout, plain.stderr)
+    dot = subprocess.run([*argv, "--format", "dot"], capture_output=True, env=env)
+    assert dot.returncode == 0 and dot.stdout.startswith(b"digraph loewy {")
 
 
-def test_invalid_env_format(monkeypatch):
-    code, _, err = run_cli(
-        ["kac-diagram", "--p", "2", "--q", "3", "--m", "2", "--n", "2"],
-        env_format="yaml",
-        monkeypatch=monkeypatch,
-    )
-    assert code == 2 and "TRIPLET_OUTPUT" in err
+# sha256 of `triplet --help` and of each `<sub> --help` at 80 columns.  They
+# pin the parser's help bytes, which argparse lays out differently from
+# one Python minor version to the next; these are Python 3.11's.
+HELP_SHA256 = {
+    None: "4446d7df6457fb1b6cf3ca93c6c51e038fa8a11b50b0a16cf305c6116e4ec3ca",
+    "weights": "10a2c2bf40abac6ab0211b91a153a82e348150ae64f5ee7c7d9c90519a996b4c",
+    "fuse-L": "339a345a8a9c83ef1e452f8404fc90cd3288a6fc051213c58cad3682e0e7ed55",
+    "fuse-C": "e23d49c6fed783ec8c20c5c206e7b967410048600845e943c3eaeead39040c64",
+    "kac-diagram": "dc23dc3c713c6c6add58478d72a75d7d26e82b484347a4e9df286d6c35f2ecce",
+    "hexagon": "dc9f69d25a858771dfcebec0e55a1fbf5046fa61c002b13a5950d1bd55fe91dd",
+    "braiding": "176eb1f0246b6a4963faae09820ef80c132803bad61e0f35a6c746b29fadfc6c",
+    "decompose": "14f31227d113a6f06bc9b02adbb6d6d5e38c1dc2f0daff0776cba579db43e2bd",
+    "o0-check": "36ebb45c7481756d648dcc14f328e89e2300d0b3287b6ff6925294d81afa1485",
+    "sl2": "462f94f832cb57394cacc889144e43285b85528f78d54a5e48f71ad5f93d23ae",
+    "verify": "0034cb854a4f2f747568a22a1ccece91c7c2a8abcfc913a5de0268a86bfd340b",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="hashes are of Python 3.11's argparse")
+@pytest.mark.parametrize("sub", list(HELP_SHA256), ids=[s or "triplet" for s in HELP_SHA256])
+def test_help_bytes_are_pinned(sub, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    code, out, err = run_cli([sub, "--help"] if sub else ["--help"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[sub]
 
 
 def test_exit_2_on_m_less_than_n():
@@ -292,8 +296,7 @@ def _no_float(text: str):
 
 
 @pytest.mark.parametrize("request_line", GOLDEN_REQUESTS)
-def test_cli_matches_benchmark_goldens(request_line, monkeypatch):
-    monkeypatch.delenv("TRIPLET_OUTPUT", raising=False)
+def test_cli_matches_benchmark_goldens(request_line):
     code, out, _ = run_cli(request_line.split())
     golden = BENCHMARK_GOLDENS[request_line]
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
@@ -355,23 +358,20 @@ def test_decompose_targets():
 
 
 def test_decompose_json_round_trips():
-    from fractions import Fraction
-
-    from triplet.virasoro import Params
-    from triplet.wpq import decompose_wpq_equivariant
-
     code, out, _ = run_cli(
         ["decompose", "--p", "2", "--q", "3", "--target", "wpq-equivariant", "--nmax", "4"]
     )
     assert code == 0
-    payload = json.loads(out)
-    decomp = decompose_wpq_equivariant(Params(2, 3), 4)
-    assert payload["n_max"] == decomp.n_max
-    for row, entry in zip(payload["entries"], decomp.entries):
-        assert ObjLabel.from_json(row["obj"]) == entry.obj
-        assert Fraction(row["h"]) == entry.lowest_weight
-        assert row["mult"] == entry.mult
-        assert row["psl2"] == entry.psl2
+    assert json.loads(out) == {
+        "target": "wpq-equivariant",
+        "n_max": 4,
+        "entries": [
+            {"psl2": 0, "mult": 1, "obj": {"kind": "KacK", "label": [1, 1]}, "h": "0"},
+            {"psl2": 2, "mult": 3, "obj": {"kind": "SimpleL", "label": [7, 1]}, "h": "15"},
+            {"psl2": 4, "mult": 5, "obj": {"kind": "SimpleL", "label": [11, 1]}, "h": "40"},
+            {"psl2": 6, "mult": 7, "obj": {"kind": "SimpleL", "label": [15, 1]}, "h": "77"},
+        ],
+    }
 
 
 def test_o0_check_output():

@@ -1,18 +1,16 @@
 """Kac-module sequences, Loewy diagrams, quotient lists, factor multisets."""
 
-import io
 import json
 from collections import Counter
-from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from conftest import run_cli
 
 from triplet import cli, kacmod
 from triplet.kacmod import (
     ExactSeq,
     UnsupportedObjectError,
     composition_factors,
-    diagram_to_dot,
     kac_length2_seq,
     kac_mm_nn_diagram,
     mm_nn_indices,
@@ -281,25 +279,22 @@ def test_mm_nn_indices_drives_kac_diagram_and_composition_factors(monkeypatch):
     # The CLI's --r/--s request and `composition_factors` share one test for
     # "K_{r,s} is K_{mp-1,nq-1} with m >= n >= 2"; check both against it.
     # One parser serves every call: building it is nine tenths of a call.
-    monkeypatch.delenv("TRIPLET_OUTPUT", raising=False)
     parser = cli.build_parser()
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
     for params in PAIRS:
         p, q = params.p, params.q
         for r in range(1, 4 * p + 1):
             for s in range(1, 4 * q + 1):
-                out, err = io.StringIO(), io.StringIO()
                 argv = ["kac-diagram", "--p", str(p), "--q", str(q), "--r", str(r), "--s", str(s)]
-                with redirect_stdout(out), redirect_stderr(err):
-                    code = cli.main(argv)
+                code, out, err = run_cli(argv)
                 mn = mm_nn_indices(params, VirLabel(r, s))
                 if mn is None:
-                    assert (code, out.getvalue()) == (3, "")
-                    assert err.getvalue() == (
+                    assert (code, out) == (3, "")
+                    assert err == (
                         f"error: no Loewy diagram available for the general Kac label K_{{{r},{s}}}\n"
                     )
                     continue
-                payload = json.loads(out.getvalue())
+                payload = json.loads(out)
                 assert (code, (payload["m"], payload["n"])) == (0, mn)
                 diagram = Counter(
                     canonical_label(params, VirLabel(*node["label"])) for node in payload["nodes"]
@@ -308,8 +303,9 @@ def test_mm_nn_indices_drives_kac_diagram_and_composition_factors(monkeypatch):
 
 
 def test_dot_output():
-    params = Params(2, 3)
-    dot = diagram_to_dot(params, kac_mm_nn_diagram(params, 2, 2))
+    argv = ["kac-diagram", "--p", "2", "--q", "3", "--m", "2", "--n", "2", "--format", "dot"]
+    code, dot, _ = run_cli(argv)
+    assert code == 0
     assert dot.startswith("digraph loewy {")
     assert '"L_3_1" [label="L_{3,1} (h=2)"];' in dot
     assert '"L_3_1" -> "L_1_1";' in dot

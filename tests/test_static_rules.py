@@ -5,8 +5,9 @@ only ``verify``, whose checks the CLI refuses to run under ``-O``, asserts.
 Nothing is floating point, and ``math`` serves only integer gcd/lcm.
 Brute-force oracles live only in ``verify``, and the character oracle never
 reads the closed form it checks.  Only ``exactnum`` tests whether a value is
-a ``ParamScalar``.  Every public function and method has a caller in the
-package, or is documented in the README.
+a ``ParamScalar``.  Only ``cli`` writes the JSON and DOT output formats.
+Every public function and method has a caller in the package, or is
+documented in the README.
 """
 
 import ast
@@ -109,6 +110,24 @@ def test_no_param_scalar_isinstance_outside_exactnum(path):
     assert found == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_output_formats_only_in_cli(path):
+    # The library layers return values; only `cli` turns them into JSON or DOT.
+    if path.name == "cli.py":
+        return
+    found = [
+        _where(path, n)
+        for n in ast.walk(_tree(path))
+        if (
+            isinstance(n, ast.FunctionDef)
+            and (n.name in ("to_json", "from_json") or n.name.endswith("_dot"))
+        )
+        or (isinstance(n, ast.Import) and any(a.name == "json" for a in n.names))
+        or (isinstance(n, ast.ImportFrom) and n.module == "json")
+    ]
+    assert found == []
+
+
 def _names_used(node: ast.AST) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
         n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
@@ -195,6 +214,16 @@ def test_static_rules_catch_a_violation(tmp_path):
     src.write_text("class CharOracle:\n    pass\ndef cg_oracle(m, n):\n    return []\n")
     with pytest.raises(AssertionError):
         test_oracles_only_in_verify(src)
+    for text in (
+        "class Label:\n    def to_json(self):\n        return {}\n",
+        "class Label:\n    @staticmethod\n    def from_json(data):\n        return Label()\n",
+        "def diagram_to_dot(diagram):\n    return ''\n",
+        "import json\n",
+        "from json import dumps\n",
+    ):
+        src.write_text(text)
+        with pytest.raises(AssertionError):
+            test_output_formats_only_in_cli(src)
     src.write_text("def cg_oracle(m, n):\n    return _peel(m, n)\ndef _peel(m, n):\n    return fuse_C(m)\n")
     assert "fuse_C" in _names_reached(src, "cg_oracle")
     src.write_text(

@@ -39,8 +39,7 @@ INSTANCES = [
     kac_length2_seq(P23, kac_k(1, 1)),
     DIAGRAM.nodes[0],
     DIAGRAM,
-    WPQ.entries[-1],
-    WPQ,
+    WPQ[-1],
     PARAMETRIZED.matrix,
     PARAMETRIZED,
     build_irrep(2),
@@ -65,7 +64,7 @@ def test_instances_cover_every_value_class():
                 classes.add(sub)
                 pending.append(sub)
     assert classes == {type(x) for x in INSTANCES}
-    assert len(INSTANCES) == 16
+    assert len(INSTANCES) == 15
 
 
 def test_equal_fields_of_different_classes_are_unequal():

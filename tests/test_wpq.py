@@ -21,7 +21,7 @@ PAIRS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
 
 def test_decompose_wpq_2_3():
     decomp = decompose_wpq(Params(2, 3), 3)
-    rows = [(e.mult, e.obj, e.lowest_weight) for e in decomp.entries]
+    rows = [(e.mult, e.obj, e.lowest_weight) for e in decomp]
     assert rows == [
         (1, kac_k(1, 1), 0),
         (3, simple_l(7, 1), 15),
@@ -31,9 +31,9 @@ def test_decompose_wpq_2_3():
 
 def test_decompose_wpq_truncation_and_multiplicities():
     for params in PAIRS:
-        assert len(decompose_wpq(params, 2).entries) == 2
+        assert len(decompose_wpq(params, 2)) == 2
         decomp = decompose_wpq(params, 12)
-        for n, entry in enumerate(decomp.entries[1:], start=2):
+        for n, entry in enumerate(decomp[1:], start=2):
             assert entry.mult == 2 * n - 1
             assert entry.obj == simple_l(2 * n * params.p - 1, 1)
             assert entry.lowest_weight == (n * params.p - 1) * (n * params.q - 1)
@@ -43,17 +43,17 @@ def test_decompose_wpq_truncation_and_multiplicities():
 
 def test_decompose_wpq_equivariant():
     decomp = decompose_wpq_equivariant(Params(2, 3), 3)
-    assert decomp.entries[0].psl2 == 0 and decomp.entries[0].obj == kac_k(1, 1)
-    n2 = decomp.entries[1]
+    assert decomp[0].psl2 == 0 and decomp[0].obj == kac_k(1, 1)
+    n2 = decomp[1]
     assert (n2.psl2, n2.obj, n2.lowest_weight) == (2, simple_l(7, 1), 15)
     assert n2.mult == 3
 
 
 def test_decompose_ideal():
     decomp = decompose_ideal(Params(2, 3), 2)
-    rows = [(e.mult, e.obj, e.lowest_weight) for e in decomp.entries]
+    rows = [(e.mult, e.obj, e.lowest_weight) for e in decomp]
     assert rows == [(1, simple_l(3, 1), 2), (3, simple_l(7, 1), 15)]
-    assert len(decompose_ideal(Params(2, 3), 1).entries) == 1
+    assert len(decompose_ideal(Params(2, 3), 1)) == 1
     with pytest.raises(ValueError):
         decompose_ideal(Params(2, 3), 0)
 
@@ -62,10 +62,10 @@ def test_ideal_socle_matches_k11_sequence():
     for params in PAIRS:
         ideal = decompose_ideal(params, 3)
         socle = kac_length2_seq(params, kac_k(1, 1)).sub
-        assert ideal.entries[0].obj == socle
-        assert ideal.entries[0].lowest_weight == (params.p - 1) * (params.q - 1)
+        assert ideal[0].obj == socle
+        assert ideal[0].lowest_weight == (params.p - 1) * (params.q - 1)
         # the n=1 term is inside K_{1,1}, not among the visible simple summands
-        wpq_objs = {e.obj for e in decompose_wpq(params, 3).entries}
+        wpq_objs = {e.obj for e in decompose_wpq(params, 3)}
         assert socle not in wpq_objs
 
 
@@ -86,10 +86,10 @@ def test_decompose_wprime():
     for params in PAIRS:
         prime = decompose_wprime(params, 4)
         graded = decompose_wpq_equivariant(params, 4)
-        assert prime.entries[0].obj == kac_dual_k11()
-        assert graded.entries[0].obj == kac_k(1, 1)
-        assert prime.entries[1:] == graded.entries[1:]
-    n2 = decompose_wprime(Params(3, 4), 2).entries[1]
+        assert prime[0].obj == kac_dual_k11()
+        assert graded[0].obj == kac_k(1, 1)
+        assert prime[1:] == graded[1:]
+    n2 = decompose_wprime(Params(3, 4), 2)[1]
     assert (n2.psl2, n2.obj, n2.lowest_weight) == (2, simple_l(11, 1), 35)
 
 
