@@ -73,19 +73,36 @@ def test_kac_diagram_dot():
     assert '"L_3_1" [label="L_{3,1} (h=2)"];' in out
 
 
-def test_kac_diagram_output_depends_on_argv_alone():
-    # No environment variable selects the format: a variable that once
-    # did, set to a valid or an invalid format, leaves the bytes unchanged.
-    argv = [sys.executable, "-m", "triplet", "kac-diagram", "--p", "2", "--q", "3"]
-    argv += ["--m", "2", "--n", "2"]
+KAC_ARGV = ["kac-diagram", "--p", "2", "--q", "3", "--m", "2", "--n", "2"]
+
+
+def _kac_run(extra=(), output=None) -> tuple[int, bytes, bytes]:
+    """Run ``triplet kac-diagram`` in a child with TRIPLET_OUTPUT unset or set.
+
+    No environment variable selects the format any more: TRIPLET_OUTPUT,
+    which once did, must leave exit code and bytes unchanged.
+    """
     env = {k: v for k, v in _child_env().items() if k != "TRIPLET_OUTPUT"}
-    plain = subprocess.run(argv, capture_output=True, env=env)
-    assert plain.returncode == 0 and plain.stdout.startswith(b"{")
-    for value in ("dot", "yaml"):
-        run = subprocess.run(argv, capture_output=True, env=dict(env, TRIPLET_OUTPUT=value))
-        assert (run.returncode, run.stdout, run.stderr) == (0, plain.stdout, plain.stderr)
-    dot = subprocess.run([*argv, "--format", "dot"], capture_output=True, env=env)
-    assert dot.returncode == 0 and dot.stdout.startswith(b"digraph loewy {")
+    if output is not None:
+        env["TRIPLET_OUTPUT"] = output
+    argv = [sys.executable, "-m", "triplet", *KAC_ARGV, *extra]
+    run = subprocess.run(argv, capture_output=True, env=env)
+    return run.returncode, run.stdout, run.stderr
+
+
+def test_kac_diagram_env_default():
+    plain = _kac_run()
+    assert plain[0] == 0 and plain[1].startswith(b"{")
+    assert _kac_run(output="dot") == plain
+    assert _kac_run(["--format", "json"], output="dot") == plain
+    code, out, _ = _kac_run(["--format", "dot"], output="dot")
+    assert code == 0 and out.startswith(b"digraph loewy {")
+
+
+def test_invalid_env_format():
+    plain = _kac_run()
+    assert plain[0] == 0
+    assert _kac_run(output="yaml") == plain
 
 
 # sha256 of `triplet --help` and of each `<sub> --help` at 80 columns.  They
