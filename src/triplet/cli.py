@@ -377,31 +377,43 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Lays help and usage out 78 columns wide, as argparse does under
+    COLUMNS=80, whatever the terminal: their bytes depend on argv alone."""
+
+    def __init__(self, prog: str) -> None:
+        super().__init__(prog, width=78)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="triplet",
         description="Exact representation-theoretic data of the W_{p,q} triplet construction.",
+        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_weights = sub.add_parser("weights", help="central charge, conformal weight, canonical label")
+    def add_parser(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
+
+    p_weights = add_parser("weights", help="central charge, conformal weight, canonical label")
     _add_pq(p_weights)
     p_weights.add_argument("--r", type=_int_arg, required=True)
     p_weights.add_argument("--s", type=_int_arg, required=True)
     p_weights.set_defaults(func=_cmd_weights)
 
-    p_fuse_l = sub.add_parser("fuse-L", help="fusion of L_{mp-1,1} with L_{np-1,1}")
+    p_fuse_l = add_parser("fuse-L", help="fusion of L_{mp-1,1} with L_{np-1,1}")
     _add_pq(p_fuse_l)
     p_fuse_l.add_argument("--m", type=_int_arg, required=True)
     p_fuse_l.add_argument("--n", type=_int_arg, required=True)
     p_fuse_l.set_defaults(func=_cmd_fuse_l)
 
-    p_fuse_c = sub.add_parser("fuse-C", help="sl2-type fusion channels of L_m with L_n")
+    p_fuse_c = add_parser("fuse-C", help="sl2-type fusion channels of L_m with L_n")
     p_fuse_c.add_argument("--m", type=_int_arg, required=True)
     p_fuse_c.add_argument("--n", type=_int_arg, required=True)
     p_fuse_c.set_defaults(func=_cmd_fuse_c)
 
-    p_diagram = sub.add_parser("kac-diagram", help="Loewy diagram of K_{mp-1,nq-1}")
+    p_diagram = add_parser("kac-diagram", help="Loewy diagram of K_{mp-1,nq-1}")
     _add_pq(p_diagram)
     p_diagram.add_argument("--m", type=_int_arg, default=None)
     p_diagram.add_argument("--n", type=_int_arg, default=None)
@@ -410,17 +422,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_diagram.add_argument("--format", choices=("json", "dot"), default="json")
     p_diagram.set_defaults(func=_cmd_kac_diagram)
 
-    p_hex = sub.add_parser("hexagon", help="invertible F-matrix solutions of the hexagon constraint")
+    p_hex = add_parser("hexagon", help="invertible F-matrix solutions of the hexagon constraint")
     _add_pq(p_hex)
     p_hex.add_argument("--t", type=str, default=None, help="evaluate the family at rational t=NUM/DEN")
     p_hex.set_defaults(func=_cmd_hexagon)
 
-    p_braid = sub.add_parser("braiding", help="R-scalars and balancing phases on L_n (x) L_n")
+    p_braid = add_parser("braiding", help="R-scalars and balancing phases on L_n (x) L_n")
     _add_pq(p_braid)
     p_braid.add_argument("--n", type=_int_arg, required=True)
     p_braid.set_defaults(func=_cmd_braiding)
 
-    p_dec = sub.add_parser("decompose", help="truncated decompositions of the triplet algebra")
+    p_dec = add_parser("decompose", help="truncated decompositions of the triplet algebra")
     _add_pq(p_dec)
     p_dec.add_argument(
         "--target", choices=("wpq", "wpq-equivariant", "ideal", "wprime"), required=True
@@ -428,19 +440,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--nmax", type=_int_arg, required=True)
     p_dec.set_defaults(func=_cmd_decompose)
 
-    p_o0 = sub.add_parser("o0-check", help="weight-congruence identities for induction")
+    p_o0 = add_parser("o0-check", help="weight-congruence identities for induction")
     _add_pq(p_o0)
     p_o0.add_argument("--nmax", type=_int_arg, required=True)
     p_o0.set_defaults(func=_cmd_o0_check)
 
-    p_sl2 = sub.add_parser("sl2", help="explicit sl2 irreducibles, forms, and CG maps")
+    p_sl2 = add_parser("sl2", help="explicit sl2 irreducibles, forms, and CG maps")
     p_sl2.add_argument("--n", type=_int_arg, required=True)
     p_sl2.add_argument("--op", choices=("irrep", "form", "cg"), required=True)
     p_sl2.add_argument("--m", type=_int_arg, default=None)
     p_sl2.add_argument("--k", type=_int_arg, default=None)
     p_sl2.set_defaults(func=_cmd_sl2)
 
-    p_verify = sub.add_parser("verify", help="run the exact property suites")
+    p_verify = add_parser("verify", help="run the exact property suites")
     p_verify.add_argument(
         "--suite",
         action="append",

@@ -12,10 +12,17 @@ coefficients.  Nothing here is ever floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 # Arbitrary-precision rational, always stored reduced with positive
 # denominator.  fractions.Fraction already guarantees both invariants.
 Rat = Fraction
+
+# The one zero of every dense matrix fill.  Loops over such matrices skip a
+# zero entry with ``x is ZERO`` before any Fraction method runs; a zero that
+# is another object still compares equal by value, so this is only a fast
+# path.
+ZERO = Fraction(0)
 
 # One bound for every lru_cache of the package, above the distinct keys
 # that `verify --suite all` asks for: 11 each in `sl2rep.build_irrep` and
@@ -181,15 +188,25 @@ class ParamScalar(Value):
         return not self.terms
 
     def eval(self, t0: Rat) -> Rat:
-        # Sum c*t0^(e - low), then divide by t0^(-low): every power is >= 0, so an
-        # int t0 never meets a negative power, which would give a float.
-        low = min(0, self.terms[0][0]) if self.terms else 0
-        if low and t0 == 0:
+        """The value at t = u/w, summed as one integer over one denominator.
+
+        With c_e = n_e/d_e, D = lcm(d_e), lo = min(0, lowest e) and
+        hi = max(0, highest e), the value is
+        sum_e n_e (D/d_e) u^(e-lo) w^(hi-e) / (D u^-lo w^hi): every power is
+        >= 0, so only integers are multiplied and one Fraction is built.
+        """
+        if not self.terms:
+            return ZERO
+        u, w = t0.numerator, t0.denominator
+        lo = min(0, self.terms[0][0])
+        hi = max(0, self.terms[-1][0])
+        if lo and not u:
             raise ZeroDivisionError(f"denominator vanishes at t={t0}")
-        acc = Fraction(0)
+        den = lcm(*[c.denominator for _, c in self.terms])
+        num = 0
         for e, c in self.terms:
-            acc += c * t0 ** (e - low)
-        return acc / t0**-low
+            num += c.numerator * (den // c.denominator) * u ** (e - lo) * w ** (hi - e)
+        return Fraction(num, den * u**-lo * w**hi)
 
     def as_rat(self) -> Rat:
         """Return the value when constant; error otherwise."""

@@ -57,6 +57,15 @@ class DecompList(Value):
             raise ValueError("entries must be pairwise distinct")
         self._assign(entries)
 
+    @classmethod
+    def _unchecked(cls, entries: tuple[DecompEntry, ...]) -> "DecompList":
+        """A DecompList built without the constructor's two checks, for
+        callers whose entries are distinct with multiplicities >= 1 by
+        construction.  Pickle and copy still rebuild through ``__init__``."""
+        out = object.__new__(cls)
+        out._assign(entries)
+        return out
+
     def __eq__(self, other):
         if other.__class__ is DecompList:
             return self.entries == other.entries
@@ -173,7 +182,9 @@ def fusion_ring_product(params: Params, a: DecompList, b: DecompList) -> DecompL
             mult = ea.mult * eb.mult
             for k in channels:
                 acc[k] = acc.get(k, 0) + mult
-    return DecompList(
-        tuple(DecompEntry(acc[k], sl2_index_to_obj(params, k)) for k in sorted(acc))
+    # Distinct sl2 indices give distinct labels, and every multiplicity is
+    # a sum of positive products, so the constructor's checks cannot fail.
+    return DecompList._unchecked(
+        tuple([DecompEntry(acc[k], sl2_index_to_obj(params, k)) for k in sorted(acc)])
     )
 

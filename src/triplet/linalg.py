@@ -6,27 +6,30 @@ forms.  The oracles themselves (`verify.cg_system_oracle`,
 dense steps they are built from (nullspace solves, dense inverses, matrix
 products).
 Matrices are lists of rows of Fraction; a product also takes tuple rows.
-Elimination and products skip zero entries, which keeps the very sparse
-invariance systems fast despite the dense layout.  A product accumulates
-integers over the row denominators of its left factor and the column
-denominators of its right one, and builds one Fraction per nonzero entry.
+Every zero entry written here is the shared `exactnum.ZERO`, and every
+loop skips an entry that `is ZERO` before any Fraction method runs; other
+zeros are still tested by value.  The arithmetic itself is on integers:
+- A product accumulates integers over the row denominators of its left
+  factor and the column denominators of its right one.
+- `rref` is fraction-free Gauss-Jordan elimination (Bareiss, 1968, without
+  the exact-division step): each row is scaled to a sparse integer row,
+  rows are combined by integer cross-multiplication, and each new row is
+  divided by its content, the gcd of its entries.
+Both build one Fraction per nonzero entry of the result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+
+from .exactnum import ZERO
 
 Matrix = list
 
 
-# Shared by every zero entry that `zeros`, `identity` and `mat_mul` write,
-# so comparing such matrices mostly compares entries by identity.
-_ZERO = Fraction(0)
-
-
 def zeros(rows: int, cols: int) -> Matrix:
-    return [[_ZERO] * cols for _ in range(rows)]
+    return [[ZERO] * cols for _ in range(rows)]
 
 
 def identity(n: int) -> Matrix:
@@ -43,68 +46,121 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     integral (d_i, e_j the lcm of the denominators), so entry (i,j) is the
     integer A_i . B_j over d_i*e_j.  Only nonzero entries are multiplied.
     """
-    col_dens = [lcm(*[x.denominator for x in col]) for col in zip(*b)]
+    col_dens = [lcm(*[x.denominator for x in col if x is not ZERO]) for col in zip(*b)]
     # Row k of b times the column denominators: (j, integer) for each nonzero.
     b_int = [
-        [(j, x.numerator * (col_dens[j] // x.denominator)) for j, x in enumerate(brow) if x]
+        [
+            (j, x.numerator * (col_dens[j] // x.denominator))
+            for j, x in enumerate(brow)
+            if x is not ZERO and x
+        ]
         for brow in b
     ]
     out = []
     for arow in a:
-        support = [(k, x) for k, x in enumerate(arow) if x]
+        support = [(k, x) for k, x in enumerate(arow) if x is not ZERO and x]
         d = lcm(*[x.denominator for _, x in support])
         acc = [0] * len(col_dens)
         for k, x in support:
             ak = x.numerator * (d // x.denominator)
             for j, bkj in b_int[k]:
                 acc[j] += ak * bkj
-        out.append([Fraction(x, d * e) if x else _ZERO for x, e in zip(acc, col_dens)])
+        out.append([Fraction(x, d * e) if x else ZERO for x, e in zip(acc, col_dens)])
     return out
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [
+        [x if y is ZERO else -y if x is ZERO else x - y for x, y in zip(ra, rb)]
+        for ra, rb in zip(a, b)
+    ]
 
 
 def mat_vec(a: Matrix, v: list) -> list:
-    support = [j for j, x in enumerate(v) if x]
-    return [sum((row[j] * v[j] for j in support if row[j]), Fraction(0)) for row in a]
+    """a*v: one column of `mat_mul`'s integer accumulation.
+
+    v is V/e with V integral, so entry i is the integer A_i . V over d_i*e,
+    where d_i is the lcm of the denominators row i meets on the support of v.
+    """
+    e = lcm(*[x.denominator for x in v if x is not ZERO])
+    v_int = [
+        (j, x.numerator * (e // x.denominator)) for j, x in enumerate(v) if x is not ZERO and x
+    ]
+    out = []
+    for row in a:
+        terms = [(row[j], y) for j, y in v_int if row[j] is not ZERO and row[j]]
+        d = lcm(*[x.denominator for x, _ in terms])
+        acc = sum([x.numerator * (d // x.denominator) * y for x, y in terms])
+        out.append(Fraction(acc, d * e) if acc else ZERO)
+    return out
 
 
 def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
+    return all(x is ZERO or x == 0 for row in a for x in row)
+
+
+def _int_row(row) -> dict[int, int]:
+    """The nonzero entries of a row of Fraction scaled to coprime integers,
+    keyed by column; the scale is positive."""
+    support = [(j, x) for j, x in enumerate(row) if x is not ZERO and x]
+    d = lcm(*[x.denominator for _, x in support])
+    out = {j: x.numerator * (d // x.denominator) for j, x in support}
+    return _primitive(out)
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    if g > 1:
+        return {j: x // g for j, x in row.items()}
+    return row
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    """Reduced row echelon form and the list of pivot columns.
+
+    Rows stay sparse integer rows throughout.  Clearing column c of row i
+    against the pivot row P, whose entry there is p, replaces row i by
+    (p*row - row[c]*P)/g with g = gcd(p, row[c]), then divides it by its
+    content.  At the end, pivot row r divided by its pivot entry is row r
+    of the reduced form.
+    """
+    rows = [_int_row(row) for row in a]
+    n_rows = len(rows)
+    cols = len(a[0]) if n_rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
+        pivot = next((i for i in range(r, n_rows) if c in rows[i]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        prow = m[r]
-        # Columns left of c are already zero in the pivot row; only its
-        # nonzero entries change the other rows.
-        support = [j for j in range(c, cols) if prow[j]]
-        inv = 1 / prow[c]
-        for j in support:
-            prow[j] *= inv
-        for i in range(rows):
-            row = m[i]
-            if i != r and row[c]:
-                factor = row[c]
-                for j in support:
-                    row[j] -= factor * prow[j]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(n_rows):
+            row = rows[i]
+            x = row.get(c)
+            if x is None or i == r:
+                continue
+            g = gcd(p, x)
+            ps, xs = p // g, x // g
+            new = row if ps == 1 else {j: ps * y for j, y in row.items()}
+            for j, y in prow.items():
+                z = new.get(j, 0) - xs * y
+                if z:
+                    new[j] = z
+                else:
+                    del new[j]
+            rows[i] = _primitive(new)
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == n_rows:
             break
-    return m, pivots
+    out = zeros(n_rows, cols)
+    for row, out_row, c in zip(rows, out, pivots):
+        p = row[c]
+        for j, x in row.items():
+            out_row[j] = Fraction(x, p)
+    return out, pivots
 
 
 def nullspace(a: Matrix) -> list[list]:
@@ -116,10 +172,11 @@ def nullspace(a: Matrix) -> list[list]:
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [Fraction(0)] * cols
+        vec = [ZERO] * cols
         vec[fc] = Fraction(1)
         for row_idx, pc in enumerate(pivots):
-            vec[pc] = -reduced[row_idx][fc]
+            x = reduced[row_idx][fc]
+            vec[pc] = x if x is ZERO else -x
         basis.append(vec)
     return basis
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
-from .exactnum import CACHE_SIZE, Value
+from .exactnum import CACHE_SIZE, ZERO, Value
 
 
 class Irrep(Value):
@@ -54,9 +55,9 @@ def build_irrep(n: int) -> Irrep:
     """The (n+1)-dimensional irreducible with E v_0 = 0 and F v_k = v_{k+1}."""
     _check_weight(n)
     dim = n + 1
-    e = [[Fraction(0)] * dim for _ in range(dim)]
-    f = [[Fraction(0)] * dim for _ in range(dim)]
-    h = [[Fraction(0)] * dim for _ in range(dim)]
+    e = [[ZERO] * dim for _ in range(dim)]
+    f = [[ZERO] * dim for _ in range(dim)]
+    h = [[ZERO] * dim for _ in range(dim)]
     for k in range(dim):
         h[k][k] = Fraction(n - 2 * k)
         if k + 1 < dim:
@@ -80,7 +81,7 @@ def invariant_form(n: int) -> BilinForm:
     """
     rep = build_irrep(n)
     dim = n + 1
-    b = [[Fraction(0)] * dim for _ in range(dim)]
+    b = [[ZERO] * dim for _ in range(dim)]
     for k in range(dim):
         b[k][n - k] = Fraction(1 if k % 2 == 0 else -1)
     # E maps v_i to a multiple of v_{i-1} and F maps v_i to v_{i+1}, so the
@@ -118,41 +119,53 @@ def cg_maps(m: int, n: int, k: int) -> tuple[list, list]:
       Column k-i lies on level s+k-i, so the two signs multiply to (-1)^s:
       row i holds column k-i read at (m-a, n-b), divided by (-1)^s c_k.
       A zero c_k raises; no inverse is taken.
+
+    The arithmetic is on integers: the columns hold D times the true
+    coefficients, D the lcm of the top's denominators, and each entry
+    becomes one Fraction at the end.
     """
     _check_weight(m)
     _check_weight(n)
     if not (abs(m - n) <= k <= m + n and (m + n - k) % 2 == 0):
         raise ValueError(f"k={k} is not a channel of V_{m} (x) V_{n}")
     s = (m + n - k) // 2
-    # columns[j]: a -> coefficient of v_a (x) v_{s+j-a} in F^j of the top.
-    coeff = Fraction(1)
-    top = {max(0, s - n): coeff}
-    for a in range(max(0, s - n) + 1, min(m, s) + 1):
+    # The recurrence as reduced fractions c_a = num/den, then the top as T/D
+    # with T integral and D the lcm of the den.
+    first = max(0, s - n)
+    num, den = 1, 1
+    coeffs = {first: (num, den)}
+    for a in range(first + 1, min(m, s) + 1):
         b = s - a
-        coeff = -coeff * (b + 1) * (n - b) / (a * (m - a + 1))
-        top[a] = coeff
+        num, den = -num * (b + 1) * (n - b), den * a * (m - a + 1)
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        coeffs[a] = (num, den)
+    big = lcm(*[den for _, den in coeffs.values()])
+    top = {a: num * (big // den) for a, (num, den) in coeffs.items()}
+    # columns[j]: a -> D times the coefficient of v_a (x) v_{s+j-a} in F^j
+    # of the top, an integer.
     columns = [top]
     for level in range(s, s + k):
-        down: dict[int, Fraction] = {}
+        down: dict[int, int] = {}
         for a, x in columns[-1].items():
             if a < m:
                 down[a + 1] = down.get(a + 1, 0) + x
             if level - a < n:
                 down[a] = down.get(a, 0) + x
         columns.append(down)
-    # (-1)^s c_k: the top paired with the bottom of the channel.
-    scale = sum((x * columns[k].get(m - a, 0) for a, x in top.items()), Fraction(0))
+    # D^2 (-1)^s c_k: the top paired with the bottom of the channel.
+    scale = sum([x * columns[k].get(m - a, 0) for a, x in top.items()])
     if scale == 0:
         raise AssertionError(f"channel {k} of V_{m} (x) V_{n} pairs to zero under the form")
     dim = (m + 1) * (n + 1)
-    proj = [[Fraction(0)] * dim for _ in range(k + 1)]
-    incl = [[Fraction(0)] * (k + 1) for _ in range(dim)]
+    proj = [[ZERO] * dim for _ in range(k + 1)]
+    incl = [[ZERO] * (k + 1) for _ in range(dim)]
     for j, column in enumerate(columns):
         row = proj[k - j]
         for a, x in column.items():
             b = s + j - a
-            incl[a * (n + 1) + b][j] = x
-            row[(m - a) * (n + 1) + n - b] = x / scale
+            incl[a * (n + 1) + b][j] = Fraction(x, big)
+            row[(m - a) * (n + 1) + n - b] = Fraction(x * big, scale)
     return proj, incl
 
 
@@ -184,7 +197,7 @@ def simplicity_witness(n: int, v: list) -> list:
     # Entry i of B v is B[i][2n-i] * v[2n-i]: the form is antidiagonal.
     for i, row in enumerate(form.matrix):
         if row[2 * n - i] * v[2 * n - i]:
-            witness = [Fraction(0)] * (2 * n + 1)
+            witness = [ZERO] * (2 * n + 1)
             witness[i] = Fraction(1)
             if form.pair(witness, v) == 0:
                 raise AssertionError(f"basis vector {i} does not pair with v under the form")

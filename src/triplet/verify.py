@@ -20,7 +20,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from . import braidfmat, fusion, kacmod, linalg, sl2rep, wpq
-from .exactnum import ParamScalar, Phase
+from .exactnum import ZERO, ParamScalar, Phase
 from .virasoro import (
     KAC_DUAL_K11,
     ObjLabel,
@@ -112,13 +112,14 @@ def param_scalar_evaluation_hom():
 
 
 def conformal_weight_oracle(params: Params, lbl: VirLabel) -> Fraction:
-    """h_{r,s} = (r^2-1)q/4p - (rs-1)/2 + (s^2-1)p/4q, term by term."""
+    """h_{r,s} = (r^2-1)q/4p - (rs-1)/2 + (s^2-1)p/4q, term by term.
+
+    The three terms are summed as integers over the common denominator 4pq.
+    """
     p, q = params.p, params.q
     r, s = lbl.r, lbl.s
-    return (
-        Fraction((r * r - 1) * q, 4 * p)
-        - Fraction(r * s - 1, 2)
-        + Fraction((s * s - 1) * p, 4 * q)
+    return Fraction(
+        (r * r - 1) * q * q - 2 * p * q * (r * s - 1) + (s * s - 1) * p * p, 4 * p * q
     )
 
 
@@ -452,16 +453,16 @@ def invariant_form_oracle(n: int) -> tuple:
         # (X^T B + B X)[i][j] = sum_k X[k][i] B[k][j] + B[i][k] X[k][j]
         for i in range(dim):
             for j in range(dim):
-                row = [Fraction(0)] * (dim * dim)
+                row = [ZERO] * (dim * dim)
                 for k in range(dim):
-                    if x[k][i]:
+                    if x[k][i] is not ZERO:
                         row[k * dim + j] += x[k][i]
-                    if x[k][j]:
+                    if x[k][j] is not ZERO:
                         row[i * dim + k] += x[k][j]
-                if any(row):
+                if any(y is not ZERO and y for y in row):
                     rows.append(row)
     # n = 0 imposes no constraints; keep the column count visible.
-    basis = linalg.nullspace(rows or [[Fraction(0)] * (dim * dim)])
+    basis = linalg.nullspace(rows or [[ZERO] * (dim * dim)])
     if len(basis) != 1:
         raise AssertionError(
             f"invariant-form space of V_{n} has dimension {len(basis)}, expected 1"
@@ -486,10 +487,10 @@ def _kron_sum(a: list, b: list) -> list:
         for j in range(db):
             row = out[i * db + j]
             for k in range(da):
-                if a[i][k]:
+                if a[i][k] is not ZERO:
                     row[k * db + j] += a[i][k]
             for k in range(db):
-                if b[j][k]:
+                if b[j][k] is not ZERO:
                     row[i * db + k] += b[j][k]
     return out
 
@@ -522,18 +523,17 @@ def cg_system_oracle(m: int, n: int) -> dict[int, tuple[tuple, tuple]]:
     for k in channels:
         idx = weight_indices(k)
         restricted = [[e_t[i][j] for j in idx] for i in range(dim)]
-        basis = linalg.nullspace(
-            [row for row in restricted if any(row)] or [[Fraction(0)] * len(idx)]
-        )
+        nonzero = [row for row in restricted if any(x is not ZERO and x for x in row)]
+        basis = linalg.nullspace(nonzero or [[ZERO] * len(idx)])
         if len(basis) != 1:
             raise AssertionError(
                 f"channel {k} of V_{m} (x) V_{n} has multiplicity {len(basis)}, expected 1"
             )
-        vec = [Fraction(0)] * dim
+        vec = [ZERO] * dim
         for pos, coeff in zip(idx, basis[0]):
             vec[pos] = coeff
         lead = next(x for x in vec if x)
-        vec = [x / lead for x in vec]
+        vec = [x if x is ZERO else x / lead for x in vec]
         start = len(columns)
         columns.append(vec)
         for _ in range(k):
@@ -561,8 +561,8 @@ def check_brackets(rep: sl2rep.Irrep) -> bool:
     e = [list(r) for r in rep.e]
     f = [list(r) for r in rep.f]
     h = [list(r) for r in rep.h]
-    two_e = [[2 * x for x in row] for row in e]
-    minus_two_f = [[-2 * x for x in row] for row in f]
+    two_e = [[x if x is ZERO else 2 * x for x in row] for row in e]
+    minus_two_f = [[x if x is ZERO else -2 * x for x in row] for row in f]
     return (
         linalg.is_zero_matrix(linalg.mat_sub(bracket(h, e), two_e))
         and linalg.is_zero_matrix(linalg.mat_sub(bracket(h, f), minus_two_f))

@@ -132,6 +132,24 @@ def test_help_bytes_are_pinned(sub, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[sub]
 
 
+# sha256 of the stderr of `triplet decompose --p 2 --q 3`, a usage error, at
+# 80 columns: argparse prints the usage line, wrapped, before the message.
+USAGE_ERROR_SHA256 = "16e0ad770c6688647e41352d398b37857999a3905fa8ff53ecde2f326fc1bdd9"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="hashes are of Python 3.11's argparse")
+@pytest.mark.parametrize("columns", ["40", "200"])
+def test_help_and_usage_bytes_ignore_the_terminal_width(columns, monkeypatch):
+    monkeypatch.setenv("COLUMNS", columns)
+    for sub, digest in HELP_SHA256.items():
+        code, out, err = run_cli([sub, "--help"] if sub else ["--help"])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, sub
+    code, out, err = run_cli(["decompose", "--p", "2", "--q", "3"])
+    assert (code, out) == (2, "")
+    assert hashlib.sha256(err.encode()).hexdigest() == USAGE_ERROR_SHA256
+
+
 def test_exit_2_on_m_less_than_n():
     code, _, err = run_cli(["kac-diagram", "--p", "2", "--q", "3", "--m", "2", "--n", "3"])
     assert code == 2 and "swap" in err

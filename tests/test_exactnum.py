@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: phases, rationals, and Laurent polynomials in t."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,41 @@ def test_param_scalar_constant_extraction_and_errors():
         ParamScalar.t() / ParamScalar.const(Fraction(0))
     with pytest.raises(ZeroDivisionError):
         (ParamScalar.const(Fraction(1)) / ParamScalar.t()).eval(Fraction(0))
+
+
+def _eval_oracle(x: ParamScalar, t0) -> Fraction:
+    """Term by term: sum c*t0^(e - low), then divide by t0^(-low), as
+    `ParamScalar.eval` did before it summed integers over one denominator."""
+    low = min(0, x.terms[0][0]) if x.terms else 0
+    if low and t0 == 0:
+        raise ZeroDivisionError(f"denominator vanishes at t={t0}")
+    acc = Fraction(0)
+    for e, c in x.terms:
+        acc += c * t0 ** (e - low)
+    return acc / t0**-low
+
+
+def test_param_scalar_eval_equals_the_term_by_term_sum():
+    rng = random.Random(20254)
+    t0s = [0, 1, -1, 7, -12, Fraction(0), Fraction(3, 7), Fraction(-5, 2), Fraction(-1, 10**6)]
+    raised = 0
+    for _ in range(300):
+        terms = [
+            (rng.randint(-4, 4), Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4)))
+            for _ in range(rng.randint(0, 6))
+        ]
+        x = ParamScalar(terms)
+        for t0 in t0s + [Fraction(rng.randint(-50, 50), rng.randint(1, 50)), rng.randint(-9, 9)]:
+            try:
+                expected = _eval_oracle(x, t0)
+            except ZeroDivisionError as exc:
+                raised += 1
+                with pytest.raises(ZeroDivisionError, match=f"^{exc}$"):
+                    x.eval(t0)
+                continue
+            value = x.eval(t0)
+            assert type(value) is Fraction and value == expected
+    assert raised >= 100
 
 
 _T = ParamScalar.t()

@@ -282,3 +282,21 @@ def test_decomp_list_invariants():
         DecompList((DecompEntry(1, kac_dual_k11()), DecompEntry(2, kac_dual_k11())))
     merged = decomp_from_pairs([(1, kac_dual_k11()), (2, kac_dual_k11())])
     assert len(merged.entries) == 1 and merged.entries[0].mult == 3
+
+
+@pytest.mark.parametrize("params", PAIRS, ids=lambda pq: f"{pq.p},{pq.q}")
+def test_unchecked_product_lists_pass_the_checked_constructor(params):
+    # `fusion_ring_product` builds its result without `DecompList`'s checks;
+    # each basis product must come out the same through the checked path.
+    basis = [one(sl2_index_to_obj(params, k)) for k in range(11)]
+    for a in basis:
+        for b in basis:
+            product = fusion_ring_product(params, a, b)
+            assert product.entries
+            assert DecompList(product.entries) == product
+    # The public constructor still rejects what the private path never builds.
+    obj = sl2_index_to_obj(params, 3)
+    with pytest.raises(ValueError, match="^entries must be pairwise distinct$"):
+        DecompList((DecompEntry(1, obj), DecompEntry(2, obj)))
+    with pytest.raises(ValueError, match="^multiplicities must be >= 1$"):
+        DecompList((DecompEntry(0, obj),))

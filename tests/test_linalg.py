@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from triplet import linalg
+from triplet.exactnum import ZERO
 
 
 def _sparse_rat(rng: random.Random, density: float, num: int = 9, den: int = 6) -> Fraction:
@@ -49,3 +52,132 @@ def test_mat_mul_equals_the_dense_sum():
     m[0][0] = Fraction(1)
     assert m == [[1, 0], [0, 0], [0, 0]]
     assert len({id(row) for row in linalg.zeros(4, 0)}) == 4
+
+
+def _rref_oracle(a):
+    """Gauss-Jordan over Fraction, pivot row by pivot row: the elimination
+    `linalg.rref` used before it went fraction-free."""
+    m = [list(row) for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        prow = m[r]
+        support = [j for j in range(c, cols) if prow[j]]
+        inv = 1 / prow[c]
+        for j in support:
+            prow[j] *= inv
+        for i in range(rows):
+            row = m[i]
+            if i != r and row[c]:
+                factor = row[c]
+                for j in support:
+                    row[j] -= factor * prow[j]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def _nullspace_oracle(a):
+    if not a:
+        return []
+    reduced, pivots = _rref_oracle(a)
+    cols = len(a[0])
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0) for _ in range(cols)]
+        vec[fc] = Fraction(1)
+        for row_idx, pc in enumerate(pivots):
+            vec[pc] = -reduced[row_idx][fc]
+        basis.append(vec)
+    return basis
+
+
+def _invert_oracle(a):
+    n = len(a)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    reduced, pivots = _rref_oracle(aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in reduced[:n]]
+
+
+def _dense_product(a, b):
+    inner = len(b)
+    cols = len(b[0]) if inner else 0
+    return [
+        [sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
+        for row in a
+    ]
+
+
+def _signed_rat(rng: random.Random, density: float) -> Fraction:
+    # Zeros are the shared `exactnum.ZERO`, as the dense fills write them.
+    if rng.random() >= density:
+        return ZERO
+    return Fraction(rng.randint(-(10**6), 10**6), rng.choice((-1, 1)) * rng.randint(1, 10**6))
+
+
+def _elimination_cases():
+    """Seeded matrices: every shape up to 9 x 9, empty ones included, at
+    densities 0 to 1, some rank-deficient and some with all-zero rows."""
+    rng = random.Random(20253)
+    cases = []
+    for rows in range(10):
+        for cols in range(10):
+            density = (0.0, 0.2, 0.5, 1.0)[(rows + cols) % 4]
+            a = [[_signed_rat(rng, density) for _ in range(cols)] for _ in range(rows)]
+            if rows and rng.random() < 0.3:
+                a[rng.randrange(rows)] = [ZERO] * cols
+            cases.append(a)
+            rank = rng.randint(0, max(0, min(rows, cols) - 1))
+            left = [[_signed_rat(rng, 1.0) for _ in range(rank)] for _ in range(rows)]
+            right = [[_signed_rat(rng, density) for _ in range(cols)] for _ in range(rank)]
+            product = _dense_product(left, right) if rank else [[ZERO] * cols for _ in range(rows)]
+            cases.append([[x if x else ZERO for x in row] for row in product])
+    return cases
+
+
+def _with_distinct_zeros(a):
+    return [[x if x else Fraction(0) for x in row] for row in a]
+
+
+def _check_elimination_equals_the_oracle(cases):
+    singular = 0
+    for a in cases:
+        assert linalg.rref(a) == _rref_oracle(a)
+        basis = linalg.nullspace(a)
+        assert basis == _nullspace_oracle(a)
+        for vec in basis:
+            assert all(x == 0 for x in linalg.mat_vec(a, vec))
+        if len(a) != (len(a[0]) if a else 0):
+            continue
+        expected = _invert_oracle(a)
+        if expected is None:
+            singular += 1
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                linalg.invert(a)
+            continue
+        inverse = linalg.invert(a)
+        assert inverse == expected
+        assert linalg.mat_mul(inverse, a) == linalg.identity(len(a))
+    return singular
+
+
+def test_fraction_free_elimination_equals_the_fraction_oracle():
+    cases = _elimination_cases()
+    with_zero_row = [a for a in cases if any(a) and not all(any(row) for row in a)]
+    assert len(with_zero_row) >= 20
+    singular = _check_elimination_equals_the_oracle(cases)
+    assert singular >= 10
+    # Each zero a distinct Fraction(0): the `is ZERO` fast path decides nothing.
+    distinct = [_with_distinct_zeros(a) for a in cases]
+    assert not any(x is ZERO for a in distinct for row in a for x in row)
+    assert _check_elimination_equals_the_oracle(distinct) == singular

@@ -6,6 +6,7 @@ Nothing is floating point, and ``math`` serves only integer gcd/lcm.
 Brute-force oracles live only in ``verify``, and the character oracle never
 reads the closed form it checks.  Only ``exactnum`` tests whether a value is
 a ``ParamScalar``.  Only ``cli`` writes the JSON and DOT output formats.
+Dense fills use the shared ``exactnum.ZERO``, never a private ``Fraction(0)``.
 Every public function and method has a caller in the package, or is
 documented in the README.
 """
@@ -128,6 +129,36 @@ def test_output_formats_only_in_cli(path):
     assert found == []
 
 
+def _is_fraction_zero(node: ast.AST) -> bool:
+    """A call `Fraction(0)` (or `Rat(0)`, or through a module attribute)."""
+    return (
+        isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None))
+        in ("Fraction", "Rat")
+        and len(node.args) == 1
+        and not node.keywords
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value == 0
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_dense_fills_use_the_shared_zero(path):
+    # Loops skip a zero entry with `x is ZERO`, so a list filled with a
+    # private Fraction(0) would quietly lose that fast path.
+    found = [
+        _where(path, n)
+        for n in ast.walk(_tree(path))
+        if isinstance(n, ast.BinOp)
+        and isinstance(n.op, ast.Mult)
+        and any(
+            isinstance(side, ast.List) and any(_is_fraction_zero(x) for x in side.elts)
+            for side in (n.left, n.right)
+        )
+    ]
+    assert found == []
+
+
 def _names_used(node: ast.AST) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
         n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
@@ -224,6 +255,16 @@ def test_static_rules_catch_a_violation(tmp_path):
         src.write_text(text)
         with pytest.raises(AssertionError):
             test_output_formats_only_in_cli(src)
+    for text in (
+        "row = [Fraction(0)] * 3\n",
+        "m = [[fractions.Fraction(0)] * n for _ in range(n)]\n",
+        "v = n * [Rat(0)]\n",
+    ):
+        src.write_text(text)
+        with pytest.raises(AssertionError):
+            test_dense_fills_use_the_shared_zero(src)
+    src.write_text("row = [ZERO] * 3\nv = [Fraction(1)] * 3\nw = [Fraction(0), Fraction(1)]\n")
+    test_dense_fills_use_the_shared_zero(src)
     src.write_text("def cg_oracle(m, n):\n    return _peel(m, n)\ndef _peel(m, n):\n    return fuse_C(m)\n")
     assert "fuse_C" in _names_reached(src, "cg_oracle")
     src.write_text(
