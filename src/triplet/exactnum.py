@@ -33,7 +33,10 @@ CACHE_SIZE = 128
 
 def rat_str(x: Rat) -> str:
     """Serialize a rational as "num/den", omitting "/den" when den == 1."""
-    x = Fraction(x)
+    # One call per output cell: a Fraction is read as it is, anything else
+    # (int, bool, another Rational) is converted first.
+    if x.__class__ is not Fraction:
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -81,6 +84,16 @@ class Value:
         return (type(self), self._fields())
 
 
+def slot_setters(cls: type) -> tuple:
+    """The setters of cls's own slots, in ``__slots__`` order.
+
+    A class built in an inner loop binds these once, at import, and calls
+    them in ``__init__`` instead of one ``object.__setattr__`` per field;
+    the slot's member descriptor stores the value without the name lookup.
+    """
+    return tuple([cls.__dict__[name].__set__ for name in cls.__slots__])
+
+
 class Phase(Value):
     """The root of unity e^{i*pi*exponent} with exponent rational mod 2.
 
@@ -91,7 +104,9 @@ class Phase(Value):
     __slots__ = ("exponent",)
 
     def __init__(self, exponent: Rat) -> None:
-        object.__setattr__(self, "exponent", Fraction(exponent) % 2)
+        if exponent.__class__ is not Fraction and exponent.__class__ is not int:
+            exponent = Fraction(exponent)
+        _set_exponent(self, _mod2(exponent.numerator, exponent.denominator))
 
     # Hashed and compared in the inner loops of `verify`, so the field tuple
     # is spelled out rather than built by `Value`.
@@ -104,10 +119,12 @@ class Phase(Value):
         return hash((self.exponent,))
 
     def __mul__(self, other: "Phase") -> "Phase":
-        return Phase(self.exponent + other.exponent)
+        a, b = self.exponent, other.exponent
+        num = a.numerator * b.denominator + b.numerator * a.denominator
+        return _phase(num, a.denominator * b.denominator)
 
     def __pow__(self, k: int) -> "Phase":
-        return Phase(k * self.exponent)
+        return _phase(k * self.exponent.numerator, self.exponent.denominator)
 
     def is_one(self) -> bool:
         return self.exponent == 0
@@ -119,6 +136,26 @@ class Phase(Value):
         if self.exponent == 1:
             return Fraction(-1)
         raise ValueError(f"phase e^(i*pi*{self.exponent}) is not +-1")
+
+
+(_set_exponent,) = slot_setters(Phase)
+
+
+def _mod2(num: int, den: int) -> Rat:
+    """num/den mod 2, in [0, 2), as one Fraction: (num mod 2*den)/den.
+
+    The residue differs from num by a multiple of 2*den, so over den it is
+    num/den minus an even integer.  A zero residue is the shared ``ZERO``.
+    """
+    residue = num % (2 * den)
+    return Fraction(residue, den) if residue else ZERO
+
+
+def _phase(num: int, den: int) -> Phase:
+    """Phase(num/den) from integers, for the products of two phases."""
+    out = object.__new__(Phase)
+    _set_exponent(out, _mod2(num, den))
+    return out
 
 
 def phase_from_weight(h: Rat, multiple: int) -> Phase:
@@ -146,7 +183,17 @@ class ParamScalar(Value):
             if c.__class__ is not Fraction:
                 c = Fraction(c)
             merged[e] = merged[e] + c if e in merged else c
-        object.__setattr__(self, "terms", tuple([(e, c) for e, c in sorted(merged.items()) if c]))
+        _set_terms(self, tuple([(e, c) for e, c in sorted(merged.items()) if c]))
+
+    @classmethod
+    def _unchecked(cls, terms: tuple) -> "ParamScalar":
+        """A ParamScalar of terms that are already sorted by exponent, with
+        distinct exponents and nonzero Fraction coefficients, built without
+        the constructor's merge and sort.  Pickle and copy still rebuild
+        through ``__init__``."""
+        out = object.__new__(cls)
+        _set_terms(out, terms)
+        return out
 
     @staticmethod
     def const(c: Rat) -> "ParamScalar":
@@ -168,11 +215,21 @@ class ParamScalar(Value):
     def __sub__(self, other) -> "ParamScalar":
         return self + (-ParamScalar.coerce(other))
 
+    # Negation, and multiplication and division by a monomial c*t^j, keep
+    # the terms sorted, distinct and nonzero, so they skip the normalizing
+    # constructor.
+
     def __neg__(self) -> "ParamScalar":
-        return ParamScalar([(e, -c) for e, c in self.terms])
+        return ParamScalar._unchecked(tuple([(e, -c) for e, c in self.terms]))
 
     def __mul__(self, other) -> "ParamScalar":
         other = ParamScalar.coerce(other)
+        if len(other.terms) == 1:
+            ((j, b),) = other.terms
+            return ParamScalar._unchecked(tuple([(e + j, a * b) for e, a in self.terms]))
+        if len(self.terms) == 1:
+            ((j, b),) = self.terms
+            return ParamScalar._unchecked(tuple([(j + e, b * a) for e, a in other.terms]))
         return ParamScalar([(i + j, a * b) for i, a in self.terms for j, b in other.terms])
 
     def __truediv__(self, other) -> "ParamScalar":
@@ -182,7 +239,7 @@ class ParamScalar(Value):
         if len(other.terms) > 1:
             raise ValueError(f"division by {other}, which is not a monomial c*t^j")
         ((j, c),) = other.terms
-        return ParamScalar([(e - j, x / c) for e, x in self.terms])
+        return ParamScalar._unchecked(tuple([(e - j, x / c) for e, x in self.terms]))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -223,6 +280,9 @@ class ParamScalar(Value):
             return _polynomial_str(self.terms)
         num = _polynomial_str([(e - low, c) for e, c in self.terms])
         return f"({num})/(t)" if low == -1 else f"({num})/(t^{-low})"
+
+
+(_set_terms,) = slot_setters(ParamScalar)
 
 
 def _polynomial_str(terms) -> str:

@@ -4,21 +4,24 @@
 ``verify``: ``verify.cg_oracle`` reaches the same multiset independently by
 multiplying Weyl characters and peeling irreducible characters from the top
 degree down, and ``verify.fusion_ring_product_oracle`` recomputes the ring
-product on labels.  ``fuse_L_family`` and ``fusion_ring_product`` do not
-restate the rule: both read ``fuse_C`` through the dictionary
-``virasoro.sl2_index_to_obj`` (L_0 = K'_{1,1}, L_n = L_{(n+2)p-1,1}).
+product on labels.  ``fuse_L_family`` reads ``fuse_C`` through the
+dictionary ``virasoro.sl2_index_to_obj`` (L_0 = K'_{1,1},
+L_n = L_{(n+2)p-1,1}); ``fusion_ring_product``, which `verify` calls
+thousands of times, writes the same channel range inline on sl2 indices and
+is compared with its oracle on every basis pair.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactnum import CACHE_SIZE, Value
+from .exactnum import CACHE_SIZE, Value, slot_setters
 from .virasoro import (
     SIMPLE_L,
     ObjLabel,
     Params,
     UnsupportedObjectError,
+    _sl2_obj,
     canonical_label,
     canonical_obj,
     obj_to_sl2_index,
@@ -29,20 +32,25 @@ from .virasoro import (
 class DecompEntry(Value):
     __slots__ = ("mult", "obj")
 
-    # One per product entry in `verify`, so the fields are set directly.
+    # One per product entry in `verify`, so the slots are set through
+    # setters bound at import.
     def __init__(self, mult: int, obj: ObjLabel) -> None:
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "obj", obj)
+        _set_mult(self, mult)
+        _set_obj(self, obj)
 
     # Entries and lists are compared in the inner loops of `verify`, so both
-    # spell out the field tuple rather than use `Value`'s.
+    # spell out the field tuple rather than use `Value`'s; an entry whose
+    # label is the same cached object compares without `ObjLabel.__eq__`.
     def __eq__(self, other):
         if other.__class__ is DecompEntry:
-            return self.mult == other.mult and self.obj == other.obj
+            return (self.mult, self.obj) == (other.mult, other.obj)
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.mult, self.obj))
+
+
+_set_mult, _set_obj = slot_setters(DecompEntry)
 
 
 class DecompList(Value):
@@ -111,23 +119,15 @@ _L11 = -1
 _SOCLE = -2
 
 
-def _classify(params: Params, obj: ObjLabel) -> int | None:
-    """The sl2 index of obj, _L11, _SOCLE (L_{2p-1,1}) or None.
-
-    The class is read from the bounded cache :func:`_entry_class`, keyed by
-    (p, q, obj), and is computed only on a miss: from
-    :func:`virasoro.obj_to_sl2_index`, the one inverse of the dictionary,
-    plus the canonical label for L_{1,1} and the socle.  The labels L_n of
-    a product come back from the cached dictionary
-    :func:`virasoro.sl2_index_to_obj`.
-    """
-    return _entry_class(params.p, params.q, obj)
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def _entry_class(p: int, q: int, obj: ObjLabel) -> int | None:
-    # An sl2-type entry is canonicalized once, by `obj_to_sl2_index`; only
-    # the other simple labels are canonicalized again.
+    """The sl2 index of obj, _L11, _SOCLE (L_{2p-1,1}) or None.
+
+    A bounded cache keyed by (p, q, obj).  On a miss the class is read from
+    :func:`virasoro.obj_to_sl2_index`, the one inverse of the dictionary,
+    which canonicalizes an sl2-type entry once; only the other simple labels
+    are canonicalized again, for L_{1,1} and the socle.
+    """
     params = Params(p, q)
     index = obj_to_sl2_index(params, obj)
     if index is not None or obj.kind != SIMPLE_L:
@@ -146,15 +146,24 @@ def fusion_ring_product(params: Params, a: DecompList, b: DecompList) -> DecompL
     Entries may be K'_{1,1}, any L_{(n+2)p-1,1} with n >= 1, the socle
     label L_{2p-1,1}, or L_{1,1}; products against L_{1,1} vanish.  Each
     entry's class (its sl2 index, or one of the two other kinds) is read
-    once, through :func:`_classify`, the indices are combined with
-    ``fuse_C``, and the result is listed unit first, then by index.
+    once from :func:`_entry_class`; two sl2 indices combine by the
+    ``fuse_C`` channel range, and the result is listed unit first, then by
+    index, each label read from the cached dictionary behind
+    :func:`virasoro.sl2_index_to_obj`.
     ``verify.fusion_ring_product_oracle`` is the per-pair oracle.
     """
-    b_classes = [(eb, _classify(params, eb.obj)) for eb in b.entries]
+    p, q = params.p, params.q
+    b_classes = [(eb, _entry_class(p, q, eb.obj)) for eb in b.entries]
     acc: dict[int, int] = {}
     for ea in a.entries:
-        ia = _classify(params, ea.obj)
+        ia = _entry_class(p, q, ea.obj)
         for eb, ib in b_classes:
+            mult = ea.mult * eb.mult
+            if ia is not None and ib is not None and ia >= 0 and ib >= 0:
+                # fuse_C(ia, ib), inline.
+                for k in range(abs(ia - ib), ia + ib + 1, 2):
+                    acc[k] = acc.get(k, 0) + mult
+                continue
             if ia == _L11 or ib == _L11:
                 if ia == ib:
                     raise UnsupportedObjectError(
@@ -171,20 +180,11 @@ def fusion_ring_product(params: Params, a: DecompList, b: DecompList) -> DecompL
                         f"unsupported fusion entry {canonical_obj(params, ea.obj)}"
                         f" (x) {canonical_obj(params, eb.obj)}"
                     )
-                channels = [0] if other == _SOCLE else [other]
-            elif ia is None or ib is None:
-                bad = ea.obj if ia is None else eb.obj
-                raise UnsupportedObjectError(
-                    f"unsupported fusion entry {canonical_obj(params, bad)}"
-                )
-            else:
-                channels = fuse_C(ia, ib)
-            mult = ea.mult * eb.mult
-            for k in channels:
+                k = 0 if other == _SOCLE else other
                 acc[k] = acc.get(k, 0) + mult
+                continue
+            bad = ea.obj if ia is None else eb.obj
+            raise UnsupportedObjectError(f"unsupported fusion entry {canonical_obj(params, bad)}")
     # Distinct sl2 indices give distinct labels, and every multiplicity is
     # a sum of positive products, so the constructor's checks cannot fail.
-    return DecompList._unchecked(
-        tuple([DecompEntry(acc[k], sl2_index_to_obj(params, k)) for k in sorted(acc)])
-    )
-
+    return DecompList._unchecked(tuple([DecompEntry(acc[k], _sl2_obj(p, k)) for k in sorted(acc)]))

@@ -81,6 +81,7 @@ def mat_vec(a: Matrix, v: list) -> list:
 
     v is V/e with V integral, so entry i is the integer A_i . V over d_i*e,
     where d_i is the lcm of the denominators row i meets on the support of v.
+    A row that meets none of it gives the shared ZERO at once.
     """
     e = lcm(*[x.denominator for x in v if x is not ZERO])
     v_int = [
@@ -89,6 +90,9 @@ def mat_vec(a: Matrix, v: list) -> list:
     out = []
     for row in a:
         terms = [(row[j], y) for j, y in v_int if row[j] is not ZERO and row[j]]
+        if not terms:
+            out.append(ZERO)
+            continue
         d = lcm(*[x.denominator for x, _ in terms])
         acc = sum([x.numerator * (d // x.denominator) * y for x, y in terms])
         out.append(Fraction(acc, d * e) if acc else ZERO)

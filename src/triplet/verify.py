@@ -76,6 +76,9 @@ def phase_abelian_group():
     exps = [Fraction(n, d) for d in (1, 2, 3, 4, 5, 12, 48) for n in range(-2 * d, 2 * d)]
     sample = [Phase(e) for e in exps]
     one = Phase(Fraction(0))
+    # The group is Q/2Z: a reduction mod 1 would pass every law below.
+    minus_one = Phase(1)
+    assert minus_one != one and minus_one * minus_one == one and Phase(-1) == minus_one
     for a in sample:
         assert a * one == a
         order = 2 * a.exponent.denominator
@@ -97,11 +100,17 @@ def _nonzero_rand_rat(rng: random.Random) -> Fraction:
 def param_scalar_evaluation_hom():
     rng = random.Random(20243)
     t = ParamScalar.t()
-    for _ in range(100):
+    for i in range(100):
         a, b, c, d = (_rand_rat(rng) for _ in range(4))
         f = ParamScalar.const(a) + t * b + ParamScalar.const(c) / t
         g = ParamScalar.const(d) / (t * t) + t
         t0, e = _nonzero_rand_rat(rng), _nonzero_rand_rat(rng)
+        if i < 14:
+            # A monomial e*t^j, j from -3 to 3, times f (which has a t^-1
+            # term), on the right and then on the left.
+            mono = ParamScalar([(i % 7 - 3, e)])
+            product = f * mono if i < 7 else mono * f
+            assert product.eval(t0) == f.eval(t0) * mono.eval(t0)
         assert (f * g).eval(t0) == f.eval(t0) * g.eval(t0)
         assert (f + g).eval(t0) == f.eval(t0) + g.eval(t0)
         assert (f - g).eval(t0) == f.eval(t0) - g.eval(t0)

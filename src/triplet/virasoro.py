@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import CACHE_SIZE, Rat, Value
+from .exactnum import CACHE_SIZE, Rat, Value, slot_setters
 
 
 class UnsupportedObjectError(ValueError):
@@ -40,18 +40,23 @@ class VirLabel(Value):
     def __init__(self, r: int, s: int) -> None:
         if r < 1 or s < 1:
             raise ValueError(f"Kac labels need r,s >= 1, got ({r},{s})")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
+        _set_r(self, r)
+        _set_s(self, s)
 
-    # VirLabel and ObjLabel are hashed and compared in the inner loops of
-    # `verify`, so both spell out the field tuple rather than use `Value`'s.
+    # VirLabel and ObjLabel are built, hashed and compared in the inner loops
+    # of `verify`, so both set their slots through setters bound at import
+    # and spell out the field tuple rather than use `Value`'s.  The tuple
+    # comparison skips a field that is the same object on both sides.
     def __eq__(self, other):
         if other.__class__ is VirLabel:
-            return self.r == other.r and self.s == other.s
+            return (self.r, self.s) == (other.r, other.s)
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.r, self.s))
+
+
+_set_r, _set_s = slot_setters(VirLabel)
 
 
 SIMPLE_L = "SimpleL"
@@ -76,12 +81,12 @@ class ObjLabel(Value):
                 raise ValueError("KacDualK11 carries no label")
         elif label is None:
             raise ValueError(f"{kind} requires a label")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "label", label)
+        _set_kind(self, kind)
+        _set_label(self, label)
 
     def __eq__(self, other):
         if other.__class__ is ObjLabel:
-            return self.kind == other.kind and self.label == other.label
+            return (self.kind, self.label) == (other.kind, other.label)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -92,6 +97,9 @@ class ObjLabel(Value):
             return "K'_{1,1}"
         tag = "L" if self.kind == SIMPLE_L else "K"
         return f"{tag}_{{{self.label.r},{self.label.s}}}"
+
+
+_set_kind, _set_label = slot_setters(ObjLabel)
 
 
 def simple_l(r: int, s: int) -> ObjLabel:
@@ -124,9 +132,12 @@ def canonical_label(params: Params, lbl: VirLabel) -> VirLabel:
     The orbit of (r,s) under (r,s) -> (r+p,s+q) and (r,s) -> (-r,-s) is
     scanned directly: for each sign there is exactly one translate with
     s* in [1,q], and exactly one of the two candidates satisfies the
-    remaining constraints.
+    remaining constraints.  A label that already satisfies them is its own
+    representative and is returned as it is.
     """
     p, q = params.p, params.q
+    if lbl.r >= 1 and 1 <= lbl.s <= q and q * lbl.r >= p * lbl.s:
+        return lbl
     found = None
     for sign in (1, -1):
         s_img = sign * lbl.s

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from triplet import fusion, sl2rep, virasoro
+from conftest import mutant
+from triplet import exactnum, fusion, sl2rep, virasoro
 from triplet.exactnum import CACHE_SIZE, ParamScalar, Phase, phase_from_weight, rat_str
 from triplet.verify import PROPERTIES, SUITES, run_suites
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
-phases = st.fractions(min_value=-100, max_value=100, max_denominator=48).map(Phase)
+phase_exponents = st.fractions(min_value=-100, max_value=100, max_denominator=48)
+phases = phase_exponents.map(Phase)
 
 
 def test_phase_mul_examples():
@@ -41,6 +43,36 @@ def test_phase_exponent_reduced_into_range():
     assert Phase(Fraction(2)).exponent == 0
 
 
+def _same_fraction(x, y) -> bool:
+    same_terms = (x.numerator, x.denominator) == (y.numerator, y.denominator)
+    return type(x) is type(y) is Fraction and same_terms
+
+
+@given(
+    phase_exponents
+    | st.integers(-100, 100)
+    | st.integers(-50, 50).map(lambda n: 2 * n)
+    | st.booleans()
+)
+def test_phase_exponent_is_the_fraction_mod_2(x):
+    # `Phase` reduces the integer numerator mod 2*denominator; the result
+    # must be what `Fraction(x) % 2` gives, zero included.
+    assert _same_fraction(Phase(x).exponent, Fraction(x) % 2)
+
+
+@given(phases, phases, st.integers(-50, 50))
+def test_phase_product_and_power_reduce_like_the_fraction_sum(a, b, k):
+    assert _same_fraction((a * b).exponent, (a.exponent + b.exponent) % 2)
+    assert _same_fraction((a**k).exponent, (k * a.exponent) % 2)
+
+
+def test_phase_property_catches_a_reduction_mod_1(monkeypatch):
+    # Every group law holds in Q/Z too, so only the order-2 check sees it.
+    monkeypatch.setattr(exactnum, "_mod2", mutant(exactnum._mod2, "num % (2 * den)", "num % den"))
+    with pytest.raises(AssertionError):
+        PROPERTIES["exactnum"]["phase_abelian_group"]()
+
+
 def test_phase_sign_extraction():
     assert Phase(Fraction(0)).as_rat_sign() == 1
     assert Phase(Fraction(1)).as_rat_sign() == -1
@@ -67,6 +99,31 @@ def test_rat_str_format():
     assert rat_str(Fraction(-22, 5)) == "-22/5"
 
 
+def _rat_str_converting(x) -> str:
+    """`rat_str` as it was, converting every input with Fraction(x) first."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        *(0, 1, -1, 12, -(10**40), True, False),
+        *(Fraction(0), Fraction(-3), Fraction(-22, 5), Fraction(1, 10**30), Fraction(-(10**30), 7)),
+    ],
+)
+def test_rat_str_equals_the_converting_path(x):
+    assert rat_str(x) == _rat_str_converting(x)
+
+
+@given(rationals)
+def test_rat_str_equals_the_converting_path_on_rationals(a):
+    for x in (a, -a, a.numerator, -a.numerator):
+        assert rat_str(x) == _rat_str_converting(x)
+
+
 def test_param_scalar_normalization():
     t = ParamScalar.t()
     two_t_over_two = (t + t) / ParamScalar.const(Fraction(2))
@@ -84,6 +141,51 @@ def test_param_scalar_normalization():
     assert merged.terms == ((-1, Fraction(7, 2)), (1, Fraction(6)))
     assert all(type(c) is Fraction for _, c in merged.terms)
     assert merged == ParamScalar.const(Fraction(7, 2)) / t + t * 6
+
+
+def test_param_scalar_fast_paths_equal_the_constructor():
+    # Negation, and products and quotients by a monomial, skip the
+    # normalizing constructor; each must give what it gives on the raw pairs.
+    rng = random.Random(20255)
+    for _ in range(400):
+        raw = [
+            (rng.randint(-4, 4), Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
+            for _ in range(rng.randint(0, 7))
+        ]
+        f = ParamScalar(raw)
+        j = rng.randint(-4, 4)
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 12))
+        mono = ParamScalar([(j, c)])
+        cases = [
+            (-f, [(e, -x) for e, x in raw]),
+            (f * mono, [(e + j, x * c) for e, x in raw]),
+            (mono * f, [(j + e, c * x) for e, x in raw]),
+            (f / mono, [(e - j, x / c) for e, x in raw]),
+        ]
+        for fast, pairs in cases:
+            assert fast.terms == ParamScalar(pairs).terms
+            assert all(type(x) is Fraction for _, x in fast.terms)
+
+
+def test_evaluation_property_catches_a_monomial_product_that_shifts_negative_exponents(
+    monkeypatch,
+):
+    # Negative exponents land one lower; the terms stay sorted and distinct.
+    wrong = mutant(ParamScalar.__mul__, "(e + j, a * b)", "(e + j - (e < 0), a * b)")
+    monkeypatch.setattr(ParamScalar, "__mul__", wrong)
+    with pytest.raises(AssertionError):
+        PROPERTIES["exactnum"]["param_scalar_evaluation_hom"]()
+
+
+def test_evaluation_property_catches_a_negation_that_drops_a_sign(monkeypatch):
+    wrong = mutant(
+        ParamScalar.__neg__,
+        "(e, -c) for e, c in self.terms",
+        "(e, -c if k else c) for k, (e, c) in enumerate(self.terms)",
+    )
+    monkeypatch.setattr(ParamScalar, "__neg__", wrong)
+    with pytest.raises(AssertionError):
+        PROPERTIES["exactnum"]["param_scalar_evaluation_hom"]()
 
 
 def test_param_scalar_divides_only_by_monomials():

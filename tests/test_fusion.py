@@ -1,9 +1,11 @@
 """Fusion products against the character oracle, and the ring laws."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from conftest import mutant
 from triplet import fusion, verify
 from triplet.exactnum import CACHE_SIZE
 from triplet.fusion import (
@@ -150,6 +152,15 @@ def test_fusion_ring_laws_catch_a_wrong_reused_product(monkeypatch):
     assert len(wrong_calls) == 1
 
 
+def test_fusion_ring_laws_catch_a_channel_range_from_the_wrong_start(monkeypatch):
+    # The sl2 x sl2 channel range is written inline; starting it at |a-b|+2
+    # drops the lowest channel of every basis product.
+    wrong = mutant(fusion.fusion_ring_product, "range(abs(ia - ib),", "range(abs(ia - ib) + 2,")
+    monkeypatch.setattr(fusion, "fusion_ring_product", wrong)
+    with pytest.raises(AssertionError):
+        PROPERTIES["fusion"]["fusion_ring_commutative_associative"]()
+
+
 def _class_pool(params):
     """Entries with their expected class: each kind fusion_ring_product sees."""
     p, q = params.p, params.q
@@ -182,10 +193,10 @@ def test_entry_class_cache_is_bounded_and_equals_the_uncached_path():
         pool = _class_pool(params) + [(sl2_index_to_obj(params, n), n) for n in range(301)]
         for obj, expected in pool:
             uncached = cache.__wrapped__(params.p, params.q, obj)
-            assert fusion._classify(params, obj) == uncached == expected, (params, obj)
+            assert cache(params.p, params.q, obj) == uncached == expected, (params, obj)
     info = cache.cache_info()
     assert info.currsize == CACHE_SIZE
-    fusion._classify(params, sl2_index_to_obj(params, 300))
+    cache(params.p, params.q, sl2_index_to_obj(params, 300))
     assert cache.cache_info().hits == info.hits + 1
     cache.cache_clear()
 
@@ -246,6 +257,7 @@ def _assert_equals_oracle(params, a, b):
         except Exception as exc:  # noqa: BLE001 - the error is the compared value
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1], (params, a, b)
+    return outcomes[0]
 
 
 def test_fusion_ring_product_equals_oracle():
@@ -271,6 +283,25 @@ def test_fusion_ring_product_equals_oracle_on_mixed_lists():
 
         for _ in range(300):
             _assert_equals_oracle(params, draw(), draw())
+
+
+def test_fusion_ring_product_equals_oracle_on_sums_of_every_class():
+    # Sums of three consecutive entries of the class pool: the unit, L_{1,1},
+    # the socle, unsupported labels, and L_n under three spellings, so a sum
+    # may hold one L_n twice.  Results, and errors with their messages, must
+    # be the oracle's, in the order the oracle meets the pairs.
+    seen = Counter()
+    for params in verify.TEST_PARAMS:
+        pool = [obj for obj, _ in _class_pool(params)]
+        sums = [
+            decomp_from_pairs((1 + k, pool[(i + k) % len(pool)]) for k in range(3))
+            for i in range(len(pool))
+        ]
+        for a in sums:
+            for b in sums:
+                outcome = _assert_equals_oracle(params, a, b)
+                seen["product" if type(outcome) is DecompList else outcome[1].split()[0]] += 1
+    assert seen["product"] and seen["unsupported"] and seen["L_{1,1}"], seen
 
 
 def test_decomp_list_invariants():

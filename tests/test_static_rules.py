@@ -7,6 +7,8 @@ Brute-force oracles live only in ``verify``, and the character oracle never
 reads the closed form it checks.  Only ``exactnum`` tests whether a value is
 a ``ParamScalar``.  Only ``cli`` writes the JSON and DOT output formats.
 Dense fills use the shared ``exactnum.ZERO``, never a private ``Fraction(0)``.
+No module reaches into the private API of ``fractions``, which changes
+between the Python versions the package supports.
 Every public function and method has a caller in the package, or is
 documented in the README.
 """
@@ -23,6 +25,9 @@ import triplet
 SOURCES = sorted(Path(triplet.__file__).parent.glob("*.py"))
 MATH_ALLOWED = {"gcd", "lcm"}
 README = Path(__file__).resolve().parents[1] / "README.md"
+# Private names of `fractions.Fraction`: the `_normalize` keyword, the
+# `_from_coprime_ints` constructor and the `_numerator`/`_denominator` slots.
+FRACTIONS_PRIVATE = {"_normalize", "_from_coprime_ints", "_numerator", "_denominator"}
 # Decorators that register the function they wrap; the registry calls it.
 REGISTRARS = {"_property"}
 
@@ -159,6 +164,18 @@ def test_dense_fills_use_the_shared_zero(path):
     assert found == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_private_fractions_api(path):
+    found = [
+        _where(path, n)
+        for n in ast.walk(_tree(path))
+        if (isinstance(n, ast.Attribute) and n.attr in FRACTIONS_PRIVATE)
+        or (isinstance(n, ast.keyword) and n.arg in FRACTIONS_PRIVATE)
+        or (isinstance(n, ast.Name) and n.id in FRACTIONS_PRIVATE)
+    ]
+    assert found == []
+
+
 def _names_used(node: ast.AST) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
         n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
@@ -265,6 +282,17 @@ def test_static_rules_catch_a_violation(tmp_path):
             test_dense_fills_use_the_shared_zero(src)
     src.write_text("row = [ZERO] * 3\nv = [Fraction(1)] * 3\nw = [Fraction(0), Fraction(1)]\n")
     test_dense_fills_use_the_shared_zero(src)
+    for text in (
+        "x = Fraction(r, d, _normalize=False)\n",
+        "x = Fraction._from_coprime_ints(r, d)\n",
+        "n = x._numerator\n",
+        "d = x._denominator\n",
+    ):
+        src.write_text(text)
+        with pytest.raises(AssertionError):
+            test_no_private_fractions_api(src)
+    src.write_text("n, d = x.numerator, x.denominator\ny = Fraction(n, d)\n")
+    test_no_private_fractions_api(src)
     src.write_text("def cg_oracle(m, n):\n    return _peel(m, n)\ndef _peel(m, n):\n    return fuse_C(m)\n")
     assert "fuse_C" in _names_reached(src, "cg_oracle")
     src.write_text(

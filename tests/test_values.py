@@ -72,6 +72,14 @@ def test_equal_fields_of_different_classes_are_unequal():
     assert VirLabel(2, 3) != Params(2, 3)
     assert hash(Params(2, 3)) == hash(VirLabel(2, 3))
     assert len({Params(2, 3), VirLabel(2, 3)}) == 2
+    # Labels and entries built apart, down to their sub-objects, compare by
+    # value: equal when every field is, unequal when one field differs.
+    label, entry = simple_l(5, 1), DecompEntry(2, kac_k(1, 2))
+    assert ObjLabel("SimpleL", VirLabel(5, 1)) == label
+    assert DecompEntry(2, ObjLabel("KacK", VirLabel(1, 2))) == entry
+    assert ObjLabel("KacK", VirLabel(5, 1)) != label != simple_l(5, 2)
+    assert DecompEntry(3, kac_k(1, 2)) != entry != DecompEntry(2, simple_l(1, 2))
+    assert len({label, simple_l(5, 1), entry, DecompEntry(2, kac_k(1, 2))}) == 2
 
 
 @pytest.mark.parametrize("x", INSTANCES, ids=IDS)
@@ -84,6 +92,10 @@ def test_value_semantics(x):
     again = cls(**{n: getattr(x, n) for n in names})
     assert again == x and not again != x
     assert hash(again) == hash(x)
+    # The same fields rebuilt as separate objects, down to nested values.
+    apart = cls(**{n: copy.deepcopy(getattr(x, n)) for n in names})
+    assert apart == x and not apart != x
+    assert hash(apart) == hash(x)
     for name in (*names, "extra"):
         with pytest.raises(AttributeError):
             setattr(x, name, None)
