@@ -4,9 +4,10 @@ This is the one module that knows the output formats: the library layers
 return values, and the private ``_*_json`` and ``_diagram_dot`` helpers
 here write them.  Exit codes: 0 success, 2 argument or validation failure,
 3 structurally unsupported request (e.g. the Loewy diagram of a general
-Kac label).  `verify` exits 1 when a property fails and 2 under
-`python -O`.  Output depends on argv alone: same argv, byte-identical
-bytes, whatever the environment.
+Kac label), 4 stdout closed by its reader before all of it was written.
+`verify` exits 1 when a property fails and 2 under `python -O`.  Output
+depends on argv alone: same argv, byte-identical bytes, whatever the
+environment.
 
 Only the scalar and label layers load with this module; each subcommand
 imports the structure, linear-algebra or verify layer it runs when it is
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -35,6 +37,10 @@ PQ_PRESETS = {
     "3,4": (3, 4),
     "2,5": (2, 5),
 }
+
+# The exit code when the reader of stdout closes the pipe before everything
+# is written, as in `triplet verify --suite all | head -1`.
+EXIT_BROKEN_PIPE = 4
 
 # The `verify --suite` choices; a test keeps this equal to sorted(verify.SUITES).
 VERIFY_SUITES = ("braidfmat", "exactnum", "fusion", "kacmod", "sl2rep", "virasoro", "wpq")
@@ -465,16 +471,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except UnsupportedObjectError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except UnsupportedObjectError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 3
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
+        finally:
+            # Flushed here, so a reader that closed the pipe early is caught
+            # below even when stdout is block-buffered, as it is in a pipe.
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The rest of the output has no reader.  Point stdout at devnull so
+        # that the interpreter's own flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

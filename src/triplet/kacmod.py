@@ -27,7 +27,6 @@ from .virasoro import (
     UnsupportedObjectError,
     VirLabel,
     canonical_label,
-    conformal_weight,
     simple_l,
 )
 
@@ -187,13 +186,4 @@ def composition_factors(params: Params, obj: ObjLabel) -> Counter:
             return Counter(canonical_label(params, node.label) for node in diagram.nodes)
     seq = kac_length2_seq(params, obj)
     return Counter(canonical_label(params, o.label) for o in (seq.sub, seq.quot))
-
-
-def diagram_weights_congruent(params: Params, diagram: LoewyDiagram, reference: VirLabel) -> bool:
-    """All node weights congruent mod 1 to the weight of ``reference``."""
-    href = conformal_weight(params, reference)
-    return all(
-        (conformal_weight(params, node.label) - href).denominator == 1
-        for node in diagram.nodes
-    )
 

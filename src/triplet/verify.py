@@ -35,6 +35,7 @@ from .virasoro import (
     simple_l,
     sl2_index_to_obj,
     sl2_lowest_weight,
+    weight_numerator,
 )
 
 TEST_PARAMS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
@@ -134,29 +135,33 @@ def conformal_weight_oracle(params: Params, lbl: VirLabel) -> Fraction:
 
 @_property("virasoro")
 def weight_translation_symmetry():
-    # Each weight of the (50+p) x (50+q) grid is computed once; h[r][s] is
-    # h_{r,s}, and row and column 0 are unused.
+    # Weights are compared as their integer numerators 4pq h_{r,s}.  Each one
+    # of the (50+p) x (50+q) grid is computed once; h[r][s] is that of (r,s),
+    # and row and column 0 are unused.  Row r and its translate by (p,q) are
+    # compared as one list.  `conformal_weight` itself, denominator
+    # included, is compared with the oracle as a Fraction for r,s <= 20.
     for params in TEST_PARAMS:
         p, q = params.p, params.q
         h = [None] + [
-            [None] + [conformal_weight(params, VirLabel(r, s)) for s in range(1, 51 + q)]
+            [None] + [weight_numerator(params, VirLabel(r, s)) for s in range(1, 51 + q)]
             for r in range(1, 51 + p)
         ]
         for r in range(1, 51):
-            row, shifted_row = h[r], h[r + p]
-            for s in range(1, 51):
-                assert row[s] == shifted_row[s + q]
-                if r <= 20 and s <= 20:
-                    assert row[s] == conformal_weight_oracle(params, VirLabel(r, s))
+            assert h[r][1:51] == h[r + p][1 + q : 51 + q], f"row r={r}"
+        for r in range(1, 21):
+            for s in range(1, 21):
+                lbl = VirLabel(r, s)
+                assert conformal_weight(params, lbl) == conformal_weight_oracle(params, lbl)
 
 
 @_property("virasoro")
 def canonical_label_idempotent_and_weight_preserving():
-    # The range and idempotence checks, and the weight, are computed once
-    # per distinct canonical label; every label's weight is compared to it.
+    # The range and idempotence checks, and the weight numerator, are
+    # computed once per distinct canonical label; every label's weight
+    # numerator over 4pq is compared to it.
     for params in TEST_PARAMS:
         p, q = params.p, params.q
-        weight_of: dict[tuple[int, int], Fraction] = {}
+        weight_of: dict[tuple[int, int], int] = {}
         for r in range(1, 41):
             for s in range(1, 41):
                 lbl = VirLabel(r, s)
@@ -167,8 +172,8 @@ def canonical_label_idempotent_and_weight_preserving():
                     assert can.r >= 1 and 1 <= can.s <= q
                     assert q * can.r >= p * can.s
                     assert canonical_label(params, can) == can
-                    h = weight_of[key] = conformal_weight(params, can)
-                assert conformal_weight(params, lbl) == h
+                    h = weight_of[key] = weight_numerator(params, can)
+                assert weight_numerator(params, lbl) == h
 
 
 @_property("virasoro")
@@ -197,6 +202,18 @@ def expanded_factor_multiset(params: Params, decomp: fusion.DecompList) -> Count
     return out
 
 
+def _diagram_weights_congruent(
+    params: Params, diagram: kacmod.LoewyDiagram, reference: VirLabel
+) -> bool:
+    """All node weights congruent mod 1 to the weight of ``reference``: their
+    numerators over 4pq are congruent mod 4pq."""
+    four_pq = 4 * params.p * params.q
+    ref = weight_numerator(params, reference)
+    return all(
+        (weight_numerator(params, node.label) - ref) % four_pq == 0 for node in diagram.nodes
+    )
+
+
 @_property("kacmod")
 def diagram_node_counts_layers_distinct_weights():
     for params in TEST_PARAMS:
@@ -209,7 +226,7 @@ def diagram_node_counts_layers_distinct_weights():
                 canon = [canonical_label(params, node.label) for node in d.nodes]
                 assert len(set(canon)) == len(canon)
                 ref = VirLabel(m * params.p - 1, n * params.q - 1)
-                assert kacmod.diagram_weights_congruent(params, d, ref)
+                assert _diagram_weights_congruent(params, d, ref)
                 has_l11 = VirLabel(1, 1) in d.layer_labels("middle")
                 assert has_l11 == (m == n)
 

@@ -120,10 +120,20 @@ def central_charge(params: Params) -> Rat:
     return 1 - Fraction(6 * (p - q) ** 2, p * q)
 
 
-def conformal_weight(params: Params, lbl: VirLabel) -> Rat:
-    """h_{r,s} = ((qr - ps)^2 - (p - q)^2) / 4pq, exactly, as one Fraction."""
+def weight_numerator(params: Params, lbl: VirLabel) -> int:
+    """4pq h_{r,s} = (qr - ps)^2 - (p - q)^2, an integer.
+
+    Every weight at c_{p,q} has a denominator dividing 4pq, so two weights
+    at the same (p,q) are equal, or differ by an integer, exactly when
+    their numerators are equal, or congruent mod 4pq.
+    """
     p, q = params.p, params.q
-    return Fraction((q * lbl.r - p * lbl.s) ** 2 - (p - q) ** 2, 4 * p * q)
+    return (q * lbl.r - p * lbl.s) ** 2 - (p - q) ** 2
+
+
+def conformal_weight(params: Params, lbl: VirLabel) -> Rat:
+    """h_{r,s} = weight_numerator / 4pq, exactly, as one Fraction."""
+    return Fraction(weight_numerator(params, lbl), 4 * params.p * params.q)
 
 
 def canonical_label(params: Params, lbl: VirLabel) -> VirLabel:

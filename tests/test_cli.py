@@ -521,6 +521,28 @@ def test_verify_refuses_to_run_under_python_O():
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "exactnum"],  # a few lines, held in the buffer
+        ["sl2", "--n", "200", "--op", "form"],  # far more than a pipe holds
+    ],
+)
+def test_closed_stdout_exits_with_its_code_and_no_traceback(argv):
+    child = subprocess.Popen(
+        [sys.executable, "-m", "triplet", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    # The reader closes at once, before the child can write anything.
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert child.wait() == cli.EXIT_BROKEN_PIPE == 4
+    assert stderr == b""  # no traceback
+
+
 def test_determinism_across_repeats():
     commands = [
         ["weights", "--p", "2", "--q", "3", "--r", "7", "--s", "1"],

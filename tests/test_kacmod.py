@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from conftest import run_cli
 
-from triplet import cli, kacmod
+from triplet import cli, kacmod, verify
 from triplet.kacmod import (
     ExactSeq,
     UnsupportedObjectError,
@@ -185,6 +185,15 @@ def test_diagram_3_3_golden():
 
 def test_diagram_shape_all_pairs():
     PROPERTIES["kacmod"]["diagram_node_counts_layers_distinct_weights"]()
+
+
+def test_diagram_weight_congruence_reads_numerators_mod_4pq():
+    # At (2,3) every node of K_{5,5}'s diagram has an integer weight, as
+    # h_{5,5} = 1 has; h_{2,1} = 5/8 is not congruent to them.
+    params = Params(2, 3)
+    diagram = kac_mm_nn_diagram(params, 3, 2)
+    assert verify._diagram_weights_congruent(params, diagram, VirLabel(5, 5))
+    assert not verify._diagram_weights_congruent(params, diagram, VirLabel(2, 1))
 
 
 def test_diagram_preconditions():

@@ -18,6 +18,7 @@ from triplet.virasoro import (
     obj_to_sl2_index,
     simple_l,
     sl2_index_to_obj,
+    weight_numerator,
 )
 from triplet.verify import PROPERTIES, conformal_weight_oracle
 
@@ -45,6 +46,17 @@ def test_conformal_weight_equals_oracle():
             for s in range(1, 80):
                 lbl = VirLabel(r, s)
                 assert conformal_weight(params, lbl) == conformal_weight_oracle(params, lbl)
+
+
+def test_weight_numerator_is_4pq_times_the_oracle():
+    for params in verify.TEST_PARAMS:
+        four_pq = 4 * params.p * params.q
+        for r in range(1, 61):
+            for s in range(1, 61):
+                lbl = VirLabel(r, s)
+                numerator = weight_numerator(params, lbl)
+                assert numerator.__class__ is int
+                assert numerator == four_pq * conformal_weight_oracle(params, lbl)
 
 
 def test_params_validation():
@@ -124,25 +136,53 @@ def test_sl2_dictionary_cache_is_bounded_and_equals_the_uncached_path():
 
 # (50+p, 50+q) is a grid label that the translation property reaches only as
 # the shift of (50,50); (40,40) is a non-canonical label of the 40 x 40 box.
-def _weight_wrong_at(target):
+def _numerator_wrong_at(target):
     def wrong(params, lbl):
-        h = conformal_weight(params, lbl)
+        h = weight_numerator(params, lbl)
         return h + 1 if (lbl.r, lbl.s) == target(params) else h
 
     return wrong
 
 
 def test_translation_property_catches_a_wrong_shifted_weight(monkeypatch):
-    wrong = _weight_wrong_at(lambda params: (50 + params.p, 50 + params.q))
-    monkeypatch.setattr(verify, "conformal_weight", wrong)
+    wrong = _numerator_wrong_at(lambda params: (50 + params.p, 50 + params.q))
+    monkeypatch.setattr(verify, "weight_numerator", wrong)
     with pytest.raises(AssertionError):
         PROPERTIES["virasoro"]["weight_translation_symmetry"]()
 
 
 def test_canonical_property_catches_a_wrong_non_canonical_weight(monkeypatch):
-    monkeypatch.setattr(verify, "conformal_weight", _weight_wrong_at(lambda params: (40, 40)))
+    monkeypatch.setattr(verify, "weight_numerator", _numerator_wrong_at(lambda params: (40, 40)))
     with pytest.raises(AssertionError):
         PROPERTIES["virasoro"]["canonical_label_idempotent_and_weight_preserving"]()
+
+
+def test_translation_property_checks_the_weight_denominator(monkeypatch):
+    # The numerators are right and only the denominator is wrong, so the
+    # row comparisons pass and the comparison with the oracle must fail.
+    def wrong(params, lbl):
+        return Fraction(weight_numerator(params, lbl), 2 * params.p * params.q)
+
+    monkeypatch.setattr(verify, "conformal_weight", wrong)
+    with pytest.raises(AssertionError):
+        PROPERTIES["virasoro"]["weight_translation_symmetry"]()
+
+
+def test_weight_properties_build_one_fraction_per_oracle_label(monkeypatch):
+    # Both properties compare integer numerators; only the 400 labels with
+    # r,s <= 20 of each of the 5 pairs reach `conformal_weight`, to be
+    # compared with the oracle.  A return to comparing Fractions fails here.
+    calls = []
+
+    def counted(params, lbl):
+        calls.append(lbl)
+        return conformal_weight(params, lbl)
+
+    monkeypatch.setattr(verify, "conformal_weight", counted)
+    PROPERTIES["virasoro"]["weight_translation_symmetry"]()
+    PROPERTIES["virasoro"]["canonical_label_idempotent_and_weight_preserving"]()
+    assert len(verify.TEST_PARAMS) == 5
+    assert len(calls) == 400 * 5 == 2000
 
 
 def test_canonical_property_catches_a_non_idempotent_label(monkeypatch):

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from triplet import virasoro, wpq
+from triplet.exactnum import CACHE_SIZE
 from triplet.kacmod import kac_length2_seq
 from triplet.verify import PROPERTIES
-from triplet.virasoro import Params, kac_dual_k11, kac_k, simple_l
+from triplet.virasoro import Params, kac_dual_k11, kac_k, simple_l, sl2_index_to_obj
 from triplet.wpq import (
     decompose_ideal,
     decompose_wpq,
@@ -71,11 +72,30 @@ def test_ideal_socle_matches_k11_sequence():
 
 def test_decompose_looks_up_each_dictionary_entry_once():
     # Entry n's weight is read from its label, not by a second lookup of
-    # the dictionary index 2n-2.
+    # the dictionary index 2n-2; the 63 even indices below CACHE_SIZE are
+    # the only ones looked up in the cache.
     virasoro._sl2_obj.cache_clear()
     decompose_wpq(Params(2, 3), 1000)
     info = virasoro._sl2_obj.cache_info()
-    assert info.hits + info.misses == 999
+    assert (info.hits, info.misses) == (0, len(range(2, CACHE_SIZE, 2))) == (0, 63)
+
+
+def test_large_decomposition_keeps_the_dictionary_cache():
+    # A decomposition with more entries than the cache holds keeps the keys
+    # of a smaller one: the repeat of the small call hits all 19 of them.
+    cache = virasoro._sl2_obj
+    cache.cache_clear()
+    small = decompose_wpq(Params(2, 3), 20)
+    assert cache.cache_info()[:2] == (0, 19)
+    big = decompose_wpq(Params(2, 3), 1000)
+    assert cache.cache_info()[:2] == (19, 63)
+    assert decompose_wpq(Params(2, 3), 20) == small == big[:20]
+    info = cache.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (38, 63, 63)
+    # An index past the cache is built on its own and still equals the
+    # dictionary's label.
+    assert big[-1].obj == sl2_index_to_obj(Params(2, 3), 1998)
+    cache.cache_clear()
 
 
 def test_exact_sequence_bookkeeping():
