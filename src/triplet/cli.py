@@ -11,15 +11,18 @@ environment.
 
 Only the scalar and label layers load with this module; each subcommand
 imports the structure, linear-algebra or verify layer it runs when it is
-called, so a call pays for no layer it does not use.
+called, so a call pays for no layer it does not use.  Likewise a call
+builds the arguments of its own subcommand only (`--help` still lists all
+ten), and JSON is written by this module's own writer, byte-equal to
+``json.dumps(payload, indent=2)``, so the `json` package is never loaded.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from _json import encode_basestring_ascii
 from fractions import Fraction
 
 from .exactnum import Phase, rat_str
@@ -46,8 +49,41 @@ EXIT_BROKEN_PIPE = 4
 VERIFY_SUITES = ("braidfmat", "exactnum", "fusion", "kacmod", "sl2rep", "virasoro", "wpq")
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """`value` as JSON, byte-equal to json.dumps(value, indent=2).
+
+    Only str, int, bool, None, list and str-keyed dict are written; any
+    other value, a float above all, raises TypeError.  Strings are escaped by
+    the C routine that json.dumps itself uses.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"no exact JSON form for {kind.__name__}: {value!r}")
+
+
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(_json_text(payload) + "\n")
 
 
 def _resolve_params(args) -> Params:
@@ -383,98 +419,132 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-class _HelpFormatter(argparse.HelpFormatter):
-    """Lays help and usage out 78 columns wide, as argparse does under
-    COLUMNS=80, whatever the terminal: their bytes depend on argv alone."""
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with help and usage laid out 78 columns wide, as
+    argparse does under COLUMNS=80, whatever the terminal: their bytes
+    depend on argv alone."""
 
-    def __init__(self, prog: str) -> None:
-        super().__init__(prog, width=78)
+    def _get_formatter(self) -> argparse.HelpFormatter:
+        return argparse.HelpFormatter(self.prog, width=78)
+
+    def _print_message(self, message: str, file=None) -> None:
+        # argparse drops an OSError from this write, so `--help` into a
+        # closed pipe would be lost without a sign; let main() see it.
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="triplet",
-        description="Exact representation-theoretic data of the W_{p,q} triplet construction.",
-        formatter_class=_HelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _ints(*options: str, pq: bool = True):
+    """An argument adder: --p/--q/--pq-preset unless `pq` is false, then
+    each of `options` as a required integer."""
 
-    def add_parser(name: str, help: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
+    def add_arguments(parser: argparse.ArgumentParser) -> None:
+        if pq:
+            _add_pq(parser)
+        for option in options:
+            parser.add_argument(option, type=_int_arg, required=True)
 
-    p_weights = add_parser("weights", help="central charge, conformal weight, canonical label")
-    _add_pq(p_weights)
-    p_weights.add_argument("--r", type=_int_arg, required=True)
-    p_weights.add_argument("--s", type=_int_arg, required=True)
-    p_weights.set_defaults(func=_cmd_weights)
+    return add_arguments
 
-    p_fuse_l = add_parser("fuse-L", help="fusion of L_{mp-1,1} with L_{np-1,1}")
-    _add_pq(p_fuse_l)
-    p_fuse_l.add_argument("--m", type=_int_arg, required=True)
-    p_fuse_l.add_argument("--n", type=_int_arg, required=True)
-    p_fuse_l.set_defaults(func=_cmd_fuse_l)
 
-    p_fuse_c = add_parser("fuse-C", help="sl2-type fusion channels of L_m with L_n")
-    p_fuse_c.add_argument("--m", type=_int_arg, required=True)
-    p_fuse_c.add_argument("--n", type=_int_arg, required=True)
-    p_fuse_c.set_defaults(func=_cmd_fuse_c)
+def _kac_diagram_args(parser: argparse.ArgumentParser) -> None:
+    _add_pq(parser)
+    parser.add_argument("--m", type=_int_arg, default=None)
+    parser.add_argument("--n", type=_int_arg, default=None)
+    parser.add_argument("--r", type=_int_arg, default=None, help="request by raw Kac label instead")
+    parser.add_argument("--s", type=_int_arg, default=None)
+    parser.add_argument("--format", choices=("json", "dot"), default="json")
 
-    p_diagram = add_parser("kac-diagram", help="Loewy diagram of K_{mp-1,nq-1}")
-    _add_pq(p_diagram)
-    p_diagram.add_argument("--m", type=_int_arg, default=None)
-    p_diagram.add_argument("--n", type=_int_arg, default=None)
-    p_diagram.add_argument("--r", type=_int_arg, default=None, help="request by raw Kac label instead")
-    p_diagram.add_argument("--s", type=_int_arg, default=None)
-    p_diagram.add_argument("--format", choices=("json", "dot"), default="json")
-    p_diagram.set_defaults(func=_cmd_kac_diagram)
 
-    p_hex = add_parser("hexagon", help="invertible F-matrix solutions of the hexagon constraint")
-    _add_pq(p_hex)
-    p_hex.add_argument("--t", type=str, default=None, help="evaluate the family at rational t=NUM/DEN")
-    p_hex.set_defaults(func=_cmd_hexagon)
+def _hexagon_args(parser: argparse.ArgumentParser) -> None:
+    _add_pq(parser)
+    parser.add_argument("--t", type=str, default=None, help="evaluate the family at rational t=NUM/DEN")
 
-    p_braid = add_parser("braiding", help="R-scalars and balancing phases on L_n (x) L_n")
-    _add_pq(p_braid)
-    p_braid.add_argument("--n", type=_int_arg, required=True)
-    p_braid.set_defaults(func=_cmd_braiding)
 
-    p_dec = add_parser("decompose", help="truncated decompositions of the triplet algebra")
-    _add_pq(p_dec)
-    p_dec.add_argument(
+def _decompose_args(parser: argparse.ArgumentParser) -> None:
+    _add_pq(parser)
+    parser.add_argument(
         "--target", choices=("wpq", "wpq-equivariant", "ideal", "wprime"), required=True
     )
-    p_dec.add_argument("--nmax", type=_int_arg, required=True)
-    p_dec.set_defaults(func=_cmd_decompose)
+    parser.add_argument("--nmax", type=_int_arg, required=True)
 
-    p_o0 = add_parser("o0-check", help="weight-congruence identities for induction")
-    _add_pq(p_o0)
-    p_o0.add_argument("--nmax", type=_int_arg, required=True)
-    p_o0.set_defaults(func=_cmd_o0_check)
 
-    p_sl2 = add_parser("sl2", help="explicit sl2 irreducibles, forms, and CG maps")
-    p_sl2.add_argument("--n", type=_int_arg, required=True)
-    p_sl2.add_argument("--op", choices=("irrep", "form", "cg"), required=True)
-    p_sl2.add_argument("--m", type=_int_arg, default=None)
-    p_sl2.add_argument("--k", type=_int_arg, default=None)
-    p_sl2.set_defaults(func=_cmd_sl2)
+def _sl2_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n", type=_int_arg, required=True)
+    parser.add_argument("--op", choices=("irrep", "form", "cg"), required=True)
+    parser.add_argument("--m", type=_int_arg, default=None)
+    parser.add_argument("--k", type=_int_arg, default=None)
 
-    p_verify = add_parser("verify", help="run the exact property suites")
-    p_verify.add_argument(
+
+def _verify_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "--suite",
         action="append",
         choices=["all", *VERIFY_SUITES],
         help="suite to run (repeatable); default all",
     )
-    p_verify.set_defaults(func=_cmd_verify)
 
+
+# name -> (help line, argument adder, handler), in the order --help lists them.
+COMMANDS = {
+    "weights": (
+        "central charge, conformal weight, canonical label",
+        _ints("--r", "--s"),
+        _cmd_weights,
+    ),
+    "fuse-L": ("fusion of L_{mp-1,1} with L_{np-1,1}", _ints("--m", "--n"), _cmd_fuse_l),
+    "fuse-C": (
+        "sl2-type fusion channels of L_m with L_n",
+        _ints("--m", "--n", pq=False),
+        _cmd_fuse_c,
+    ),
+    "kac-diagram": ("Loewy diagram of K_{mp-1,nq-1}", _kac_diagram_args, _cmd_kac_diagram),
+    "hexagon": (
+        "invertible F-matrix solutions of the hexagon constraint",
+        _hexagon_args,
+        _cmd_hexagon,
+    ),
+    "braiding": ("R-scalars and balancing phases on L_n (x) L_n", _ints("--n"), _cmd_braiding),
+    "decompose": (
+        "truncated decompositions of the triplet algebra",
+        _decompose_args,
+        _cmd_decompose,
+    ),
+    "o0-check": ("weight-congruence identities for induction", _ints("--nmax"), _cmd_o0_check),
+    "sl2": ("explicit sl2 irreducibles, forms, and CG maps", _sl2_args, _cmd_sl2),
+    "verify": ("run the exact property suites", _verify_args, _cmd_verify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `triplet` parser; of its subcommands only `command` gets its
+    arguments.  --help lists every subcommand all the same."""
+    parser = _Parser(
+        prog="triplet",
+        description="Exact representation-theoretic data of the W_{p,q} triplet construction.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help, add_arguments, _) in COMMANDS.items():
+        if name == command:
+            add_arguments(sub.add_parser(name, help=help))
+        else:  # listed, never dispatched to: no arguments, not even -h
+            sub.add_parser(name, help=help, add_help=False)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         try:
-            args = build_parser().parse_args(argv)
-            return args.func(args)
+            if argv is None:
+                argv = sys.argv[1:]
+            # argparse runs the subcommand named by the first token that is
+            # not an option.  Every token before it starts with "-", as no
+            # subcommand name does, so this is the one it runs, if any.
+            command = next((token for token in argv if token in COMMANDS), None)
+            args = build_parser(command).parse_args(argv)
+            return COMMANDS[args.command][2](args)
         except UnsupportedObjectError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 3

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 from conftest import run_cli
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import triplet
 from triplet import cli, fusion, kacmod, verify, virasoro
@@ -105,6 +107,32 @@ def test_invalid_env_format():
     assert _kac_run(output="yaml") == plain
 
 
+# Strings that need every kind of escape json.dumps makes, and ints past
+# any fixed width, besides whatever Hypothesis draws.
+_JSON_STRINGS = st.text() | st.text(st.sampled_from('"\\/\x00\x08\n\t\x1f\x7f aé€\U0001d400'))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | _JSON_STRINGS,
+    lambda children: st.lists(children) | st.dictionaries(_JSON_STRINGS, children),
+    max_leaves=30,
+)
+
+
+@given(_JSON_VALUES)
+@example({"": [], "{}": {}, "x": [[], {}, [{}]]})
+@example(["\"q\" \\ \x00\x1f\u2028 é \U0001d400", -1, -(2**64) - 1, 2**64, 2**200])
+@example({"t": True, "f": False, "n": None, "nested": {"a": [True, None, 0]}})
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [0.5, [1, 2.0], {"h": float("nan")}, (1, 2), {1: "a"}])
+def test_json_writer_refuses_what_json_dumps_would_change(value):
+    # A float would print an inexact number; json.dumps would turn a tuple
+    # into a list and an int key into a string.
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
 # sha256 of `triplet --help` and of each `<sub> --help` at 80 columns.  They
 # pin the parser's help bytes, which argparse lays out differently from
 # one Python minor version to the next; these are Python 3.11's.
@@ -148,6 +176,52 @@ def test_help_and_usage_bytes_ignore_the_terminal_width(columns, monkeypatch):
     code, out, err = run_cli(["decompose", "--p", "2", "--q", "3"])
     assert (code, out) == (2, "")
     assert hashlib.sha256(err.encode()).hexdigest() == USAGE_ERROR_SHA256
+
+
+# Exit code and stderr sha256 of argv that stop in, or right after, the
+# parser: the benchmark's error requests, each subcommand with no arguments,
+# and argv where the subcommand is not the first token or a value names one.
+PARSER_EDGE_CASES = [
+    ("bogus", 2, "81d8e2ecbea09b4bb1e51cce01b2f92929b27f60d5578bbb8c7511223deb4809"),
+    ("braiding --p 2 --q 3 --n -1", 2, "565871c44d2ece27f2b88e5335c07cccf037300ef98066809b1fdda4c3603046"),
+    ("decompose --p 2 --q 3 --target wpq --nmax 0", 2, "9df3c00b7531914774b582d8dc9d117d0d9e1754b86c0067454c46340b47afc5"),
+    ("fuse-L --p 2 --q 3 --m 1 --n 3", 2, "7934731983449b8f0f5c3112168a004c292c55c41cf0518891ce9d8ece466e14"),
+    ("hexagon --p 2 --q 3 --t 0", 2, "4fd5f146fb8550df3473e8222a2cd3d7a894d8052b730a79dca98e79eb5ca29f"),
+    ("hexagon --p 2 --q 3 --t 1/0", 2, "d6753e207e4a33370ae2ed39ef07da0af5d6eb6129fb4a93ba0ec49eb7f2645e"),
+    ("kac-diagram --p 2 --q 3 --m 2 --n 3", 2, "f63e25c222313d8dca2667273c22ad5d1f53c17ef161ab226801d1484b54e7b9"),
+    ("kac-diagram --p 2 --q 3 --r 4 --s 4", 3, "96637ecf7717d823fbd6579800159386d2e7a63bcb4781168c912d81a850e267"),
+    ("sl2 --n -1 --op irrep", 2, "565871c44d2ece27f2b88e5335c07cccf037300ef98066809b1fdda4c3603046"),
+    ("sl2 --n 2 --op cg --m 2 --k 1", 2, "4d2e3ea476c9c4d3529983f790d8f187b6c9a56e520a1053767e8663a742c38c"),
+    ("weights --p 2 --q 4 --r 1 --s 1", 2, "32c87a976251a8d4e42a1313f1dd2505e7776af8a55d158da7733c417556442c"),
+    ("weights --p 3 --q 3 --r 1 --s 1", 2, "8de5721d940117fedc89558b0204c7fecc2a26b7db350313d9f600cb547cede0"),
+    ("weights", 2, "3d46642089ca0fac6bffc6e2730194bb620384334e81c23b425a63308e4b7788"),
+    ("fuse-L", 2, "e5bfb6189b8763aab6e21cfbf977a3834ec3cd95cd5d48c70c910f351bc31930"),
+    ("fuse-C", 2, "29c41ae9817023b1837ec15e186becc29bd914cc9684ae92db3063c1bd6495fa"),
+    ("kac-diagram", 2, "a5d9eb433dfbe9149f1dbea1e603e22a7723f20e0aa13e39426a8a5628f1837b"),
+    ("hexagon", 2, "a5d9eb433dfbe9149f1dbea1e603e22a7723f20e0aa13e39426a8a5628f1837b"),
+    ("braiding", 2, "7c344e39ef7234d1f5fdd190b9bde96a64e8f78ed4b9b1228370b4df30d5bc31"),
+    ("decompose", 2, "16e0ad770c6688647e41352d398b37857999a3905fa8ff53ecde2f326fc1bdd9"),
+    ("o0-check", 2, "31de5700c83bb7e3cc02b6e8cab80946a32200695658276686b916316d92a208"),
+    ("sl2", 2, "af664b29a2651257c630d77f9effa536c6f5afc054647096c49d8c87131a5749"),
+    ("verify", 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("-x weights", 2, "3d46642089ca0fac6bffc6e2730194bb620384334e81c23b425a63308e4b7788"),
+    ("-- weights", 2, "b377767c17d0ecf591733d8ca4ee390f38e50cd6d7501037398359e5c18a6d50"),
+    ("bogus sl2", 2, "81d8e2ecbea09b4bb1e51cce01b2f92929b27f60d5578bbb8c7511223deb4809"),
+    ("--help sl2", 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hexagon --p 2 --q 3 --t verify", 2, "040097b911bdbc6d356f9382c5a744f0c4d0253516c06e9426dfd80003abe1a7"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="hashes are of Python 3.11's argparse")
+@pytest.mark.parametrize("request_line, code, stderr_sha256", PARSER_EDGE_CASES)
+def test_parser_edge_cases_keep_exit_code_and_stderr(request_line, code, stderr_sha256, monkeypatch):
+    # `verify` with no arguments runs every suite; what is pinned here is
+    # only how the parser got there.
+    monkeypatch.setattr(verify, "run_suites", lambda names: [])
+    got, out, err = run_cli(request_line.split())
+    assert (got, hashlib.sha256(err.encode()).hexdigest()) == (code, stderr_sha256)
+    if request_line == "--help sl2":  # the top-level help; `sl2` is never read
+        assert out == run_cli(["--help"])[1]
 
 
 def test_exit_2_on_m_less_than_n():
@@ -284,13 +358,20 @@ def test_overflowing_sizes_exit_2_with_one_line(argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
-def test_every_integer_option_is_length_capped():
-    parser = cli.build_parser()
+def _subparser(name: str) -> argparse.ArgumentParser:
+    """`triplet NAME`'s parser, with its arguments, as `main` builds it."""
+    parser = cli.build_parser(name)
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices[name]
+
+
+def test_every_integer_option_is_length_capped():
+    # Each subcommand's parser is built on its own, as a call builds it.
+    assert len(cli.COMMANDS) == 10
     typed = [
         (name, action.dest, action.type)
-        for name, sub in subparsers.choices.items()
-        for action in sub._actions
+        for name in cli.COMMANDS
+        for action in _subparser(name)._actions
         if action.type is not None
     ]
     # `hexagon --t` is a string with its own cap; every other typed option
@@ -521,6 +602,21 @@ def test_verify_refuses_to_run_under_python_O():
     )
 
 
+def _closed_stdout_run(argv, flags=()) -> tuple[int, bytes]:
+    """Exit code and stderr of a child whose reader closes stdout at once,
+    before the child can write anything."""
+    child = subprocess.Popen(
+        [sys.executable, *flags, "-m", "triplet", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    return child.wait(), stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -529,18 +625,15 @@ def test_verify_refuses_to_run_under_python_O():
     ],
 )
 def test_closed_stdout_exits_with_its_code_and_no_traceback(argv):
-    child = subprocess.Popen(
-        [sys.executable, "-m", "triplet", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=_child_env(),
-    )
-    # The reader closes at once, before the child can write anything.
-    child.stdout.close()
-    stderr = child.stderr.read()
-    child.stderr.close()
-    assert child.wait() == cli.EXIT_BROKEN_PIPE == 4
-    assert stderr == b""  # no traceback
+    assert _closed_stdout_run(argv) == (cli.EXIT_BROKEN_PIPE, b"")  # no traceback
+    assert cli.EXIT_BROKEN_PIPE == 4
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["weights", "--help"]], ids=["triplet", "weights"])
+def test_help_into_a_closed_pipe_exits_with_its_code(argv):
+    # Unbuffered, argparse's own write of the help meets the closed pipe;
+    # argparse would drop that error and exit 0.
+    assert _closed_stdout_run(argv, ["-u"]) == (cli.EXIT_BROKEN_PIPE, b"")
 
 
 def test_determinism_across_repeats():
@@ -590,17 +683,19 @@ LOADED_LAYERS = [
     ),
 ]
 
+# argv follows "call"; "import" alone only imports the CLI.  `json` is
+# imported for the report only after sys.modules has been read.
 LOADED_MODULES_SCRIPT = """
-import io, json, sys
+import io, sys
 from contextlib import redirect_stdout
 import triplet.cli
-argv = json.loads(sys.argv[1])
 code = 0
-if argv is not None:
+if sys.argv[1] == "call":
     with redirect_stdout(io.StringIO()):
-        code = triplet.cli.main(argv)
+        code = triplet.cli.main(sys.argv[2:])
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "triplet")
-slow = sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
+slow = sorted(m for m in ("dataclasses", "inspect", "json") if m in sys.modules)
+import json
 print(json.dumps({"exit": code, "modules": loaded, "slow_stdlib": slow}))
 """
 
@@ -611,7 +706,7 @@ print(json.dumps({"exit": code, "modules": loaded, "slow_stdlib": slow}))
 def test_subcommand_loads_only_its_layers(argv, layers):
     # A fresh interpreter per call: what this one has imported says nothing.
     result = subprocess.run(
-        [sys.executable, "-c", LOADED_MODULES_SCRIPT, json.dumps(argv)],
+        [sys.executable, "-c", LOADED_MODULES_SCRIPT, *(["call", *argv] if argv else ["import"])],
         capture_output=True,
         text=True,
         check=True,
@@ -619,7 +714,8 @@ def test_subcommand_loads_only_its_layers(argv, layers):
     )
     base = {"triplet", "triplet.cli", "triplet.exactnum", "triplet.virasoro"}
     # No layer builds its value classes with `dataclasses`, which would
-    # also load `inspect`, `ast`, `dis` and `tokenize` on every call.
+    # also load `inspect`, `ast`, `dis` and `tokenize` on every call; the
+    # CLI writes its JSON without the `json` package.
     assert json.loads(result.stdout) == {
         "exit": 0,
         "modules": sorted(base | {f"triplet.{layer}" for layer in layers}),

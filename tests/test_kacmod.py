@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from conftest import run_cli
 
-from triplet import cli, kacmod, verify
+from triplet import kacmod, verify
 from triplet.kacmod import (
     ExactSeq,
     UnsupportedObjectError,
@@ -284,12 +284,9 @@ def test_mm_nn_indices_golden():
     assert mm_nn_indices(p23, VirLabel(1, 2)) is None
 
 
-def test_mm_nn_indices_drives_kac_diagram_and_composition_factors(monkeypatch):
+def test_mm_nn_indices_drives_kac_diagram_and_composition_factors():
     # The CLI's --r/--s request and `composition_factors` share one test for
     # "K_{r,s} is K_{mp-1,nq-1} with m >= n >= 2"; check both against it.
-    # One parser serves every call: building it is nine tenths of a call.
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
     for params in PAIRS:
         p, q = params.p, params.q
         for r in range(1, 4 * p + 1):
