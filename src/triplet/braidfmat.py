@@ -131,20 +131,6 @@ def hexagon_residual(params: Params, matrix: FMatrix) -> FMatrix:
     return FMatrix(*(l - s for l, s in zip(lhs, sq)))
 
 
-def hexagon_sign_matrix(r0: Phase, r2: Phase) -> tuple[tuple[Rat, Rat], tuple[Rat, Rat]]:
-    """Left-hand-side signs of the scalar hexagon R_1^k F_{kl} R_1^l = (F^2)_{kl}.
-
-    With the normalization R_{m1}^1 = 1 the constraint reads
-    s_{kl} * F_{kl} = (F^2)_{kl} with s_{kl} = R_1^k * R_1^l, and the signs
-    are unchanged when both scalars are negated simultaneously.
-    """
-    signs = {}
-    for k, rk in ((0, r0), (2, r2)):
-        for l, rl in ((0, r0), (2, r2)):
-            signs[(k, l)] = (rk * rl).as_rat_sign()
-    return ((signs[(0, 0)], signs[(0, 2)]), (signs[(2, 0)], signs[(2, 2)]))
-
-
 def intrinsic_dimension(sol: FSolution) -> Rat:
     """1/F00: the evaluation-coevaluation composite on the unit channel."""
     value = sol.matrix.f00.as_rat()

@@ -126,17 +126,6 @@ class Phase(Value):
     def __pow__(self, k: int) -> "Phase":
         return _phase(k * self.exponent.numerator, self.exponent.denominator)
 
-    def is_one(self) -> bool:
-        return self.exponent == 0
-
-    def as_rat_sign(self) -> Rat:
-        """Return +1 or -1 when the phase is real; error otherwise."""
-        if self.exponent == 0:
-            return Fraction(1)
-        if self.exponent == 1:
-            return Fraction(-1)
-        raise ValueError(f"phase e^(i*pi*{self.exponent}) is not +-1")
-
 
 (_set_exponent,) = slot_setters(Phase)
 

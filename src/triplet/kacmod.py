@@ -58,15 +58,6 @@ class LoewyDiagram(Value):
     def __init__(self, nodes: tuple[LoewyNode, ...], edges: tuple[tuple[str, str], ...]) -> None:
         self._assign(nodes, edges)
 
-    def layer_labels(self, layer: Layer) -> list[VirLabel]:
-        return [n.label for n in self.nodes if n.layer == layer]
-
-    def node_by_id(self, node_id: str) -> LoewyNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
 
 def kac_length2_seq(params: Params, obj: ObjLabel) -> ExactSeq:
     """The length-2 exact sequence of a Kac module, read from its label.
@@ -132,34 +123,6 @@ def kac_mm_nn_diagram(params: Params, m: int, n: int) -> LoewyDiagram:
                     edges.append((node.id, socle[k].id))
 
     return LoewyDiagram(nodes=tuple(nodes), edges=tuple(edges))
-
-
-QuotientFamily = Literal["top_mm_nn", "mp_plus1", "mp_minus1_nq_plus1", "mp_minus1_shifted"]
-
-
-def simple_quotients(params: Params, family: QuotientFamily, m: int, n: int) -> list[VirLabel]:
-    """Simple-quotient lists of the Kac modules entering the fusion argument.
-
-    top_mm_nn:           top layer of K_{mp-1,nq-1}            (m >= n >= 2)
-    mp_plus1:            quotients of K_{mp+1,nq-1}            (m >= n >= 2)
-    mp_minus1_nq_plus1:  quotients of K_{mp-1,nq+1}            (m >= n >= 2)
-    mp_minus1_shifted:   quotients of K_{mp-1,(m-n)q+1}        (m > n >= 1)
-    """
-    p, q = params.p, params.q
-    if family == "mp_minus1_shifted":
-        if not m > n or n < 1:
-            raise ValueError(f"shifted list needs m > n >= 1, got m={m}, n={n}")
-        return [VirLabel(1, i * q + 1) for i in range(n, 2 * m - n - 1, 2)]
-    if not (m >= n >= 2):
-        raise ValueError(f"quotient lists need m >= n >= 2, got m={m}, n={n}")
-    if family == "top_mm_nn":
-        return [VirLabel(i * p - 1, 1) for i in range(m - n + 2, m + n - 1, 2)]
-    if family == "mp_plus1":
-        return [VirLabel(j * p + 1, 1) for j in range(m - n + 2, m + n - 1, 2)]
-    if family == "mp_minus1_nq_plus1":
-        start = m - n if m > n else 2
-        return [VirLabel(1, i * q + 1) for i in range(start, m + n - 1, 2)]
-    raise ValueError(f"unknown quotient family {family!r}")
 
 
 def mm_nn_indices(params: Params, lbl: VirLabel) -> tuple[int, int] | None:

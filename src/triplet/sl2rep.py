@@ -1,4 +1,4 @@
-"""Explicit sl2 irreducibles over Q: forms, Clebsch-Gordan maps, witnesses.
+"""Explicit sl2 irreducibles over Q: invariant forms and Clebsch-Gordan maps.
 
 The (n+1)-dimensional module uses the integral convention: F steps down
 the weight ladder with coefficient 1 and E steps up with k(n-k+1), so all
@@ -31,14 +31,6 @@ class BilinForm(Value):
 
     def __init__(self, n: int, matrix: tuple) -> None:
         self._assign(n, matrix)
-
-    def pair(self, v: list, w: list) -> Fraction:
-        # The form is antidiagonal: row i holds only B[i][n-i].
-        n = self.n
-        return sum(
-            (v[i] * row[n - i] * w[n - i] for i, row in enumerate(self.matrix) if v[i] and w[n - i]),
-            Fraction(0),
-        )
 
 
 def _freeze(m: list) -> tuple:
@@ -180,26 +172,3 @@ def _cg_system(m: int, n: int) -> dict[int, tuple[tuple, tuple]]:
     _check_weight(m)
     _check_weight(n)
     return {k: tuple(map(_freeze, cg_maps(m, n, k))) for k in range(abs(m - n), m + n + 1, 2)}
-
-
-def simplicity_witness(n: int, v: list) -> list:
-    """Some v' in V_{2n} with (v',v) != 0, off the invariant form.
-
-    Exists for every nonzero v because the form is nondegenerate; the
-    returned vector is a standard basis vector.
-    """
-    v = [Fraction(x) for x in v]
-    if all(x == 0 for x in v):
-        raise ValueError("the zero vector has no pairing witness")
-    if len(v) != 2 * n + 1:
-        raise ValueError(f"expected a vector in V_{2*n} of length {2*n+1}, got {len(v)}")
-    form = invariant_form(2 * n)
-    # Entry i of B v is B[i][2n-i] * v[2n-i]: the form is antidiagonal.
-    for i, row in enumerate(form.matrix):
-        if row[2 * n - i] * v[2 * n - i]:
-            witness = [ZERO] * (2 * n + 1)
-            witness[i] = Fraction(1)
-            if form.pair(witness, v) == 0:
-                raise AssertionError(f"basis vector {i} does not pair with v under the form")
-            return witness
-    raise AssertionError("nondegenerate form produced a zero pairing image")

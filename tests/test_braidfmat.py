@@ -17,7 +17,7 @@ from triplet.braidfmat import (
 )
 from triplet.exactnum import ParamScalar, Phase
 from triplet.fusion import fuse_C
-from triplet.verify import PROPERTIES
+from triplet.verify import PROPERTIES, _phase_sign
 from triplet.virasoro import Params, conformal_weight, sl2_lowest_weight
 
 PAIRS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
@@ -80,8 +80,8 @@ def test_balancing_examples():
     for params in PAIRS:
         eps = Fraction((-1) ** (params.p * params.q))
         phases = balancing_check(params, 1)
-        assert phases[0].as_rat_sign() == eps
-        assert phases[2].as_rat_sign() == eps
+        assert _phase_sign(phases[0]) == eps
+        assert _phase_sign(phases[2]) == eps
         assert balancing_check(params, 0)[0] == Phase(Fraction(0))
 
 
@@ -111,7 +111,7 @@ def test_balancing_property_catches_an_asymmetric_psl2_part(monkeypatch):
     for n in range(9):
         for k in fuse_C(n, n):
             assert r_scalar_formula(params, n, k) ** 2 == balancing_check(params, n)[k]
-    assert not balancing_check(params, 2)[4].is_one()
+    assert balancing_check(params, 2)[4] != Phase(0)
     with pytest.raises(AssertionError):
         PROPERTIES["braidfmat"]["squared_r_scalars_equal_balancing"]()
 

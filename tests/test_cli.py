@@ -584,9 +584,18 @@ def test_verify_reports_a_failed_property(monkeypatch):
 
 
 def _child_env() -> dict:
-    """The environment for a child interpreter that imports this checkout's triplet."""
-    src = str(Path(triplet.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=src)
+    """The environment for a child interpreter that imports this checkout's
+    triplet.  No other ``PYTHON*`` variable is passed on: ``PYTHONUNBUFFERED``,
+    say, would keep the child's stdout from ever holding a buffer."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(triplet.__file__).resolve().parents[1])
+    return env
+
+
+def test_child_env_passes_on_only_pythonpath(monkeypatch):
+    monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    env = _child_env()
+    assert [k for k in env if k.startswith("PYTHON")] == ["PYTHONPATH"]
 
 
 def test_verify_refuses_to_run_under_python_O():

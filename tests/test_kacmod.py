@@ -1,10 +1,10 @@
-"""Kac-module sequences, Loewy diagrams, quotient lists, factor multisets."""
+"""Kac-module sequences, Loewy diagrams, factor multisets."""
 
 import json
 from collections import Counter
 
 import pytest
-from conftest import run_cli
+from conftest import mutant, run_cli
 
 from triplet import kacmod, verify
 from triplet.kacmod import (
@@ -14,9 +14,8 @@ from triplet.kacmod import (
     kac_length2_seq,
     kac_mm_nn_diagram,
     mm_nn_indices,
-    simple_quotients,
 )
-from triplet.verify import PROPERTIES, TEST_PARAMS
+from triplet.verify import PROPERTIES, TEST_PARAMS, _layer_labels
 from triplet.virasoro import Params, VirLabel, canonical_label, kac_dual_k11, kac_k, simple_l
 
 PAIRS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
@@ -159,17 +158,17 @@ GOLDEN_33 = {
 def test_diagram_2_2_golden():
     d = kac_mm_nn_diagram(Params(2, 3), 2, 2)
     assert len(d.nodes) == 6
-    assert d.layer_labels("top") == [VirLabel(3, 1)]
-    assert set(d.layer_labels("middle")) == {VirLabel(1, 1), VirLabel(5, 1), VirLabel(1, 7)}
-    assert set(d.layer_labels("socle")) == {VirLabel(1, 4), VirLabel(1, 10)}
+    assert _layer_labels(d, "top") == [VirLabel(3, 1)]
+    assert set(_layer_labels(d, "middle")) == {VirLabel(1, 1), VirLabel(5, 1), VirLabel(1, 7)}
+    assert set(_layer_labels(d, "socle")) == {VirLabel(1, 4), VirLabel(1, 10)}
     assert set(d.edges) == GOLDEN_22
 
 
 def test_diagram_3_2_golden():
     d = kac_mm_nn_diagram(Params(2, 3), 3, 2)
-    sizes = tuple(len(d.layer_labels(layer)) for layer in ("top", "middle", "socle"))
+    sizes = tuple(len(_layer_labels(d, layer)) for layer in ("top", "middle", "socle"))
     assert sizes == (1, 3, 2)
-    middle = d.layer_labels("middle")
+    middle = _layer_labels(d, "middle")
     assert VirLabel(1, 4) in middle  # L_{1,q+1}
     assert VirLabel(1, 1) not in middle
     assert set(d.edges) == GOLDEN_32
@@ -178,7 +177,7 @@ def test_diagram_3_2_golden():
 def test_diagram_3_3_golden():
     d = kac_mm_nn_diagram(Params(2, 3), 3, 3)
     assert len(d.nodes) == 10
-    sizes = tuple(len(d.layer_labels(layer)) for layer in ("top", "middle", "socle"))
+    sizes = tuple(len(_layer_labels(d, layer)) for layer in ("top", "middle", "socle"))
     assert sizes == (2, 5, 3)
     assert set(d.edges) == GOLDEN_33
 
@@ -196,36 +195,27 @@ def test_diagram_weight_congruence_reads_numerators_mod_4pq():
     assert not verify._diagram_weights_congruent(params, diagram, VirLabel(2, 1))
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("for j in top_idx", "for j in [i + 2 for i in top_idx]"),  # middle row shifted by two
+        ("for k in (i - 2, i):", "for k in (i - 2, i + 2):"),  # top covers the wrong row node
+    ],
+    ids=["shifted-middle-row", "wrong-top-cover"],
+)
+def test_quotient_property_catches_a_wrong_diagram(monkeypatch, old, new):
+    # The length-2 sequence of K_{ip-1,1} ties the middle row and the
+    # top->middle edges to a closed form; both mutants fail it.
+    monkeypatch.setattr(kacmod, "kac_mm_nn_diagram", mutant(kac_mm_nn_diagram, old, new))
+    with pytest.raises(AssertionError):
+        PROPERTIES["kacmod"]["simple_quotient_list_shapes"]()
+
+
 def test_diagram_preconditions():
     with pytest.raises(ValueError):
         kac_mm_nn_diagram(Params(2, 3), 2, 3)
     with pytest.raises(ValueError):
         kac_mm_nn_diagram(Params(2, 3), 3, 1)
-
-
-def test_simple_quotients_examples():
-    for params in PAIRS:
-        p, q = params.p, params.q
-        assert simple_quotients(params, "mp_plus1", 3, 2) == [VirLabel(3 * p + 1, 1)]
-        assert simple_quotients(params, "mp_minus1_nq_plus1", 3, 3) == [
-            VirLabel(1, 2 * q + 1),
-            VirLabel(1, 4 * q + 1),
-        ]
-        assert simple_quotients(params, "top_mm_nn", 2, 2) == [VirLabel(2 * p - 1, 1)]
-        assert simple_quotients(params, "mp_minus1_shifted", 3, 2) == [VirLabel(1, 2 * q + 1)]
-        assert simple_quotients(params, "mp_minus1_shifted", 4, 2) == [
-            VirLabel(1, 2 * q + 1),
-            VirLabel(1, 4 * q + 1),
-        ]
-
-
-def test_simple_quotients_preconditions():
-    with pytest.raises(ValueError):
-        simple_quotients(Params(2, 3), "mp_plus1", 2, 3)
-    with pytest.raises(ValueError):
-        simple_quotients(Params(2, 3), "mp_minus1_shifted", 2, 2)
-    with pytest.raises(ValueError):
-        simple_quotients(Params(2, 3), "no_such_family", 3, 2)
 
 
 def test_composition_factors_k11_dual():

@@ -10,11 +10,11 @@ from triplet.sl2rep import (
     build_irrep,
     cg_maps,
     invariant_form,
-    simplicity_witness,
 )
 from triplet.verify import (
     PROPERTIES,
     _kron_sum,
+    _simplicity_witness,
     cg_oracle,
     cg_system_oracle,
     invariant_form_oracle,
@@ -233,7 +233,7 @@ def test_unit_channel_projection_is_pairing():
 
 def test_simplicity_witness_highest_lowest():
     v = [Fraction(1), 0, 0]  # highest-weight vector of the n=1 module V_2
-    witness = simplicity_witness(1, v)
+    witness = _simplicity_witness(1, v)
     assert witness == [0, 0, Fraction(1)]
 
 
@@ -243,13 +243,13 @@ def test_simplicity_witness_randomized():
 
 def test_simplicity_witness_rejects_zero():
     with pytest.raises(ValueError):
-        simplicity_witness(1, [0, 0, 0])
+        _simplicity_witness(1, [0, 0, 0])
     with pytest.raises(ValueError):
-        simplicity_witness(2, [1, 0, 0])  # wrong dimension for V_4
+        _simplicity_witness(2, [1, 0, 0])  # wrong dimension for V_4
 
 
 def test_simplicity_witness_checks_length_before_building_form():
     sl2rep.invariant_form.cache_clear()
     with pytest.raises(ValueError, match="length 81"):
-        simplicity_witness(40, [1, 0, 0])
+        _simplicity_witness(40, [1, 0, 0])
     assert sl2rep.invariant_form.cache_info().currsize == 0

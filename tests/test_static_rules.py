@@ -10,7 +10,8 @@ Dense fills use the shared ``exactnum.ZERO``, never a private ``Fraction(0)``.
 No module reaches into the private API of ``fractions``, which changes
 between the Python versions the package supports.
 Every public function and method has a caller in the package, or is
-documented in the README.
+documented in the README; ``verify`` does not count as a caller, except of
+its own functions.
 """
 
 import ast
@@ -215,14 +216,17 @@ def _public_defs(tree: ast.Module) -> list[ast.FunctionDef]:
 def _unnamed_public_defs(sources: list[Path], readme: str) -> list[str]:
     """Public functions and methods that no source names outside their own
     definition, that no registering decorator wraps, and that no README code
-    span mentions."""
+    span mentions.  Names in ``verify.py`` count only for its own functions:
+    a production function that only ``verify`` calls is unnamed."""
     trees = {path: _tree(path) for path in sources}
-    named = sum((_name_counts(tree) for tree in trees.values()), Counter())
+    counts = {path: _name_counts(tree) for path, tree in trees.items()}
+    production = sum((c for path, c in counts.items() if path.name != "verify.py"), Counter())
     fenced = re.findall(r"```(.*?)```", readme, flags=re.S)
     inline = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", " ", readme, flags=re.S))
     documented = set(re.findall(r"\w+", " ".join(fenced + inline)))
     unnamed = []
     for path, tree in trees.items():
+        named = production + counts[path] if path.name == "verify.py" else production
         for node in _public_defs(tree):
             registered = any(
                 isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id in REGISTRARS
@@ -303,3 +307,9 @@ def test_static_rules_catch_a_violation(tmp_path):
         "def main():\n    return used()\n"
     )
     assert _unnamed_public_defs([src], "`main`") == ["mutant.py:2 splits", "mutant.py:6 unused"]
+    # A function that only `verify` names is unnamed; verify's own helper,
+    # named only in `verify`, is not.
+    src.write_text("def helper():\n    return 1\n")
+    verify_py = tmp_path / "verify.py"
+    verify_py.write_text("def check():\n    return _run(helper)\ndef _run(fn):\n    return check()\n")
+    assert _unnamed_public_defs([src, verify_py], "") == ["mutant.py:1 helper"]
