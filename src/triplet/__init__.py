@@ -5,7 +5,7 @@ F-matrices, explicit Clebsch-Gordan linear algebra, and graded decompositions,
 all over exact rational and root-of-unity arithmetic.
 """
 
-from .exactnum import ParamScalar, Phase, Rat, phase_from_weight, rat_str
+from .exactnum import Phase, Rat, phase_from_weight, rat_str
 from .virasoro import (
     ObjLabel,
     Params,
@@ -20,7 +20,6 @@ from .virasoro import (
 
 __all__ = [
     "ObjLabel",
-    "ParamScalar",
     "Params",
     "Phase",
     "Rat",

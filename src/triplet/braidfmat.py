@@ -13,39 +13,48 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Literal
 
-from .exactnum import ParamScalar, Phase, Rat, Value, phase_from_weight
+from .exactnum import Phase, Rat, Value, phase_from_weight
 from .fusion import fuse_C
 from .virasoro import Params, VirLabel, conformal_weight, sl2_lowest_weight
+
+
+# The gauge of the Parametrized family: F(t) = D_t F(1) D_t^-1 with
+# D_t = diag(t, 1) in channel order (0, 2), so entry (i, j) of F(t) is that
+# of F(1) times t^GAUGE_EXPONENTS[i][j].
+GAUGE_EXPONENTS = ((0, 1), (-1, 0))
 
 
 class FMatrix(Value):
     """The 2x2 change-of-bracketing matrix on the channels {0,2}.
 
-    Entries are stored as ``ParamScalar``; a rational entry is coerced to a
-    constant.
+    Entries are rationals.  A matrix of the Parametrized family is stored
+    as its gauge-fixed t = 1 member; ``evaluate`` gives any other member.
     """
 
     __slots__ = ("f00", "f02", "f20", "f22")
 
     def __init__(self, f00, f02, f20, f22) -> None:
-        self._assign(*[ParamScalar.coerce(x) for x in (f00, f02, f20, f22)])
+        entries = (f00, f02, f20, f22)
+        self._assign(*[x if x.__class__ is Fraction else Fraction(x) for x in entries])
 
-    def entries(self) -> tuple[ParamScalar, ParamScalar, ParamScalar, ParamScalar]:
+    def entries(self) -> tuple[Rat, Rat, Rat, Rat]:
         return (self.f00, self.f02, self.f20, self.f22)
 
-    def determinant(self) -> ParamScalar:
+    def determinant(self) -> Rat:
         a, b, c, d = self.entries()
         return a * d - b * c
 
     def evaluate(self, t0: Rat) -> "FMatrix":
-        return FMatrix(*(x.eval(t0) for x in self.entries()))
+        """The gauge conjugate D_{t0} F D_{t0}^-1: F02 times t0, F20 over t0."""
+        return FMatrix(self.f00, self.f02 * t0, self.f20 / t0, self.f22)
 
 
 class FSolution(Value):
     """One invertible solution family of the hexagon constraint.
 
     Diagonal: epsilon * Id with epsilon = (-1)^{pq}.
-    Parametrized: off-diagonal entries t and -3/(4t), diagonal -epsilon/2.
+    Parametrized: the gauge-fixed member [[-epsilon/2, 1], [-3/4, -epsilon/2]]
+    of the family D_t F D_t^-1, whose off-diagonal entries are t and -3/(4t).
     """
 
     __slots__ = ("kind", "epsilon", "matrix")
@@ -100,30 +109,31 @@ def hexagon_solutions(params: Params) -> list[FSolution]:
 
     Case analysis on F02.  With F02 = 0 the diagonal entries satisfy
     x^2 = eps*x, whose only nonzero root is eps, and the remaining
-    off-diagonal equation then kills F20.  With F02 = t kept formal and
-    nonzero, the 02-entry forces F00 + F22 = -eps, subtracting the
-    diagonal equations forces F00 = F22, and the 00-entry determines F20.
-    Every returned matrix is re-checked against the full constraint.
+    off-diagonal equation then kills F20.  With F02 nonzero, conjugation by
+    D_t = diag(t, 1) scales F02 by t and F20 by 1/t and maps solutions to
+    solutions, so the gauge F02 = 1 is fixed.  Then the 02-entry forces
+    F00 + F22 = -eps, subtracting the diagonal equations forces F00 = F22,
+    and the 00-entry determines F20.  Every returned matrix is re-checked
+    against the full constraint.
     """
     eps = _epsilon(params)
     # x^2 = eps*x has the one nonzero root eps, and F20*(F00 + F22) = -eps*F20
     # with F00 + F22 = 2*eps != -eps leaves only F20 = 0.
     diag = FSolution(kind="Diagonal", epsilon=eps, matrix=FMatrix(eps, 0, 0, eps))
-    t = ParamScalar.t()
-    f00 = ParamScalar.const(Fraction(-eps, 2))  # F00 = F22 = -eps/2
-    f20 = (f00 * eps - f00 * f00) / t  # eps*F00 = F00^2 + F02*F20
-    param = FSolution(kind="Parametrized", epsilon=eps, matrix=FMatrix(f00, t, f20, f00))
+    f00 = Fraction(-eps, 2)  # F00 = F22 = -eps/2
+    f20 = f00 * eps - f00 * f00  # eps*F00 = F00^2 + F02*F20 with F02 = 1
+    param = FSolution(kind="Parametrized", epsilon=eps, matrix=FMatrix(f00, 1, f20, f00))
     for sol in (diag, param):
         residual = hexagon_residual(params, sol.matrix)
-        if any(not x.is_zero() for x in residual.entries()):
+        if any(residual.entries()):
             raise AssertionError(f"hexagon solution {sol.kind} fails the constraint")
-        if sol.matrix.determinant().is_zero():
+        if not sol.matrix.determinant():
             raise AssertionError(f"hexagon solution {sol.kind} is not invertible")
     return [diag, param]
 
 
 def hexagon_residual(params: Params, matrix: FMatrix) -> FMatrix:
-    """(-1)^{pq} * [[F00,-F02],[-F20,F22]] - F^2 over the rational-function field."""
+    """(-1)^{pq} * [[F00,-F02],[-F20,F22]] - F^2, entry by entry."""
     eps = _epsilon(params)
     a, b, c, d = matrix.entries()
     sq = (a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d)
@@ -133,7 +143,7 @@ def hexagon_residual(params: Params, matrix: FMatrix) -> FMatrix:
 
 def intrinsic_dimension(sol: FSolution) -> Rat:
     """1/F00: the evaluation-coevaluation composite on the unit channel."""
-    value = sol.matrix.f00.as_rat()
+    value = sol.matrix.f00
     if value == 0:
         raise ValueError("F00 = 0: not an invertible hexagon solution")
     return 1 / value

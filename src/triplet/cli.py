@@ -213,10 +213,21 @@ def _cmd_kac_diagram(args) -> int:
     return 0
 
 
-def _fmatrix_json(matrix) -> list[list[str]]:
+def _monomial_str(c: Fraction, e: int) -> str:
+    """c*t^e for e in {-1, 0, 1}: "0", "-1/2", "t", "-t", "-3/4*t" or "(-3/4)/(t)"."""
+    if not c or not e:
+        return rat_str(c)
+    if e < 0:
+        return f"({rat_str(c)})/(t)"
+    return "t" if c == 1 else "-t" if c == -1 else f"{rat_str(c)}*t"
+
+
+def _fmatrix_json(matrix, exponents=((0, 0), (0, 0))) -> list[list[str]]:
+    """Entry (i, j) printed as the monomial c*t^exponents[i][j]."""
+    (e00, e02), (e20, e22) = exponents
     return [
-        [str(matrix.f00), str(matrix.f02)],
-        [str(matrix.f20), str(matrix.f22)],
+        [_monomial_str(matrix.f00, e00), _monomial_str(matrix.f02, e02)],
+        [_monomial_str(matrix.f20, e20), _monomial_str(matrix.f22, e22)],
     ]
 
 
@@ -276,11 +287,11 @@ def _cmd_hexagon(args) -> int:
     }
     for sol in solutions:
         residual = braidfmat.hexagon_residual(params, sol.matrix)
-        zero = all(x.is_zero() for x in residual.entries())
+        zero = not any(residual.entries())
         payload["residual_zero"] = payload["residual_zero"] and zero
         entry = {
             "kind": sol.kind,
-            "F": _fmatrix_json(sol.matrix),
+            "F": _fmatrix_json(sol.matrix, braidfmat.GAUGE_EXPONENTS),
             "intrinsic_dimension": rat_str(braidfmat.intrinsic_dimension(sol)),
         }
         if t0 is not None:

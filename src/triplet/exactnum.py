@@ -1,18 +1,13 @@
-"""Exact scalar arithmetic: rationals, roots of unity, Laurent polynomials in t.
+"""Exact scalar arithmetic: rationals and roots of unity.
 
-Every scalar this package produces is one of three things: an exact
-rational (``Rat``), a single root of unity stored as a rational multiple
-of pi (``Phase``), or a Laurent polynomial in one formal parameter t
-(``ParamScalar``), which is all the hexagon-constrained F-matrix needs:
-its entries are constants, t and -3/(4t).  A ``ParamScalar`` is its tuple
-of (exponent, coefficient) terms, sorted by exponent, with no zero
-coefficients.  Nothing here is ever floating point.
+Every scalar this package produces is one of two things: an exact
+rational (``Rat``) or a single root of unity stored as a rational multiple
+of pi (``Phase``).  Nothing here is ever floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 # Arbitrary-precision rational, always stored reduced with positive
 # denominator.  fractions.Fraction already guarantees both invariants.
@@ -150,143 +145,3 @@ def _phase(num: int, den: int) -> Phase:
 def phase_from_weight(h: Rat, multiple: int) -> Phase:
     """The phase e^{i*pi*multiple*h} for a conformal weight h."""
     return Phase(multiple * Fraction(h))
-
-
-class ParamScalar(Value):
-    """An element sum_e c_e*t^e of the Laurent polynomial ring Q[t, 1/t].
-
-    ``terms`` holds the pairs (e, c_e) with increasing exponents and nonzero
-    Fraction coefficients; zero has no terms.  The constructor takes any
-    iterable of (exponent, coefficient) pairs and merges equal exponents,
-    drops zeros and sorts, so a pickled or copied value is normalized again.
-    The hexagon F-matrix divides only by t, so division is defined only by
-    a one-term divisor c*t^j; dividing by anything else raises
-    ``ValueError``.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms) -> None:
-        merged: dict[int, Rat] = {}
-        for e, c in terms:
-            if c.__class__ is not Fraction:
-                c = Fraction(c)
-            merged[e] = merged[e] + c if e in merged else c
-        _set_terms(self, tuple([(e, c) for e, c in sorted(merged.items()) if c]))
-
-    @classmethod
-    def _unchecked(cls, terms: tuple) -> "ParamScalar":
-        """A ParamScalar of terms that are already sorted by exponent, with
-        distinct exponents and nonzero Fraction coefficients, built without
-        the constructor's merge and sort.  Pickle and copy still rebuild
-        through ``__init__``."""
-        out = object.__new__(cls)
-        _set_terms(out, terms)
-        return out
-
-    @staticmethod
-    def const(c: Rat) -> "ParamScalar":
-        return ParamScalar(((0, c),))
-
-    @staticmethod
-    def t() -> "ParamScalar":
-        return ParamScalar(((1, 1),))
-
-    @staticmethod
-    def coerce(x) -> "ParamScalar":
-        if isinstance(x, ParamScalar):
-            return x
-        return ParamScalar.const(x)
-
-    def __add__(self, other) -> "ParamScalar":
-        return ParamScalar(self.terms + ParamScalar.coerce(other).terms)
-
-    def __sub__(self, other) -> "ParamScalar":
-        return self + (-ParamScalar.coerce(other))
-
-    # Negation, and multiplication and division by a monomial c*t^j, keep
-    # the terms sorted, distinct and nonzero, so they skip the normalizing
-    # constructor.
-
-    def __neg__(self) -> "ParamScalar":
-        return ParamScalar._unchecked(tuple([(e, -c) for e, c in self.terms]))
-
-    def __mul__(self, other) -> "ParamScalar":
-        other = ParamScalar.coerce(other)
-        if len(other.terms) == 1:
-            ((j, b),) = other.terms
-            return ParamScalar._unchecked(tuple([(e + j, a * b) for e, a in self.terms]))
-        if len(self.terms) == 1:
-            ((j, b),) = self.terms
-            return ParamScalar._unchecked(tuple([(j + e, b * a) for e, a in other.terms]))
-        return ParamScalar([(i + j, a * b) for i, a in self.terms for j, b in other.terms])
-
-    def __truediv__(self, other) -> "ParamScalar":
-        other = ParamScalar.coerce(other)
-        if not other.terms:
-            raise ZeroDivisionError("division by the zero rational function")
-        if len(other.terms) > 1:
-            raise ValueError(f"division by {other}, which is not a monomial c*t^j")
-        ((j, c),) = other.terms
-        return ParamScalar._unchecked(tuple([(e - j, x / c) for e, x in self.terms]))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def eval(self, t0: Rat) -> Rat:
-        """The value at t = u/w, summed as one integer over one denominator.
-
-        With c_e = n_e/d_e, D = lcm(d_e), lo = min(0, lowest e) and
-        hi = max(0, highest e), the value is
-        sum_e n_e (D/d_e) u^(e-lo) w^(hi-e) / (D u^-lo w^hi): every power is
-        >= 0, so only integers are multiplied and one Fraction is built.
-        """
-        if not self.terms:
-            return ZERO
-        u, w = t0.numerator, t0.denominator
-        lo = min(0, self.terms[0][0])
-        hi = max(0, self.terms[-1][0])
-        if lo and not u:
-            raise ZeroDivisionError(f"denominator vanishes at t={t0}")
-        den = lcm(*[c.denominator for _, c in self.terms])
-        num = 0
-        for e, c in self.terms:
-            num += c.numerator * (den // c.denominator) * u ** (e - lo) * w ** (hi - e)
-        return Fraction(num, den * u**-lo * w**hi)
-
-    def as_rat(self) -> Rat:
-        """Return the value when constant; error otherwise."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) > 1 or self.terms[0][0]:
-            raise ValueError(f"{self} is not a constant")
-        return self.terms[0][1]
-
-    def __str__(self) -> str:
-        """The polynomial when no exponent is negative, else (num)/(t^k) with k = -lowest."""
-        low = self.terms[0][0] if self.terms else 0
-        if low >= 0:
-            return _polynomial_str(self.terms)
-        num = _polynomial_str([(e - low, c) for e, c in self.terms])
-        return f"({num})/(t)" if low == -1 else f"({num})/(t^{-low})"
-
-
-(_set_terms,) = slot_setters(ParamScalar)
-
-
-def _polynomial_str(terms) -> str:
-    """Print terms with exponents >= 0, highest first: "-t^2 + 2*t - 1/3"."""
-    out = ""
-    for e, c in reversed(terms):
-        if e == 0:
-            term = rat_str(c)
-        else:
-            base = "t" if e == 1 else f"t^{e}"
-            term = base if c == 1 else f"-{base}" if c == -1 else f"{rat_str(c)}*{base}"
-        if not out:
-            out = term
-        elif term.startswith("-"):
-            out += f" - {term[1:]}"
-        else:
-            out += f" + {term}"
-    return out or "0"

@@ -1,11 +1,14 @@
 """Braiding scalars, balancing phases, hexagon solutions, intrinsic dimensions."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import mutant
 from triplet import braidfmat
 from triplet.braidfmat import (
+    GAUGE_EXPONENTS,
     FMatrix,
     FSolution,
     balancing_check,
@@ -15,7 +18,7 @@ from triplet.braidfmat import (
     r_scalar_formula,
     r_scalar_table,
 )
-from triplet.exactnum import ParamScalar, Phase
+from triplet.exactnum import Phase
 from triplet.fusion import fuse_C
 from triplet.verify import PROPERTIES, _phase_sign
 from triplet.virasoro import Params, conformal_weight, sl2_lowest_weight
@@ -132,21 +135,20 @@ def test_hexagon_solutions_shape():
         eps = (-1) ** (params.p * params.q)
         diag, param = hexagon_solutions(params)
         assert (diag.kind, diag.epsilon) == ("Diagonal", eps)
-        assert diag.matrix.entries() == tuple(
-            ParamScalar.const(Fraction(x)) for x in (eps, 0, 0, eps)
-        )
+        assert diag.matrix.entries() == (eps, 0, 0, eps)
         assert (param.kind, param.epsilon) == ("Parametrized", eps)
-        assert param.matrix.f00 == ParamScalar.const(Fraction(-eps, 2))
-        assert param.matrix.f22 == ParamScalar.const(Fraction(-eps, 2))
-        assert param.matrix.f02 == ParamScalar.t()
-        assert param.matrix.f20 == ParamScalar.const(Fraction(-3, 4)) / ParamScalar.t()
+        assert param.matrix.f00 == Fraction(-eps, 2)
+        assert param.matrix.f22 == Fraction(-eps, 2)
+        assert param.matrix.f02 == 1
+        assert param.matrix.f20 == Fraction(-3, 4)
+        assert all(type(x) is Fraction for sol in (diag, param) for x in sol.matrix.entries())
 
 
 def test_hexagon_substitution_at_t_one():
     # pq even, t = 1: squaring the parametrized matrix reproduces the twist.
     _, param = hexagon_solutions(Params(2, 3))
     m = param.matrix.evaluate(Fraction(1))
-    a, b, c, d = (x.as_rat() for x in m.entries())
+    a, b, c, d = m.entries()
     square = (a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d)
     assert square == (Fraction(-1, 2), Fraction(-1), Fraction(3, 4), Fraction(-1, 2))
     assert square == (a, -b, -c, d)
@@ -156,15 +158,60 @@ def test_hexagon_residuals_identically_zero():
     PROPERTIES["braidfmat"]["hexagon_solutions_zero_residual"]()
 
 
+def test_evaluate_is_the_gauge_monomial_entrywise():
+    # Entry (i, j) of evaluate(t0) is c*t0^e, with c that of the stored t = 1
+    # member and e = GAUGE_EXPONENTS[i][j].
+    rng = random.Random(20256)
+    t0s = [Fraction(10**30, 7), Fraction(-3, 7), Fraction(1)]
+    for _ in range(20):
+        t0s.append(Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**4)))
+    exponents = [e for row in GAUGE_EXPONENTS for e in row]
+    for params in PAIRS:
+        for sol in hexagon_solutions(params):
+            for t0 in t0s:
+                expected = tuple(c * t0**e for c, e in zip(sol.matrix.entries(), exponents))
+                assert sol.matrix.evaluate(t0).entries() == expected
+
+
+def test_hexagon_residual_property_catches_an_evaluate_that_scales_f20_up(monkeypatch):
+    wrong = mutant(FMatrix.evaluate, "self.f20 / t0", "self.f20 * t0")
+    monkeypatch.setattr(FMatrix, "evaluate", wrong)
+    with pytest.raises(AssertionError):
+        PROPERTIES["braidfmat"]["hexagon_solutions_zero_residual"]()
+
+
 def test_hexagon_rejects_non_solutions():
     p23 = Params(2, 3)
     bogus = FMatrix(Fraction(1), Fraction(1), Fraction(1), Fraction(1))
     residual = hexagon_residual(p23, bogus)
-    assert not all(x.is_zero() for x in residual.entries())
+    assert any(residual.entries())
 
 
 def test_intrinsic_dimensions():
     PROPERTIES["braidfmat"]["intrinsic_dimensions"]()
+
+
+def test_intrinsic_dimension_property_catches_a_dimension_that_is_f00(monkeypatch):
+    wrong = mutant(intrinsic_dimension, "return 1 / value", "return value")
+    monkeypatch.setattr(braidfmat, "intrinsic_dimension", wrong)
+    with pytest.raises(AssertionError):
+        PROPERTIES["braidfmat"]["intrinsic_dimensions"]()
+
+
+def test_parity_sign_property_catches_a_balancing_off_by_a_half(monkeypatch):
+    # A weight shifted by 1/2 negates every balancing phase e^{2*pi*i*h}.
+    wrong = mutant(balancing_check, "hk - 2 * hn, 2", "hk - 2 * hn + Fraction(1, 2), 2")
+    monkeypatch.setattr(braidfmat, "balancing_check", wrong)
+    with pytest.raises(AssertionError):
+        PROPERTIES["braidfmat"]["balancing_n1_is_parity_sign"]()
+
+
+def test_sign_flip_property_catches_equal_tabulated_scalars(monkeypatch):
+    # R_1^2 = R_1^0 instead of -R_1^0 makes every hexagon sign eps.
+    wrong = mutant(r_scalar_table, "base if k == 0 else base + 1", "base if k == 0 else base")
+    monkeypatch.setattr(braidfmat, "r_scalar_table", wrong)
+    with pytest.raises(AssertionError):
+        PROPERTIES["braidfmat"]["hexagon_sign_flip_invariance"]()
 
 
 def test_intrinsic_dimension_rejects_zero_f00():
@@ -180,4 +227,4 @@ def test_intrinsic_dimension_rejects_zero_f00():
 def test_determinants_nonzero():
     for params in PAIRS:
         for sol in hexagon_solutions(params):
-            assert not sol.matrix.determinant().is_zero()
+            assert sol.matrix.determinant()

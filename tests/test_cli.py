@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -303,6 +304,23 @@ def test_hexagon_with_t():
     assert (code, out, err) == (2, "", "error: --t is longer than 100 characters\n")
     code, out, _ = run_cli(["hexagon", "--p", "2", "--q", "3", "--t", "1e-100"])
     assert code == 0 and json.loads(out)["t"] == "1/1" + "0" * 100
+
+
+# The F-matrix entry c*t^e as `hexagon` prints it, for e = -1, 0, 1.
+MONOMIAL_STRS = {
+    0: ("0", "0", "0"),
+    1: ("(1)/(t)", "1", "t"),
+    -1: ("(-1)/(t)", "-1", "-t"),
+    2: ("(2)/(t)", "2", "2*t"),
+    Fraction(-3, 4): ("(-3/4)/(t)", "-3/4", "-3/4*t"),
+    Fraction(-22, 5): ("(-22/5)/(t)", "-22/5", "-22/5*t"),
+}
+
+
+@pytest.mark.parametrize("c", MONOMIAL_STRS, ids=str)
+def test_monomial_str_forms(c):
+    for e, text in zip((-1, 0, 1), MONOMIAL_STRS[c]):
+        assert cli._monomial_str(Fraction(c), e) == text
 
 
 @pytest.mark.parametrize("digits", [4000, 5000])

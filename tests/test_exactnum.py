@@ -1,6 +1,5 @@
-"""Exact scalar arithmetic: phases, rationals, and Laurent polynomials in t."""
+"""Exact scalar arithmetic: phases and rationals."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import mutant
-from triplet import exactnum, fusion, sl2rep, virasoro
-from triplet.exactnum import CACHE_SIZE, ParamScalar, Phase, phase_from_weight, rat_str
+from triplet import braidfmat, exactnum, fusion, sl2rep, virasoro
+from triplet.exactnum import CACHE_SIZE, Phase, phase_from_weight, rat_str
 from triplet.verify import PROPERTIES, SUITES, _phase_sign, run_suites
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
@@ -124,148 +123,12 @@ def test_rat_str_equals_the_converting_path_on_rationals(a):
         assert rat_str(x) == _rat_str_converting(x)
 
 
-def test_param_scalar_normalization():
-    t = ParamScalar.t()
-    two_t_over_two = (t + t) / ParamScalar.const(Fraction(2))
-    assert two_t_over_two == t
-    assert two_t_over_two.terms == ((1, Fraction(1)),)
-    # 1/(2t) stores as the one term (1/2)*t^-1
-    half_inv = ParamScalar.const(Fraction(1)) / (ParamScalar.const(Fraction(2)) * t)
-    assert half_inv.terms == ((-1, Fraction(1, 2)),)
-    # the common power of t cancels: t^2/t^3 stores as 1/t
-    inv = (t * t) / (t * t * t)
-    assert inv == ParamScalar.const(Fraction(1)) / t
-    assert inv.terms == ((-1, Fraction(1)),)
-    # the constructor merges equal exponents, drops zeros and sorts
-    merged = ParamScalar([(2, 1), (-1, 3), (0, 0), (2, -1), (-1, Fraction(1, 2)), (1, 6)])
-    assert merged.terms == ((-1, Fraction(7, 2)), (1, Fraction(6)))
-    assert all(type(c) is Fraction for _, c in merged.terms)
-    assert merged == ParamScalar.const(Fraction(7, 2)) / t + t * 6
-
-
-def test_param_scalar_fast_paths_equal_the_constructor():
-    # Negation, and products and quotients by a monomial, skip the
-    # normalizing constructor; each must give what it gives on the raw pairs.
-    rng = random.Random(20255)
-    for _ in range(400):
-        raw = [
-            (rng.randint(-4, 4), Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
-            for _ in range(rng.randint(0, 7))
-        ]
-        f = ParamScalar(raw)
-        j = rng.randint(-4, 4)
-        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 12))
-        mono = ParamScalar([(j, c)])
-        cases = [
-            (-f, [(e, -x) for e, x in raw]),
-            (f * mono, [(e + j, x * c) for e, x in raw]),
-            (mono * f, [(j + e, c * x) for e, x in raw]),
-            (f / mono, [(e - j, x / c) for e, x in raw]),
-        ]
-        for fast, pairs in cases:
-            assert fast.terms == ParamScalar(pairs).terms
-            assert all(type(x) is Fraction for _, x in fast.terms)
-
-
-def test_evaluation_property_catches_a_monomial_product_that_shifts_negative_exponents(
-    monkeypatch,
-):
-    # Negative exponents land one lower; the terms stay sorted and distinct.
-    wrong = mutant(ParamScalar.__mul__, "(e + j, a * b)", "(e + j - (e < 0), a * b)")
-    monkeypatch.setattr(ParamScalar, "__mul__", wrong)
+def test_evaluation_property_catches_an_evaluate_that_scales_f20_up(monkeypatch):
+    # F20 times t0 instead of over it: D_t F D_t^-1 is no longer a conjugation.
+    wrong = mutant(braidfmat.FMatrix.evaluate, "self.f20 / t0", "self.f20 * t0")
+    monkeypatch.setattr(braidfmat.FMatrix, "evaluate", wrong)
     with pytest.raises(AssertionError):
         PROPERTIES["exactnum"]["param_scalar_evaluation_hom"]()
-
-
-def test_evaluation_property_catches_a_negation_that_drops_a_sign(monkeypatch):
-    wrong = mutant(
-        ParamScalar.__neg__,
-        "(e, -c) for e, c in self.terms",
-        "(e, -c if k else c) for k, (e, c) in enumerate(self.terms)",
-    )
-    monkeypatch.setattr(ParamScalar, "__neg__", wrong)
-    with pytest.raises(AssertionError):
-        PROPERTIES["exactnum"]["param_scalar_evaluation_hom"]()
-
-
-def test_param_scalar_divides_only_by_monomials():
-    t = ParamScalar.t()
-    with pytest.raises(ValueError, match=r"division by t\^2 \+ 1, which is not a monomial"):
-        t / (t * t + 1)
-    with pytest.raises(ValueError, match=r"division by \(t \+ 1\)/\(t\), which is not a monomial"):
-        t / (ParamScalar.const(Fraction(1)) / t + 1)
-    assert (t * t + t) / (t * 3) == (t + 1) / 3
-
-
-def test_param_scalar_constant_extraction_and_errors():
-    assert ParamScalar.const(Fraction(-3, 4)).as_rat() == Fraction(-3, 4)
-    with pytest.raises(ValueError):
-        ParamScalar.t().as_rat()
-    with pytest.raises(ZeroDivisionError):
-        ParamScalar.t() / ParamScalar.const(Fraction(0))
-    with pytest.raises(ZeroDivisionError):
-        (ParamScalar.const(Fraction(1)) / ParamScalar.t()).eval(Fraction(0))
-
-
-def _eval_oracle(x: ParamScalar, t0) -> Fraction:
-    """Term by term: sum c*t0^(e - low), then divide by t0^(-low), as
-    `ParamScalar.eval` did before it summed integers over one denominator."""
-    low = min(0, x.terms[0][0]) if x.terms else 0
-    if low and t0 == 0:
-        raise ZeroDivisionError(f"denominator vanishes at t={t0}")
-    acc = Fraction(0)
-    for e, c in x.terms:
-        acc += c * t0 ** (e - low)
-    return acc / t0**-low
-
-
-def test_param_scalar_eval_equals_the_term_by_term_sum():
-    rng = random.Random(20254)
-    t0s = [0, 1, -1, 7, -12, Fraction(0), Fraction(3, 7), Fraction(-5, 2), Fraction(-1, 10**6)]
-    raised = 0
-    for _ in range(300):
-        terms = [
-            (rng.randint(-4, 4), Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4)))
-            for _ in range(rng.randint(0, 6))
-        ]
-        x = ParamScalar(terms)
-        for t0 in t0s + [Fraction(rng.randint(-50, 50), rng.randint(1, 50)), rng.randint(-9, 9)]:
-            try:
-                expected = _eval_oracle(x, t0)
-            except ZeroDivisionError as exc:
-                raised += 1
-                with pytest.raises(ZeroDivisionError, match=f"^{exc}$"):
-                    x.eval(t0)
-                continue
-            value = x.eval(t0)
-            assert type(value) is Fraction and value == expected
-    assert raised >= 100
-
-
-_T = ParamScalar.t()
-_C = ParamScalar.const
-
-
-@pytest.mark.parametrize(
-    "build, text",
-    [
-        (lambda: _C(Fraction(0)), "0"),
-        (lambda: _C(Fraction(-22, 5)), "-22/5"),
-        (lambda: _T, "t"),
-        (lambda: -_T, "-t"),
-        (lambda: _C(Fraction(-3, 4)) * _T, "-3/4*t"),
-        (lambda: -_T * _T, "-t^2"),
-        (lambda: _C(Fraction(5, 2)) * _T * _T * _T, "5/2*t^3"),
-        (lambda: _T * _T + 1, "t^2 + 1"),
-        (lambda: -_T * _T + _T * 2 - Fraction(1, 3), "-t^2 + 2*t - 1/3"),
-        (lambda: _C(Fraction(-3, 4)) / _T, "(-3/4)/(t)"),
-        (lambda: _C(Fraction(1)) / (_T * _T), "(1)/(t^2)"),
-        (lambda: (_T - 1) / (_T * _T * _T), "(t - 1)/(t^3)"),
-        (lambda: _C(Fraction(-1)) / _T, "(-1)/(t)"),
-    ],
-)
-def test_param_scalar_str_forms(build, text):
-    assert str(build()) == text
 
 
 # The distinct keys `verify --suite all` asks each cache for, as recorded

@@ -15,7 +15,7 @@ import pytest
 
 import triplet
 from triplet.braidfmat import hexagon_solutions
-from triplet.exactnum import ParamScalar, Phase, Value
+from triplet.exactnum import Phase, Value
 from triplet.fusion import DecompEntry, DecompList, fuse_L_family
 from triplet.kacmod import kac_length2_seq, kac_mm_nn_diagram
 from triplet.sl2rep import build_irrep, invariant_form
@@ -30,7 +30,6 @@ PARAMETRIZED = hexagon_solutions(P23)[1]
 # One instance of each value class, built the way the library builds it.
 INSTANCES = [
     Phase(Fraction(1, 2)),
-    ParamScalar.const(Fraction(-3, 4)) / ParamScalar.t(),
     P23,
     VirLabel(2, 3),
     simple_l(5, 1),
@@ -64,7 +63,7 @@ def test_instances_cover_every_value_class():
                 classes.add(sub)
                 pending.append(sub)
     assert classes == {type(x) for x in INSTANCES}
-    assert len(INSTANCES) == 15
+    assert len(INSTANCES) == 14
 
 
 def test_equal_fields_of_different_classes_are_unequal():
@@ -119,14 +118,6 @@ def test_pickle_load_reruns_the_checks():
     data = pickle.dumps(forged)
     with pytest.raises(ValueError, match="Kac labels need r,s >= 1"):
         pickle.loads(data)
-
-
-def test_pickle_load_normalizes_param_scalar_terms():
-    forged = object.__new__(ParamScalar)
-    object.__setattr__(forged, "terms", ((1, Fraction(0)), (0, Fraction(2)), (0, -1)))
-    loaded = pickle.loads(pickle.dumps(forged))
-    assert loaded.terms == ((0, Fraction(1)),)
-    assert loaded == ParamScalar.const(Fraction(1))
 
 
 def test_reprs_read_like_the_constructor_call():
@@ -197,6 +188,4 @@ def test_checks_pass_on_valid_edge_cases():
     # The boundary values each check admits.
     assert GradedEntry(None, 7, kac_k(1, 1), Fraction(0)).mult == 7
     assert GradedEntry(0, 1, kac_k(1, 1), Fraction(0)).psl2 == 0
-    assert ParamScalar(()) == ParamScalar.const(0) == ParamScalar([(3, 0)])
-    assert ParamScalar(()).terms == () and ParamScalar(()).is_zero()
     assert DecompList(()).entries == ()
