@@ -6,10 +6,9 @@ fails; there is nothing to calibrate.  ``PROPERTIES`` is the ordered
 registry, suite by suite, of zero-argument checks that raise on failure.
 The ``suite_<name>`` runners, ``triplet verify`` and the test suite all read
 it, so no check is written twice.  A property that samples seeds its own
-generator and checks the same values alone as inside its suite.
-
-The checks are ``assert`` statements, which ``python -O`` strips; the CLI
-refuses to run them there.
+generator and checks the same values alone as inside its suite.  A failed
+check raises ``AssertionError`` naming the values it compared; no check is
+an ``assert`` statement, so ``python -O`` runs them all the same.
 """
 
 from __future__ import annotations
@@ -55,6 +54,13 @@ def _property(suite: str):
     return register
 
 
+def _expect(ok: bool, *what) -> None:
+    """Raise AssertionError unless ``ok``, with ``what`` joined as its
+    message; the values are formatted only when the check fails."""
+    if not ok:
+        raise AssertionError(" ".join(map(str, what)))
+
+
 # --- exactnum ---------------------------------------------------------------
 
 
@@ -67,7 +73,7 @@ def rat_addition_exact():
     rng = random.Random(20241)
     for _ in range(200):
         a, b = _rand_rat(rng), _rand_rat(rng)
-        assert (a + b) - b == a
+        _expect((a + b) - b == a, "(a+b)-b != a for a, b =", a, b)
 
 
 @_property("exactnum")
@@ -79,15 +85,19 @@ def phase_abelian_group():
     one = Phase(Fraction(0))
     # The group is Q/2Z: a reduction mod 1 would pass every law below.
     minus_one = Phase(1)
-    assert minus_one != one and minus_one * minus_one == one and Phase(-1) == minus_one
+    _expect(
+        minus_one != one and minus_one * minus_one == one and Phase(-1) == minus_one,
+        "-1 is not of order 2:",
+        minus_one,
+    )
     for a in sample:
-        assert a * one == a
+        _expect(a * one == a, "a*1 != a for a =", a)
         order = 2 * a.exponent.denominator
-        assert a**order == one
+        _expect(a**order == one, "a**", order, "!= 1 for a =", a)
     for _ in range(200):
         a, b, c = (rng.choice(sample) for _ in range(3))
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
+        _expect(a * b == b * a, "ab != ba for a, b =", a, b)
+        _expect((a * b) * c == a * (b * c), "(ab)c != a(bc) for a, b, c =", a, b, c)
 
 
 def _nonzero_rand_rat(rng: random.Random) -> Fraction:
@@ -115,12 +125,13 @@ def param_scalar_evaluation_hom():
         x = braidfmat.FMatrix(*(_rand_rat(rng) for _ in range(4)))
         y = braidfmat.FMatrix(*(_rand_rat(rng) for _ in range(4)))
         t0 = _nonzero_rand_rat(rng)
-        assert _fmatrix_product(x, y).evaluate(t0) == _fmatrix_product(
-            x.evaluate(t0), y.evaluate(t0)
-        )
+        product = _fmatrix_product(x, y).evaluate(t0)
+        expected = _fmatrix_product(x.evaluate(t0), y.evaluate(t0))
+        _expect(product == expected, "(xy)(t) != x(t)y(t) at t =", t0, ":", product, expected)
         for m in (x, y):
-            residual = braidfmat.hexagon_residual(params, m)
-            assert residual.evaluate(t0) == braidfmat.hexagon_residual(params, m.evaluate(t0))
+            residual = braidfmat.hexagon_residual(params, m).evaluate(t0)
+            expected = braidfmat.hexagon_residual(params, m.evaluate(t0))
+            _expect(residual == expected, params, m, "t =", t0, ":", residual, "!=", expected)
 
 
 # --- virasoro ---------------------------------------------------------------
@@ -152,11 +163,13 @@ def weight_translation_symmetry():
             for r in range(1, 51 + p)
         ]
         for r in range(1, 51):
-            assert h[r][1:51] == h[r + p][1 + q : 51 + q], f"row r={r}"
+            row, shifted = h[r][1:51], h[r + p][1 + q : 51 + q]
+            _expect(row == shifted, params, "row r =", r, ":", row, "!=", shifted)
         for r in range(1, 21):
             for s in range(1, 21):
                 lbl = VirLabel(r, s)
-                assert conformal_weight(params, lbl) == conformal_weight_oracle(params, lbl)
+                weight, oracle = conformal_weight(params, lbl), conformal_weight_oracle(params, lbl)
+                _expect(weight == oracle, params, lbl, ":", weight, "!=", oracle)
 
 
 @_property("virasoro")
@@ -174,11 +187,13 @@ def canonical_label_idempotent_and_weight_preserving():
                 key = (can.r, can.s)
                 h = weight_of.get(key)
                 if h is None:
-                    assert can.r >= 1 and 1 <= can.s <= q
-                    assert q * can.r >= p * can.s
-                    assert canonical_label(params, can) == can
+                    _expect(can.r >= 1 and 1 <= can.s <= q, params, lbl, "->", can, "out of range")
+                    _expect(q * can.r >= p * can.s, params, lbl, "->", can, "has q*r < p*s")
+                    again = canonical_label(params, can)
+                    _expect(again == can, params, "canonical_label not idempotent:", can, again)
                     h = weight_of[key] = weight_numerator(params, can)
-                assert weight_numerator(params, lbl) == h
+                n = weight_numerator(params, lbl)
+                _expect(n == h, params, lbl, "weight numerator", n, "!=", h, "of", can)
 
 
 @_property("virasoro")
@@ -186,12 +201,12 @@ def family_weight_identities():
     for params in TEST_PARAMS:
         p, q = params.p, params.q
         for n in range(1, 21):
-            assert conformal_weight(params, VirLabel(2 * n * p - 1, 1)) == (n * p - 1) * (
-                n * q - 1
-            )
-            assert conformal_weight(params, VirLabel(n * p - 1, 1)) == Fraction(
-                (n * p - 2) * (n * q - 2), 4
-            )
+            h = conformal_weight(params, VirLabel(2 * n * p - 1, 1))
+            expected = (n * p - 1) * (n * q - 1)
+            _expect(h == expected, params, "h_{2np-1,1} =", h, "!=", expected, "at n =", n)
+            h = conformal_weight(params, VirLabel(n * p - 1, 1))
+            expected = Fraction((n * p - 2) * (n * q - 2), 4)
+            _expect(h == expected, params, "h_{np-1,1} =", h, "!=", expected, "at n =", n)
 
 
 # --- kacmod -----------------------------------------------------------------
@@ -229,15 +244,16 @@ def diagram_node_counts_layers_distinct_weights():
         for m in range(2, 7):
             for n in range(2, m + 1):
                 d = kacmod.kac_mm_nn_diagram(params, m, n)
-                assert len(d.nodes) == 4 * n - 2
+                where = (params, "(m,n) =", (m, n), ":")
+                _expect(len(d.nodes) == 4 * n - 2, *where, len(d.nodes), "nodes")
                 sizes = tuple(len(_layer_labels(d, layer)) for layer in ("top", "middle", "socle"))
-                assert sizes == (n - 1, 2 * n - 1, n)
+                _expect(sizes == (n - 1, 2 * n - 1, n), *where, "layer sizes", sizes)
                 canon = [canonical_label(params, node.label) for node in d.nodes]
-                assert len(set(canon)) == len(canon)
+                _expect(len(set(canon)) == len(canon), *where, "repeated labels", canon)
                 ref = VirLabel(m * params.p - 1, n * params.q - 1)
-                assert _diagram_weights_congruent(params, d, ref)
+                _expect(_diagram_weights_congruent(params, d, ref), *where, "weights not congruent")
                 has_l11 = VirLabel(1, 1) in _layer_labels(d, "middle")
-                assert has_l11 == (m == n)
+                _expect(has_l11 == (m == n), *where, "L_{1,1} in the middle layer:", has_l11)
 
 
 @_property("kacmod")
@@ -249,7 +265,7 @@ def diagram_edges_respect_layers():
                 order = {"top": 0, "middle": 1, "socle": 2}
                 layer = {node.id: order[node.layer] for node in d.nodes}
                 for src, dst in d.edges:
-                    assert layer[dst] == layer[src] + 1
+                    _expect(layer[dst] == layer[src] + 1, params, (m, n), "edge", (src, dst))
 
 
 @_property("kacmod")
@@ -262,7 +278,7 @@ def diagram_vs_fusion_factor_multisets():
                 if m == n:
                     top[canonical_label(params, VirLabel(1, 1))] += 1
                 fused = expanded_factor_multiset(params, fusion.fuse_L_family(params, m, n))
-                assert top == fused, f"(m,n)=({m},{n}): {top} != {fused}"
+                _expect(top == fused, params, "(m,n) =", (m, n), ":", top, "!=", fused)
 
 
 # The name predates this check; it is kept so that `triplet verify` prints
@@ -280,9 +296,10 @@ def simple_quotient_list_shapes():
                 for node in d.nodes:
                     if node.layer == "top":
                         seq = kacmod.kac_length2_seq(params, kac_k(node.label.r, node.label.s))
-                        assert seq.quot.label == node.label
+                        quot = seq.quot.label
+                        _expect(quot == node.label, params, node.label, "has quotient", quot)
                         cover = (node.id, middle.get(seq.sub.label))
-                        assert cover in d.edges, f"(m,n)=({m},{n}): {cover} is not an edge"
+                        _expect(cover in d.edges, params, (m, n), ":", cover, "is not an edge")
 
 
 # --- fusion -----------------------------------------------------------------
@@ -376,7 +393,8 @@ def cg_oracle(m: int, n: int) -> list[int]:
 def fuse_C_equals_cg_oracle():
     for m in range(13):
         for n in range(13):
-            assert fusion.fuse_C(m, n) == cg_oracle(m, n)
+            channels, oracle = fusion.fuse_C(m, n), cg_oracle(m, n)
+            _expect(channels == oracle, "fuse_C", (m, n), "=", channels, "!=", oracle)
 
 
 @_property("fusion")
@@ -391,26 +409,30 @@ def fusion_ring_commutative_associative():
     pairs = {}
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
-            pairs[i, j] = prod(a, b)
-            assert pairs[i, j] == prod(b, a) == fusion_ring_product_oracle(params, a, b)
+            ab = pairs[i, j] = prod(a, b)
+            ba, oracle = prod(b, a), fusion_ring_product_oracle(params, a, b)
+            _expect(ab == ba == oracle, "L_i L_j at (i,j) =", (i, j), ":", ab, ba, oracle)
     for i, a in enumerate(basis):
         for j in range(len(basis)):
             for k, c in enumerate(basis):
-                assert prod(pairs[i, j], c) == prod(a, pairs[j, k])
+                left, right = prod(pairs[i, j], c), prod(a, pairs[j, k])
+                _expect(left == right, "(ab)c != a(bc) at", (i, j, k), ":", left, right)
 
 
 @_property("fusion")
 def dimension_grading():
     for m in range(13):
         for n in range(13):
-            assert sum(k + 1 for k in fusion.fuse_C(m, n)) == (m + 1) * (n + 1)
+            dim = sum(k + 1 for k in fusion.fuse_C(m, n))
+            _expect(dim == (m + 1) * (n + 1), "fuse_C", (m, n), "has dimension", dim)
 
 
 @_property("fusion")
 def even_subring_closed():
     for m in range(0, 13, 2):
         for n in range(0, 13, 2):
-            assert all(k % 2 == 0 for k in fusion.fuse_C(m, n))
+            channels = fusion.fuse_C(m, n)
+            _expect(all(k % 2 == 0 for k in channels), "fuse_C", (m, n), "=", channels)
 
 
 # --- braidfmat --------------------------------------------------------------
@@ -448,15 +470,17 @@ def squared_r_scalars_equal_balancing():
                 if k > 8:
                     continue
                 formula = braidfmat.r_scalar_formula(params, n, k)
-                assert formula**2 == balancing[k]
+                _expect(formula**2 == balancing[k], params, (n, k), ":", formula, balancing[k])
             # The PSL_2 part is symmetric: for even n every channel k is even,
             # so the lowest weights ((k+2)p-2)((k+2)q-2)/4 of L_k and of L_n
             # are integers and every balancing phase is 1.
             if n % 2 == 0:
-                assert all(phase == Phase(0) for phase in balancing.values()), f"n={n}"
+                one = all(phase == Phase(0) for phase in balancing.values())
+                _expect(one, params, "n =", n, "balancing", balancing)
         for k in (0, 2):
             table = braidfmat.r_scalar_table(params, 1, k)
-            assert table**2 == braidfmat.balancing_check(params, 1)[k]
+            phase = braidfmat.balancing_check(params, 1)[k]
+            _expect(table**2 == phase, params, "k =", k, ":", table, "squared !=", phase)
 
 
 @_property("braidfmat")
@@ -464,7 +488,8 @@ def balancing_n1_is_parity_sign():
     for params in TEST_PARAMS:
         eps = Fraction((-1) ** (params.p * params.q))
         for k in (0, 2):
-            assert _phase_sign(braidfmat.balancing_check(params, 1)[k]) == eps
+            sign = _phase_sign(braidfmat.balancing_check(params, 1)[k])
+            _expect(sign == eps, params, "k =", k, ":", sign, "!=", eps)
 
 
 @_property("braidfmat")
@@ -477,7 +502,7 @@ def hexagon_solutions_zero_residual():
         for sol in braidfmat.hexagon_solutions(params):
             for t0 in ts:
                 residual = braidfmat.hexagon_residual(params, sol.matrix.evaluate(t0))
-                assert not any(residual.entries()), (params, sol.kind, t0)
+                _expect(not any(residual.entries()), params, sol.kind, "t =", t0, ":", residual)
 
 
 @_property("braidfmat")
@@ -488,14 +513,16 @@ def hexagon_sign_flip_invariance():
         flipped0 = Phase(r0.exponent + 1)
         flipped2 = Phase(r2.exponent + 1)
         signs = _hexagon_sign_matrix(r0, r2)
-        assert signs == _hexagon_sign_matrix(flipped0, flipped2)
+        flipped = _hexagon_sign_matrix(flipped0, flipped2)
+        _expect(signs == flipped, params, "flip changes the signs:", signs, "->", flipped)
         eps = Fraction((-1) ** (params.p * params.q))
-        assert signs == ((eps, -eps), (-eps, eps))
+        _expect(signs == ((eps, -eps), (-eps, eps)), params, "signs", signs)
         # The weight-formula convention is one of the two flips, so it
         # derives the same matrix equation.
         f0 = braidfmat.r_scalar_formula(params, 1, 0)
         f2 = braidfmat.r_scalar_formula(params, 1, 2)
-        assert _hexagon_sign_matrix(f0, f2) == signs
+        formula = _hexagon_sign_matrix(f0, f2)
+        _expect(formula == signs, params, "formula signs", formula, "!=", signs)
 
 
 @_property("braidfmat")
@@ -503,8 +530,8 @@ def intrinsic_dimensions():
     for params in TEST_PARAMS:
         eps = (-1) ** (params.p * params.q)
         dims = [braidfmat.intrinsic_dimension(sol) for sol in braidfmat.hexagon_solutions(params)]
-        assert dims == [Fraction(eps), Fraction(-2 * eps)]
-        assert all(d in (1, -1, 2, -2) for d in dims)
+        _expect(dims == [Fraction(eps), Fraction(-2 * eps)], params, "dimensions", dims)
+        _expect(all(d in (1, -1, 2, -2) for d in dims), params, "dimensions", dims)
 
 
 # --- sl2rep -----------------------------------------------------------------
@@ -645,7 +672,7 @@ def check_brackets(rep: sl2rep.Irrep) -> bool:
 @_property("sl2rep")
 def bracket_relations():
     for n in range(11):
-        assert check_brackets(sl2rep.build_irrep(n))
+        _expect(check_brackets(sl2rep.build_irrep(n)), "bracket relations fail on V_", n)
 
 
 @_property("sl2rep")
@@ -654,13 +681,15 @@ def invariant_form_unique_nondegenerate_symmetry():
         form = sl2rep.invariant_form(n)
         if n <= 8:
             # The oracle raises unless the solution space is 1-dim.
-            assert form.matrix == invariant_form_oracle(n), f"n={n}"
+            oracle = invariant_form_oracle(n)
+            _expect(form.matrix == oracle, "form on V_", n, ":", form.matrix, "!=", oracle)
         b = [list(r) for r in form.matrix]
         _, pivots = linalg.rref(b)
-        assert len(pivots) == n + 1
+        _expect(len(pivots) == n + 1, "form on V_", n, "has rank", len(pivots))
         sign = 1 if n % 2 == 0 else -1
         if n <= 6:
-            assert all(b[i][j] == sign * b[j][i] for i in range(n + 1) for j in range(n + 1))
+            symmetric = all(b[i][j] == sign * b[j][i] for i in range(n + 1) for j in range(n + 1))
+            _expect(symmetric, "form on V_", n, "is not", sign, "symmetric:", form.matrix)
 
 
 @_property("sl2rep")
@@ -673,9 +702,10 @@ def cg_biorthogonality_and_completeness():
     for m in range(7):
         for n in range(7):
             system = sl2rep._cg_system(m, n)
-            assert sorted(system) == cg_oracle(m, n), f"(m,n)=({m},{n})"
+            channels, oracle = sorted(system), cg_oracle(m, n)
+            _expect(channels == oracle, "(m,n) =", (m, n), ":", channels, "!=", oracle)
             if m <= 5 and n <= 5:
-                assert system == cg_system_oracle(m, n), f"(m,n)=({m},{n})"
+                _expect(system == cg_system_oracle(m, n), "(m,n) =", (m, n), ": system != oracle")
             dim = (m + 1) * (n + 1)
             stacked_proj: list = []
             stacked_incl: list = [[] for _ in range(dim)]
@@ -683,8 +713,9 @@ def cg_biorthogonality_and_completeness():
                 stacked_proj += proj_k
                 for row, part in zip(stacked_incl, incl_k):
                     row += part
-            assert linalg.mat_mul(stacked_proj, stacked_incl) == linalg.identity(dim)
-            assert linalg.mat_mul(stacked_incl, stacked_proj) == linalg.identity(dim)
+            identity = linalg.identity(dim)
+            _expect(linalg.mat_mul(stacked_proj, stacked_incl) == identity, (m, n), ": P*I != Id")
+            _expect(linalg.mat_mul(stacked_incl, stacked_proj) == identity, (m, n), ": I*P != Id")
 
 
 @_property("sl2rep")
@@ -699,13 +730,12 @@ def unit_channel_projection_is_bilinear_form():
         row = proj[0]
         ratio = None
         for x, y in zip(row, flat):
-            if (x == 0) != (y == 0):
-                raise AssertionError("projection and pairing have different supports")
+            _expect((x == 0) == (y == 0), "n =", n, ": projection and pairing differ in support")
             if x:
                 if ratio is None:
                     ratio = x / y
-                assert x == ratio * y
-        assert ratio is not None and ratio != 0
+                _expect(x == ratio * y, "n =", n, ":", row, "is not a multiple of", flat)
+        _expect(ratio is not None and ratio != 0, "n =", n, ": zero ratio", ratio)
 
 
 def _pair(form: sl2rep.BilinForm, v: list, w: list) -> Fraction:
@@ -746,7 +776,7 @@ def simplicity_witnesses_exist():
         if all(x == 0 for x in v):
             v[rng.randrange(5)] = Fraction(1)
         w = _simplicity_witness(2, v)
-        assert _pair(sl2rep.invariant_form(4), w, v) != 0
+        _expect(_pair(sl2rep.invariant_form(4), w, v) != 0, "witness", w, "pairs v =", v, "to 0")
 
 
 # --- wpq --------------------------------------------------------------------
@@ -758,7 +788,7 @@ def truncations_are_prefixes():
         big = wpq.decompose_wpq(params, 12)
         for n_max in range(2, 12):
             small = wpq.decompose_wpq(params, n_max)
-            assert small == big[: len(small)]
+            _expect(small == big[: len(small)], params, "n_max =", n_max, ":", small)
 
 
 @_property("wpq")
@@ -766,16 +796,16 @@ def equivariant_dimension_agreement():
     for params in TEST_PARAMS:
         plain = wpq.decompose_wpq(params, 20)
         graded = wpq.decompose_wpq_equivariant(params, 20)
-        assert len(plain) == len(graded)
+        _expect(len(plain) == len(graded), params, "lengths", len(plain), len(graded))
         for pe, ge in zip(plain, graded):
-            assert pe.mult == ge.mult == (ge.psl2 + 1)
-            assert pe.obj == ge.obj and pe.lowest_weight == ge.lowest_weight
+            _expect(pe.mult == ge.mult == (ge.psl2 + 1), params, pe, ge)
+            _expect(pe.obj == ge.obj and pe.lowest_weight == ge.lowest_weight, params, pe, ge)
         # The contragredient is the even part of the sl2 dictionary: entry n
         # is L_{2n-2}, with K'_{1,1} = L_0 at n = 1.
         for n, entry in enumerate(wpq.decompose_wprime(params, 20), start=1):
-            assert entry.obj == sl2_index_to_obj(params, 2 * n - 2)
-            assert entry.psl2 == 2 * n - 2 and entry.mult == 2 * n - 1
-            assert entry.lowest_weight == sl2_lowest_weight(params, 2 * n - 2)
+            _expect(entry.obj == sl2_index_to_obj(params, 2 * n - 2), params, n, entry)
+            _expect(entry.psl2 == 2 * n - 2 and entry.mult == 2 * n - 1, params, n, entry)
+            _expect(entry.lowest_weight == sl2_lowest_weight(params, 2 * n - 2), params, n, entry)
 
 
 @_property("wpq")
@@ -783,17 +813,17 @@ def ideal_and_quotient_bookkeeping():
     for params in TEST_PARAMS:
         full = wpq.decompose_wpq(params, 10)
         ideal = wpq.decompose_ideal(params, 10)
-        assert full[0].obj == kac_k(1, 1)
-        assert full[1:] == ideal[1:]
+        _expect(full[0].obj == kac_k(1, 1), params, "first entry", full[0])
+        _expect(full[1:] == ideal[1:], params, "full and ideal differ past entry 0")
         k11 = kacmod.kac_length2_seq(params, kac_k(1, 1))
         socle = k11.sub
-        assert ideal[0].obj == socle
-        assert ideal[0].lowest_weight == conformal_weight(params, socle.label)
-        assert ideal[0].lowest_weight == (params.p - 1) * (params.q - 1)
+        _expect(ideal[0].obj == socle, params, "ideal starts at", ideal[0], "not", socle)
+        _expect(ideal[0].lowest_weight == conformal_weight(params, socle.label), params, ideal[0])
+        _expect(ideal[0].lowest_weight == (params.p - 1) * (params.q - 1), params, ideal[0])
         # Ideal plus the simple quotient L_{1,1} accounts for all factors
         # of the full algebra: K_{1,1} = socle + L_{1,1}.
         quot = k11.quot
-        assert quot == simple_l(1, 1)
+        _expect(quot == simple_l(1, 1), params, "quotient of K_{1,1} is", quot)
         full_factors = expanded_factor_multiset(
             params, fusion.decomp_from_pairs((e.mult, e.obj) for e in full)
         )
@@ -801,7 +831,7 @@ def ideal_and_quotient_bookkeeping():
             {canonical_label(params, e.obj.label): e.mult for e in ideal}
         )
         ideal_factors[canonical_label(params, quot.label)] += 1
-        assert full_factors == ideal_factors
+        _expect(full_factors == ideal_factors, params, full_factors, "!=", ideal_factors)
 
 
 @_property("wpq")
@@ -809,17 +839,18 @@ def multiplicity_totals_square():
     for params in TEST_PARAMS:
         for n_max in (2, 3, 5, 10, 20):
             total = sum(e.mult for e in wpq.decompose_wpq(params, n_max))
-            assert total == n_max * n_max
-            graded = wpq.decompose_wpq_equivariant(params, n_max)
-            assert sum(e.psl2 + 1 for e in graded) == n_max * n_max
+            _expect(total == n_max * n_max, params, "n_max =", n_max, ": total", total)
+            graded = sum(e.psl2 + 1 for e in wpq.decompose_wpq_equivariant(params, n_max))
+            _expect(graded == n_max * n_max, params, "n_max =", n_max, ": graded total", graded)
 
 
 @_property("wpq")
 def o0_weight_identity_integral():
     for params in TEST_PARAMS:
         for n, diff, flag in wpq.o0_weight_identity(params, 20):
-            assert flag and diff.denominator == 1 and diff >= 0
-            assert diff == (n * params.p - 1) * (n * params.q - 2)
+            _expect(flag and diff.denominator == 1 and diff >= 0, params, n, diff, flag)
+            expected = (n * params.p - 1) * (n * params.q - 2)
+            _expect(diff == expected, params, "n =", n, ":", diff, "!=", expected)
 
 
 # --- runners ----------------------------------------------------------------

@@ -3,13 +3,7 @@ import io
 import textwrap
 from contextlib import redirect_stderr, redirect_stdout
 
-import pytest
-
 from triplet.cli import main
-
-# The verify properties are plain asserts in library code; rewrite them so
-# that a failing one reports the compared values, as a test's own assert does.
-pytest.register_assert_rewrite("triplet.verify")
 
 
 def run_cli(argv) -> tuple[int, str, str]:

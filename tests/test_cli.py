@@ -532,10 +532,6 @@ def test_sl2_subcommand():
     assert (code, out, err) == (2, "", "error: highest weight must be >= 0, got -1\n")
 
 
-def test_verify_suite_choices_match_registry():
-    assert cli.VERIFY_SUITES == tuple(sorted(verify.SUITES))
-
-
 def test_verify_single_suite():
     code, out, _ = run_cli(["verify", "--suite", "exactnum"])
     assert code == 0
@@ -616,17 +612,51 @@ def test_child_env_passes_on_only_pythonpath(monkeypatch):
     assert [k for k in env if k.startswith("PYTHON")] == ["PYTHONPATH"]
 
 
-def test_verify_refuses_to_run_under_python_O():
+def test_verify_under_python_OO_prints_the_plain_bytes():
+    # -OO strips what -O strips, and docstrings besides.
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "triplet", "verify", "--suite", "all"],
+            capture_output=True,
+            env=_child_env(),
+        )
+        for flags in ([], ["-OO"])
+    ]
+    assert [(r.returncode, r.stderr) for r in runs] == [(0, b""), (0, b"")]
+    assert runs[1].stdout == runs[0].stdout
+    assert runs[0].stdout.endswith(b"29/29 properties passed\n")
+
+
+# A canonical_label whose second application moves (3,1) at (2,3).
+NON_IDEMPOTENT_SCRIPT = """
+import sys
+from triplet import cli, verify
+from triplet.virasoro import VirLabel, canonical_label
+
+def wrong(params, lbl):
+    if (lbl.r, lbl.s) == (3, 1):
+        return VirLabel(3 + params.p, 1 + params.q)
+    return canonical_label(params, lbl)
+
+verify.canonical_label = wrong
+sys.exit(cli.main(["verify", "--suite", "virasoro"]))
+"""
+
+
+def test_verify_under_python_O_still_fails_a_mutant():
     result = subprocess.run(
-        [sys.executable, "-O", "-m", "triplet", "verify", "--suite", "exactnum"],
+        [sys.executable, "-O", "-c", NON_IDEMPOTENT_SCRIPT],
         capture_output=True,
         text=True,
         env=_child_env(),
     )
-    assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr == (
-        "error: verify cannot run under python -O, which strips its assert checks\n"
-    )
+    assert (result.returncode, result.stderr) == (1, "")
+    assert result.stdout.splitlines()[1:] == [
+        "FAIL virasoro.canonical_label_idempotent_and_weight_preserving: AssertionError: "
+        "Params(p=2, q=3) canonical_label not idempotent: VirLabel(r=3, s=1) VirLabel(r=5, s=4)",
+        "ok   virasoro.family_weight_identities",
+        "2/3 properties passed, 1 failed",
+    ]
 
 
 def _closed_stdout_run(argv, flags=()) -> tuple[int, bytes]:

@@ -1,7 +1,7 @@
 """The package's static rules, checked on the syntax tree of every module.
 
-Runtime invariants raise explicitly, since ``python -O`` strips ``assert``;
-only ``verify``, whose checks the CLI refuses to run under ``-O``, asserts.
+Runtime invariants and the ``verify`` checks raise explicitly, since
+``python -O`` strips ``assert``: no module asserts.
 Nothing is floating point, and ``math`` serves only integer gcd/lcm.
 Brute-force oracles live only in ``verify``, and the character oracle never
 reads the closed form it checks.  Only ``cli`` writes the JSON and DOT
@@ -46,9 +46,7 @@ def test_sources_found():
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
-def test_no_assert_outside_verify(path):
-    if path.name == "verify.py":
-        return
+def test_no_assert(path):
     found = [_where(path, n) for n in ast.walk(_tree(path)) if isinstance(n, ast.Assert)]
     assert found == []
 
@@ -248,7 +246,7 @@ def test_static_rules_catch_a_violation(tmp_path):
     src = tmp_path / "mutant.py"
     src.write_text("import math\nassert True\nx = 0.5\ny = float(1)\nz = math.sqrt(2)\n")
     with pytest.raises(AssertionError):
-        test_no_assert_outside_verify(src)
+        test_no_assert(src)
     with pytest.raises(AssertionError):
         test_no_float(src)
     with pytest.raises(AssertionError):

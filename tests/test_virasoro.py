@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import run_cli
 
 from triplet import verify, virasoro
 from triplet.exactnum import CACHE_SIZE
@@ -157,6 +158,18 @@ def test_canonical_property_catches_a_wrong_non_canonical_weight(monkeypatch):
         PROPERTIES["virasoro"]["canonical_label_idempotent_and_weight_preserving"]()
 
 
+def test_verify_fail_line_names_the_label_and_both_numerators(monkeypatch):
+    monkeypatch.setattr(verify, "weight_numerator", _numerator_wrong_at(lambda params: (40, 40)))
+    code, out, _ = run_cli(["verify", "--suite", "virasoro"])
+    params, lbl = Params(2, 3), VirLabel(40, 40)
+    h = weight_numerator(params, lbl)
+    assert code == 1
+    assert (
+        "FAIL virasoro.canonical_label_idempotent_and_weight_preserving: AssertionError: "
+        f"{params} {lbl} weight numerator {h + 1} != {h} of {canonical_label(params, lbl)}"
+    ) in out.splitlines()
+
+
 def test_translation_property_checks_the_weight_denominator(monkeypatch):
     # The numerators are right and only the denominator is wrong, so the
     # row comparisons pass and the comparison with the oracle must fail.
@@ -197,4 +210,6 @@ def test_canonical_property_catches_a_non_idempotent_label(monkeypatch):
     monkeypatch.setattr(verify, "canonical_label", wrong)
     with pytest.raises(AssertionError) as excinfo:
         PROPERTIES["virasoro"]["canonical_label_idempotent_and_weight_preserving"]()
-    assert "canonical_label(params, can) == can" in str(excinfo.traceback[-1].statement)
+    assert str(excinfo.value) == (
+        "Params(p=2, q=3) canonical_label not idempotent: VirLabel(r=3, s=1) VirLabel(r=5, s=4)"
+    )
