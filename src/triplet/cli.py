@@ -2,9 +2,10 @@
 
 This is the one module that knows the output formats: the library layers
 return values, and the private ``_*_json`` and ``_diagram_dot`` helpers
-here write them.  Exit codes: 0 success, 2 argument or validation failure,
-3 structurally unsupported request (e.g. the Loewy diagram of a general
-Kac label), 4 stdout closed by its reader before all of it was written.
+here write them.  Exit codes: 0 success, 2 argument or validation failure
+or a request too large for memory, 3 structurally unsupported request
+(e.g. the Loewy diagram of a general Kac label), 4 stdout closed by its
+reader before all of it was written.
 `verify` exits 1 when a property fails; it runs the same checks under
 `python -O`.  Output depends on argv alone: same argv, byte-identical
 bytes, whatever the environment.
@@ -406,17 +407,17 @@ def _cmd_verify(args) -> int:
 
     names = args.suite or ["all"]
     if "all" in names:
-        names = list(verify.SUITES)
+        names = list(verify.PROPERTIES)
     else:
         names = list(dict.fromkeys(names))
     results = verify.run_suites(names)
     failures = 0
-    for suite_name, (prop, ok, detail) in results:
+    for suite, (prop, ok, detail) in results:
         if ok:
-            sys.stdout.write(f"ok   {suite_name}.{prop}\n")
+            sys.stdout.write(f"ok   {suite}.{prop}\n")
         else:
             failures += 1
-            sys.stdout.write(f"FAIL {suite_name}.{prop}: {detail}\n")
+            sys.stdout.write(f"FAIL {suite}.{prop}: {detail}\n")
     sys.stdout.write(
         f"{len(results) - failures}/{len(results)} properties passed"
         + (f", {failures} failed\n" if failures else "\n")
@@ -489,7 +490,7 @@ def _verify_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--suite",
         action="append",
-        choices=["all", *sorted(verify.SUITES)],
+        choices=["all", *sorted(verify.PROPERTIES)],
         help="suite to run (repeatable); default all",
     )
 
@@ -557,6 +558,10 @@ def main(argv: list[str] | None = None) -> int:
             return 3
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             sys.stderr.write(f"error: {exc}\n")
+            return 2
+        except MemoryError:
+            # str(MemoryError()) is empty, so the message is written here.
+            sys.stderr.write("error: not enough memory for this request\n")
             return 2
         finally:
             # Flushed here, so a reader that closed the pipe early is caught

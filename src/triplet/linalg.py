@@ -99,10 +99,6 @@ def mat_vec(a: Matrix, v: list) -> list:
     return out
 
 
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x is ZERO or x == 0 for row in a for x in row)
-
-
 def _int_row(row) -> dict[int, int]:
     """The nonzero entries of a row of Fraction scaled to coprime integers,
     keyed by column; the scale is positive."""

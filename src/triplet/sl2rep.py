@@ -67,9 +67,9 @@ def invariant_form(n: int) -> BilinForm:
     pairs weight n-2k only with weight 2k-n, so H-invariance holds by
     construction, and it pairs the highest- and lowest-weight vectors to 1.
     E- and F-invariance (X^T B + B X = 0) reduce to n two-term equations
-    each, and nondegeneracy to a nonzero antidiagonal; both are checked
-    here in O(n).  Uniqueness is checked against the nullspace solve in
-    `verify`.
+    each, checked here in O(n).  Nondegeneracy holds by construction, since
+    every antidiagonal entry is +-1; `verify` checks the rank, and checks
+    uniqueness against the nullspace solve.
     """
     rep = build_irrep(n)
     dim = n + 1
@@ -87,8 +87,6 @@ def invariant_form(n: int) -> BilinForm:
         j = n - 1 - i
         if rep.f[i + 1][i] * b[i + 1][j] + b[i][j + 1] * rep.f[j + 1][j]:
             raise AssertionError(f"invariant form on V_{n} is not F-invariant at ({i},{j})")
-    if any(b[k][n - k] == 0 for k in range(dim)):
-        raise AssertionError(f"invariant form on V_{n} is degenerate")
     return BilinForm(n=n, matrix=_freeze(b))
 
 

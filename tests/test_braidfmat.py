@@ -88,10 +88,6 @@ def test_balancing_examples():
         assert balancing_check(params, 0)[0] == Phase(Fraction(0))
 
 
-def test_squared_scalars_equal_balancing():
-    PROPERTIES["braidfmat"]["squared_r_scalars_equal_balancing"]()
-
-
 def test_balancing_property_catches_an_asymmetric_psl2_part(monkeypatch):
     # Shifting the weight of L_n by 1/4 for even n >= 4, in both the R-scalar
     # formula and the balancing, keeps R^2 equal to the balancing phase on
@@ -154,10 +150,6 @@ def test_hexagon_substitution_at_t_one():
     assert square == (a, -b, -c, d)
 
 
-def test_hexagon_residuals_identically_zero():
-    PROPERTIES["braidfmat"]["hexagon_solutions_zero_residual"]()
-
-
 def test_evaluate_is_the_gauge_monomial_entrywise():
     # Entry (i, j) of evaluate(t0) is c*t0^e, with c that of the stored t = 1
     # member and e = GAUGE_EXPONENTS[i][j].
@@ -185,10 +177,6 @@ def test_hexagon_rejects_non_solutions():
     bogus = FMatrix(Fraction(1), Fraction(1), Fraction(1), Fraction(1))
     residual = hexagon_residual(p23, bogus)
     assert any(residual.entries())
-
-
-def test_intrinsic_dimensions():
-    PROPERTIES["braidfmat"]["intrinsic_dimensions"]()
 
 
 def test_intrinsic_dimension_property_catches_a_dimension_that_is_f00(monkeypatch):

@@ -354,6 +354,9 @@ def test_integer_option_cap_boundary_and_messages():
 
 
 HUGE = "1" + "0" * 23  # 24 digits: past the platform's index size
+# 10^18 + 1 channels fit the index size, but their list of 8e18 bytes
+# cannot be allocated.
+BIG = str(10**18)
 
 
 @pytest.mark.parametrize(
@@ -365,15 +368,17 @@ HUGE = "1" + "0" * 23  # 24 digits: past the platform's index size
         ["braiding", "--p", "2", "--q", "3", "--n", HUGE],
         ["sl2", "--op", "irrep", "--n", HUGE],
         ["sl2", "--op", "form", "--n", HUGE],
+        ["fuse-C", "--m", BIG, "--n", BIG],
     ],
-    ids=["fuse-C", "fuse-L", "kac-diagram", "braiding", "sl2-irrep", "sl2-form"],
+    ids=["fuse-C", "fuse-L", "kac-diagram", "braiding", "sl2-irrep", "sl2-form", "fuse-C-memory"],
 )
 def test_overflowing_sizes_exit_2_with_one_line(argv):
-    # Each of these used to end in an OverflowError traceback and exit 1,
-    # the code of a failed verify property.
+    # Each of these used to end in an OverflowError or MemoryError traceback
+    # and exit 1, the code of a failed verify property.
     code, out, err = run_cli(argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert err[len("error: ") :].strip()  # str(MemoryError()) is empty
 
 
 def _subparser(name: str) -> argparse.ArgumentParser:

@@ -182,10 +182,6 @@ def test_diagram_3_3_golden():
     assert set(d.edges) == GOLDEN_33
 
 
-def test_diagram_shape_all_pairs():
-    PROPERTIES["kacmod"]["diagram_node_counts_layers_distinct_weights"]()
-
-
 def test_diagram_weight_congruence_reads_numerators_mod_4pq():
     # At (2,3) every node of K_{5,5}'s diagram has an integer weight, as
     # h_{5,5} = 1 has; h_{2,1} = 5/8 is not congruent to them.

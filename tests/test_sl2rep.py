@@ -30,10 +30,6 @@ def test_build_irrep_small():
     assert [list(r) for r in rep1.e] == [[0, 1], [0, 0]]
 
 
-def test_bracket_relations():
-    PROPERTIES["sl2rep"]["bracket_relations"]()
-
-
 def test_invariant_form_small():
     assert [list(r) for r in invariant_form(0).matrix] == [[1]]
     b2 = [list(r) for r in invariant_form(2).matrix]
@@ -62,12 +58,12 @@ def test_invariant_form_invariance_equations():
             x = [list(r) for r in mat]
             lhs = linalg.mat_mul([list(col) for col in zip(*x)], b)
             rhs = linalg.mat_mul(b, x)
-            assert linalg.is_zero_matrix(
-                [[a + c for a, c in zip(ra, rc)] for ra, rc in zip(lhs, rhs)]
-            )
+            total = [[a + c for a, c in zip(ra, rc)] for ra, rc in zip(lhs, rhs)]
+            assert total == linalg.zeros(n + 1, n + 1)
 
 
-@pytest.mark.parametrize("n", range(13))
+# n <= 8 is compared by `invariant_form_unique_nondegenerate_symmetry`.
+@pytest.mark.parametrize("n", range(9, 13))
 def test_invariant_form_equals_nullspace_oracle(n):
     assert invariant_form(n).matrix == invariant_form_oracle(n)
 
@@ -177,8 +173,7 @@ def test_cg_maps_biorthogonality_2_2():
     assert linalg.mat_mul(proj0, incl0) == [[1]]
     for k in (2, 4):
         _, incl_k = cg_maps(2, 2, k)
-        product = linalg.mat_mul(proj0, incl_k)
-        assert linalg.is_zero_matrix(product)
+        assert linalg.mat_mul(proj0, incl_k) == linalg.zeros(1, k + 1)
 
 
 def test_cg_maps_completeness_2_2():
@@ -227,18 +222,10 @@ def test_cg_maps_invalid_channel():
         sl2rep._cg_system(2, -1)
 
 
-def test_unit_channel_projection_is_pairing():
-    PROPERTIES["sl2rep"]["unit_channel_projection_is_bilinear_form"]()
-
-
 def test_simplicity_witness_highest_lowest():
     v = [Fraction(1), 0, 0]  # highest-weight vector of the n=1 module V_2
     witness = _simplicity_witness(1, v)
     assert witness == [0, 0, Fraction(1)]
-
-
-def test_simplicity_witness_randomized():
-    PROPERTIES["sl2rep"]["simplicity_witnesses_exist"]()
 
 
 def test_simplicity_witness_rejects_zero():

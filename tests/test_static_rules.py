@@ -12,6 +12,9 @@ between the Python versions the package supports.
 Every public function and method has a caller in the package, or is
 documented in the README; ``verify`` does not count as a caller, except of
 its own functions.
+Each registry property runs once in tier-1, in ``test_acceptance.py``; any
+other test that calls one takes ``monkeypatch``, to run it against a mutant
+or with a counter.
 """
 
 import ast
@@ -24,6 +27,10 @@ import pytest
 import triplet
 
 SOURCES = sorted(Path(triplet.__file__).parent.glob("*.py"))
+# The test modules that may not re-run a registry property as it stands.
+TESTS = sorted(
+    path for path in Path(__file__).parent.glob("test_*.py") if path.name != "test_acceptance.py"
+)
 MATH_ALLOWED = {"gcd", "lcm"}
 README = Path(__file__).resolve().parents[1] / "README.md"
 # Private names of `fractions.Fraction`: the `_normalize` keyword, the
@@ -236,6 +243,34 @@ def test_package_exports_exactly_its_public_imports():
     assert sorted(triplet.__all__) == sorted(n for n in imported if not n.startswith("_"))
 
 
+def _calls_a_property(node: ast.AST) -> bool:
+    """A call `PROPERTIES[...][...]()`, or one through a module attribute."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Subscript)
+        and isinstance(node.func.value, ast.Subscript)
+    ):
+        return False
+    registry = node.func.value.value
+    name = registry.id if isinstance(registry, ast.Name) else getattr(registry, "attr", None)
+    return name == "PROPERTIES"
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda path: path.name)
+def test_properties_rerun_only_under_monkeypatch(path):
+    # `test_acceptance.py` runs every property once; a plain re-run elsewhere
+    # only repeats it.
+    found = [
+        f"{_where(path, n)} {n.name}"
+        for n in ast.walk(_tree(path))
+        if isinstance(n, ast.FunctionDef)
+        and n.name.startswith("test_")
+        and "monkeypatch" not in {a.arg for a in n.args.args}
+        and any(_calls_a_property(call) for call in ast.walk(n))
+    ]
+    assert found == []
+
+
 def test_cg_oracle_does_not_read_fusion():
     verify_py = next(path for path in SOURCES if path.name == "verify.py")
     assert not _names_reached(verify_py, "cg_oracle") & {"fuse_C", "fusion"}
@@ -289,6 +324,18 @@ def test_static_rules_catch_a_violation(tmp_path):
             test_no_private_fractions_api(src)
     src.write_text("n, d = x.numerator, x.denominator\ny = Fraction(n, d)\n")
     test_no_private_fractions_api(src)
+    for text in (
+        "def test_rerun():\n    PROPERTIES['fusion']['dimension_grading']()\n",
+        "def test_rerun(tmp_path):\n    verify.PROPERTIES[suite][name]()\n",
+    ):
+        src.write_text(text)
+        with pytest.raises(AssertionError):
+            test_properties_rerun_only_under_monkeypatch(src)
+    src.write_text(
+        "def test_mutant(monkeypatch):\n    PROPERTIES['fusion']['dimension_grading']()\n"
+        "def test_names():\n    assert PROPERTIES['fusion']\n"
+    )
+    test_properties_rerun_only_under_monkeypatch(src)
     src.write_text("def cg_oracle(m, n):\n    return _peel(m, n)\ndef _peel(m, n):\n    return fuse_C(m)\n")
     assert "fuse_C" in _names_reached(src, "cg_oracle")
     src.write_text(

@@ -77,14 +77,6 @@ def test_canonical_label_examples():
     assert canonical_label(p23, VirLabel(1, 11)) == VirLabel(7, 1)
 
 
-def test_translation_symmetry():
-    PROPERTIES["virasoro"]["weight_translation_symmetry"]()
-
-
-def test_family_weight_identities():
-    PROPERTIES["virasoro"]["family_weight_identities"]()
-
-
 def test_row_column_identification():
     # The two presentations of the family modules share canonical labels.
     for params in PAIRS:

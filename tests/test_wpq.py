@@ -98,10 +98,6 @@ def test_large_decomposition_keeps_the_dictionary_cache():
     cache.cache_clear()
 
 
-def test_exact_sequence_bookkeeping():
-    PROPERTIES["wpq"]["ideal_and_quotient_bookkeeping"]()
-
-
 def test_decompose_wprime():
     for params in PAIRS:
         prime = decompose_wprime(params, 4)
