@@ -12,19 +12,22 @@ bytes, whatever the environment.
 
 Only the scalar and label layers load with this module; each subcommand
 imports the structure, linear-algebra or verify layer it runs when it is
-called, so a call pays for no layer it does not use.  Likewise a call
-builds the arguments of its own subcommand only (`--help` still lists all
-ten), and JSON is written by this module's own writer, byte-equal to
-``json.dumps(payload, indent=2)``, so the `json` package is never loaded.
+called, so a call pays for no layer it does not use.  Every option is
+defined once, in COMMANDS.  A well-formed call is parsed from that table by
+`_parse_known` and never imports argparse; help, usage and every argument
+error still come from argparse, byte for byte, through `build_parser`,
+which builds the arguments of the one subcommand named (`--help` still
+lists all ten).  JSON is written by this module's own writer, byte-equal
+to ``json.dumps(payload, indent=2)``, so the `json` package is never loaded.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from _json import encode_basestring_ascii
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .exactnum import Phase, rat_str
 from .virasoro import (
@@ -93,17 +96,6 @@ def _resolve_params(args) -> Params:
     if args.p is None or args.q is None:
         raise ValueError("missing --p/--q (or use --pq-preset)")
     return Params(args.p, args.q)
-
-
-def _add_pq(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p", type=_int_arg, default=None, help="first member of the coprime pair")
-    parser.add_argument("--q", type=_int_arg, default=None, help="second member of the coprime pair")
-    parser.add_argument(
-        "--pq-preset",
-        choices=sorted(PQ_PRESETS),
-        default=None,
-        help="preset (p,q) pair; 2,3 is the critical-percolation case",
-    )
 
 
 def _obj_json(obj) -> dict:
@@ -240,6 +232,8 @@ INT_MAX_CHARS = 100
 def _int_arg(text: str) -> int:
     """The `type` of every integer option: int(text), capped at INT_MAX_CHARS."""
     if len(text) > INT_MAX_CHARS:
+        import argparse
+
         # argparse prefixes "argument --NAME: " and exits 2.
         raise argparse.ArgumentTypeError(f"integer is longer than {INT_MAX_CHARS} characters")
     return int(text)
@@ -425,118 +419,192 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser with help and usage laid out 78 columns wide, as
-    argparse does under COLUMNS=80, whatever the terminal: their bytes
-    depend on argv alone."""
+class _Suites:
+    """The choices of `verify --suite`: "all", then the registry's suites.
+    The registry is read when the choices are, so only a `verify` call (or
+    its help or error) loads it."""
 
-    def _get_formatter(self) -> argparse.HelpFormatter:
-        return argparse.HelpFormatter(self.prog, width=78)
+    def __iter__(self):
+        from . import verify
 
-    def _print_message(self, message: str, file=None) -> None:
-        # argparse drops an OSError from this write, so `--help` into a
-        # closed pipe would be lost without a sign; let main() see it.
-        if message and file is sys.stdout:
-            file.write(message)
-        else:
-            super()._print_message(message, file)
+        return iter(["all", *sorted(verify.PROPERTIES)])
 
 
-def _ints(*options: str, pq: bool = True):
-    """An argument adder: --p/--q/--pq-preset unless `pq` is false, then
-    each of `options` as a required integer."""
+_PQ = (
+    ("--p", {"type": _int_arg, "default": None, "help": "first member of the coprime pair"}),
+    ("--q", {"type": _int_arg, "default": None, "help": "second member of the coprime pair"}),
+    (
+        "--pq-preset",
+        {
+            "choices": sorted(PQ_PRESETS),
+            "default": None,
+            "help": "preset (p,q) pair; 2,3 is the critical-percolation case",
+        },
+    ),
+)
+_REQUIRED_INT = {"type": _int_arg, "required": True}
+_OPTIONAL_INT = {"type": _int_arg, "default": None}
 
-    def add_arguments(parser: argparse.ArgumentParser) -> None:
-        if pq:
-            _add_pq(parser)
-        for option in options:
-            parser.add_argument(option, type=_int_arg, required=True)
-
-    return add_arguments
-
-
-def _kac_diagram_args(parser: argparse.ArgumentParser) -> None:
-    _add_pq(parser)
-    parser.add_argument("--m", type=_int_arg, default=None)
-    parser.add_argument("--n", type=_int_arg, default=None)
-    parser.add_argument("--r", type=_int_arg, default=None, help="request by raw Kac label instead")
-    parser.add_argument("--s", type=_int_arg, default=None)
-    parser.add_argument("--format", choices=("json", "dot"), default="json")
-
-
-def _hexagon_args(parser: argparse.ArgumentParser) -> None:
-    _add_pq(parser)
-    parser.add_argument("--t", type=str, default=None, help="evaluate the family at rational t=NUM/DEN")
-
-
-def _decompose_args(parser: argparse.ArgumentParser) -> None:
-    _add_pq(parser)
-    parser.add_argument(
-        "--target", choices=("wpq", "wpq-equivariant", "ideal", "wprime"), required=True
-    )
-    parser.add_argument("--nmax", type=_int_arg, required=True)
-
-
-def _sl2_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=_int_arg, required=True)
-    parser.add_argument("--op", choices=("irrep", "form", "cg"), required=True)
-    parser.add_argument("--m", type=_int_arg, default=None)
-    parser.add_argument("--k", type=_int_arg, default=None)
-
-
-def _verify_args(parser: argparse.ArgumentParser) -> None:
-    from . import verify
-
-    parser.add_argument(
-        "--suite",
-        action="append",
-        choices=["all", *sorted(verify.PROPERTIES)],
-        help="suite to run (repeatable); default all",
-    )
-
-
-# name -> (help line, argument adder, handler), in the order --help lists them.
+# name -> (help line, options, handler), in the order --help lists them.
+# Each option is (flag, add_argument keywords); the keywords are only
+# `type`, `choices`, `required`, `default`, `action="append"` and `help`,
+# which both `build_parser` and `_parse_known` read.
 COMMANDS = {
     "weights": (
         "central charge, conformal weight, canonical label",
-        _ints("--r", "--s"),
+        (*_PQ, ("--r", _REQUIRED_INT), ("--s", _REQUIRED_INT)),
         _cmd_weights,
     ),
-    "fuse-L": ("fusion of L_{mp-1,1} with L_{np-1,1}", _ints("--m", "--n"), _cmd_fuse_l),
+    "fuse-L": (
+        "fusion of L_{mp-1,1} with L_{np-1,1}",
+        (*_PQ, ("--m", _REQUIRED_INT), ("--n", _REQUIRED_INT)),
+        _cmd_fuse_l,
+    ),
     "fuse-C": (
         "sl2-type fusion channels of L_m with L_n",
-        _ints("--m", "--n", pq=False),
+        (("--m", _REQUIRED_INT), ("--n", _REQUIRED_INT)),
         _cmd_fuse_c,
     ),
-    "kac-diagram": ("Loewy diagram of K_{mp-1,nq-1}", _kac_diagram_args, _cmd_kac_diagram),
+    "kac-diagram": (
+        "Loewy diagram of K_{mp-1,nq-1}",
+        (
+            *_PQ,
+            ("--m", _OPTIONAL_INT),
+            ("--n", _OPTIONAL_INT),
+            ("--r", {**_OPTIONAL_INT, "help": "request by raw Kac label instead"}),
+            ("--s", _OPTIONAL_INT),
+            ("--format", {"choices": ("json", "dot"), "default": "json"}),
+        ),
+        _cmd_kac_diagram,
+    ),
     "hexagon": (
         "invertible F-matrix solutions of the hexagon constraint",
-        _hexagon_args,
+        (
+            *_PQ,
+            ("--t", {"type": str, "default": None, "help": "evaluate the family at rational t=NUM/DEN"}),
+        ),
         _cmd_hexagon,
     ),
-    "braiding": ("R-scalars and balancing phases on L_n (x) L_n", _ints("--n"), _cmd_braiding),
+    "braiding": (
+        "R-scalars and balancing phases on L_n (x) L_n",
+        (*_PQ, ("--n", _REQUIRED_INT)),
+        _cmd_braiding,
+    ),
     "decompose": (
         "truncated decompositions of the triplet algebra",
-        _decompose_args,
+        (
+            *_PQ,
+            ("--target", {"choices": ("wpq", "wpq-equivariant", "ideal", "wprime"), "required": True}),
+            ("--nmax", _REQUIRED_INT),
+        ),
         _cmd_decompose,
     ),
-    "o0-check": ("weight-congruence identities for induction", _ints("--nmax"), _cmd_o0_check),
-    "sl2": ("explicit sl2 irreducibles, forms, and CG maps", _sl2_args, _cmd_sl2),
-    "verify": ("run the exact property suites", _verify_args, _cmd_verify),
+    "o0-check": (
+        "weight-congruence identities for induction",
+        (*_PQ, ("--nmax", _REQUIRED_INT)),
+        _cmd_o0_check,
+    ),
+    "sl2": (
+        "explicit sl2 irreducibles, forms, and CG maps",
+        (
+            ("--n", _REQUIRED_INT),
+            ("--op", {"choices": ("irrep", "form", "cg"), "required": True}),
+            ("--m", _OPTIONAL_INT),
+            ("--k", _OPTIONAL_INT),
+        ),
+        _cmd_sl2,
+    ),
+    "verify": (
+        "run the exact property suites",
+        (
+            (
+                "--suite",
+                {
+                    "action": "append",
+                    "choices": _Suites(),
+                    "help": "suite to run (repeatable); default all",
+                },
+            ),
+        ),
+        _cmd_verify,
+    ),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `triplet` parser; of its subcommands only `command` gets its
+def _parse_known(argv: list[str]):
+    """The namespace `build_parser().parse_args(argv)` returns, read from
+    COMMANDS alone, or None where argv leaves this strict grammar: the
+    subcommand first, then only its own flags, each as `--flag VALUE` or
+    `--flag=VALUE`, no separate VALUE starting with "-" and no VALUE "--",
+    a flag repeated only if it appends, every value passing its `type` and
+    `choices`, and every required flag given.  Help, abbreviations and
+    every error are left to argparse, the one writer of their bytes."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = dict(COMMANDS[argv[0]][1])
+    values = {flag: kwargs.get("default") for flag, kwargs in options.items()}
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        if not equals:
+            value = next(tokens, "-")  # a missing value is declined like "-"
+            if value.startswith("-"):
+                return None
+        elif value == "--":  # argparse drops it and is left with no value
+            return None
+        kwargs = options.get(flag)
+        if kwargs is None:
+            return None
+        append = kwargs.get("action") == "append"
+        if flag in seen and not append:
+            return None
+        seen.add(flag)
+        try:
+            value = kwargs.get("type", str)(value)
+        except Exception:  # argparse reports it, or raises it again
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[flag] = [*(values[flag] or ()), value] if append else value
+    if any(kwargs.get("required") and flag not in seen for flag, kwargs in options.items()):
+        return None
+    names = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    return SimpleNamespace(command=argv[0], **names)
+
+
+def build_parser(command: str | None = None):
+    """The `triplet` argparse parser, used for help and for argv that
+    `_parse_known` declines; of its subcommands only `command` gets its
     arguments.  --help lists every subcommand all the same."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse's parser with help and usage laid out 78 columns wide, as
+        argparse does under COLUMNS=80, whatever the terminal: their bytes
+        depend on argv alone."""
+
+        def _get_formatter(self) -> argparse.HelpFormatter:
+            return argparse.HelpFormatter(self.prog, width=78)
+
+        def _print_message(self, message: str, file=None) -> None:
+            # argparse drops an OSError from this write, so `--help` into a
+            # closed pipe would be lost without a sign; let main() see it.
+            if message and file is sys.stdout:
+                file.write(message)
+            else:
+                super()._print_message(message, file)
+
     parser = _Parser(
         prog="triplet",
         description="Exact representation-theoretic data of the W_{p,q} triplet construction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help, add_arguments, _) in COMMANDS.items():
+    for name, (help, options, _) in COMMANDS.items():
         if name == command:
-            add_arguments(sub.add_parser(name, help=help))
+            subparser = sub.add_parser(name, help=help)
+            for flag, kwargs in options:
+                subparser.add_argument(flag, **kwargs)
         else:  # listed, never dispatched to: no arguments, not even -h
             sub.add_parser(name, help=help, add_help=False)
     return parser
@@ -547,11 +615,13 @@ def main(argv: list[str] | None = None) -> int:
         try:
             if argv is None:
                 argv = sys.argv[1:]
-            # argparse runs the subcommand named by the first token that is
-            # not an option.  Every token before it starts with "-", as no
-            # subcommand name does, so this is the one it runs, if any.
-            command = next((token for token in argv if token in COMMANDS), None)
-            args = build_parser(command).parse_args(argv)
+            args = _parse_known(argv)
+            if args is None:
+                # argparse runs the subcommand named by the first token that
+                # is not an option.  Every token before it starts with "-", as
+                # no subcommand name does, so this is the one it runs, if any.
+                command = next((token for token in argv if token in COMMANDS), None)
+                args = build_parser(command).parse_args(argv)
             return COMMANDS[args.command][2](args)
         except UnsupportedObjectError as exc:
             sys.stderr.write(f"error: {exc}\n")

@@ -157,10 +157,15 @@ def weight_translation_symmetry():
     # and row and column 0 are unused.  Row r and its translate by (p,q) are
     # compared as one list.  `conformal_weight` itself, denominator
     # included, is compared with the oracle as a Fraction for r,s <= 20.
+    # The labels, labels[r][s] = (r,s), are built once for every pair.
+    labels = [None] + [
+        [None] + [VirLabel(r, s) for s in range(1, 51 + max(params.q for params in TEST_PARAMS))]
+        for r in range(1, 51 + max(params.p for params in TEST_PARAMS))
+    ]
     for params in TEST_PARAMS:
         p, q = params.p, params.q
         h = [None] + [
-            [None] + [weight_numerator(params, VirLabel(r, s)) for s in range(1, 51 + q)]
+            [None] + [weight_numerator(params, lbl) for lbl in labels[r][1 : 51 + q]]
             for r in range(1, 51 + p)
         ]
         for r in range(1, 51):
@@ -168,7 +173,7 @@ def weight_translation_symmetry():
             _expect(row == shifted, params, "row r =", r, ":", row, "!=", shifted)
         for r in range(1, 21):
             for s in range(1, 21):
-                lbl = VirLabel(r, s)
+                lbl = labels[r][s]
                 weight, oracle = conformal_weight(params, lbl), conformal_weight_oracle(params, lbl)
                 _expect(weight == oracle, params, lbl, ":", weight, "!=", oracle)
 
@@ -177,24 +182,24 @@ def weight_translation_symmetry():
 def canonical_label_idempotent_and_weight_preserving():
     # The range and idempotence checks, and the weight numerator, are
     # computed once per distinct canonical label; every label's weight
-    # numerator over 4pq is compared to it.
+    # numerator over 4pq is compared to it.  The 40 x 40 labels are built
+    # once for every pair.
+    labels = [VirLabel(r, s) for r in range(1, 41) for s in range(1, 41)]
     for params in TEST_PARAMS:
         p, q = params.p, params.q
         weight_of: dict[tuple[int, int], int] = {}
-        for r in range(1, 41):
-            for s in range(1, 41):
-                lbl = VirLabel(r, s)
-                can = canonical_label(params, lbl)
-                key = (can.r, can.s)
-                h = weight_of.get(key)
-                if h is None:
-                    _expect(can.r >= 1 and 1 <= can.s <= q, params, lbl, "->", can, "out of range")
-                    _expect(q * can.r >= p * can.s, params, lbl, "->", can, "has q*r < p*s")
-                    again = canonical_label(params, can)
-                    _expect(again == can, params, "canonical_label not idempotent:", can, again)
-                    h = weight_of[key] = weight_numerator(params, can)
-                n = weight_numerator(params, lbl)
-                _expect(n == h, params, lbl, "weight numerator", n, "!=", h, "of", can)
+        for lbl in labels:
+            can = canonical_label(params, lbl)
+            key = (can.r, can.s)
+            h = weight_of.get(key)
+            if h is None:
+                _expect(can.r >= 1 and 1 <= can.s <= q, params, lbl, "->", can, "out of range")
+                _expect(q * can.r >= p * can.s, params, lbl, "->", can, "has q*r < p*s")
+                again = canonical_label(params, can)
+                _expect(again == can, params, "canonical_label not idempotent:", can, again)
+                h = weight_of[key] = weight_numerator(params, can)
+            n = weight_numerator(params, lbl)
+            _expect(n == h, params, lbl, "weight numerator", n, "!=", h, "of", can)
 
 
 @_property("virasoro")

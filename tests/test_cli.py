@@ -2,16 +2,18 @@
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import run_cli
+from conftest import mutant, run_cli
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -423,7 +425,8 @@ def test_hexagon_stdout_bytes_are_pinned(preset, t):
 
 # The benchmark's byte contract: each request's exit code and stdout sha256,
 # keyed by the space-joined argv.  `verify --suite all` is left to
-# `test_verify_all_lists_registry_in_order` and `test_acceptance.py`.
+# `test_verify_all_lists_registry_in_order`, `test_acceptance.py` and the
+# one `python -OO` child of `test_verify_under_python_OO_prints_the_plain_bytes`.
 BENCHMARK_GOLDENS = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json").read_text()
 )["goldens"]
@@ -446,6 +449,102 @@ def test_cli_matches_benchmark_goldens(request_line):
     # Infinity in the JSON would mean an inexact value reached the output.
     if out.startswith("{"):
         json.loads(out, parse_float=_no_float, parse_constant=_no_float)
+
+
+# Values the strict grammar, a type or a choices list refuses, besides the
+# good values each option draws: negative and empty values, "--", a bad
+# choice, a 101-digit integer, and a subcommand name.
+_ODD_VALUES = ["", "-1", "-3/7", "--", "-h", "bogus", "1" * 101, "verify", "2,3", "wpq"]
+# Tokens that leave the strict grammar wherever they stand: help, "--",
+# abbreviations, a flag of another subcommand, a stray word.
+_ODD_TOKENS = ["-h", "--help", "--", "--pq", "--targ", "--for", "--su", "--nmax", "--op", "bogus"]
+
+
+def _good_values(kwargs: dict):
+    if "choices" in kwargs:
+        return st.sampled_from(list(kwargs["choices"]))
+    if kwargs.get("type") is cli._int_arg:
+        return st.integers(-3, 12).map(str)
+    return st.text(max_size=4) | st.sampled_from(["1/2", "-3/7", "2"])  # hexagon --t
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """argv drawn from the option table.  Half keep to the strict grammar:
+    each option at most once and every required one, with good values.  The
+    rest give each option zero to two times, a few odd values and tokens,
+    the odd tokens anywhere, before the subcommand included.  Either way
+    each option takes either form, in any order."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    odd = draw(st.booleans())
+    picked = []
+    for flag, kwargs in cli.COMMANDS[command][1]:
+        counts = [0, 1, 1, 2] if odd else [1] if kwargs.get("required") else [0, 1]
+        picked += [(flag, kwargs)] * draw(st.sampled_from(counts))
+    argv = [command]
+    for flag, kwargs in draw(st.permutations(picked)):
+        good = _good_values(kwargs)
+        value = draw(st.one_of(good, good, st.sampled_from(_ODD_VALUES)) if odd else good)
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    for _ in range(draw(st.integers(0, 2)) if odd else 0):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_ODD_TOKENS)))
+    return argv
+
+
+def _assert_fast_parse_agrees(argv: list[str]) -> None:
+    """Where `_parse_known` reads argv, argparse reads the same namespace."""
+    fast = cli._parse_known(argv)
+    if fast is None:
+        return
+    err = io.StringIO()
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            slow = cli.build_parser(argv[0]).parse_args(argv)
+    except SystemExit:
+        raise AssertionError(f"argparse refuses {argv}: {err.getvalue()}") from None
+    assert vars(fast) == vars(slow), argv
+
+
+@given(_argv())
+@example(["decompose", "--p", "2", "--q", "3", "--target", "bogus", "--nmax", "3"])
+@example(["verify", "--suite", "wpq", "--suite=fusion"])
+@example(["hexagon", "--p", "3", "--q", "4", "--t=-3/7"])
+@example(["hexagon", "--t=--"])
+@example(["hexagon", "--t="])
+@example(["decompose", "--p", "2", "--q", "3", "--targ", "wpq", "--nmax", "3"])
+@example(["weights", "--pq", "2,3", "--r", "1", "--s", "1"])
+@example(["weights", "--p=-2", "--q", "3", "--r", "1", "--s", "1"])
+@example(["weights", "--p", "2", "--q", "3", "--r", "1", "--s", "1", "--p", "3"])
+@example(["weights", "--p", "2", "--q", "3", "--r", "1", "--s", "1" * 101])
+@example(["sl2", "--n", "2", "--op", "irrep", "--nmax", "3"])
+@example(["sl2", "--n", "2", "--op", "irrep", "-h"])
+@example(["sl2", "--", "--n", "2", "--op", "irrep"])
+@example(["-x", "sl2", "--n", "2", "--op", "irrep"])
+@example(["sl2", "--n", "2"])
+def test_fast_parser_equals_argparse(argv):
+    _assert_fast_parse_agrees(argv)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('if "choices" in kwargs and value not in kwargs["choices"]:', "if False:"),
+        ("[*(values[flag] or ()), value]", "values[flag] or [value]"),
+    ],
+    ids=["choices-unchecked", "first-repeat-wins"],
+)
+def test_fast_parser_check_catches_a_wrong_parser(old, new, monkeypatch):
+    monkeypatch.setattr(cli, "_parse_known", mutant(cli._parse_known, old, new))
+    with pytest.raises(AssertionError):
+        test_fast_parser_equals_argparse()
+
+
+def test_golden_argv_take_the_fast_path():
+    # All but the unknown subcommand and the separate negative values.
+    declined = [req for req in BENCHMARK_GOLDENS if cli._parse_known(req.split()) is None]
+    assert declined == ["bogus", "braiding --p 2 --q 3 --n -1", "sl2 --n -1 --op irrep"]
+    for request_line in BENCHMARK_GOLDENS:
+        _assert_fast_parse_agrees(request_line.split())
 
 
 def test_braiding_output():
@@ -618,18 +717,19 @@ def test_child_env_passes_on_only_pythonpath(monkeypatch):
 
 
 def test_verify_under_python_OO_prints_the_plain_bytes():
-    # -OO strips what -O strips, and docstrings besides.
-    runs = [
-        subprocess.run(
-            [sys.executable, *flags, "-m", "triplet", "verify", "--suite", "all"],
-            capture_output=True,
-            env=_child_env(),
-        )
-        for flags in ([], ["-OO"])
-    ]
-    assert [(r.returncode, r.stderr) for r in runs] == [(0, b""), (0, b"")]
-    assert runs[1].stdout == runs[0].stdout
-    assert runs[0].stdout.endswith(b"29/29 properties passed\n")
+    # -OO strips what -O strips, and docstrings besides; the bytes are the
+    # benchmark's golden ones.
+    run = subprocess.run(
+        [sys.executable, "-OO", "-m", "triplet", "verify", "--suite", "all"],
+        capture_output=True,
+        env=_child_env(),
+    )
+    golden = BENCHMARK_GOLDENS["verify --suite all"]
+    assert (run.returncode, run.stderr, hashlib.sha256(run.stdout).hexdigest()) == (
+        golden["exit"],
+        b"",
+        golden["stdout_sha256"],
+    )
 
 
 # A canonical_label whose second application moves (3,1) at (2,3).
@@ -756,7 +856,8 @@ if sys.argv[1] == "call":
     with redirect_stdout(io.StringIO()):
         code = triplet.cli.main(sys.argv[2:])
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "triplet")
-slow = sorted(m for m in ("dataclasses", "inspect", "json") if m in sys.modules)
+slow_stdlib = ("argparse", "dataclasses", "gettext", "inspect", "json", "locale")
+slow = sorted(m for m in slow_stdlib if m in sys.modules)
 import json
 print(json.dumps({"exit": code, "modules": loaded, "slow_stdlib": slow}))
 """
@@ -777,7 +878,8 @@ def test_subcommand_loads_only_its_layers(argv, layers):
     base = {"triplet", "triplet.cli", "triplet.exactnum", "triplet.virasoro"}
     # No layer builds its value classes with `dataclasses`, which would
     # also load `inspect`, `ast`, `dis` and `tokenize` on every call; the
-    # CLI writes its JSON without the `json` package.
+    # CLI writes its JSON without the `json` package, and parses well-formed
+    # argv without `argparse` and the `gettext` and `locale` it loads.
     assert json.loads(result.stdout) == {
         "exit": 0,
         "modules": sorted(base | {f"triplet.{layer}" for layer in layers}),
