@@ -595,6 +595,13 @@ def build_parser(command: str | None = None):
             else:
                 super()._print_message(message, file)
 
+        def _get_values(self, action, arg_strings: list[str]):
+            # `--flag=--` arrives as ["--"], which argparse strips to no value
+            # and stores as an empty list; refuse it as it refuses `--flag --`.
+            if action.nargs is None and arg_strings == ["--"]:
+                raise argparse.ArgumentError(action, "expected one argument")
+            return super()._get_values(action, arg_strings)
+
     parser = _Parser(
         prog="triplet",
         description="Exact representation-theoretic data of the W_{p,q} triplet construction.",

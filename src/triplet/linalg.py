@@ -1,21 +1,24 @@
-"""Dense exact linear algebra over Fraction, for the oracles in `verify`.
+"""Exact linear algebra for the oracles in `verify`: an integer elimination
+core and the Fraction steps still read over Fraction.
 
 Only `verify` loads it: the production sl2 maps in `sl2rep` are closed
 forms.  The oracles themselves (`verify.cg_system_oracle`,
-`verify.invariant_form_oracle`) live in `verify`; this module holds the
-dense steps they are built from (nullspace solves, dense inverses, matrix
-products).
+`verify.invariant_form_oracle`) live in `verify` and build their systems as
+sparse integer rows, `{column: int}` with no zero entry, which they reduce
+with `_rref_int` and solve with `_kernel_int`.  `_rref_int` is
+fraction-free Gauss-Jordan elimination (Bareiss, 1968, without the
+exact-division step): rows are combined by integer cross-multiplication, and
+each new row is divided by its content, the gcd of its entries.
+The Fraction entry points:
+- `rref` scales each row to a sparse integer row, reduces them with
+  `_rref_int` and builds one Fraction per nonzero entry of the result;
+- `mat_mul` accumulates integers over the row denominators of its left
+  factor and the column denominators of its right one, and builds one
+  Fraction per nonzero entry of the product.
 Matrices are lists of rows of Fraction; a product also takes tuple rows.
-Every zero entry written here is the shared `exactnum.ZERO`, and every
-loop skips an entry that `is ZERO` before any Fraction method runs; other
-zeros are still tested by value.  The arithmetic itself is on integers:
-- A product accumulates integers over the row denominators of its left
-  factor and the column denominators of its right one.
-- `rref` is fraction-free Gauss-Jordan elimination (Bareiss, 1968, without
-  the exact-division step): each row is scaled to a sparse integer row,
-  rows are combined by integer cross-multiplication, and each new row is
-  divided by its content, the gcd of its entries.
-Both build one Fraction per nonzero entry of the result.
+Every zero entry written here is the shared `exactnum.ZERO`, and every loop
+skips an entry that `is ZERO` before any Fraction method runs; other zeros
+are still tested by value.
 """
 
 from __future__ import annotations
@@ -69,36 +72,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [
-        [x if y is ZERO else -y if x is ZERO else x - y for x, y in zip(ra, rb)]
-        for ra, rb in zip(a, b)
-    ]
-
-
-def mat_vec(a: Matrix, v: list) -> list:
-    """a*v: one column of `mat_mul`'s integer accumulation.
-
-    v is V/e with V integral, so entry i is the integer A_i . V over d_i*e,
-    where d_i is the lcm of the denominators row i meets on the support of v.
-    A row that meets none of it gives the shared ZERO at once.
-    """
-    e = lcm(*[x.denominator for x in v if x is not ZERO])
-    v_int = [
-        (j, x.numerator * (e // x.denominator)) for j, x in enumerate(v) if x is not ZERO and x
-    ]
-    out = []
-    for row in a:
-        terms = [(row[j], y) for j, y in v_int if row[j] is not ZERO and row[j]]
-        if not terms:
-            out.append(ZERO)
-            continue
-        d = lcm(*[x.denominator for x, _ in terms])
-        acc = sum([x.numerator * (d // x.denominator) * y for x, y in terms])
-        out.append(Fraction(acc, d * e) if acc else ZERO)
-    return out
-
-
 def _int_row(row) -> dict[int, int]:
     """The nonzero entries of a row of Fraction scaled to coprime integers,
     keyed by column; the scale is positive."""
@@ -115,18 +88,17 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns.
+def _rref_int(rows: list[dict[int, int]], cols: int) -> list[int]:
+    """Reduce sparse integer rows over `cols` columns in place, and return
+    the pivot columns.
 
-    Rows stay sparse integer rows throughout.  Clearing column c of row i
-    against the pivot row P, whose entry there is p, replaces row i by
-    (p*row - row[c]*P)/g with g = gcd(p, row[c]), then divides it by its
-    content.  At the end, pivot row r divided by its pivot entry is row r
-    of the reduced form.
+    Clearing column c of row i against the pivot row P, whose entry there
+    is p, replaces row i by (p*row - row[c]*P)/g with g = gcd(p, row[c]),
+    then divides it by its content.  At the end, row r < len(pivots) divided
+    by its entry at pivots[r] is row r of the reduced row echelon form, and
+    every later row is empty.
     """
-    rows = [_int_row(row) for row in a]
     n_rows = len(rows)
-    cols = len(a[0]) if n_rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -155,37 +127,42 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
         r += 1
         if r == n_rows:
             break
-    out = zeros(n_rows, cols)
+    return pivots
+
+
+def _kernel_int(rows: list[dict[int, int]], cols: int) -> list[dict[int, int]]:
+    """A basis of the right kernel of sparse integer rows, one sparse integer
+    vector per free column, in column order; `rows` is reduced in place.
+
+    The vector of free column f is L at f and -R_r[f] (L / p_r) at pivot
+    column r, where R_r is reduced row r, p_r its pivot entry and L the lcm
+    of the p_r with R_r[f] nonzero: L times the Fraction basis vector that
+    is 1 at f.
+    """
+    pivots = _rref_int(rows, cols)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        terms = [(c, row[c], row[f]) for c, row in zip(pivots, rows) if f in row]
+        big = lcm(*[p for _, p, _ in terms])
+        vec = {f: big}
+        for c, p, x in terms:
+            vec[c] = -x * (big // p)
+        basis.append(vec)
+    return basis
+
+
+def rref(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and the list of pivot columns, by `_rref_int`
+    on the rows scaled to primitive integer rows."""
+    rows = [_int_row(row) for row in a]
+    cols = len(a[0]) if a else 0
+    pivots = _rref_int(rows, cols)
+    out = zeros(len(rows), cols)
     for row, out_row, c in zip(rows, out, pivots):
         p = row[c]
         for j, x in row.items():
             out_row[j] = Fraction(x, p)
     return out, pivots
-
-
-def nullspace(a: Matrix) -> list[list]:
-    """A basis of the right nullspace, one vector per free column."""
-    if not a:
-        return []
-    reduced, pivots = rref(a)
-    cols = len(a[0])
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [ZERO] * cols
-        vec[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            x = reduced[row_idx][fc]
-            vec[pc] = x if x is ZERO else -x
-        basis.append(vec)
-    return basis
-
-
-def invert(a: Matrix) -> Matrix:
-    """Exact inverse of a square matrix; raises on singular input."""
-    n = len(a)
-    aug = [row[:] + ident_row for row, ident_row in zip(a, identity(n))]
-    reduced, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in reduced[:n]]

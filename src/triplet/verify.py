@@ -542,76 +542,96 @@ def intrinsic_dimensions():
 # --- sl2rep -----------------------------------------------------------------
 
 
+def _int_rows(matrix) -> list[dict[int, int]]:
+    """The rows of an integral matrix of Fraction as sparse integer rows;
+    raises on an entry that is not an integer."""
+    rows = [{j: x for j, x in enumerate(row) if x is not ZERO and x} for row in matrix]
+    if any(x.denominator != 1 for row in rows for x in row.values()):
+        raise AssertionError(f"matrix is not integral: {matrix}")
+    return [{j: x.numerator for j, x in row.items()} for row in rows]
+
+
+def _nonzero(row: dict[int, int]) -> dict[int, int]:
+    return {j: x for j, x in row.items() if x}
+
+
 def invariant_form_oracle(n: int) -> tuple:
     """The invariant form on V_n by brute force, as a matrix of tuples.
 
-    Solves X^T B + B X = 0 for X in {E,F,H} as one linear system and raises
-    unless the solution space is one-dimensional.  Normalized so the pairing
-    of the highest- and lowest-weight vectors is 1.
+    Solves X^T B + B X = 0 for X in {E,F,H} as one linear system of sparse
+    integer rows, read from `sl2rep.build_irrep`'s integral matrices.  Raises
+    unless the solution space is one-dimensional and its form nondegenerate
+    and pairing the highest- and lowest-weight vectors, which it normalizes
+    to 1; only that normalization builds Fractions.
     """
     rep = sl2rep.build_irrep(n)
     dim = n + 1
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, int]] = []
     for mat in (rep.e, rep.f, rep.h):
-        x = [list(r) for r in mat]
-        # (X^T B + B X)[i][j] = sum_k X[k][i] B[k][j] + B[i][k] X[k][j]
+        # cols[i]: k -> X[k][i].  With B[i][j] at column i*dim + j,
+        # (X^T B + B X)[i][j] = sum_k X[k][i] B[k][j] + B[i][k] X[k][j].
+        cols: list[dict[int, int]] = [{} for _ in range(dim)]
+        for k, row in enumerate(_int_rows(mat)):
+            for i, x in row.items():
+                cols[i][k] = x
         for i in range(dim):
             for j in range(dim):
-                row = [ZERO] * (dim * dim)
-                for k in range(dim):
-                    if x[k][i] is not ZERO:
-                        row[k * dim + j] += x[k][i]
-                    if x[k][j] is not ZERO:
-                        row[i * dim + k] += x[k][j]
-                if any(y is not ZERO and y for y in row):
+                row = {k * dim + j: x for k, x in cols[i].items()}
+                for k, x in cols[j].items():
+                    row[i * dim + k] = row.get(i * dim + k, 0) + x
+                row = _nonzero(row)
+                if row:
                     rows.append(row)
-    # n = 0 imposes no constraints; keep the column count visible.
-    basis = linalg.nullspace(rows or [[ZERO] * (dim * dim)])
+    basis = linalg._kernel_int(rows, dim * dim)
     if len(basis) != 1:
         raise AssertionError(
             f"invariant-form space of V_{n} has dimension {len(basis)}, expected 1"
         )
     flat = basis[0]
-    b = [[flat[i * dim + j] for j in range(dim)] for i in range(dim)]
-    top = b[0][dim - 1]
-    if top == 0:
+    top = flat.get(dim - 1)  # B[0][n]
+    if top is None:
         raise AssertionError("invariant form does not pair highest against lowest")
-    b = [[x / top for x in row] for row in b]
-    _, pivots = linalg.rref(b)
-    if len(pivots) != dim:
+    b = [{j: flat[i * dim + j] for j in range(dim) if i * dim + j in flat} for i in range(dim)]
+    if len(linalg._rref_int([dict(row) for row in b], dim)) != dim:
         raise AssertionError(f"invariant form on V_{n} is degenerate")
-    return tuple(tuple(row) for row in b)
+    return tuple(
+        tuple(Fraction(row[j], top) if j in row else ZERO for j in range(dim)) for row in b
+    )
 
 
-def _kron_sum(a: list, b: list) -> list:
-    """a (x) I + I (x) b on the basis e_i (x) e_j -> i*dim_b + j."""
-    da, db = len(a), len(b)
-    out = linalg.zeros(da * db, da * db)
-    for i in range(da):
-        for j in range(db):
-            row = out[i * db + j]
-            for k in range(da):
-                if a[i][k] is not ZERO:
-                    row[k * db + j] += a[i][k]
-            for k in range(db):
-                if b[j][k] is not ZERO:
-                    row[i * db + k] += b[j][k]
+def _kron_sum(a: list[dict[int, int]], b: list[dict[int, int]]) -> list[dict[int, int]]:
+    """a (x) I + I (x) b on sparse integer rows, on the basis
+    e_i (x) e_j -> i*dim_b + j."""
+    db = len(b)
+    out = []
+    for i, a_row in enumerate(a):
+        for j, b_row in enumerate(b):
+            row = {k * db + j: x for k, x in a_row.items()}
+            for k, x in b_row.items():
+                row[i * db + k] = row.get(i * db + k, 0) + x
+            out.append(_nonzero(row))
     return out
 
 
 def cg_system_oracle(m: int, n: int) -> dict[int, tuple[tuple, tuple]]:
-    """The Clebsch-Gordan system of V_m (x) V_n by dense elimination.
+    """The Clebsch-Gordan system of V_m (x) V_n by elimination on integers.
 
     Same layout as `sl2rep._cg_system`: channels from `cg_oracle`, each
-    highest-weight vector from the nullspace of the full E on its weight
-    space, F applied as a dense matrix, and projections from the dense
-    inverse of the whole change-of-basis matrix.
+    highest-weight vector from the kernel of the full E on its weight space,
+    F applied K times by sparse scatter, and projections from the inverse of
+    the whole change of basis C, with every system a list of sparse integer
+    rows read from `sl2rep.build_irrep`'s integral E and F.  Each channel's
+    columns are integral once multiplied by its lead, the first nonzero
+    entry of its highest-weight vector; the augmented [C D | Id], D that
+    diagonal of leads, is reduced once, and the projections are D (C D)^-1.
+    Fractions are built only for the result.
     """
     rep_m = sl2rep.build_irrep(m)
     rep_n = sl2rep.build_irrep(n)
     dim = (m + 1) * (n + 1)
-    e_t = _kron_sum([list(r) for r in rep_m.e], [list(r) for r in rep_n.e])
-    f_t = _kron_sum([list(r) for r in rep_m.f], [list(r) for r in rep_n.f])
+    e_t = _kron_sum(_int_rows(rep_m.e), _int_rows(rep_n.e))
+    # Column j of F on V_m (x) V_n is row j of F^T, which is a Kronecker sum too.
+    f_cols = _kron_sum(_int_rows(zip(*rep_m.f)), _int_rows(zip(*rep_n.f)))
     channels = cg_oracle(m, n)
 
     def weight_indices(w: int) -> list[int]:
@@ -622,52 +642,87 @@ def cg_system_oracle(m: int, n: int) -> dict[int, tuple[tuple, tuple]]:
                     out.append(a * (n + 1) + b)
         return out
 
-    columns: list[list[Fraction]] = []
-    blocks: dict[int, tuple[int, int]] = {}
+    columns: list[dict[int, int]] = []  # column c of C D, sparse
+    blocks: dict[int, tuple[int, int, int]] = {}
     for k in channels:
         idx = weight_indices(k)
-        restricted = [[e_t[i][j] for j in idx] for i in range(dim)]
-        nonzero = [row for row in restricted if any(x is not ZERO and x for x in row)]
-        basis = linalg.nullspace(nonzero or [[ZERO] * len(idx)])
+        place = {j: t for t, j in enumerate(idx)}
+        restricted = [{place[j]: x for j, x in row.items() if j in place} for row in e_t]
+        basis = linalg._kernel_int([row for row in restricted if row], len(idx))
         if len(basis) != 1:
             raise AssertionError(
                 f"channel {k} of V_{m} (x) V_{n} has multiplicity {len(basis)}, expected 1"
             )
-        vec = [ZERO] * dim
-        for pos, coeff in zip(idx, basis[0]):
-            vec[pos] = coeff
-        lead = next(x for x in vec if x)
-        vec = [x if x is ZERO else x / lead for x in vec]
+        vec = {idx[t]: x for t, x in basis[0].items()}
         start = len(columns)
         columns.append(vec)
         for _ in range(k):
-            vec = linalg.mat_vec(f_t, vec)
+            down: dict[int, int] = {}
+            for j, x in vec.items():
+                for i, y in f_cols[j].items():
+                    down[i] = down.get(i, 0) + x * y
+            vec = _nonzero(down)
             columns.append(vec)
-        blocks[k] = (start, start + k + 1)
+        blocks[k] = (start, start + k + 1, columns[start][min(columns[start])])
 
-    change = [list(row) for row in zip(*columns)]  # dim x dim, blocks as columns
-    inverse = linalg.invert(change)
+    augmented: list[dict[int, int]] = [{dim + i: 1} for i in range(dim)]
+    for c, column in enumerate(columns):
+        for i, x in column.items():
+            augmented[i][c] = x
+    if linalg._rref_int(augmented, 2 * dim) != list(range(dim)):
+        raise AssertionError(f"the change of basis of V_{m} (x) V_{n} is singular")
+    # Row c of (C D)^-1 is reduced row c past column dim, over its pivot.
     out: dict[int, tuple[tuple, tuple]] = {}
     for k in channels:
-        start, stop = blocks[k]
-        incl = [[change[i][c] for c in range(start, stop)] for i in range(dim)]
-        proj = [inverse[c] for c in range(start, stop)]
-        out[k] = (tuple(tuple(r) for r in proj), tuple(tuple(r) for r in incl))
+        start, stop, lead = blocks[k]
+        incl = tuple(
+            tuple(
+                Fraction(columns[c][i], lead) if i in columns[c] else ZERO
+                for c in range(start, stop)
+            )
+            for i in range(dim)
+        )
+        proj = tuple(
+            tuple(
+                Fraction(lead * row[dim + j], row[c]) if dim + j in row else ZERO
+                for j in range(dim)
+            )
+            for c, row in zip(range(start, stop), augmented[start:stop])
+        )
+        out[k] = (proj, incl)
     return out
 
 
-def bracket(a: list, b: list) -> list:
-    return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+def _int_product(a: list[dict[int, int]], b: list[dict[int, int]]) -> list[dict[int, int]]:
+    out = []
+    for row in a:
+        acc: dict[int, int] = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(_nonzero(acc))
+    return out
+
+
+def bracket(a: list[dict[int, int]], b: list[dict[int, int]]) -> list[dict[int, int]]:
+    """ab - ba on sparse integer rows."""
+    out = []
+    for ab, ba in zip(_int_product(a, b), _int_product(b, a)):
+        row = dict(ab)
+        for j, x in ba.items():
+            row[j] = row.get(j, 0) - x
+        out.append(_nonzero(row))
+    return out
 
 
 def check_brackets(rep: sl2rep.Irrep) -> bool:
-    """[H,E] = 2E, [H,F] = -2F, [E,F] = H, exactly."""
-    e = [list(r) for r in rep.e]
-    f = [list(r) for r in rep.f]
-    h = [list(r) for r in rep.h]
-    two_e = [[x if x is ZERO else 2 * x for x in row] for row in e]
-    minus_two_f = [[x if x is ZERO else -2 * x for x in row] for row in f]
-    return bracket(h, e) == two_e and bracket(h, f) == minus_two_f and bracket(e, f) == h
+    """[H,E] = 2E, [H,F] = -2F, [E,F] = H, exactly, on integer rows."""
+    e, f, h = (_int_rows(mat) for mat in (rep.e, rep.f, rep.h))
+
+    def times(c: int, rows: list[dict[int, int]]) -> list[dict[int, int]]:
+        return [{j: c * x for j, x in row.items()} for row in rows]
+
+    return bracket(h, e) == times(2, e) and bracket(h, f) == times(-2, f) and bracket(e, f) == h
 
 
 @_property("sl2rep")
@@ -684,11 +739,11 @@ def invariant_form_unique_nondegenerate_symmetry():
             # The oracle raises unless the solution space is 1-dim.
             oracle = invariant_form_oracle(n)
             _expect(form.matrix == oracle, "form on V_", n, ":", form.matrix, "!=", oracle)
-        b = [list(r) for r in form.matrix]
-        _, pivots = linalg.rref(b)
-        _expect(len(pivots) == n + 1, "form on V_", n, "has rank", len(pivots))
+        rank = len(linalg._rref_int(_int_rows(form.matrix), n + 1))
+        _expect(rank == n + 1, "form on V_", n, "has rank", rank)
         sign = 1 if n % 2 == 0 else -1
         if n <= 6:
+            b = form.matrix
             symmetric = all(b[i][j] == sign * b[j][i] for i in range(n + 1) for j in range(n + 1))
             _expect(symmetric, "form on V_", n, "is not", sign, "symmetric:", form.matrix)
 
@@ -697,8 +752,10 @@ def invariant_form_unique_nondegenerate_symmetry():
 def cg_biorthogonality_and_completeness():
     # With every channel's projection rows stacked into P and inclusion
     # columns into I, biorthogonality of all channel pairs is P*I == Id and
-    # completeness is I*P == Id.  The channel set is checked against
-    # `cg_oracle` at every size, the whole system against the dense oracle
+    # completeness is I*P == Id.  Over Q a square matrix with a one-sided
+    # inverse is invertible, so once P and I are dim x dim, P*I == Id implies
+    # I*P == Id and only P*I is computed.  The channel set is checked against
+    # `cg_oracle` at every size, the whole system against the integer oracle
     # for m,n <= 5.
     for m in range(7):
         for n in range(7):
@@ -711,12 +768,16 @@ def cg_biorthogonality_and_completeness():
             stacked_proj: list = []
             stacked_incl: list = [[] for _ in range(dim)]
             for proj_k, incl_k in system.values():
+                _expect(len(incl_k) == dim, (m, n), ": an inclusion has", len(incl_k), "rows")
                 stacked_proj += proj_k
                 for row, part in zip(stacked_incl, incl_k):
                     row += part
+            square = len(stacked_proj) == dim and all(
+                len(row) == dim for row in stacked_proj + stacked_incl
+            )
+            _expect(square, (m, n), ": P and I are not", dim, "x", dim)
             identity = linalg.identity(dim)
             _expect(linalg.mat_mul(stacked_proj, stacked_incl) == identity, (m, n), ": P*I != Id")
-            _expect(linalg.mat_mul(stacked_incl, stacked_proj) == identity, (m, n), ": I*P != Id")
 
 
 @_property("sl2rep")

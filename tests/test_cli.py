@@ -227,6 +227,20 @@ def test_parser_edge_cases_keep_exit_code_and_stderr(request_line, code, stderr_
         assert out == run_cli(["--help"])[1]
 
 
+@pytest.mark.parametrize(
+    "request_line",
+    ["hexagon --p 2 --q 3 --t=--", "weights --p=-- --q 3 --r 1 --s 1", "verify --suite=--"],
+)
+def test_flag_equals_double_dash_fails_as_flag_double_dash(request_line):
+    # argparse strips the value "--" of `--flag=--` to an empty list; it must
+    # be refused as `--flag --` is, not reach the subcommand.
+    code, out, err = run_cli(request_line.split())
+    assert (code, out) == (2, "")
+    assert (code, out, err) == run_cli(request_line.replace("=--", " --").split())
+    flag = request_line.split("=")[0].split()[-1]
+    assert err.endswith(f"error: argument {flag}: expected one argument\n")
+
+
 def test_exit_2_on_m_less_than_n():
     code, _, err = run_cli(["kac-diagram", "--p", "2", "--q", "3", "--m", "2", "--n", "3"])
     assert code == 2 and "swap" in err

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import mutant
 from triplet import linalg, sl2rep
 from triplet.sl2rep import (
     build_irrep,
@@ -13,12 +14,19 @@ from triplet.sl2rep import (
 )
 from triplet.verify import (
     PROPERTIES,
+    _int_rows,
     _kron_sum,
     _simplicity_witness,
     cg_oracle,
     cg_system_oracle,
     invariant_form_oracle,
 )
+
+
+def _dense_kron_sum(x: tuple, y: tuple) -> list:
+    """`verify._kron_sum` of two integral matrices, as dense Fraction rows."""
+    rows = _kron_sum(_int_rows(x), _int_rows(y))
+    return [[Fraction(row.get(j, 0)) for j in range(len(rows))] for row in rows]
 
 
 def test_build_irrep_small():
@@ -85,8 +93,8 @@ def test_cg_system_equals_dense_inverse_oracle(m):
 
 
 def test_cg_property_catches_a_wrong_system_beyond_the_oracle(monkeypatch):
-    # (6,6) is outside the dense oracle's range in the property, so only the
-    # stacked products P*I and I*P can see the changed projection entry.
+    # (6,6) is outside the integer oracle's range in the property, so only the
+    # stacked product P*I can see the changed projection entry.
     right = sl2rep._cg_system
 
     def wrong(m, n):
@@ -100,6 +108,28 @@ def test_cg_property_catches_a_wrong_system_beyond_the_oracle(monkeypatch):
     monkeypatch.setattr(sl2rep, "_cg_system", wrong)
     with pytest.raises(AssertionError):
         PROPERTIES["sl2rep"]["cg_biorthogonality_and_completeness"]()
+
+
+def test_bracket_property_catches_a_wrong_e_coefficient(monkeypatch):
+    # E v_k = k(n-k+2) v_{k-1} keeps [H,E] = 2E but breaks [E,F] = H.
+    wrong = mutant(sl2rep.build_irrep.__wrapped__, "k * (n - k + 1)", "k * (n - k + 2)")
+    monkeypatch.setattr(sl2rep, "build_irrep", wrong)
+    with pytest.raises(AssertionError):
+        PROPERTIES["sl2rep"]["bracket_relations"]()
+
+
+def test_form_property_catches_a_rescaled_form(monkeypatch):
+    # Twice the form is still E- and F-invariant, so `invariant_form`'s own
+    # checks pass it; only the oracle's normalization B[0][n] = 1 sees it.
+    wrong = mutant(
+        sl2rep.invariant_form.__wrapped__,
+        "Fraction(1 if k % 2 == 0 else -1)",
+        "Fraction(2 if k % 2 == 0 else -2)",
+    )
+    monkeypatch.setattr(sl2rep, "invariant_form", wrong)
+    assert wrong(3).matrix[0][3] == 2
+    with pytest.raises(AssertionError):
+        PROPERTIES["sl2rep"]["invariant_form_unique_nondegenerate_symmetry"]()
 
 
 def test_large_sizes_stay_within_budget():
@@ -128,12 +158,7 @@ def test_cg_maps_beyond_oracle_range(m, n, channels):
     # The dense oracle is too slow at these sizes; check the defining
     # identities directly: pi * iota = Id and pi intertwines E and F.
     rep_m, rep_n = build_irrep(m), build_irrep(n)
-    big = {
-        name: _kron_sum(
-            [list(r) for r in getattr(rep_m, name)], [list(r) for r in getattr(rep_n, name)]
-        )
-        for name in ("e", "f")
-    }
+    big = {name: _dense_kron_sum(getattr(rep_m, name), getattr(rep_n, name)) for name in ("e", "f")}
     for k in channels:
         rep_k = build_irrep(k)
         proj, incl = cg_maps(m, n, k)
@@ -194,9 +219,7 @@ def test_cg_maps_intertwine(m, n):
         rep_k = build_irrep(k)
         proj, incl = cg_maps(m, n, k)
         for name in ("e", "f", "h"):
-            big = _kron_sum(
-                [list(r) for r in getattr(rep_m, name)], [list(r) for r in getattr(rep_n, name)]
-            )
+            big = _dense_kron_sum(getattr(rep_m, name), getattr(rep_n, name))
             small = [list(r) for r in getattr(rep_k, name)]
             assert linalg.mat_mul(proj, big) == linalg.mat_mul(small, proj)
             assert linalg.mat_mul(big, incl) == linalg.mat_mul(incl, small)

@@ -3,9 +3,9 @@
 Runtime invariants and the ``verify`` checks raise explicitly, since
 ``python -O`` strips ``assert``: no module asserts.
 Nothing is floating point, and ``math`` serves only integer gcd/lcm.
-Brute-force oracles live only in ``verify``, and the character oracle never
-reads the closed form it checks.  Only ``cli`` writes the JSON and DOT
-output formats.
+Brute-force oracles live only in ``verify``, and the character oracle and the
+sl2 form and Clebsch-Gordan oracles never read the closed forms they check.
+Only ``cli`` writes the JSON and DOT output formats.
 Dense fills use the shared ``exactnum.ZERO``, never a private ``Fraction(0)``.
 No module reaches into the private API of ``fractions``, which changes
 between the Python versions the package supports.
@@ -276,6 +276,16 @@ def test_cg_oracle_does_not_read_fusion():
     assert not _names_reached(verify_py, "cg_oracle") & {"fuse_C", "fusion"}
 
 
+# The closed forms the sl2 oracles are compared with.
+SL2_CLOSED_FORMS = {"cg_maps", "_cg_system", "invariant_form"}
+
+
+def test_sl2_oracles_do_not_read_the_closed_forms():
+    verify_py = next(path for path in SOURCES if path.name == "verify.py")
+    for oracle in ("invariant_form_oracle", "cg_system_oracle"):
+        assert not _names_reached(verify_py, oracle) & SL2_CLOSED_FORMS, oracle
+
+
 def test_static_rules_catch_a_violation(tmp_path):
     # The walks above see each kind of violation they are meant to reject.
     src = tmp_path / "mutant.py"
@@ -338,6 +348,13 @@ def test_static_rules_catch_a_violation(tmp_path):
     test_properties_rerun_only_under_monkeypatch(src)
     src.write_text("def cg_oracle(m, n):\n    return _peel(m, n)\ndef _peel(m, n):\n    return fuse_C(m)\n")
     assert "fuse_C" in _names_reached(src, "cg_oracle")
+    src.write_text(
+        "def invariant_form_oracle(n):\n    return sl2rep.invariant_form(n).matrix\n"
+        "def cg_system_oracle(m, n):\n    return _solve(m, n)\n"
+        "def _solve(m, n):\n    return sl2rep._cg_system(m, n)\n"
+    )
+    assert _names_reached(src, "invariant_form_oracle") & SL2_CLOSED_FORMS == {"invariant_form"}
+    assert _names_reached(src, "cg_system_oracle") & SL2_CLOSED_FORMS == {"_cg_system"}
     src.write_text(
         "class Seq:\n    def splits(self):\n        return self.splits()\n"
         "def used():\n    return Seq()\n"
