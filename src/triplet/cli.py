@@ -2,10 +2,10 @@
 
 This is the one module that knows the output formats: the library layers
 return values, and the private ``_*_json`` and ``_diagram_dot`` helpers
-here write them.  Exit codes: 0 success, 2 argument or validation failure
-or a request too large for memory, 3 structurally unsupported request
-(e.g. the Loewy diagram of a general Kac label), 4 stdout closed by its
-reader before all of it was written.
+here write them.  Exit codes: 0 success, 2 argument or validation
+failure, a request over its cap or too large for memory, 3 structurally
+unsupported request (e.g. the Loewy diagram of a general Kac label), 4
+stdout closed by its reader before all of it was written.
 `verify` exits 1 when a property fails; it runs the same checks under
 `python -O`.  Output depends on argv alone: same argv, byte-identical
 bytes, whatever the environment.
@@ -19,6 +19,10 @@ error still come from argparse, byte for byte, through `build_parser`,
 which builds the arguments of the one subcommand named (`--help` still
 lists all ten).  JSON is written by this module's own writer, byte-equal
 to ``json.dumps(payload, indent=2)``, so the `json` package is never loaded.
+`sl2` hands it matrices by their nonzero cells (`_Sparse`), which it writes
+a bounded piece at a time, so such a call takes memory in proportion to
+the nonzero cells and time in proportion to its output; each `sl2` call is
+capped by the cells it writes (`SL2_MAX_CELLS`).
 """
 
 from __future__ import annotations
@@ -83,8 +87,100 @@ def _json_text(value, indent: str = "\n") -> str:
     raise TypeError(f"no exact JSON form for {kind.__name__}: {value!r}")
 
 
+class _Sparse:
+    """A matrix of str cells that `_write_json` writes as its dense list of
+    rows: `shape` is (rows, columns), and `rows` maps a row index to the
+    {column: str} dict of that row's cells; every cell left out is "0"."""
+
+    __slots__ = ("shape", "rows")
+
+    def __init__(self, shape: tuple[int, int], rows: dict[int, dict[int, str]]) -> None:
+        self.shape = shape
+        self.rows = rows
+
+
+# The most cells that one piece of a `_Sparse` matrix's text holds.
+_PIECE_CELLS = 1 << 16
+
+
+def _runs(text: str, count: int, per_piece: int):
+    """`text` repeated `count` times, at most `per_piece` times a piece."""
+    for start in range(0, count, per_piece):
+        yield text * min(per_piece, count - start)
+
+
+def _drop_comma(pieces):
+    """`pieces` without the comma that starts the first one."""
+    pieces = iter(pieces)
+    yield next(pieces)[1:]
+    yield from pieces
+
+
+def _sparse_items(matrix: _Sparse, indent: str):
+    """The rows of `matrix` as the items of a JSON list at `indent`, each
+    after "," + indent, in pieces of at most _PIECE_CELLS cells: a nonzero
+    cell is one piece, and so is a run of zero cells, or of zero rows,
+    written as one repeated text."""
+    n_rows, cols = matrix.shape
+    cell = indent + "  "
+    zero = "," + cell + '"0"'
+
+    def cells(entries: dict[int, str]):
+        done = 0
+        for j in sorted(entries):
+            yield from _runs(zero, j - done, _PIECE_CELLS)
+            yield "," + cell + encode_basestring_ascii(entries[j])
+            done = j + 1
+        yield from _runs(zero, cols - done, _PIECE_CELLS)
+
+    def item(entries: dict[int, str]):
+        yield "," + indent + "["
+        yield from _drop_comma(cells(entries))
+        yield indent + "]"
+
+    zero_row = "".join(item({})) if cols <= _PIECE_CELLS else None
+    done = 0
+    for r in [*sorted(matrix.rows), n_rows]:
+        if zero_row is None:
+            for _ in range(done, r):
+                yield from item({})
+        else:
+            yield from _runs(zero_row, r - done, _PIECE_CELLS // cols)
+        if r < n_rows:
+            yield from item(matrix.rows[r])
+        done = r + 1
+
+
+def _write_json(value, write, indent: str = "\n") -> None:
+    """Write `value` through `write` as `_json_text` would, with a `_Sparse`
+    matrix in place of its dense list of rows, a piece at a time: one piece
+    per dict item, and a matrix in pieces of at most _PIECE_CELLS cells.
+    So however large a matrix is, no more of its text is held at once."""
+    kind = type(value)
+    if kind is _Sparse:
+        n_rows, cols = value.shape
+        if not (n_rows and cols):  # [] or rows of []
+            write(_json_text([[] for _ in range(n_rows)], indent))
+            return
+        write("[")
+        for piece in _drop_comma(_sparse_items(value, indent + "  ")):
+            write(piece)
+        write(indent + "]")
+    elif kind is dict and value:
+        inner = indent + "  "
+        sep = "{"
+        for key, item in value.items():
+            write(sep + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(item, write, inner)
+            sep = ","
+        write(indent + "}")
+    else:
+        write(_json_text(value, indent))
+
+
 def _emit(payload: dict) -> None:
-    sys.stdout.write(_json_text(payload) + "\n")
+    _write_json(payload, sys.stdout.write)
+    sys.stdout.write("\n")
 
 
 def _resolve_params(args) -> Params:
@@ -364,35 +460,68 @@ def _cmd_o0_check(args) -> int:
     return 0
 
 
-def _matrix_json(matrix) -> list[list[str]]:
-    return [[rat_str(x) for x in row] for row in matrix]
+# The most matrix cells one `sl2` call writes, by --op, with the count it
+# writes: an irrep's E, F and H, a form's B, and a Clebsch-Gordan channel's
+# projection and inclusion.  A call over its cap exits 2 before anything is
+# built.  At its cap a call takes about 0.5-0.6 s and at most about 60 MB
+# (README, "sl2 linear algebra").
+SL2_MAX_CELLS = {"irrep": 100_000_000, "form": 100_000_000, "cg": 40_000_000}
+SL2_CELLS = {"irrep": "3(n+1)^2", "form": "(n+1)^2", "cg": "2(k+1)(m+1)(n+1)"}
 
 
 def _cmd_sl2(args) -> int:
     from . import sl2rep
 
-    if args.n < 0:
-        raise ValueError(f"--n must be >= 0, got {args.n}")
-    if args.op == "irrep":
-        rep = sl2rep.build_irrep(args.n)
-        _emit({"n": args.n, "E": _matrix_json(rep.e), "F": _matrix_json(rep.f), "H": _matrix_json(rep.h)})
-        return 0
-    if args.op == "form":
-        form = sl2rep.invariant_form(args.n)
-        _emit({"n": args.n, "B": _matrix_json(form.matrix)})
-        return 0
-    if args.m is None or args.k is None:
-        raise ValueError("--op cg requires --m and --k")
-    proj, incl = sl2rep.cg_maps(args.m, args.n, args.k)
-    _emit(
-        {
-            "m": args.m,
-            "n": args.n,
-            "k": args.k,
-            "projection": _matrix_json(proj),
-            "inclusion": _matrix_json(incl),
+    n, op = args.n, args.op
+    if n < 0:
+        raise ValueError(f"--n must be >= 0, got {n}")
+    if op == "cg":
+        m, k = args.m, args.k
+        if m is None or k is None:
+            raise ValueError("--op cg requires --m and --k")
+        sl2rep.check_channel(m, n, k)
+        cells = 2 * (k + 1) * (m + 1) * (n + 1)
+    else:
+        cells = (3 if op == "irrep" else 1) * (n + 1) ** 2
+    if cells > SL2_MAX_CELLS[op]:
+        raise ValueError(
+            f"sl2 --op {op} would write {SL2_CELLS[op]} = {cells} matrix cells, "
+            f"over its cap of {SL2_MAX_CELLS[op]}"
+        )
+    # Only the nonzero cells are built, as text, before the first byte is
+    # written; `_write_json` fills in the zeros a piece at a time.
+    if op == "irrep":
+        rep = sl2rep.build_irrep(n)
+        shape = (n + 1, n + 1)
+        payload = {
+            "n": n,
+            "E": _Sparse(shape, {k: {k + 1: str(x)} for k, x in enumerate(rep.e)}),
+            "F": _Sparse(shape, {k + 1: {k: "1"} for k in range(n)}),
+            "H": _Sparse(shape, {k: {k: str(x)} for k, x in enumerate(rep.h)}),
         }
-    )
+    elif op == "form":
+        signs = sl2rep.invariant_form(n).signs
+        b = {i: {n - i: str(x)} for i, x in enumerate(signs)}
+        payload = {"n": n, "B": _Sparse((n + 1, n + 1), b)}
+    else:
+        cg = sl2rep.cg_maps(m, n, k)
+        dim = (m + 1) * (n + 1)
+        proj = {
+            r: {i: rat_str(Fraction(x * cg.big, cg.scale)) for i, x in row.items()}
+            for r, row in enumerate(cg.projection_rows())
+        }
+        incl: dict[int, dict[int, str]] = {}
+        for j, column in enumerate(cg.inclusion_columns()):
+            for i, x in column.items():
+                incl.setdefault(i, {})[j] = rat_str(Fraction(x, cg.big))
+        payload = {
+            "m": m,
+            "n": n,
+            "k": k,
+            "projection": _Sparse((k + 1, dim), proj),
+            "inclusion": _Sparse((dim, k + 1), incl),
+        }
+    _emit(payload)
     return 0
 
 
@@ -508,7 +637,15 @@ COMMANDS = {
         "explicit sl2 irreducibles, forms, and CG maps",
         (
             ("--n", _REQUIRED_INT),
-            ("--op", {"choices": ("irrep", "form", "cg"), "required": True}),
+            (
+                "--op",
+                {
+                    "choices": ("irrep", "form", "cg"),
+                    "required": True,
+                    "help": "what to write; each is capped by its matrix cells: "
+                    + ", ".join(f"{op} {SL2_CELLS[op]} <= {SL2_MAX_CELLS[op]}" for op in SL2_CELLS),
+                },
+            ),
             ("--m", _OPTIONAL_INT),
             ("--k", _OPTIONAL_INT),
         ),

@@ -13,10 +13,9 @@ from fractions import Fraction
 # denominator.  fractions.Fraction already guarantees both invariants.
 Rat = Fraction
 
-# The one zero of every dense matrix fill.  Loops over such matrices skip a
-# zero entry with ``x is ZERO`` before any Fraction method runs; a zero that
-# is another object still compares equal by value, so this is only a fast
-# path.
+# The package's one zero Fraction: a phase with a zero exponent stores it,
+# and no module fills a list with a private Fraction(0).  A zero that is
+# another object still compares equal by value.
 ZERO = Fraction(0)
 
 # One bound for every lru_cache of the package, above the distinct keys

@@ -1,5 +1,5 @@
-"""Exact linear algebra for the oracles in `verify`: an integer elimination
-core and the Fraction steps still read over Fraction.
+"""Exact linear algebra for the oracles in `verify`: fraction-free
+elimination on sparse integer rows.
 
 Only `verify` loads it: the production sl2 maps in `sl2rep` are closed
 forms.  The oracles themselves (`verify.cg_system_oracle`,
@@ -8,77 +8,13 @@ sparse integer rows, `{column: int}` with no zero entry, which they reduce
 with `_rref_int` and solve with `_kernel_int`.  `_rref_int` is
 fraction-free Gauss-Jordan elimination (Bareiss, 1968, without the
 exact-division step): rows are combined by integer cross-multiplication, and
-each new row is divided by its content, the gcd of its entries.
-The Fraction entry points:
-- `rref` scales each row to a sparse integer row, reduces them with
-  `_rref_int` and builds one Fraction per nonzero entry of the result;
-- `mat_mul` accumulates integers over the row denominators of its left
-  factor and the column denominators of its right one, and builds one
-  Fraction per nonzero entry of the product.
-Matrices are lists of rows of Fraction; a product also takes tuple rows.
-Every zero entry written here is the shared `exactnum.ZERO`, and every loop
-skips an entry that `is ZERO` before any Fraction method runs; other zeros
-are still tested by value.
+each new row is divided by its content, the gcd of its entries.  No
+Fraction is built here.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-
-from .exactnum import ZERO
-
-Matrix = list
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[ZERO] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a*b, exactly.
-
-    Row i of a is A_i/d_i and column j of b is B_j/e_j with A_i, B_j
-    integral (d_i, e_j the lcm of the denominators), so entry (i,j) is the
-    integer A_i . B_j over d_i*e_j.  Only nonzero entries are multiplied.
-    """
-    col_dens = [lcm(*[x.denominator for x in col if x is not ZERO]) for col in zip(*b)]
-    # Row k of b times the column denominators: (j, integer) for each nonzero.
-    b_int = [
-        [
-            (j, x.numerator * (col_dens[j] // x.denominator))
-            for j, x in enumerate(brow)
-            if x is not ZERO and x
-        ]
-        for brow in b
-    ]
-    out = []
-    for arow in a:
-        support = [(k, x) for k, x in enumerate(arow) if x is not ZERO and x]
-        d = lcm(*[x.denominator for _, x in support])
-        acc = [0] * len(col_dens)
-        for k, x in support:
-            ak = x.numerator * (d // x.denominator)
-            for j, bkj in b_int[k]:
-                acc[j] += ak * bkj
-        out.append([Fraction(x, d * e) if x else ZERO for x, e in zip(acc, col_dens)])
-    return out
-
-
-def _int_row(row) -> dict[int, int]:
-    """The nonzero entries of a row of Fraction scaled to coprime integers,
-    keyed by column; the scale is positive."""
-    support = [(j, x) for j, x in enumerate(row) if x is not ZERO and x]
-    d = lcm(*[x.denominator for _, x in support])
-    out = {j: x.numerator * (d // x.denominator) for j, x in support}
-    return _primitive(out)
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -152,17 +88,3 @@ def _kernel_int(rows: list[dict[int, int]], cols: int) -> list[dict[int, int]]:
             vec[c] = -x * (big // p)
         basis.append(vec)
     return basis
-
-
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns, by `_rref_int`
-    on the rows scaled to primitive integer rows."""
-    rows = [_int_row(row) for row in a]
-    cols = len(a[0]) if a else 0
-    pivots = _rref_int(rows, cols)
-    out = zeros(len(rows), cols)
-    for row, out_row, c in zip(rows, out, pivots):
-        p = row[c]
-        for j, x in row.items():
-            out_row[j] = Fraction(x, p)
-    return out, pivots

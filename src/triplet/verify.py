@@ -18,9 +18,10 @@ import random
 from collections import Counter
 from collections.abc import Callable
 from fractions import Fraction
+from math import lcm
 
 from . import braidfmat, fusion, kacmod, linalg, sl2rep, wpq
-from .exactnum import ZERO, Phase
+from .exactnum import Phase
 from .virasoro import (
     KAC_DUAL_K11,
     ObjLabel,
@@ -542,36 +543,43 @@ def intrinsic_dimensions():
 # --- sl2rep -----------------------------------------------------------------
 
 
-def _int_rows(matrix) -> list[dict[int, int]]:
-    """The rows of an integral matrix of Fraction as sparse integer rows;
-    raises on an entry that is not an integer."""
-    rows = [{j: x for j, x in enumerate(row) if x is not ZERO and x} for row in matrix]
-    if any(x.denominator != 1 for row in rows for x in row.values()):
-        raise AssertionError(f"matrix is not integral: {matrix}")
-    return [{j: x.numerator for j, x in row.items()} for row in rows]
-
-
 def _nonzero(row: dict[int, int]) -> dict[int, int]:
     return {j: x for j, x in row.items() if x}
 
 
-def invariant_form_oracle(n: int) -> tuple:
-    """The invariant form on V_n by brute force, as a matrix of tuples.
+def _irrep_rows(rep: sl2rep.Irrep) -> tuple[list[dict[int, int]], ...]:
+    """E, F and H of `rep` as sparse integer rows, read from its bands."""
+    e = [{k + 1: x} if x else {} for k, x in enumerate(rep.e)] + [{}]
+    f = [{}] + [{k: 1} for k in range(rep.n)]
+    h = [{k: x} if x else {} for k, x in enumerate(rep.h)]
+    return e, f, h
+
+
+def _same_over(a: list[dict[int, int]], d: int, b: list[dict[int, int]], e: int) -> bool:
+    """Whether the sparse integer rows a over d equal the rows b over e, by
+    cross-multiplication: the same support, and a*e == b*d entry by entry."""
+    return len(a) == len(b) and all(
+        x.keys() == y.keys() and all(x[j] * e == y[j] * d for j in x) for x, y in zip(a, b)
+    )
+
+
+def invariant_form_oracle(n: int) -> tuple[list[dict[int, int]], int]:
+    """The invariant form on V_n by brute force: sparse integer rows and the
+    integer top they are over.
 
     Solves X^T B + B X = 0 for X in {E,F,H} as one linear system of sparse
-    integer rows, read from `sl2rep.build_irrep`'s integral matrices.  Raises
-    unless the solution space is one-dimensional and its form nondegenerate
-    and pairing the highest- and lowest-weight vectors, which it normalizes
-    to 1; only that normalization builds Fractions.
+    integer rows, read from `sl2rep.build_irrep`'s bands.  Raises unless
+    the solution space is one-dimensional and its form nondegenerate and
+    pairing the highest- and lowest-weight vectors; top is that pairing, so
+    the rows over top are the form normalized to pair them to 1.
     """
-    rep = sl2rep.build_irrep(n)
     dim = n + 1
     rows: list[dict[int, int]] = []
-    for mat in (rep.e, rep.f, rep.h):
+    for mat in _irrep_rows(sl2rep.build_irrep(n)):
         # cols[i]: k -> X[k][i].  With B[i][j] at column i*dim + j,
         # (X^T B + B X)[i][j] = sum_k X[k][i] B[k][j] + B[i][k] X[k][j].
         cols: list[dict[int, int]] = [{} for _ in range(dim)]
-        for k, row in enumerate(_int_rows(mat)):
+        for k, row in enumerate(mat):
             for i, x in row.items():
                 cols[i][k] = x
         for i in range(dim):
@@ -594,9 +602,12 @@ def invariant_form_oracle(n: int) -> tuple:
     b = [{j: flat[i * dim + j] for j in range(dim) if i * dim + j in flat} for i in range(dim)]
     if len(linalg._rref_int([dict(row) for row in b], dim)) != dim:
         raise AssertionError(f"invariant form on V_{n} is degenerate")
-    return tuple(
-        tuple(Fraction(row[j], top) if j in row else ZERO for j in range(dim)) for row in b
-    )
+    return b, top
+
+
+def _form_rows(form: sl2rep.BilinForm) -> list[dict[int, int]]:
+    """The form's matrix as sparse integer rows: row i holds B[i][n-i]."""
+    return [{form.n - i: sign} if sign else {} for i, sign in enumerate(form.signs)]
 
 
 def _kron_sum(a: list[dict[int, int]], b: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -613,25 +624,37 @@ def _kron_sum(a: list[dict[int, int]], b: list[dict[int, int]]) -> list[dict[int
     return out
 
 
-def cg_system_oracle(m: int, n: int) -> dict[int, tuple[tuple, tuple]]:
+def _transpose(rows: list[dict[int, int]], size: int) -> list[dict[int, int]]:
+    """The `size` columns of sparse integer rows, as sparse integer rows."""
+    out: list[dict[int, int]] = [{} for _ in range(size)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
+
+
+def cg_system_oracle(m: int, n: int) -> dict[int, tuple[tuple[list, int], tuple[list, int]]]:
     """The Clebsch-Gordan system of V_m (x) V_n by elimination on integers.
 
-    Same layout as `sl2rep._cg_system`: channels from `cg_oracle`, each
-    highest-weight vector from the kernel of the full E on its weight space,
-    F applied K times by sparse scatter, and projections from the inverse of
-    the whole change of basis C, with every system a list of sparse integer
-    rows read from `sl2rep.build_irrep`'s integral E and F.  Each channel's
-    columns are integral once multiplied by its lead, the first nonzero
-    entry of its highest-weight vector; the augmented [C D | Id], D that
-    diagonal of leads, is reduced once, and the projections are D (C D)^-1.
-    Fractions are built only for the result.
+    Channels come from `cg_oracle`, each highest-weight vector from the
+    kernel of the full E on its weight space, F applied K times by sparse
+    scatter, and projections from the inverse of the whole change of basis
+    C, with every system a list of sparse integer rows read from
+    `sl2rep.build_irrep`'s bands.  Each channel's columns are integral once
+    multiplied by its lead, the first nonzero entry of its highest-weight
+    vector; the augmented [C D | Id], D that diagonal of leads, is reduced
+    once, and the projections are D (C D)^-1.  Channel k maps to
+    ((rows, row_den), (columns, lead)): the projection rows are the sparse
+    integer rows over row_den, the inclusion columns the sparse integer
+    columns over lead, both keyed by the flat index a(n+1) + b.
     """
     rep_m = sl2rep.build_irrep(m)
     rep_n = sl2rep.build_irrep(n)
     dim = (m + 1) * (n + 1)
-    e_t = _kron_sum(_int_rows(rep_m.e), _int_rows(rep_n.e))
+    (e_m, f_m, _), (e_n, f_n, _) = _irrep_rows(rep_m), _irrep_rows(rep_n)
+    e_t = _kron_sum(e_m, e_n)
     # Column j of F on V_m (x) V_n is row j of F^T, which is a Kronecker sum too.
-    f_cols = _kron_sum(_int_rows(zip(*rep_m.f)), _int_rows(zip(*rep_n.f)))
+    f_cols = _kron_sum(_transpose(f_m, m + 1), _transpose(f_n, n + 1))
     channels = cg_oracle(m, n)
 
     def weight_indices(w: int) -> list[int]:
@@ -671,26 +694,36 @@ def cg_system_oracle(m: int, n: int) -> dict[int, tuple[tuple, tuple]]:
             augmented[i][c] = x
     if linalg._rref_int(augmented, 2 * dim) != list(range(dim)):
         raise AssertionError(f"the change of basis of V_{m} (x) V_{n} is singular")
-    # Row c of (C D)^-1 is reduced row c past column dim, over its pivot.
-    out: dict[int, tuple[tuple, tuple]] = {}
+    # Row c of (C D)^-1 is reduced row c past column dim, over its pivot; a
+    # channel's projection rows are lead times those, over the lcm of the
+    # pivots.
+    out = {}
     for k in channels:
         start, stop, lead = blocks[k]
-        incl = tuple(
-            tuple(
-                Fraction(columns[c][i], lead) if i in columns[c] else ZERO
-                for c in range(start, stop)
-            )
-            for i in range(dim)
-        )
-        proj = tuple(
-            tuple(
-                Fraction(lead * row[dim + j], row[c]) if dim + j in row else ZERO
-                for j in range(dim)
-            )
-            for c, row in zip(range(start, stop), augmented[start:stop])
-        )
-        out[k] = (proj, incl)
+        pivots = [augmented[c][c] for c in range(start, stop)]
+        row_den = lcm(*pivots)
+        rows = [
+            {j - dim: lead * (row_den // p) * x for j, x in augmented[c].items() if j >= dim}
+            for c, p in zip(range(start, stop), pivots)
+        ]
+        out[k] = ((rows, row_den), (columns[start:stop], lead))
     return out
+
+
+def _system_equals_oracle(system: dict[int, sl2rep.CGChannel], oracle: dict) -> bool:
+    """Whether each channel's projection and inclusion equal the oracle's,
+    as integer rows and columns over their denominators."""
+    if sorted(system) != sorted(oracle):
+        return False
+    for k, cg in system.items():
+        (rows, row_den), (columns, lead) = oracle[k]
+        proj = [{j: x * cg.big for j, x in row.items()} for row in cg.projection_rows()]
+        if not (
+            _same_over(proj, cg.scale, rows, row_den)
+            and _same_over(cg.inclusion_columns(), cg.big, columns, lead)
+        ):
+            return False
+    return True
 
 
 def _int_product(a: list[dict[int, int]], b: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -717,7 +750,7 @@ def bracket(a: list[dict[int, int]], b: list[dict[int, int]]) -> list[dict[int, 
 
 def check_brackets(rep: sl2rep.Irrep) -> bool:
     """[H,E] = 2E, [H,F] = -2F, [E,F] = H, exactly, on integer rows."""
-    e, f, h = (_int_rows(mat) for mat in (rep.e, rep.f, rep.h))
+    e, f, h = _irrep_rows(rep)
 
     def times(c: int, rows: list[dict[int, int]]) -> list[dict[int, int]]:
         return [{j: c * x for j, x in row.items()} for row in rows]
@@ -735,76 +768,79 @@ def bracket_relations():
 def invariant_form_unique_nondegenerate_symmetry():
     for n in range(11):
         form = sl2rep.invariant_form(n)
+        rows = _form_rows(form)
         if n <= 8:
             # The oracle raises unless the solution space is 1-dim.
-            oracle = invariant_form_oracle(n)
-            _expect(form.matrix == oracle, "form on V_", n, ":", form.matrix, "!=", oracle)
-        rank = len(linalg._rref_int(_int_rows(form.matrix), n + 1))
+            oracle, top = invariant_form_oracle(n)
+            same = _same_over(rows, 1, oracle, top)
+            _expect(same, "form on V_", n, ":", rows, "!=", oracle, "/", top)
+        rank = len(linalg._rref_int([dict(row) for row in rows], n + 1))
         _expect(rank == n + 1, "form on V_", n, "has rank", rank)
         sign = 1 if n % 2 == 0 else -1
         if n <= 6:
-            b = form.matrix
-            symmetric = all(b[i][j] == sign * b[j][i] for i in range(n + 1) for j in range(n + 1))
-            _expect(symmetric, "form on V_", n, "is not", sign, "symmetric:", form.matrix)
+            # B[i][n-i] == sign * B[n-i][i]; every other entry is 0 on both sides.
+            signs = form.signs
+            symmetric = all(x == sign * signs[n - i] for i, x in enumerate(signs))
+            _expect(symmetric, "form on V_", n, "is not", sign, "symmetric:", signs)
 
 
 @_property("sl2rep")
 def cg_biorthogonality_and_completeness():
-    # With every channel's projection rows stacked into P and inclusion
-    # columns into I, biorthogonality of all channel pairs is P*I == Id and
-    # completeness is I*P == Id.  Over Q a square matrix with a one-sided
-    # inverse is invertible, so once P and I are dim x dim, P*I == Id implies
-    # I*P == Id and only P*I is computed.  The channel set is checked against
-    # `cg_oracle` at every size, the whole system against the integer oracle
-    # for m,n <= 5.
+    # Stack every channel's projection rows, unscaled, into X and its
+    # inclusion columns into Y.  Projection row i of channel k is X's row
+    # times big_k/scale_k and inclusion column j is Y's column over big_k, so
+    # biorthogonality of all channel pairs, P*I == Id, is X*Y ==
+    # diag(scale_k), on integers; completeness is I*P == Id.  Over Q a
+    # square matrix with a one-sided inverse is invertible, so once X and Y
+    # are dim x dim, P*I == Id implies I*P == Id and only X*Y is computed.
+    # The channel set is checked against `cg_oracle` at every size, the
+    # whole system against the integer oracle for m,n <= 5.
     for m in range(7):
         for n in range(7):
             system = sl2rep._cg_system(m, n)
             channels, oracle = sorted(system), cg_oracle(m, n)
             _expect(channels == oracle, "(m,n) =", (m, n), ":", channels, "!=", oracle)
             if m <= 5 and n <= 5:
-                _expect(system == cg_system_oracle(m, n), "(m,n) =", (m, n), ": system != oracle")
+                same = _system_equals_oracle(system, cg_system_oracle(m, n))
+                _expect(same, "(m,n) =", (m, n), ": system != oracle")
             dim = (m + 1) * (n + 1)
-            stacked_proj: list = []
-            stacked_incl: list = [[] for _ in range(dim)]
-            for proj_k, incl_k in system.values():
-                _expect(len(incl_k) == dim, (m, n), ": an inclusion has", len(incl_k), "rows")
-                stacked_proj += proj_k
-                for row, part in zip(stacked_incl, incl_k):
-                    row += part
-            square = len(stacked_proj) == dim and all(
-                len(row) == dim for row in stacked_proj + stacked_incl
+            x_rows: list[dict[int, int]] = []
+            y_columns: list[dict[int, int]] = []
+            diagonal: list[dict[int, int]] = []
+            for cg in system.values():
+                x_rows += cg.projection_rows()
+                y_columns += cg.inclusion_columns()
+                diagonal += [{c: cg.scale} for c in range(len(diagonal), len(y_columns))]
+            square = len(x_rows) == len(y_columns) == dim and all(
+                0 <= i < dim for vec in x_rows + y_columns for i in vec
             )
             _expect(square, (m, n), ": P and I are not", dim, "x", dim)
-            identity = linalg.identity(dim)
-            _expect(linalg.mat_mul(stacked_proj, stacked_incl) == identity, (m, n), ": P*I != Id")
+            product = _int_product(x_rows, _transpose(y_columns, dim))
+            _expect(product == diagonal, (m, n), ": P*I != Id")
 
 
 @_property("sl2rep")
 def unit_channel_projection_is_bilinear_form():
     # The invariant pairing spans the one-dimensional space of unit-channel
     # functionals, so the channel-0 projection must be proportional to it.
+    # Flattened over V_{2n} (x) V_{2n}, the form holds B[i][2n-i] at
+    # i*(2n+1) + 2n - i.
     for n in range(1, 4):
-        proj, _ = sl2rep.cg_maps(2 * n, 2 * n, 0)
-        b = [list(r) for r in sl2rep.invariant_form(2 * n).matrix]
-        dim = 2 * n + 1
-        flat = [b[i][j] for i in range(dim) for j in range(dim)]
-        row = proj[0]
-        ratio = None
-        for x, y in zip(row, flat):
-            _expect((x == 0) == (y == 0), "n =", n, ": projection and pairing differ in support")
-            if x:
-                if ratio is None:
-                    ratio = x / y
-                _expect(x == ratio * y, "n =", n, ":", row, "is not a multiple of", flat)
-        _expect(ratio is not None and ratio != 0, "n =", n, ": zero ratio", ratio)
+        (row,) = sl2rep.cg_maps(2 * n, 2 * n, 0).projection_rows()
+        form = sl2rep.invariant_form(2 * n)
+        flat = {i * (2 * n + 1) + 2 * n - i: x for i, x in enumerate(form.signs) if x}
+        same_support = bool(flat) and row.keys() == flat.keys()
+        _expect(same_support, "n =", n, ": projection and pairing differ in support")
+        j = min(flat)
+        proportional = all(x * flat[j] == flat[i] * row[j] for i, x in row.items())
+        _expect(proportional, "n =", n, ":", row, "is not a multiple of", flat)
 
 
 def _pair(form: sl2rep.BilinForm, v: list, w: list) -> Fraction:
     # The form is antidiagonal: row i holds only B[i][n-i].
     n = form.n
     return sum(
-        (v[i] * row[n - i] * w[n - i] for i, row in enumerate(form.matrix) if v[i] and w[n - i]),
+        (v[i] * x * w[n - i] for i, x in enumerate(form.signs) if v[i] and w[n - i]),
         Fraction(0),
     )
 
@@ -822,10 +858,10 @@ def _simplicity_witness(n: int, v: list) -> list:
         raise ValueError(f"expected a vector in V_{2*n} of length {2*n+1}, got {len(v)}")
     form = sl2rep.invariant_form(2 * n)
     # Entry i of B v is B[i][2n-i] * v[2n-i]: the form is antidiagonal.
-    for i, row in enumerate(form.matrix):
-        if row[2 * n - i] * v[2 * n - i]:
-            witness = [ZERO] * (2 * n + 1)
-            witness[i] = Fraction(1)
+    for i, x in enumerate(form.signs):
+        if x * v[2 * n - i]:
+            witness = [0] * (2 * n + 1)
+            witness[i] = 1
             return witness
     raise AssertionError("nondegenerate form produced a zero pairing image")
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 from fractions import Fraction
 from pathlib import Path
 
@@ -126,6 +127,68 @@ _JSON_VALUES = st.recursive(
 @example({"t": True, "f": False, "n": None, "nested": {"a": [True, None, 0]}})
 def test_json_writer_matches_json_dumps(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
+    assert _streamed(value) == json.dumps(value, indent=2)
+
+
+def _streamed(value) -> str:
+    """What the streaming writer `cli._write_json` writes for `value`."""
+    pieces: list[str] = []
+    cli._write_json(value, pieces.append)
+    return "".join(pieces)
+
+
+# Matrices of str cells, every row as long as the first; "0" often, since
+# the streaming writer fills in the "0" cells a sparse matrix leaves out.
+_CELLS = st.sampled_from(["0", "0", "1", "-3/4"]) | _JSON_STRINGS
+_MATRICES = st.integers(0, 5).flatmap(
+    lambda cols: st.lists(st.lists(_CELLS, min_size=cols, max_size=cols), max_size=5)
+)
+
+
+@given(_MATRICES, st.sampled_from([1, 2, 3, cli._PIECE_CELLS]))
+@example([], cli._PIECE_CELLS)
+@example([["0"]], 1)
+@example([["-1"]], cli._PIECE_CELLS)
+@example([[], []], 1)
+@example([["0", "0", "0"], ["0", "0", "0"], ["0", "2", "0"], ["0", "0", "0"]], 2)
+def test_streamed_matrix_matches_json_dumps(matrix, piece):
+    # The writer holds at most `piece` cells of text at once; small pieces
+    # split runs of zero cells and of zero rows.  A "0" cell is left out or
+    # written explicitly, and an all-zero row is left out or given empty.
+    cols = len(matrix[0]) if matrix else 0
+    rows = {}
+    for r, row in enumerate(matrix):
+        entries = {j: x for j, x in enumerate(row) if x != "0" or (r + j) % 3 == 0}
+        if entries or r % 2:
+            rows[r] = entries
+    payload = {"n": 0, "M": cli._Sparse((len(matrix), cols), rows), "k": [1]}
+    with mock.patch.object(cli, "_PIECE_CELLS", piece):
+        assert _streamed(payload) == json.dumps({"n": 0, "M": matrix, "k": [1]}, indent=2)
+
+
+def _sl2_dense(n: int, op: str) -> dict:
+    """The `sl2 --op irrep` or `form` payload for V_n, built densely from
+    the integral convention: E v_k = k(n-k+1) v_{k-1}, F v_k = v_{k+1},
+    H v_k = (n-2k) v_k and B[k][n-k] = (-1)^k."""
+    def matrix(cell) -> list:
+        return [[str(cell(i, j)) for j in range(n + 1)] for i in range(n + 1)]
+
+    if op == "form":
+        return {"n": n, "B": matrix(lambda i, j: (-1) ** i if i + j == n else 0)}
+    return {
+        "n": n,
+        "E": matrix(lambda i, j: j * (n - j + 1) if j == i + 1 else 0),
+        "F": matrix(lambda i, j: 1 if i == j + 1 else 0),
+        "H": matrix(lambda i, j: n - 2 * i if i == j else 0),
+    }
+
+
+@pytest.mark.parametrize("op", ["irrep", "form"])
+@pytest.mark.parametrize("n", [0, 1, 4, 9])
+def test_sl2_streams_the_json_dumps_bytes(n, op):
+    code, out, err = run_cli(["sl2", "--n", str(n), "--op", op])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(_sl2_dense(n, op), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("value", [0.5, [1, 2.0], {"h": float("nan")}, (1, 2), {1: "a"}])
@@ -149,7 +212,7 @@ HELP_SHA256 = {
     "braiding": "176eb1f0246b6a4963faae09820ef80c132803bad61e0f35a6c746b29fadfc6c",
     "decompose": "14f31227d113a6f06bc9b02adbb6d6d5e38c1dc2f0daff0776cba579db43e2bd",
     "o0-check": "36ebb45c7481756d648dcc14f328e89e2300d0b3287b6ff6925294d81afa1485",
-    "sl2": "462f94f832cb57394cacc889144e43285b85528f78d54a5e48f71ad5f93d23ae",
+    "sl2": "54c49f8b4f62cc343cfb7fcba616a7fa66ee898d25fb529b158195dd41b15e75",
     "verify": "0034cb854a4f2f747568a22a1ccece91c7c2a8abcfc913a5de0268a86bfd340b",
 }
 
@@ -634,6 +697,51 @@ def test_o0_check_output():
     assert all(row["integral"] for row in rows)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "-1", "--op", "form"], "error: --n must be >= 0, got -1\n"),
+        (["--n", "2", "--op", "cg"], "error: --op cg requires --m and --k\n"),
+        (["--n", "2", "--op", "cg", "--m", "3"], "error: --op cg requires --m and --k\n"),
+        (["--n", "2", "--op", "cg", "--k", "1"], "error: --op cg requires --m and --k\n"),
+        (["--n", "2", "--op", "cg", "--m", "3", "--k", "2"],
+         "error: k=2 is not a channel of V_3 (x) V_2\n"),
+        (["--n", "2", "--op", "cg", "--m", "3", "--k", "7"],
+         "error: k=7 is not a channel of V_3 (x) V_2\n"),
+        (
+            ["--n", "5773", "--op", "irrep"],
+            "error: sl2 --op irrep would write 3(n+1)^2 = 100017228 matrix cells, "
+            "over its cap of 100000000\n",
+        ),
+        (
+            ["--n", "10000", "--op", "form"],
+            "error: sl2 --op form would write (n+1)^2 = 100020001 matrix cells, "
+            "over its cap of 100000000\n",
+        ),
+        (
+            ["--n", "271", "--op", "cg", "--m", "271", "--k", "272"],
+            "error: sl2 --op cg would write 2(k+1)(m+1)(n+1) = 40395264 matrix cells, "
+            "over its cap of 40000000\n",
+        ),
+    ],
+    ids=["n<0", "cg", "cg-m", "cg-k", "k-below", "k-above", "irrep-cap", "form-cap", "cg-cap"],
+)
+def test_sl2_errors_exit_2_with_empty_stdout(argv, message):
+    # Every check runs before the first byte is written, caps included.
+    assert run_cli(["sl2", *argv]) == (2, "", message)
+
+
+def test_sl2_caps_admit_their_largest_calls():
+    # Each size just inside its cap is accepted; only its output is skipped.
+    for argv, op in [
+        (["--n", "5772", "--op", "irrep"], "irrep"),
+        (["--n", "9999", "--op", "form"], "form"),
+        (["--n", "270", "--op", "cg", "--m", "270", "--k", "270"], "cg"),
+    ]:
+        with mock.patch.object(cli, "_emit", lambda payload: None):
+            assert run_cli(["sl2", *argv]) == (0, "", ""), op
+
+
 def test_sl2_subcommand():
     code, out, _ = run_cli(["sl2", "--n", "1", "--op", "irrep"])
     assert code == 0
@@ -798,6 +906,7 @@ def _closed_stdout_run(argv, flags=()) -> tuple[int, bytes]:
     [
         ["verify", "--suite", "exactnum"],  # a few lines, held in the buffer
         ["sl2", "--n", "200", "--op", "form"],  # far more than a pipe holds
+        ["sl2", "--n", "3000", "--op", "form"],  # closed while it streams 99 MB
     ],
 )
 def test_closed_stdout_exits_with_its_code_and_no_traceback(argv):

@@ -1,35 +1,39 @@
 """Exact linear algebra used by the verify oracles: the integer core against
-Fraction Gauss-Jordan, and the Fraction products."""
+Fraction Gauss-Jordan, and the sparse integer product."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from conftest import mutant
 from triplet import linalg
 from triplet.exactnum import ZERO
+from triplet.verify import _int_product
 
 
-def _sparse_rat(rng: random.Random, density: float, num: int = 9, den: int = 6) -> Fraction:
-    if rng.random() >= density:
-        return Fraction(0)
-    return Fraction(rng.randint(-num, num), rng.randint(1, den))
+def _sparse_int(rng: random.Random, density: float, size: int = 9) -> int:
+    return rng.randint(-size, size) if rng.random() < density else 0
+
+
+def _sparse_rows(dense: list) -> list:
+    """Dense integer rows as sparse rows {column: int} with no zero entry."""
+    return [{j: x for j, x in enumerate(row) if x} for row in dense]
 
 
 def test_mat_vec_equals_the_dense_sum():
-    # A matrix times a vector is `mat_mul` with a one-column right factor.
+    # A matrix times a vector is `_int_product` with a one-column right factor.
     rng = random.Random(20251)
     for _ in range(200):
         rows, cols = rng.randint(0, 8), rng.randint(0, 8)
         density = rng.choice((0.0, 0.2, 0.5, 1.0))
-        a = [[_sparse_rat(rng, density) for _ in range(cols)] for _ in range(rows)]
-        v = [_sparse_rat(rng, rng.choice((0.0, 0.3, 1.0))) for _ in range(cols)]
-        dense = [sum((row[j] * v[j] for j in range(cols)), Fraction(0)) for row in a]
-        out = linalg.mat_mul(a, [[x] for x in v])
-        # With no columns the right factor has no rows, and the product no columns.
-        assert out == ([[x] for x in dense] if cols else [[] for _ in a])
-        assert all(type(x) is Fraction for row in out for x in row)
+        a = [[_sparse_int(rng, density) for _ in range(cols)] for _ in range(rows)]
+        v = [_sparse_int(rng, rng.choice((0.0, 0.3, 1.0))) for _ in range(cols)]
+        dense = [sum(row[j] * v[j] for j in range(cols)) for row in a]
+        out = _int_product(_sparse_rows(a), _sparse_rows([[x] for x in v]))
+        assert out == _sparse_rows([[x] for x in dense])
+        assert all(type(x) is int and x for row in out for x in row.values())
 
 
 def test_mat_mul_equals_the_dense_sum():
@@ -37,30 +41,25 @@ def test_mat_mul_equals_the_dense_sum():
     for _ in range(300):
         rows, inner, cols = (rng.randint(0, 8) for _ in range(3))
         density = rng.choice((0.0, 0.2, 0.5, 1.0))
-        a = [[_sparse_rat(rng, density, 10**6, 10**6) for _ in range(inner)] for _ in range(rows)]
-        b = [[_sparse_rat(rng, density, 10**6, 10**6) for _ in range(cols)] for _ in range(inner)]
-        # Some rows as tuples, as `sl2rep._cg_system` stores them.
-        a = [tuple(row) if rng.random() < 0.3 else row for row in a]
-        b = [tuple(row) if rng.random() < 0.3 else row for row in b]
-        # With no inner dimension b has no rows, and the product no columns.
-        out_cols = cols if inner else 0
+        a = [[_sparse_int(rng, density, 10**6) for _ in range(inner)] for _ in range(rows)]
+        b = [[_sparse_int(rng, density, 10**6) for _ in range(cols)] for _ in range(inner)]
         dense = [
-            [sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(out_cols)]
+            [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
             for i in range(rows)
         ]
-        out = linalg.mat_mul(a, b)
-        assert out == dense
-        assert all(type(x) is Fraction for row in out for x in row)
-    # `zeros` shares its zero entry, never its rows.
-    m = linalg.zeros(3, 2)
+        out = _int_product(_sparse_rows(a), _sparse_rows(b))
+        assert out == _sparse_rows(dense)
+        assert all(type(x) is int and x for row in out for x in row.values())
+    # `_zeros`, which `_rref` fills in, shares its zero entry, never its rows.
+    m = _zeros(3, 2)
     m[0][0] = Fraction(1)
     assert m == [[1, 0], [0, 0], [0, 0]]
-    assert len({id(row) for row in linalg.zeros(4, 0)}) == 4
+    assert len({id(row) for row in _zeros(4, 0)}) == 4
 
 
 def _rref_oracle(a):
-    """Gauss-Jordan over Fraction, pivot row by pivot row: the elimination
-    `linalg.rref` used before it went fraction-free."""
+    """Gauss-Jordan over Fraction, pivot row by pivot row: the oracle for
+    the fraction-free integer core."""
     m = [list(row) for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -123,7 +122,8 @@ def _dense_product(a, b):
 
 
 def _signed_rat(rng: random.Random, density: float) -> Fraction:
-    # Zeros are the shared `exactnum.ZERO`, as the dense fills write them.
+    # Zeros are the shared `exactnum.ZERO`; each case is also replayed with
+    # distinct zero objects.
     if rng.random() >= density:
         return ZERO
     return Fraction(rng.randint(-(10**6), 10**6), rng.choice((-1, 1)) * rng.randint(1, 10**6))
@@ -153,20 +153,49 @@ def _with_distinct_zeros(a):
     return [[x if x else Fraction(0) for x in row] for row in a]
 
 
+def _zeros(rows: int, cols: int) -> list:
+    return [[ZERO] * cols for _ in range(rows)]
+
+
+def _int_row(row) -> dict[int, int]:
+    """A row of Fraction scaled to a primitive sparse integer row, the scale
+    positive."""
+    support = [(j, x) for j, x in enumerate(row) if x]
+    d = lcm(*[x.denominator for _, x in support])
+    return linalg._primitive({j: x.numerator * (d // x.denominator) for j, x in support})
+
+
+def _rref(a):
+    """The reduced row echelon form of a matrix of Fraction and its pivot
+    columns, by `linalg._rref_int` on its rows scaled to integer rows."""
+    rows = [_int_row(row) for row in a]
+    cols = len(a[0]) if a else 0
+    pivots = linalg._rref_int(rows, cols)
+    out = _zeros(len(rows), cols)
+    for row, out_row, c in zip(rows, out, pivots):
+        for j, x in row.items():
+            out_row[j] = Fraction(x, row[c])
+    return out, pivots
+
+
 def _kernel(a):
     """The kernel basis of `linalg._kernel_int` on the rows of a scaled to
     integers, each vector divided by its entry at its free column."""
     cols = len(a[0]) if a else 0
-    basis = linalg._kernel_int([linalg._int_row(row) for row in a], cols)
+    basis = linalg._kernel_int([_int_row(row) for row in a], cols)
     # The other entries sit on pivot columns left of the free one.
     return [[Fraction(vec.get(j, 0), vec[max(vec)]) for j in range(cols)] for vec in basis]
 
 
+def _identity(n: int) -> list:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
 def _inverse(a):
     """The right half of the reduced [a | Id], or None unless its pivots are
-    the columns of a: the inverse of a square a by `linalg.rref`."""
+    the columns of a: the inverse of a square a by `linalg._rref_int`."""
     n = len(a)
-    reduced, pivots = linalg.rref([list(row) + row_id for row, row_id in zip(a, linalg.identity(n))])
+    reduced, pivots = _rref([list(row) + row_id for row, row_id in zip(a, _identity(n))])
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in reduced[:n]]
@@ -175,11 +204,11 @@ def _inverse(a):
 def _check_elimination_equals_the_oracle(cases):
     singular = 0
     for a in cases:
-        assert linalg.rref(a) == _rref_oracle(a)
+        assert _rref(a) == _rref_oracle(a)
         basis = _kernel(a)
         assert basis == _nullspace_oracle(a)
         for vec in basis:
-            assert all(x == 0 for row in linalg.mat_mul(a, [[x] for x in vec]) for x in row)
+            assert all(x == 0 for row in _dense_product(a, [[x] for x in vec]) for x in row)
         if len(a) != (len(a[0]) if a else 0):
             continue
         expected = _invert_oracle(a)
@@ -189,7 +218,7 @@ def _check_elimination_equals_the_oracle(cases):
             continue
         inverse = _inverse(a)
         assert inverse == expected
-        assert linalg.mat_mul(inverse, a) == linalg.identity(len(a))
+        assert _dense_product(inverse, a) == _identity(len(a))
     return singular
 
 
@@ -199,7 +228,8 @@ def test_fraction_free_elimination_equals_the_fraction_oracle():
     assert len(with_zero_row) >= 20
     singular = _check_elimination_equals_the_oracle(cases)
     assert singular >= 10
-    # Each zero a distinct Fraction(0): the `is ZERO` fast path decides nothing.
+    # Each zero a distinct Fraction(0): no result depends on which zero
+    # object an entry is.
     distinct = [_with_distinct_zeros(a) for a in cases]
     assert not any(x is ZERO for a in distinct for row in a for x in row)
     assert _check_elimination_equals_the_oracle(distinct) == singular
@@ -207,7 +237,7 @@ def test_fraction_free_elimination_equals_the_fraction_oracle():
 
 def test_elimination_check_catches_a_wrong_integer_core(monkeypatch):
     # Scaling the pivot row by the entry x it clears, not by x / gcd(p, x),
-    # goes wrong as soon as gcd(p, x) > 1; `rref` and `_kernel_int` both
+    # goes wrong as soon as gcd(p, x) > 1; `_rref` and `_kernel_int` both
     # reduce through `_rref_int`.
     monkeypatch.setattr(linalg, "_rref_int", mutant(linalg._rref_int, "xs * y", "x * y"))
     with pytest.raises(AssertionError):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import mutant
-from triplet import linalg, sl2rep
+from triplet import linalg, sl2rep, verify
 from triplet.sl2rep import (
     build_irrep,
     cg_maps,
@@ -14,43 +14,84 @@ from triplet.sl2rep import (
 )
 from triplet.verify import (
     PROPERTIES,
-    _int_rows,
+    _form_rows,
+    _int_product,
+    _irrep_rows,
     _kron_sum,
+    _same_over,
     _simplicity_witness,
+    _system_equals_oracle,
     cg_oracle,
     cg_system_oracle,
     invariant_form_oracle,
 )
 
 
-def _dense_kron_sum(x: tuple, y: tuple) -> list:
-    """`verify._kron_sum` of two integral matrices, as dense Fraction rows."""
-    rows = _kron_sum(_int_rows(x), _int_rows(y))
-    return [[Fraction(row.get(j, 0)) for j in range(len(rows))] for row in rows]
+def _dense(rows: list, cols: int, den: int = 1) -> list:
+    """Sparse integer rows over `den` as a dense matrix of Fraction."""
+    return [[Fraction(row.get(j, 0), den) for j in range(cols)] for row in rows]
+
+
+def _mat_mul(a: list, b: list) -> list:
+    """The dense product a*b over Fraction, entry by entry."""
+    inner = len(b)
+    cols = len(b[0]) if inner else 0
+    return [
+        [sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
+        for row in a
+    ]
+
+
+def _identity(n: int) -> list:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _irrep_dense(rep: sl2rep.Irrep) -> dict:
+    """E, F and H of `rep` as dense matrices of Fraction."""
+    return {name: _dense(rows, rep.n + 1) for name, rows in zip("efh", _irrep_rows(rep))}
+
+
+def _form_dense(form: sl2rep.BilinForm) -> list:
+    return _dense(_form_rows(form), form.n + 1)
+
+
+def _cg_dense(m: int, n: int, k: int) -> tuple[list, list]:
+    """(projection, inclusion) of channel k as dense matrices of Fraction."""
+    cg = cg_maps(m, n, k)
+    dim = (m + 1) * (n + 1)
+    proj = [
+        [Fraction(row.get(i, 0) * cg.big, cg.scale) for i in range(dim)]
+        for row in cg.projection_rows()
+    ]
+    columns = cg.inclusion_columns()
+    incl = [[Fraction(col.get(i, 0), cg.big) for col in columns] for i in range(dim)]
+    return proj, incl
 
 
 def test_build_irrep_small():
     rep0 = build_irrep(0)
-    assert rep0.e == ((Fraction(0),),)
-    rep1 = build_irrep(1)
-    assert [list(r) for r in rep1.h] == [[1, 0], [0, -1]]
-    assert [list(r) for r in rep1.f] == [[0, 0], [1, 0]]
-    assert [list(r) for r in rep1.e] == [[0, 1], [0, 0]]
+    assert (rep0.e, rep0.h) == ((), (0,))
+    assert _irrep_dense(rep0)["e"] == [[Fraction(0)]]
+    rep1 = _irrep_dense(build_irrep(1))
+    assert rep1["h"] == [[1, 0], [0, -1]]
+    assert rep1["f"] == [[0, 0], [1, 0]]
+    assert rep1["e"] == [[0, 1], [0, 0]]
+    assert (build_irrep(3).e, build_irrep(3).h) == ((3, 4, 3), (3, 1, -1, -3))
 
 
 def test_invariant_form_small():
-    assert [list(r) for r in invariant_form(0).matrix] == [[1]]
-    b2 = [list(r) for r in invariant_form(2).matrix]
+    assert _form_dense(invariant_form(0)) == [[1]]
+    b2 = _form_dense(invariant_form(2))
     for i in range(3):
         for j in range(3):
             assert (b2[i][j] != 0) == (i + j == 2)
-    _, pivots = linalg.rref(b2)
+    pivots = linalg._rref_int(_form_rows(invariant_form(2)), 3)
     assert len(pivots) == 3
 
 
 def test_invariant_form_normalization_and_parity():
     for n in range(7):
-        b = [list(r) for r in invariant_form(n).matrix]
+        b = _form_dense(invariant_form(n))
         assert b[0][n] == 1
         sign = 1 if n % 2 == 0 else -1
         for i in range(n + 1):
@@ -60,25 +101,24 @@ def test_invariant_form_normalization_and_parity():
 
 def test_invariant_form_invariance_equations():
     for n in range(7):
-        rep = build_irrep(n)
-        b = [list(r) for r in invariant_form(n).matrix]
-        for mat in (rep.e, rep.f, rep.h):
-            x = [list(r) for r in mat]
-            lhs = linalg.mat_mul([list(col) for col in zip(*x)], b)
-            rhs = linalg.mat_mul(b, x)
+        b = _form_dense(invariant_form(n))
+        for x in _irrep_dense(build_irrep(n)).values():
+            lhs = _mat_mul([list(col) for col in zip(*x)], b)
+            rhs = _mat_mul(b, x)
             total = [[a + c for a, c in zip(ra, rc)] for ra, rc in zip(lhs, rhs)]
-            assert total == linalg.zeros(n + 1, n + 1)
+            assert total == [[0] * (n + 1) for _ in range(n + 1)]
 
 
 # n <= 8 is compared by `invariant_form_unique_nondegenerate_symmetry`.
 @pytest.mark.parametrize("n", range(9, 13))
 def test_invariant_form_equals_nullspace_oracle(n):
-    assert invariant_form(n).matrix == invariant_form_oracle(n)
+    rows, top = invariant_form_oracle(n)
+    assert _same_over(_form_rows(invariant_form(n)), 1, rows, top)
 
 
 def test_invariant_form_antidiagonal_closed_form():
     for n in (0, 1, 5, 40):
-        b = invariant_form(n).matrix
+        b = _form_dense(invariant_form(n))
         for i in range(n + 1):
             for j in range(n + 1):
                 assert b[i][j] == ((-1) ** i if i + j == n else 0)
@@ -89,21 +129,40 @@ def test_cg_system_equals_dense_inverse_oracle(m):
     # sl2rep.cg_biorthogonality_and_completeness compares every m,n <= 5.
     for n in range(8):
         if max(m, n) >= 6:
-            assert sl2rep._cg_system(m, n) == cg_system_oracle(m, n), (m, n)
+            assert _system_equals_oracle(sl2rep._cg_system(m, n), cg_system_oracle(m, n)), (m, n)
+
+
+def test_system_comparison_sees_one_changed_entry():
+    # The cross-multiplied comparison is not fooled by a rescaled channel,
+    # and it sees a single changed entry.
+    system, oracle = sl2rep._cg_system(2, 1), cg_system_oracle(2, 1)
+    assert _system_equals_oracle(system, oracle)
+    (rows, row_den), (columns, lead) = oracle[1]
+    rescaled = ((rows, row_den), ([{i: 3 * x for i, x in c.items()} for c in columns], 3 * lead))
+    assert _system_equals_oracle(system, {**oracle, 1: rescaled})
+    changed = [dict(c) for c in columns]
+    i = min(changed[0])
+    changed[0][i] += 1
+    assert not _system_equals_oracle(system, {**oracle, 1: ((rows, row_den), (changed, lead))})
+
+
+def _with_top_entry(cg: sl2rep.CGChannel, delta: int) -> sl2rep.CGChannel:
+    """`cg` with `delta` added to the first entry of its top column."""
+    (a, x), *rest = cg.columns[0]
+    fields = {name: getattr(cg, name) for name in cg.__slots__}
+    return sl2rep.CGChannel(**{**fields, "columns": (((a, x + delta), *rest), *cg.columns[1:])})
 
 
 def test_cg_property_catches_a_wrong_system_beyond_the_oracle(monkeypatch):
     # (6,6) is outside the integer oracle's range in the property, so only the
-    # stacked product P*I can see the changed projection entry.
+    # stacked product P*I can see the changed entry.
     right = sl2rep._cg_system
 
     def wrong(m, n):
         system = right(m, n)
         if (m, n) != (6, 6):
             return system
-        proj, incl = system[0]
-        row = (proj[0][0] + 1,) + proj[0][1:]
-        return {**system, 0: ((row,) + proj[1:], incl)}
+        return {**system, 0: _with_top_entry(system[0], 1)}
 
     monkeypatch.setattr(sl2rep, "_cg_system", wrong)
     with pytest.raises(AssertionError):
@@ -123,13 +182,34 @@ def test_form_property_catches_a_rescaled_form(monkeypatch):
     # checks pass it; only the oracle's normalization B[0][n] = 1 sees it.
     wrong = mutant(
         sl2rep.invariant_form.__wrapped__,
-        "Fraction(1 if k % 2 == 0 else -1)",
-        "Fraction(2 if k % 2 == 0 else -2)",
+        "1 if k % 2 == 0 else -1",
+        "2 if k % 2 == 0 else -2",
     )
     monkeypatch.setattr(sl2rep, "invariant_form", wrong)
-    assert wrong(3).matrix[0][3] == 2
+    assert wrong(3).signs[0] == 2
     with pytest.raises(AssertionError):
         PROPERTIES["sl2rep"]["invariant_form_unique_nondegenerate_symmetry"]()
+
+
+def test_unit_channel_property_catches_a_sign_error(monkeypatch):
+    # Without the sign of the recurrence, every coefficient of the top is
+    # positive: the scale stays nonzero, so `cg_maps` passes it, but the
+    # channel-0 projection is no longer a multiple of the alternating form.
+    wrong = mutant(sl2rep.cg_maps, "-num * (b + 1)", "num * (b + 1)")
+    monkeypatch.setattr(sl2rep, "cg_maps", wrong)
+    (row,) = wrong(2, 2, 0).projection_rows()
+    assert sorted(row.values()) == [1, 1, 1]
+    with pytest.raises(AssertionError):
+        PROPERTIES["sl2rep"]["unit_channel_projection_is_bilinear_form"]()
+
+
+def test_simplicity_property_catches_a_wrong_witness(monkeypatch):
+    # The basis vector paired with v_{2n-i} is e_i; e_{2n-i} pairs with v_i,
+    # which the sampled vectors sometimes leave at 0.
+    wrong = mutant(verify._simplicity_witness, "witness[i] = 1", "witness[2 * n - i] = 1")
+    monkeypatch.setattr(verify, "_simplicity_witness", wrong)
+    with pytest.raises(AssertionError):
+        PROPERTIES["sl2rep"]["simplicity_witnesses_exist"]()
 
 
 def test_large_sizes_stay_within_budget():
@@ -142,30 +222,36 @@ def test_large_sizes_stay_within_budget():
     assert time.perf_counter() - start < 0.5
     start = time.perf_counter()
     for k in range(0, 41, 2):
-        proj, incl = cg_maps(20, 20, k)
-        assert len(proj) == k + 1 and len(incl) == 441
+        cg = cg_maps(20, 20, k)
+        assert len(cg.projection_rows()) == k + 1 == len(cg.inclusion_columns())
+        assert all(0 <= i < 441 for col in cg.inclusion_columns() for i in col)
     assert time.perf_counter() - start < 5.0
     # One channel at a time: about 0.1 s for all 25 on a 2-vCPU Xeon.
     start = time.perf_counter()
     for k in range(0, 49, 2):
-        proj, incl = cg_maps(24, 24, k)
-        assert len(proj) == k + 1 and len(incl) == 625
+        cg = cg_maps(24, 24, k)
+        assert len(cg.projection_rows()) == k + 1 == len(cg.inclusion_columns())
+        assert all(0 <= i < 625 for col in cg.inclusion_columns() for i in col)
     assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("m,n,channels", [(20, 20, (0, 2, 22, 40)), (24, 12, (12, 14, 26, 36))])
 def test_cg_maps_beyond_oracle_range(m, n, channels):
     # The dense oracle is too slow at these sizes; check the defining
-    # identities directly: pi * iota = Id and pi intertwines E and F.
-    rep_m, rep_n = build_irrep(m), build_irrep(n)
-    big = {name: _dense_kron_sum(getattr(rep_m, name), getattr(rep_n, name)) for name in ("e", "f")}
+    # identities directly, on the integer rows: pi = (big/scale) X and
+    # iota = Y/big, so pi * iota = Id is X*Y = scale*Id, and pi intertwines
+    # E and F exactly when X does.
+    (e_m, f_m, _), (e_n, f_n, _) = _irrep_rows(build_irrep(m)), _irrep_rows(build_irrep(n))
+    big = {"e": _kron_sum(e_m, e_n), "f": _kron_sum(f_m, f_n)}
+    dim = (m + 1) * (n + 1)
     for k in channels:
-        rep_k = build_irrep(k)
-        proj, incl = cg_maps(m, n, k)
-        assert linalg.mat_mul(proj, incl) == linalg.identity(k + 1), k
-        for name, x in big.items():
-            small = [list(r) for r in getattr(rep_k, name)]
-            assert linalg.mat_mul(proj, x) == linalg.mat_mul(small, proj), (k, name)
+        small = dict(zip("efh", _irrep_rows(build_irrep(k))))
+        cg = cg_maps(m, n, k)
+        x = cg.projection_rows()
+        y = verify._transpose(cg.inclusion_columns(), dim)
+        assert _int_product(x, y) == [{i: cg.scale} for i in range(k + 1)], k
+        for name, rows in big.items():
+            assert _int_product(x, rows) == _int_product(small[name], x), (k, name)
 
 
 def test_caches_stay_bounded():
@@ -185,44 +271,42 @@ def test_caches_stay_bounded():
 
 
 def test_cg_maps_singlet_of_two_spinors():
-    proj, incl = cg_maps(1, 1, 0)
+    proj, incl = _cg_dense(1, 1, 0)
     assert proj == [[0, Fraction(1, 2), Fraction(-1, 2), 0]]
     assert [row[0] for row in incl] == [0, 1, -1, 0]
-    assert linalg.mat_mul(proj, incl) == [[1]]
+    assert _mat_mul(proj, incl) == [[1]]
 
 
 def test_cg_maps_biorthogonality_2_2():
     channels = cg_oracle(2, 2)
     assert channels == [0, 2, 4]
-    proj0, incl0 = cg_maps(2, 2, 0)
-    assert linalg.mat_mul(proj0, incl0) == [[1]]
+    proj0, incl0 = _cg_dense(2, 2, 0)
+    assert _mat_mul(proj0, incl0) == [[1]]
     for k in (2, 4):
-        _, incl_k = cg_maps(2, 2, k)
-        assert linalg.mat_mul(proj0, incl_k) == linalg.zeros(1, k + 1)
+        _, incl_k = _cg_dense(2, 2, k)
+        assert _mat_mul(proj0, incl_k) == [[0] * (k + 1)]
 
 
 def test_cg_maps_completeness_2_2():
     dim = 9
-    total = linalg.zeros(dim, dim)
+    total = [[Fraction(0)] * dim for _ in range(dim)]
     for k in cg_oracle(2, 2):
-        proj, incl = cg_maps(2, 2, k)
-        total = [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, linalg.mat_mul(incl, proj))
-        ]
-    assert total == linalg.identity(dim)
+        proj, incl = _cg_dense(2, 2, k)
+        total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, _mat_mul(incl, proj))]
+    assert total == _identity(dim)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2)])
 def test_cg_maps_intertwine(m, n):
-    rep_m, rep_n = build_irrep(m), build_irrep(n)
+    rows_m, rows_n = _irrep_rows(build_irrep(m)), _irrep_rows(build_irrep(n))
+    dim = (m + 1) * (n + 1)
     for k in cg_oracle(m, n):
-        rep_k = build_irrep(k)
-        proj, incl = cg_maps(m, n, k)
-        for name in ("e", "f", "h"):
-            big = _dense_kron_sum(getattr(rep_m, name), getattr(rep_n, name))
-            small = [list(r) for r in getattr(rep_k, name)]
-            assert linalg.mat_mul(proj, big) == linalg.mat_mul(small, proj)
-            assert linalg.mat_mul(big, incl) == linalg.mat_mul(incl, small)
+        small = _irrep_dense(build_irrep(k))
+        proj, incl = _cg_dense(m, n, k)
+        for name, x_m, x_n in zip("efh", rows_m, rows_n):
+            big = _dense(_kron_sum(x_m, x_n), dim)
+            assert _mat_mul(proj, big) == _mat_mul(small[name], proj)
+            assert _mat_mul(big, incl) == _mat_mul(incl, small[name])
 
 
 def test_cg_maps_channel_counts():
@@ -231,8 +315,9 @@ def test_cg_maps_channel_counts():
             channels = cg_oracle(m, n)
             assert len(channels) == min(m, n) + 1
             for k in channels:
-                proj, incl = cg_maps(m, n, k)
+                proj, incl = _cg_dense(m, n, k)
                 assert len(proj) == k + 1 and len(incl) == (m + 1) * (n + 1)
+                assert all(len(row) == k + 1 for row in incl)
 
 
 def test_cg_maps_invalid_channel():

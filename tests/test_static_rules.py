@@ -6,7 +6,8 @@ Nothing is floating point, and ``math`` serves only integer gcd/lcm.
 Brute-force oracles live only in ``verify``, and the character oracle and the
 sl2 form and Clebsch-Gordan oracles never read the closed forms they check.
 Only ``cli`` writes the JSON and DOT output formats.
-Dense fills use the shared ``exactnum.ZERO``, never a private ``Fraction(0)``.
+Dense fills use the shared ``exactnum.ZERO``, never a private ``Fraction(0)``,
+and ``sl2rep`` builds no dense fill at all.
 No module reaches into the private API of ``fractions``, which changes
 between the Python versions the package supports.
 Every public function and method has a caller in the package, or is
@@ -138,8 +139,8 @@ def _is_fraction_zero(node: ast.AST) -> bool:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_dense_fills_use_the_shared_zero(path):
-    # Loops skip a zero entry with `x is ZERO`, so a list filled with a
-    # private Fraction(0) would quietly lose that fast path.
+    # `exactnum.ZERO` is the package's one zero Fraction; a list filled with
+    # a private Fraction(0) would make another for every fill.
     found = [
         _where(path, n)
         for n in ast.walk(_tree(path))
@@ -151,6 +152,24 @@ def test_dense_fills_use_the_shared_zero(path):
         )
     ]
     assert found == []
+
+
+def _list_fills(path: Path) -> list[str]:
+    """Each list built by repetition, `[...] * n` or `n * [...]`."""
+    return [
+        _where(path, n)
+        for n in ast.walk(_tree(path))
+        if isinstance(n, ast.BinOp)
+        and isinstance(n.op, ast.Mult)
+        and (isinstance(n.left, ast.List) or isinstance(n.right, ast.List))
+    ]
+
+
+def test_sl2rep_builds_no_dense_fill():
+    # `sl2rep` stores only the nonzero entries of its maps, so its memory
+    # grows with them; the dense matrices exist only as the text `cli` writes.
+    sl2rep_py = next(path for path in SOURCES if path.name == "sl2rep.py")
+    assert _list_fills(sl2rep_py) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -323,6 +342,11 @@ def test_static_rules_catch_a_violation(tmp_path):
             test_dense_fills_use_the_shared_zero(src)
     src.write_text("row = [ZERO] * 3\nv = [Fraction(1)] * 3\nw = [Fraction(0), Fraction(1)]\n")
     test_dense_fills_use_the_shared_zero(src)
+    for text in ("e = [[ZERO] * dim for _ in range(dim)]\n", "row = dim * [0]\n"):
+        src.write_text(text)
+        assert _list_fills(src) == ["mutant.py:1"]
+    src.write_text("e = tuple(k * (n - k + 1) for k in range(n))\nw = [0, 1] + [2]\n")
+    assert _list_fills(src) == []
     for text in (
         "x = Fraction(r, d, _normalize=False)\n",
         "x = Fraction._from_coprime_ints(r, d)\n",

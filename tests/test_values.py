@@ -18,7 +18,7 @@ from triplet.braidfmat import hexagon_solutions
 from triplet.exactnum import Phase, Value
 from triplet.fusion import DecompEntry, DecompList, fuse_L_family
 from triplet.kacmod import kac_length2_seq, kac_mm_nn_diagram
-from triplet.sl2rep import build_irrep, invariant_form
+from triplet.sl2rep import build_irrep, cg_maps, invariant_form
 from triplet.virasoro import ObjLabel, Params, VirLabel, kac_dual_k11, kac_k, simple_l
 from triplet.wpq import GradedEntry, decompose_wpq_equivariant
 
@@ -43,6 +43,7 @@ INSTANCES = [
     PARAMETRIZED,
     build_irrep(2),
     invariant_form(2),
+    cg_maps(2, 1, 1),
 ]
 IDS = [type(x).__name__ for x in INSTANCES]
 
@@ -63,7 +64,7 @@ def test_instances_cover_every_value_class():
                 classes.add(sub)
                 pending.append(sub)
     assert classes == {type(x) for x in INSTANCES}
-    assert len(INSTANCES) == 14
+    assert len(INSTANCES) == 15
 
 
 def test_equal_fields_of_different_classes_are_unequal():
