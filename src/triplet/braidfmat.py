@@ -10,6 +10,7 @@ discrepancy is flagged rather than resolved.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Literal
 
@@ -133,12 +134,24 @@ def hexagon_solutions(params: Params) -> list[FSolution]:
 
 
 def hexagon_residual(params: Params, matrix: FMatrix) -> FMatrix:
-    """(-1)^{pq} * [[F00,-F02],[-F20,F22]] - F^2, entry by entry."""
+    """(-1)^{pq} * [[F00,-F02],[-F20,F22]] - F^2, entry by entry.
+
+    With the entries a, b, c, d over one common denominator n, each entry
+    of the residual is an integer over n^2, and only those four are
+    reduced.
+    """
     eps = _epsilon(params)
-    a, b, c, d = matrix.entries()
-    sq = (a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d)
-    lhs = (a * eps, -b * eps, -c * eps, d * eps)
-    return FMatrix(*(l - s for l, s in zip(lhs, sq)))
+    fa, fb, fc, fd = matrix.entries()
+    n = math.lcm(fa.denominator, fb.denominator, fc.denominator, fd.denominator)
+    a, b = fa.numerator * (n // fa.denominator), fb.numerator * (n // fb.denominator)
+    c, d = fc.numerator * (n // fc.denominator), fd.numerator * (n // fd.denominator)
+    en, n2 = eps * n, n * n
+    return FMatrix(
+        Fraction(a * en - a * a - b * c, n2),
+        Fraction(-b * (en + a + d), n2),
+        Fraction(-c * (en + a + d), n2),
+        Fraction(d * en - c * b - d * d, n2),
+    )
 
 
 def intrinsic_dimension(sol: FSolution) -> Rat:

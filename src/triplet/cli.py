@@ -2,13 +2,9 @@
 
 This is the one module that knows the output formats: the library layers
 return values, and the private ``_*_json`` and ``_diagram_dot`` helpers
-here write them.  Exit codes: 0 success, 2 argument or validation
-failure, a request over its cap or too large for memory, 3 structurally
-unsupported request (e.g. the Loewy diagram of a general Kac label), 4
-stdout closed by its reader before all of it was written.
-`verify` exits 1 when a property fails; it runs the same checks under
-`python -O`.  Output depends on argv alone: same argv, byte-identical
-bytes, whatever the environment.
+here write them.  Every exit code is listed once, in EXIT_CODES.  `verify`
+runs the same checks under `python -O`.  Output depends on argv alone:
+same argv, byte-identical bytes, whatever the environment.
 
 Only the scalar and label layers load with this module; each subcommand
 imports the structure, linear-algebra or verify layer it runs when it is
@@ -49,9 +45,24 @@ PQ_PRESETS = {
     "2,5": (2, 5),
 }
 
-# The exit code when the reader of stdout closes the pipe before everything
-# is written, as in `triplet verify --suite all | head -1`.
-EXIT_BROKEN_PIPE = 4
+# Every exit code of `triplet`, by name; README's list of exit codes is
+# checked against this table.
+EXIT_CODES = {
+    "ok": 0,
+    # A `verify` property failed.
+    "failed": 1,
+    # An argument or validation failure (argparse's own usage errors exit 2
+    # too), a request over its cap, or one too large for memory.
+    "invalid": 2,
+    # A structurally unsupported request, e.g. the Loewy diagram of a
+    # general Kac label.
+    "unsupported": 3,
+    # The reader of stdout closed the pipe before everything was written,
+    # as in `triplet verify --suite all | head -1`.
+    "broken_pipe": 4,
+    # Any other exception: a fault in `triplet` itself, reported in one line.
+    "internal": 5,
+}
 
 
 def _json_text(value, indent: str = "\n") -> str:
@@ -545,7 +556,7 @@ def _cmd_verify(args) -> int:
         f"{len(results) - failures}/{len(results)} properties passed"
         + (f", {failures} failed\n" if failures else "\n")
     )
-    return 0 if failures == 0 else 1
+    return EXIT_CODES["failed" if failures else "ok"]
 
 
 class _Suites:
@@ -769,14 +780,14 @@ def main(argv: list[str] | None = None) -> int:
             return COMMANDS[args.command][2](args)
         except UnsupportedObjectError as exc:
             sys.stderr.write(f"error: {exc}\n")
-            return 3
+            return EXIT_CODES["unsupported"]
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             sys.stderr.write(f"error: {exc}\n")
-            return 2
+            return EXIT_CODES["invalid"]
         except MemoryError:
             # str(MemoryError()) is empty, so the message is written here.
             sys.stderr.write("error: not enough memory for this request\n")
-            return 2
+            return EXIT_CODES["invalid"]
         finally:
             # Flushed here, so a reader that closed the pipe early is caught
             # below even when stdout is block-buffered, as it is in a pipe.
@@ -786,7 +797,11 @@ def main(argv: list[str] | None = None) -> int:
         # that the interpreter's own flush at exit does not raise again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
+        return EXIT_CODES["broken_pipe"]
+    except Exception as exc:  # noqa: BLE001 - any other fault, without a traceback
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        sys.stderr.write(f"error: internal error: {message}\n")
+        return EXIT_CODES["internal"]
 
 
 if __name__ == "__main__":

@@ -21,8 +21,9 @@ ZERO = Fraction(0)
 # One bound for every lru_cache of the package, above the distinct keys
 # that `verify --suite all` asks for: 11 each in `sl2rep.build_irrep` and
 # `sl2rep.invariant_form`, 49 in `sl2rep._cg_system`, 83 in
-# `virasoro._sl2_obj`, and 21 in `fusion._entry_class`.
-CACHE_SIZE = 128
+# `virasoro._sl2_obj`, 21 in `fusion._entry_class`, 176 in
+# `fusion._sl2_entry` and 75 in `kacmod._diagram`.
+CACHE_SIZE = 256
 
 
 def rat_str(x: Rat) -> str:

@@ -148,8 +148,7 @@ def fusion_ring_product(params: Params, a: DecompList, b: DecompList) -> DecompL
     entry's class (its sl2 index, or one of the two other kinds) is read
     once from :func:`_entry_class`; two sl2 indices combine by the
     ``fuse_C`` channel range, and the result is listed unit first, then by
-    index, each label read from the cached dictionary behind
-    :func:`virasoro.sl2_index_to_obj`.
+    index, each entry read from the bounded cache :func:`_sl2_entry`.
     ``verify.fusion_ring_product_oracle`` is the per-pair oracle.
     """
     p, q = params.p, params.q
@@ -187,4 +186,12 @@ def fusion_ring_product(params: Params, a: DecompList, b: DecompList) -> DecompL
             raise UnsupportedObjectError(f"unsupported fusion entry {canonical_obj(params, bad)}")
     # Distinct sl2 indices give distinct labels, and every multiplicity is
     # a sum of positive products, so the constructor's checks cannot fail.
-    return DecompList._unchecked(tuple([DecompEntry(acc[k], _sl2_obj(p, k)) for k in sorted(acc)]))
+    return DecompList._unchecked(tuple([_sl2_entry(p, k, acc[k]) for k in sorted(acc)]))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _sl2_entry(p: int, k: int, mult: int) -> DecompEntry:
+    """The product entry mult * L_k, one object per (p, k, mult) while the
+    cache holds it, so equal products compare their entries by identity;
+    the label is read from the cache behind :func:`virasoro.sl2_index_to_obj`."""
+    return DecompEntry(mult, _sl2_obj(p, k))

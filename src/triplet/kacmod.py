@@ -15,9 +15,10 @@ Everything here returns values; ``cli`` writes a diagram as JSON or DOT.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from typing import Literal
 
-from .exactnum import Value
+from .exactnum import CACHE_SIZE, Value
 from .virasoro import (
     KAC_DUAL_K11,
     KAC_K,
@@ -94,8 +95,17 @@ def kac_mm_nn_diagram(params: Params, m: int, n: int) -> LoewyDiagram:
         raise ValueError(f"diagram needs n >= 2, got n={n}")
     if m < n:
         raise ValueError(f"diagram needs m >= n (swap the arguments), got m={m} < n={n}")
-    p, q = params.p, params.q
+    # As in `wpq`, sizes below CACHE_SIZE go through the cache, so what it
+    # keeps stays bounded; a larger diagram is built without inserting it.
+    build = _diagram if m < CACHE_SIZE else _diagram.__wrapped__
+    return build(params.p, params.q, m, n)
 
+
+# `verify`'s kacmod suite and `composition_factors` ask for the same few
+# diagrams hundreds of times; a diagram is a value, so one object serves
+# every call.
+@lru_cache(maxsize=CACHE_SIZE)
+def _diagram(p: int, q: int, m: int, n: int) -> LoewyDiagram:
     def make(label: VirLabel, layer: Layer) -> LoewyNode:
         return LoewyNode(id=f"L_{label.r}_{label.s}", label=label, layer=layer)
 

@@ -140,31 +140,35 @@ def canonical_label(params: Params, lbl: VirLabel) -> VirLabel:
     """The unique symmetry image (r*,s*) with r* >= 1, 1 <= s* <= q, qr* >= ps*.
 
     The orbit of (r,s) under (r,s) -> (r+p,s+q) and (r,s) -> (-r,-s) is
-    scanned directly: for each sign there is exactly one translate with
+    read directly: for each sign there is exactly one translate with
     s* in [1,q], and exactly one of the two candidates satisfies the
     remaining constraints.  A label that already satisfies them is its own
     representative and is returned as it is.
     """
     p, q = params.p, params.q
-    if lbl.r >= 1 and 1 <= lbl.s <= q and q * lbl.r >= p * lbl.s:
+    r, s = lbl.r, lbl.s
+    if r >= 1 and 1 <= s <= q and q * r >= p * s:
         return lbl
-    found = None
-    for sign in (1, -1):
-        s_img = sign * lbl.s
-        r_img = sign * lbl.r
-        s_star = (s_img - 1) % q + 1
-        k = (s_star - s_img) // q
-        r_star = r_img + k * p
-        if r_star >= 1 and q * r_star >= p * s_star:
-            # Both signs land on the same label when (r,s) is its own reflection.
-            if found is not None and found != (r_star, s_star):
-                raise AssertionError(
-                    f"canonicalization of {lbl} not unique: {found} and {(r_star, s_star)}"
-                )
-            found = (r_star, s_star)
-    if found is None:
+    # The translate of (r,s) by -k(p,q), and that of (-r,-s) by -j(p,q),
+    # with s* - 1 the remainder of s - 1, or of -s - 1, mod q.
+    k, s_plus = divmod(s - 1, q)
+    j, s_minus = divmod(-s - 1, q)
+    r_plus, s_plus = r - k * p, s_plus + 1
+    r_minus, s_minus = -r - j * p, s_minus + 1
+    plus = r_plus >= 1 and q * r_plus >= p * s_plus
+    minus = r_minus >= 1 and q * r_minus >= p * s_minus
+    if plus and minus and (r_plus != r_minus or s_plus != s_minus):
+        # Both signs land on the same label when (r,s) is its own reflection.
+        raise AssertionError(
+            f"canonicalization of {lbl} not unique: {(r_plus, s_plus)} and {(r_minus, s_minus)}"
+        )
+    if not (plus or minus):
         raise AssertionError(f"canonicalization of {lbl} found no representative")
-    return VirLabel(*found)
+    # Both coordinates are >= 1, so the constructor's check is skipped.
+    out = object.__new__(VirLabel)
+    _set_r(out, r_plus if plus else r_minus)
+    _set_s(out, s_plus if plus else s_minus)
+    return out
 
 
 def canonical_obj(params: Params, obj: ObjLabel) -> ObjLabel:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import mutant
 from triplet import braidfmat
@@ -170,6 +172,27 @@ def test_hexagon_residual_property_catches_an_evaluate_that_scales_f20_up(monkey
     monkeypatch.setattr(FMatrix, "evaluate", wrong)
     with pytest.raises(AssertionError):
         PROPERTIES["braidfmat"]["hexagon_solutions_zero_residual"]()
+
+
+def _residual_on_fractions(params, matrix):
+    """`hexagon_residual` as it was: the entries as Fractions, about twenty
+    Fraction operations."""
+    eps = braidfmat._epsilon(params)
+    a, b, c, d = matrix.entries()
+    sq = (a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d)
+    lhs = (a * eps, -b * eps, -c * eps, d * eps)
+    return FMatrix(*(l - s for l, s in zip(lhs, sq)))
+
+
+rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
+
+
+@given(st.sampled_from(PAIRS), rationals, rationals, rationals, rationals)
+def test_hexagon_residual_equals_the_fraction_formula(params, a, b, c, d):
+    matrix = FMatrix(a, b, c, d)
+    fast, slow = hexagon_residual(params, matrix), _residual_on_fractions(params, matrix)
+    assert fast == slow
+    assert all(type(x) is Fraction for x in fast.entries())
 
 
 def test_hexagon_rejects_non_solutions():

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -332,6 +333,27 @@ def test_exit_2_on_kac_label_below_one():
     for label, pair in (("0", "(0,0)"), ("-1", "(-1,-1)")):
         argv = ["kac-diagram", "--p", "2", "--q", "3", "--r", label, "--s", label]
         assert run_cli(argv) == (2, "", f"error: Kac labels need r,s >= 1, got {pair}\n")
+
+
+def test_any_other_exception_exits_5_with_one_line(monkeypatch):
+    # A fault inside a command gives no traceback: empty stdout and one
+    # stderr line, the exception's own lines joined.
+    def broken(args):
+        raise RuntimeError("first line\nsecond line")
+
+    help, options, _ = cli.COMMANDS["weights"]
+    monkeypatch.setitem(cli.COMMANDS, "weights", (help, options, broken))
+    code, out, err = run_cli(["weights", "--p", "2", "--q", "3", "--r", "1", "--s", "1"])
+    assert (code, out) == (cli.EXIT_CODES["internal"], "") == (5, "")
+    assert err == "error: internal error: RuntimeError: first line second line\n"
+
+
+def test_readme_lists_every_exit_code_of_the_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n- Exit codes,", 1)[1].split("\n- ", 1)[0]
+    listed = re.findall(r"^  - `(\d+)` \(`(\w+)`\): ", block, re.MULTILINE)
+    assert [(name, int(code)) for code, name in listed] == list(cli.EXIT_CODES.items())
+    assert len(set(cli.EXIT_CODES.values())) == len(cli.EXIT_CODES)
 
 
 def test_unsupported_object_error_is_one_class(monkeypatch):
@@ -910,15 +932,15 @@ def _closed_stdout_run(argv, flags=()) -> tuple[int, bytes]:
     ],
 )
 def test_closed_stdout_exits_with_its_code_and_no_traceback(argv):
-    assert _closed_stdout_run(argv) == (cli.EXIT_BROKEN_PIPE, b"")  # no traceback
-    assert cli.EXIT_BROKEN_PIPE == 4
+    assert _closed_stdout_run(argv) == (cli.EXIT_CODES["broken_pipe"], b"")  # no traceback
+    assert cli.EXIT_CODES["broken_pipe"] == 4
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["weights", "--help"]], ids=["triplet", "weights"])
 def test_help_into_a_closed_pipe_exits_with_its_code(argv):
     # Unbuffered, argparse's own write of the help meets the closed pipe;
     # argparse would drop that error and exit 0.
-    assert _closed_stdout_run(argv, ["-u"]) == (cli.EXIT_BROKEN_PIPE, b"")
+    assert _closed_stdout_run(argv, ["-u"]) == (cli.EXIT_CODES["broken_pipe"], b"")
 
 
 def test_determinism_across_repeats():

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import mutant
-from triplet import braidfmat, exactnum, fusion, sl2rep, virasoro
+from triplet import braidfmat, exactnum, fusion, kacmod, sl2rep, virasoro
 from triplet.exactnum import CACHE_SIZE, Phase, phase_from_weight, rat_str
 from triplet.verify import PROPERTIES, _phase_sign, run_suites
 
@@ -135,6 +135,8 @@ VERIFY_ALL_CACHE_KEYS = {
     "_cg_system": 49,
     "_sl2_obj": 83,
     "_entry_class": 21,
+    "_sl2_entry": 176,
+    "_diagram": 75,
 }
 
 
@@ -145,6 +147,8 @@ def test_verify_all_cache_sizes_match_the_record():
         sl2rep._cg_system,
         virasoro._sl2_obj,
         fusion._entry_class,
+        fusion._sl2_entry,
+        kacmod._diagram,
     ]
     for cache in caches:
         cache.cache_clear()

@@ -18,7 +18,15 @@ from triplet.fusion import (
 )
 from triplet.kacmod import UnsupportedObjectError
 from triplet.verify import PROPERTIES, cg_oracle, fusion_ring_product_oracle
-from triplet.virasoro import Params, kac_dual_k11, kac_k, simple_l, sl2_index_to_obj
+from triplet.virasoro import (
+    ObjLabel,
+    Params,
+    VirLabel,
+    kac_dual_k11,
+    kac_k,
+    simple_l,
+    sl2_index_to_obj,
+)
 
 PAIRS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
 ZERO = DecompList(())
@@ -191,6 +199,29 @@ def test_entry_class_cache_is_bounded_and_equals_the_uncached_path():
     cache(params.p, params.q, sl2_index_to_obj(params, 300))
     assert cache.cache_info().hits == info.hits + 1
     cache.cache_clear()
+
+
+def test_interned_product_entries_equal_freshly_built_ones():
+    # Each product entry is the cached object of its (p, k, mult); a fresh
+    # DecompEntry with a fresh label equals it and hashes alike, so the
+    # comparisons against the oracle see the same values as before.
+    for params in PAIRS:
+        sums = [one(sl2_index_to_obj(params, k)) for k in range(6)]
+        pairs = [(2, sl2_index_to_obj(params, 1)), (3, sl2_index_to_obj(params, 2))]
+        sums.append(decomp_from_pairs(pairs))
+        for a in sums:
+            for b in sums:
+                out = fusion_ring_product(params, a, b)
+                again = fusion_ring_product(params, a, b)
+                assert all(x is y for x, y in zip(out.entries, again.entries))
+                for entry in out.entries:
+                    obj = entry.obj
+                    label = None if obj.label is None else VirLabel(obj.label.r, obj.label.s)
+                    fresh = DecompEntry(entry.mult, ObjLabel(obj.kind, label))
+                    assert type(entry) is DecompEntry and fresh.obj is not obj
+                    assert entry == fresh and fresh == entry and hash(entry) == hash(fresh)
+                assert out == fusion_ring_product_oracle(params, a, b)
+    assert fusion._sl2_entry.cache_info().maxsize == CACHE_SIZE
 
 
 def test_even_subring_closed():

@@ -7,6 +7,7 @@ import pytest
 from conftest import mutant, run_cli
 
 from triplet import kacmod, verify
+from triplet.exactnum import CACHE_SIZE
 from triplet.kacmod import (
     ExactSeq,
     UnsupportedObjectError,
@@ -191,20 +192,85 @@ def test_diagram_weight_congruence_reads_numerators_mod_4pq():
     assert not verify._diagram_weights_congruent(params, diagram, VirLabel(2, 1))
 
 
+def _patch_diagram(monkeypatch, old, new):
+    # `kac_mm_nn_diagram` reads its diagrams from the cached builder
+    # `_diagram`.  The mutant is compiled with the builder's decorator, so it
+    # fills a cache of its own and never the real one.
+    monkeypatch.setattr(kacmod, "_diagram", mutant(kacmod._diagram.__wrapped__, old, new))
+
+
+QUOTIENT_MUTANTS = [
+    ("for j in top_idx", "for j in [i + 2 for i in top_idx]"),  # middle row shifted by two
+    ("for k in (i - 2, i):", "for k in (i - 2, i + 2):"),  # top covers the wrong row node
+]
+
+
 @pytest.mark.parametrize(
-    "old, new",
-    [
-        ("for j in top_idx", "for j in [i + 2 for i in top_idx]"),  # middle row shifted by two
-        ("for k in (i - 2, i):", "for k in (i - 2, i + 2):"),  # top covers the wrong row node
-    ],
-    ids=["shifted-middle-row", "wrong-top-cover"],
+    "old, new", QUOTIENT_MUTANTS, ids=["shifted-middle-row", "wrong-top-cover"]
 )
 def test_quotient_property_catches_a_wrong_diagram(monkeypatch, old, new):
     # The length-2 sequence of K_{ip-1,1} ties the middle row and the
     # top->middle edges to a closed form; both mutants fail it.
-    monkeypatch.setattr(kacmod, "kac_mm_nn_diagram", mutant(kac_mm_nn_diagram, old, new))
+    kacmod._diagram.cache_clear()
+    _patch_diagram(monkeypatch, old, new)
     with pytest.raises(AssertionError):
         PROPERTIES["kacmod"]["simple_quotient_list_shapes"]()
+
+
+def test_a_warm_diagram_cache_does_not_hide_a_mutant(monkeypatch):
+    # Every diagram the property asks for is cached first; the mutant must
+    # still be the one that `kac_mm_nn_diagram` reads.
+    real = kacmod._diagram
+    real.cache_clear()
+    PROPERTIES["kacmod"]["simple_quotient_list_shapes"]()
+    assert real.cache_info().currsize == 75  # 15 shapes at each of 5 pairs
+    _patch_diagram(monkeypatch, *QUOTIENT_MUTANTS[0])
+    with pytest.raises(AssertionError):
+        PROPERTIES["kacmod"]["simple_quotient_list_shapes"]()
+    info = real.cache_info()
+    assert (info.currsize, info.misses) == (75, 75)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # One socle node too many: 4n-1 nodes and socle size n+1.
+        ("range(m - n + 1, m + n, 2)", "range(m - n + 1, m + n + 2, 2)"),
+        # The middle row one step off, L_{jp+2,1}: its weights are no longer
+        # congruent to h_{mp-1,nq-1} mod 1.
+        ("VirLabel(j * p + 1, 1)", "VirLabel(j * p + 2, 1)"),
+    ],
+    ids=["extra-socle-node", "middle-row-off-by-one"],
+)
+def test_node_count_property_catches_a_wrong_diagram(monkeypatch, old, new):
+    kacmod._diagram.cache_clear()
+    _patch_diagram(monkeypatch, old, new)
+    with pytest.raises(AssertionError):
+        PROPERTIES["kacmod"]["diagram_node_counts_layers_distinct_weights"]()
+
+
+def test_edge_property_catches_a_reversed_edge(monkeypatch):
+    # Middle->socle edges written socle->middle: each runs up one layer.
+    kacmod._diagram.cache_clear()
+    old = "edges.append((node.id, socle[k].id))"
+    _patch_diagram(monkeypatch, old, "edges.append((socle[k].id, node.id))")
+    with pytest.raises(AssertionError):
+        PROPERTIES["kacmod"]["diagram_edges_respect_layers"]()
+
+
+def test_diagram_cache_keeps_small_diagrams_only():
+    # One object per (p, q, m, n) below CACHE_SIZE; a larger diagram is
+    # built without entering the cache, so the cache's memory stays bounded.
+    cache = kacmod._diagram
+    cache.cache_clear()
+    small = kac_mm_nn_diagram(Params(3, 4), 4, 3)
+    assert small is kac_mm_nn_diagram(Params(3, 4), 4, 3)
+    assert small == cache.__wrapped__(3, 4, 4, 3)
+    big = kac_mm_nn_diagram(Params(2, 3), CACHE_SIZE, 3)
+    assert big == cache.__wrapped__(2, 3, CACHE_SIZE, 3)
+    info = cache.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    cache.cache_clear()
 
 
 def test_diagram_preconditions():

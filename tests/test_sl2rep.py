@@ -259,7 +259,7 @@ def test_caches_stay_bounded():
     caches = (sl2rep.build_irrep, sl2rep.invariant_form, sl2rep._cg_system)
     assert all(cache.cache_info().maxsize == bound for cache in caches)
     sl2rep._cg_system.cache_clear()
-    pairs = [(m, n) for m in range(17) for n in range(17 - m)]
+    pairs = [(m, n) for m in range(24) for n in range(24 - m)]
     assert len(pairs) > bound
     for m, n in pairs:
         sl2rep._cg_system(m, n)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import mutant
 
 from triplet import virasoro, wpq
 from triplet.exactnum import CACHE_SIZE
@@ -72,12 +73,12 @@ def test_ideal_socle_matches_k11_sequence():
 
 def test_decompose_looks_up_each_dictionary_entry_once():
     # Entry n's weight is read from its label, not by a second lookup of
-    # the dictionary index 2n-2; the 63 even indices below CACHE_SIZE are
+    # the dictionary index 2n-2; the 127 even indices below CACHE_SIZE are
     # the only ones looked up in the cache.
     virasoro._sl2_obj.cache_clear()
     decompose_wpq(Params(2, 3), 1000)
     info = virasoro._sl2_obj.cache_info()
-    assert (info.hits, info.misses) == (0, len(range(2, CACHE_SIZE, 2))) == (0, 63)
+    assert (info.hits, info.misses) == (0, len(range(2, CACHE_SIZE, 2))) == (0, 127)
 
 
 def test_large_decomposition_keeps_the_dictionary_cache():
@@ -88,10 +89,10 @@ def test_large_decomposition_keeps_the_dictionary_cache():
     small = decompose_wpq(Params(2, 3), 20)
     assert cache.cache_info()[:2] == (0, 19)
     big = decompose_wpq(Params(2, 3), 1000)
-    assert cache.cache_info()[:2] == (19, 63)
+    assert cache.cache_info()[:2] == (19, 127)
     assert decompose_wpq(Params(2, 3), 20) == small == big[:20]
     info = cache.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (38, 63, 63)
+    assert (info.hits, info.misses, info.currsize) == (38, 127, 127)
     # An index past the cache is built on its own and still equals the
     # dictionary's label.
     assert big[-1].obj == sl2_index_to_obj(Params(2, 3), 1998)
@@ -123,3 +124,33 @@ def test_contragredient_property_catches_a_wrong_head(monkeypatch):
     monkeypatch.setattr(wpq, "decompose_wprime", wrong)
     with pytest.raises(AssertionError):
         PROPERTIES["wpq"]["equivariant_dimension_agreement"]()
+
+
+def test_prefix_property_catches_entries_listed_top_down(monkeypatch):
+    # Entries past the head listed from the largest index down: every
+    # multiplicity total and weight is unchanged, but a shorter truncation
+    # is no longer a prefix of a longer one.
+    wrong = mutant(wpq._decompose, "return tuple(entries)", "return (entries[0], *entries[:0:-1])")
+    monkeypatch.setattr(wpq, "_decompose", wrong)
+    with pytest.raises(AssertionError):
+        PROPERTIES["wpq"]["truncations_are_prefixes"]()
+
+
+def test_square_totals_property_catches_one_entry_too_many(monkeypatch):
+    # The truncation runs one index too far: entries stay prefixes of each
+    # other, but the multiplicities sum to (n_max + 1)^2.
+    wrong = mutant(wpq._decompose, "range(2, 2 * n_max - 1, 2)", "range(2, 2 * n_max + 1, 2)")
+    monkeypatch.setattr(wpq, "_decompose", wrong)
+    with pytest.raises(AssertionError):
+        PROPERTIES["wpq"]["multiplicity_totals_square"]()
+
+
+def test_o0_property_catches_h12_read_as_h11(monkeypatch):
+    # h_{1,1} = 0 in place of h_{1,2}: at (2,3) both are 0 and nothing
+    # changes, but at (3,4) h_{1,2} = 1/16 and the difference is no integer.
+    old = "conformal_weight(params, VirLabel(1, 2))"
+    wrong = mutant(wpq.o0_weight_identity, old, "conformal_weight(params, VirLabel(1, 1))")
+    monkeypatch.setattr(wpq, "o0_weight_identity", wrong)
+    assert wrong(Params(2, 3), 20) == o0_weight_identity(Params(2, 3), 20)
+    with pytest.raises(AssertionError):
+        PROPERTIES["wpq"]["o0_weight_identity_integral"]()
