@@ -13,12 +13,13 @@ defined once, in COMMANDS.  A well-formed call is parsed from that table by
 `_parse_known` and never imports argparse; help, usage and every argument
 error still come from argparse, byte for byte, through `build_parser`,
 which builds the arguments of the one subcommand named (`--help` still
-lists all ten).  JSON is written by this module's own writer, byte-equal
-to ``json.dumps(payload, indent=2)``, so the `json` package is never loaded.
-`sl2` hands it matrices by their nonzero cells (`_Sparse`), which it writes
-a bounded piece at a time, so such a call takes memory in proportion to
-the nonzero cells and time in proportion to its output; each `sl2` call is
-capped by the cells it writes (`SL2_MAX_CELLS`).
+lists all ten).  JSON is written by this module's one writer,
+`_write_json`, byte-equal to ``json.dumps(payload, indent=2)``, so the
+`json` package is never loaded.  It writes every payload a bounded piece at
+a time and never holds a payload's whole text.  `sl2` hands it matrices by
+their nonzero cells (`_Sparse`), so such a call takes memory in proportion
+to the nonzero cells and time in proportion to its output; each `sl2` call
+is capped by the cells it writes (`SL2_MAX_CELLS`).
 """
 
 from __future__ import annotations
@@ -63,39 +64,6 @@ EXIT_CODES = {
     # Any other exception: a fault in `triplet` itself, reported in one line.
     "internal": 5,
 }
-
-
-def _json_text(value, indent: str = "\n") -> str:
-    """`value` as JSON, byte-equal to json.dumps(value, indent=2).
-
-    Only str, int, bool, None, list and str-keyed dict are written; any
-    other value, a float above all, raises TypeError.  Strings are escaped by
-    the C routine that json.dumps itself uses.
-    """
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is list:
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        items = [_json_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    raise TypeError(f"no exact JSON form for {kind.__name__}: {value!r}")
 
 
 class _Sparse:
@@ -163,30 +131,51 @@ def _sparse_items(matrix: _Sparse, indent: str):
 
 
 def _write_json(value, write, indent: str = "\n") -> None:
-    """Write `value` through `write` as `_json_text` would, with a `_Sparse`
-    matrix in place of its dense list of rows, a piece at a time: one piece
-    per dict item, and a matrix in pieces of at most _PIECE_CELLS cells.
-    So however large a matrix is, no more of its text is held at once."""
+    """Write `value` through `write`, byte-equal to json.dumps(value,
+    indent=2), with a `_Sparse` matrix in place of its dense list of rows.
+
+    Only str, int, bool, None, list, str-keyed dict and `_Sparse` are
+    written; any other value, a float above all, raises TypeError.  Strings
+    are escaped by the C routine that json.dumps itself uses.  The text goes
+    out a piece at a time (a scalar, the start of an item, a closing bracket,
+    at most _PIECE_CELLS matrix cells), so no more of it is held at once.
+    """
     kind = type(value)
-    if kind is _Sparse:
+    if kind is str:
+        write(encode_basestring_ascii(value))
+    elif kind is int:
+        write(int.__repr__(value))
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
+    elif value is None:
+        write("null")
+    elif kind is list:
+        sep = "["
+        for item in value:
+            write(sep + indent + "  ")
+            _write_json(item, write, indent + "  ")
+            sep = ","
+        write("[]" if sep == "[" else indent + "]")  # an empty list: "[]"
+    elif kind is dict:
+        sep = "{"
+        for key, item in value.items():
+            write(sep + indent + "  " + encode_basestring_ascii(key) + ": ")
+            _write_json(item, write, indent + "  ")
+            sep = ","
+        write("{}" if sep == "{" else indent + "}")  # an empty dict: "{}"
+    elif kind is _Sparse:
         n_rows, cols = value.shape
         if not (n_rows and cols):  # [] or rows of []
-            write(_json_text([[] for _ in range(n_rows)], indent))
+            _write_json([[] for _ in range(n_rows)], write, indent)
             return
         write("[")
         for piece in _drop_comma(_sparse_items(value, indent + "  ")):
             write(piece)
         write(indent + "]")
-    elif kind is dict and value:
-        inner = indent + "  "
-        sep = "{"
-        for key, item in value.items():
-            write(sep + inner + encode_basestring_ascii(key) + ": ")
-            _write_json(item, write, inner)
-            sep = ","
-        write(indent + "}")
     else:
-        write(_json_text(value, indent))
+        raise TypeError(f"no exact JSON form for {kind.__name__}: {value!r}")
 
 
 def _emit(payload: dict) -> None:

@@ -127,15 +127,28 @@ _JSON_VALUES = st.recursive(
 @example(["\"q\" \\ \x00\x1f\u2028 é \U0001d400", -1, -(2**64) - 1, 2**64, 2**200])
 @example({"t": True, "f": False, "n": None, "nested": {"a": [True, None, 0]}})
 def test_json_writer_matches_json_dumps(value):
-    assert cli._json_text(value) == json.dumps(value, indent=2)
     assert _streamed(value) == json.dumps(value, indent=2)
 
 
-def _streamed(value) -> str:
-    """What the streaming writer `cli._write_json` writes for `value`."""
+def _pieces(value) -> list[str]:
+    """The pieces `cli._write_json` writes for `value`, in order."""
     pieces: list[str] = []
     cli._write_json(value, pieces.append)
-    return "".join(pieces)
+    return pieces
+
+
+def _streamed(value) -> str:
+    """What `cli._write_json` writes for `value`."""
+    return "".join(_pieces(value))
+
+
+def test_json_piece_size_does_not_grow_with_the_payload():
+    # Every list and dict goes out item by item, so a longer payload means
+    # more pieces, never a longer one: its whole text is never held.
+    def longest(count: int) -> int:
+        return max(map(len, _pieces([{"mult": 1, "n": k % 7} for k in range(count)])))
+
+    assert longest(10) == longest(10_000)
 
 
 # Matrices of str cells, every row as long as the first; "0" often, since
@@ -197,7 +210,7 @@ def test_json_writer_refuses_what_json_dumps_would_change(value):
     # A float would print an inexact number; json.dumps would turn a tuple
     # into a list and an int key into a string.
     with pytest.raises(TypeError):
-        cli._json_text(value)
+        _streamed(value)
 
 
 # sha256 of `triplet --help` and of each `<sub> --help` at 80 columns.  They
@@ -624,6 +637,56 @@ def test_fast_parser_equals_argparse(argv):
     _assert_fast_parse_agrees(argv)
 
 
+# Values for the fuzzed calls: every size small, so that a call takes
+# milliseconds, and `--t` both good and bad.
+_FUZZ_INTS = st.integers(-2, 12).map(str)
+_FUZZ_T = st.sampled_from(["1/2", "0", "1/0", "x", "1e200"])
+
+
+@st.composite
+def _well_formed_argv(draw) -> list[str]:
+    """A well-formed call of any subcommand but `verify`: each option at
+    most once, every required one, values of the right kind but not always
+    in range.  (p, q) comes from 1-6, coprime or not, or from a preset."""
+    command = draw(st.sampled_from([name for name in cli.COMMANDS if name != "verify"]))
+    options = dict(cli.COMMANDS[command][1])
+    argv = [command]
+    if "--p" in options:
+        if draw(st.booleans()):
+            argv += ["--pq-preset", draw(st.sampled_from(sorted(cli.PQ_PRESETS)))]
+        else:
+            argv += ["--p", str(draw(st.integers(1, 6))), "--q", str(draw(st.integers(1, 6)))]
+    # kac-diagram names its module by one pair, --m/--n or --r/--s.
+    by, other = ((), ())
+    if command == "kac-diagram":
+        by, other = draw(st.permutations([("--m", "--n"), ("--r", "--s")]))
+    for flag, kwargs in options.items():
+        if flag in ("--p", "--q", "--pq-preset", *other):
+            continue
+        if flag in by or kwargs.get("required") or draw(st.booleans()):
+            if "choices" in kwargs:
+                value = draw(st.sampled_from(list(kwargs["choices"])))
+            else:
+                value = draw(_FUZZ_T if flag == "--t" else _FUZZ_INTS)
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@given(_well_formed_argv())
+@example(["fuse-L", "--p", "4", "--q", "2", "--m", "2", "--n", "2"])
+@example(["kac-diagram", "--pq-preset", "2,3", "--r", "4", "--s", "4"])
+@example(["hexagon", "--p", "1", "--q", "1", "--t", "1e200"])
+@example(["sl2", "--n", "12", "--op", "cg", "--m", "12", "--k", "0"])
+def test_fuzzed_calls_exit_with_a_code_of_the_table(argv):
+    code, out, err = run_cli(argv)
+    assert code in cli.EXIT_CODES.values(), (argv, code)
+    assert code not in (cli.EXIT_CODES["internal"], cli.EXIT_CODES["failed"]), (argv, err)
+    assert "Traceback" not in err, argv
+    assert run_cli(argv)[1] == out, argv
+    if code == 0 and not {"dot", "--format=dot"} & set(argv):  # JSON, not DOT
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out, argv
+
+
 @pytest.mark.parametrize(
     "old, new",
     [
@@ -929,6 +992,7 @@ def _closed_stdout_run(argv, flags=()) -> tuple[int, bytes]:
         ["verify", "--suite", "exactnum"],  # a few lines, held in the buffer
         ["sl2", "--n", "200", "--op", "form"],  # far more than a pipe holds
         ["sl2", "--n", "3000", "--op", "form"],  # closed while it streams 99 MB
+        ["fuse-C", "--m", "20000", "--n", "20000"],  # closed while it streams 1.9 MB of lists
     ],
 )
 def test_closed_stdout_exits_with_its_code_and_no_traceback(argv):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from conftest import run_cli
+from conftest import mutant, run_cli
 
 from triplet import verify, virasoro
 from triplet.exactnum import CACHE_SIZE
@@ -246,6 +246,16 @@ def test_weight_properties_build_one_fraction_per_oracle_label(monkeypatch):
     PROPERTIES["virasoro"]["canonical_label_idempotent_and_weight_preserving"]()
     assert len(verify.TEST_PARAMS) == 5
     assert len(calls) == 400 * 5 == 2000
+
+
+def test_family_weight_property_catches_a_weight_one_too_low(monkeypatch):
+    # (p + q)^2 - (p - q)^2 = 4pq, so every weight drops by exactly 1.
+    wrong = mutant(virasoro.weight_numerator, "(p - q) ** 2", "(p + q) ** 2")
+    monkeypatch.setattr(virasoro, "weight_numerator", wrong)
+    params, lbl = Params(2, 3), VirLabel(7, 1)
+    assert conformal_weight(params, lbl) == Fraction(weight_numerator(params, lbl), 24) - 1
+    with pytest.raises(AssertionError):
+        PROPERTIES["virasoro"]["family_weight_identities"]()
 
 
 def test_canonical_property_catches_a_non_idempotent_label(monkeypatch):
