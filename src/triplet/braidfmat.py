@@ -14,7 +14,8 @@ import math
 from fractions import Fraction
 from typing import Literal
 
-from .exactnum import Phase, Rat, Value, phase_from_weight
+from .base import Value
+from .exactnum import Phase, Rat, phase_from_weight
 from .fusion import fuse_C
 from .virasoro import Params, VirLabel, conformal_weight, sl2_lowest_weight
 

@@ -6,9 +6,13 @@ here write them.  Every exit code is listed once, in EXIT_CODES.  `verify`
 runs the same checks under `python -O`.  Output depends on argv alone:
 same argv, byte-identical bytes, whatever the environment.
 
-Only the scalar and label layers load with this module; each subcommand
-imports the structure, linear-algebra or verify layer it runs when it is
-called, so a call pays for no layer it does not use.  Every option is
+Only the fraction-free `base` loads with this module, never `fractions`.
+Each subcommand imports the layers it runs when it is called, the scalar
+and label layers (`exactnum`, `virasoro`) included, once per call and never
+once per output item, so a call pays for no layer it does not use: `sl2`
+writes its rational cells from integers through `base.ratio_str` and loads
+neither.  A size over its cap (`FUSE_C_MAX_INDEX`, `BRAIDING_MAX_N`) is
+refused before any layer is imported.  Every option is
 defined once, in COMMANDS.  A well-formed call is parsed from that table by
 `_parse_known` and never imports argparse; help, usage and every argument
 error still come from argparse, byte for byte, through `build_parser`,
@@ -27,18 +31,9 @@ from __future__ import annotations
 import os
 import sys
 from _json import encode_basestring_ascii
-from fractions import Fraction
 from types import SimpleNamespace
 
-from .exactnum import Phase, rat_str
-from .virasoro import (
-    Params,
-    UnsupportedObjectError,
-    VirLabel,
-    canonical_label,
-    central_charge,
-    conformal_weight,
-)
+from .base import UnsupportedObjectError, ratio_str
 
 PQ_PRESETS = {
     "2,3": (2, 3),  # critical percolation
@@ -183,7 +178,21 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _resolve_params(args) -> Params:
+# The largest value each capped size option takes.  A call over its cap
+# exits 2 before any layer is imported.  At its cap a call takes under about
+# 1 s and 100 MB (README, "CLI").
+FUSE_C_MAX_INDEX = 150_000
+BRAIDING_MAX_N = 60_000
+
+
+def _check_cap(command: str, flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValueError(f"{command} {flag} {value} is over its cap of {cap}")
+
+
+def _resolve_params(args):
+    from .virasoro import Params
+
     if getattr(args, "pq_preset", None):
         if args.p is not None or args.q is not None:
             raise ValueError("--pq-preset conflicts with explicit --p/--q")
@@ -200,11 +209,10 @@ def _obj_json(obj) -> dict:
     return {"kind": obj.kind, "label": [obj.label.r, obj.label.s]}
 
 
-def _phase_json(phase: Phase) -> dict:
-    return {"exp": rat_str(phase.exponent)}
-
-
 def _cmd_weights(args) -> int:
+    from .exactnum import rat_str
+    from .virasoro import VirLabel, canonical_label, central_charge, conformal_weight
+
     params = _resolve_params(args)
     lbl = VirLabel(args.r, args.s)
     can = canonical_label(params, lbl)
@@ -228,6 +236,8 @@ def _cmd_fuse_l(args) -> int:
 
 
 def _cmd_fuse_c(args) -> int:
+    _check_cap("fuse-C", "--m", args.m, FUSE_C_MAX_INDEX)
+    _check_cap("fuse-C", "--n", args.n, FUSE_C_MAX_INDEX)
     from . import fusion
 
     channels = fusion.fuse_C(args.m, args.n)
@@ -235,8 +245,9 @@ def _cmd_fuse_c(args) -> int:
     return 0
 
 
-def _diagram_args_to_mn(params: Params, args) -> tuple[int, int]:
+def _diagram_args_to_mn(params, args) -> tuple[int, int]:
     from . import kacmod
+    from .virasoro import VirLabel
 
     if args.r is not None or args.s is not None:
         if args.m is not None or args.n is not None:
@@ -254,15 +265,15 @@ def _diagram_args_to_mn(params: Params, args) -> tuple[int, int]:
     return args.m, args.n
 
 
-def _diagram_dot(params: Params, diagram) -> str:
-    """A Loewy diagram as DOT, rank-grouped by layer."""
+def _diagram_dot(diagram, weights: list[str]) -> str:
+    """A Loewy diagram as DOT, rank-grouped by layer; `weights` are the
+    nodes' conformal weights as written by `rat_str`."""
     lines = ["digraph loewy {", "  rankdir=TB;"]
     for layer in ("top", "middle", "socle"):
         ids = [n.id for n in diagram.nodes if n.layer == layer]
         if ids:
             lines.append("  { rank=same; " + "; ".join(f'"{i}"' for i in ids) + "; }")
-    for node in diagram.nodes:
-        hs = rat_str(conformal_weight(params, node.label))
+    for node, hs in zip(diagram.nodes, weights):
         lines.append(f'  "{node.id}" [label="L_{{{node.label.r},{node.label.s}}} (h={hs})"];')
     for src, dst in diagram.edges:
         lines.append(f'  "{src}" -> "{dst}";')
@@ -272,12 +283,15 @@ def _diagram_dot(params: Params, diagram) -> str:
 
 def _cmd_kac_diagram(args) -> int:
     from . import kacmod
+    from .exactnum import rat_str
+    from .virasoro import conformal_weight
 
     params = _resolve_params(args)
     m, n = _diagram_args_to_mn(params, args)
     diagram = kacmod.kac_mm_nn_diagram(params, m, n)
+    weights = [rat_str(conformal_weight(params, node.label)) for node in diagram.nodes]
     if args.format == "dot":
-        sys.stdout.write(_diagram_dot(params, diagram))
+        sys.stdout.write(_diagram_dot(diagram, weights))
         return 0
     _emit(
         {
@@ -289,9 +303,9 @@ def _cmd_kac_diagram(args) -> int:
                     "id": node.id,
                     "label": [node.label.r, node.label.s],
                     "layer": node.layer,
-                    "h": rat_str(conformal_weight(params, node.label)),
+                    "h": h,
                 }
-                for node in diagram.nodes
+                for node, h in zip(diagram.nodes, weights)
             ],
             "edges": [[src, dst] for src, dst in diagram.edges],
         }
@@ -299,21 +313,24 @@ def _cmd_kac_diagram(args) -> int:
     return 0
 
 
-def _monomial_str(c: Fraction, e: int) -> str:
-    """c*t^e for e in {-1, 0, 1}: "0", "-1/2", "t", "-t", "-3/4*t" or "(-3/4)/(t)"."""
-    if not c or not e:
-        return rat_str(c)
+def _monomial_str(c: str, e: int) -> str:
+    """c*t^e for e in {-1, 0, 1}, given c as written by `rat_str`: "0",
+    "-1/2", "t", "-t", "-3/4*t" or "(-3/4)/(t)"."""
+    if c == "0" or not e:
+        return c
     if e < 0:
-        return f"({rat_str(c)})/(t)"
-    return "t" if c == 1 else "-t" if c == -1 else f"{rat_str(c)}*t"
+        return f"({c})/(t)"
+    return "t" if c == "1" else "-t" if c == "-1" else f"{c}*t"
 
 
-def _fmatrix_json(matrix, exponents=((0, 0), (0, 0))) -> list[list[str]]:
-    """Entry (i, j) printed as the monomial c*t^exponents[i][j]."""
+def _fmatrix_json(entries, exponents=((0, 0), (0, 0))) -> list[list[str]]:
+    """The F-matrix of `entries`, (F00, F02, F20, F22) as written by
+    `rat_str`, with entry (i, j) printed as the monomial c*t^exponents[i][j]."""
+    f00, f02, f20, f22 = entries
     (e00, e02), (e20, e22) = exponents
     return [
-        [_monomial_str(matrix.f00, e00), _monomial_str(matrix.f02, e02)],
-        [_monomial_str(matrix.f20, e20), _monomial_str(matrix.f22, e22)],
+        [_monomial_str(f00, e00), _monomial_str(f02, e02)],
+        [_monomial_str(f20, e20), _monomial_str(f22, e22)],
     ]
 
 
@@ -340,8 +357,10 @@ def _int_arg(text: str) -> int:
 _int_arg.__name__ = "int"
 
 
-def _parse_t(text: str) -> Fraction:
+def _parse_t(text: str):
     """`hexagon --t` as a nonzero Fraction; its size is capped before parsing."""
+    from fractions import Fraction
+
     if len(text) > T_MAX_CHARS:
         raise ValueError(f"--t is longer than {T_MAX_CHARS} characters")
     _, has_exp, exponent = text.lower().partition("e")
@@ -364,6 +383,7 @@ def _parse_t(text: str) -> Fraction:
 
 def _cmd_hexagon(args) -> int:
     from . import braidfmat
+    from .exactnum import rat_str
 
     params = _resolve_params(args)
     t0 = None if args.t is None else _parse_t(args.t)
@@ -379,11 +399,11 @@ def _cmd_hexagon(args) -> int:
         payload["residual_zero"] = payload["residual_zero"] and zero
         entry = {
             "kind": sol.kind,
-            "F": _fmatrix_json(sol.matrix, braidfmat.GAUGE_EXPONENTS),
+            "F": _fmatrix_json(map(rat_str, sol.matrix.entries()), braidfmat.GAUGE_EXPONENTS),
             "intrinsic_dimension": rat_str(braidfmat.intrinsic_dimension(sol)),
         }
         if t0 is not None:
-            entry["F_at_t"] = _fmatrix_json(sol.matrix.evaluate(t0))
+            entry["F_at_t"] = _fmatrix_json(map(rat_str, sol.matrix.evaluate(t0).entries()))
         payload["solutions"].append(entry)
     if t0 is not None:
         payload["t"] = rat_str(t0)
@@ -392,10 +412,15 @@ def _cmd_hexagon(args) -> int:
 
 
 def _cmd_braiding(args) -> int:
+    n = args.n
+    _check_cap("braiding", "--n", n, BRAIDING_MAX_N)
     from . import braidfmat, fusion
+    from .exactnum import Phase, rat_str
+
+    def phase_json(phase) -> dict:
+        return {"exp": rat_str(phase.exponent)}
 
     params = _resolve_params(args)
-    n = args.n
     if n < 0:
         raise ValueError(f"--n must be >= 0, got {n}")
     channels = fusion.fuse_C(n, n)
@@ -404,12 +429,12 @@ def _cmd_braiding(args) -> int:
         "n": n,
         "channels": channels,
         "formula": {
-            str(k): _phase_json(braidfmat.r_scalar_formula(params, n, k)) for k in channels
+            str(k): phase_json(braidfmat.r_scalar_formula(params, n, k)) for k in channels
         },
     }
     if n == 1:
         payload["table"] = {
-            str(k): _phase_json(braidfmat.r_scalar_table(params, 1, k)) for k in (0, 2)
+            str(k): phase_json(braidfmat.r_scalar_table(params, 1, k)) for k in (0, 2)
         }
         payload["conventions_differ_by_sign"] = all(
             braidfmat.r_scalar_table(params, 1, k)
@@ -420,12 +445,14 @@ def _cmd_braiding(args) -> int:
             "tabulated and formula R-scalars differ by an overall sign; "
             "both conventions square to the balancing phases"
         )
-    payload["balancing"] = {str(k): _phase_json(balancing[k]) for k in channels}
+    payload["balancing"] = {str(k): phase_json(balancing[k]) for k in channels}
     _emit(payload)
     return 0
 
 
 def _graded_json(entries, args) -> dict:
+    from .exactnum import rat_str
+
     rows = []
     for e in entries:
         row = {} if e.psl2 is None else {"psl2": e.psl2}
@@ -450,6 +477,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_o0_check(args) -> int:
     from . import wpq
+    from .exactnum import rat_str
 
     params = _resolve_params(args)
     rows = [
@@ -507,13 +535,13 @@ def _cmd_sl2(args) -> int:
         cg = sl2rep.cg_maps(m, n, k)
         dim = (m + 1) * (n + 1)
         proj = {
-            r: {i: rat_str(Fraction(x * cg.big, cg.scale)) for i, x in row.items()}
+            r: {i: ratio_str(x * cg.big, cg.scale) for i, x in row.items()}
             for r, row in enumerate(cg.projection_rows())
         }
         incl: dict[int, dict[int, str]] = {}
         for j, column in enumerate(cg.inclusion_columns()):
             for i, x in column.items():
-                incl.setdefault(i, {})[j] = rat_str(Fraction(x, cg.big))
+                incl.setdefault(i, {})[j] = ratio_str(x, cg.big)
         payload = {
             "m": m,
             "n": n,
@@ -591,7 +619,10 @@ COMMANDS = {
     ),
     "fuse-C": (
         "sl2-type fusion channels of L_m with L_n",
-        (("--m", _REQUIRED_INT), ("--n", _REQUIRED_INT)),
+        (
+            ("--m", {**_REQUIRED_INT, "help": f"index m of L_m, at most {FUSE_C_MAX_INDEX}"}),
+            ("--n", {**_REQUIRED_INT, "help": f"index n of L_n, at most {FUSE_C_MAX_INDEX}"}),
+        ),
         _cmd_fuse_c,
     ),
     "kac-diagram": (
@@ -616,7 +647,7 @@ COMMANDS = {
     ),
     "braiding": (
         "R-scalars and balancing phases on L_n (x) L_n",
-        (*_PQ, ("--n", _REQUIRED_INT)),
+        (*_PQ, ("--n", {**_REQUIRED_INT, "help": f"index n of L_n, at most {BRAIDING_MAX_N}"})),
         _cmd_braiding,
     ),
     "decompose": (

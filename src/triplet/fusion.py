@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactnum import CACHE_SIZE, Value, slot_setters
+from .base import CACHE_SIZE, UnsupportedObjectError, Value, slot_setters
 from .virasoro import (
     SIMPLE_L,
     ObjLabel,
     Params,
-    UnsupportedObjectError,
     _sl2_obj,
     canonical_label,
     canonical_obj,

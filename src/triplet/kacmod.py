@@ -18,14 +18,13 @@ from collections import Counter
 from functools import lru_cache
 from typing import Literal
 
-from .exactnum import CACHE_SIZE, Value
+from .base import CACHE_SIZE, UnsupportedObjectError, Value
 from .virasoro import (
     KAC_DUAL_K11,
     KAC_K,
     SIMPLE_L,
     ObjLabel,
     Params,
-    UnsupportedObjectError,
     VirLabel,
     canonical_label,
     simple_l,

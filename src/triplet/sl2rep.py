@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exactnum import CACHE_SIZE, Value
+from .base import CACHE_SIZE, Value
 
 
 class Irrep(Value):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import braidfmat, fusion, kacmod, linalg, sl2rep, wpq
-from .exactnum import Phase
+from .exactnum import Phase, rat_str
 from .virasoro import (
     KAC_DUAL_K11,
     ObjLabel,
@@ -76,6 +76,10 @@ def rat_addition_exact():
     for _ in range(200):
         a, b = _rand_rat(rng), _rand_rat(rng)
         _expect((a + b) - b == a, "(a+b)-b != a for a, b =", a, b)
+        # `rat_str` writes what str(Fraction) does, on the sample, on a
+        # negated one and on an int (whose str is its Fraction's).
+        for x in (a, -b, a.numerator):
+            _expect(rat_str(x) == str(x), "rat_str(x) != str(Fraction(x)) for x =", x)
 
 
 @_property("exactnum")

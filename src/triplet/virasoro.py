@@ -12,11 +12,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import CACHE_SIZE, Rat, Value, slot_setters
-
-
-class UnsupportedObjectError(ValueError):
-    """Raised for structure requests the source results do not cover."""
+# UnsupportedObjectError is imported for callers that catch it from the
+# label layer; `kacmod` and `fusion` raise it.
+from .base import CACHE_SIZE, UnsupportedObjectError, Value, slot_setters  # noqa: F401
+from .exactnum import Rat
 
 
 class Params(Value):

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import CACHE_SIZE, Rat, Value
+from .base import CACHE_SIZE, Value
+from .exactnum import Rat
 from .virasoro import ObjLabel, Params, VirLabel, _sl2_obj, conformal_weight, kac_dual_k11
 from .virasoro import kac_k, simple_l
 

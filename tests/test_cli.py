@@ -20,7 +20,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import triplet
-from triplet import cli, fusion, kacmod, verify, virasoro
+from triplet import base, cli, fusion, kacmod, verify, virasoro
+from triplet.exactnum import rat_str
 from triplet.virasoro import Params, kac_k, simple_l
 
 
@@ -220,10 +221,10 @@ HELP_SHA256 = {
     None: "4446d7df6457fb1b6cf3ca93c6c51e038fa8a11b50b0a16cf305c6116e4ec3ca",
     "weights": "10a2c2bf40abac6ab0211b91a153a82e348150ae64f5ee7c7d9c90519a996b4c",
     "fuse-L": "339a345a8a9c83ef1e452f8404fc90cd3288a6fc051213c58cad3682e0e7ed55",
-    "fuse-C": "e23d49c6fed783ec8c20c5c206e7b967410048600845e943c3eaeead39040c64",
+    "fuse-C": "545afdd44ea2f20159ee2d4bac737fd444b8fd3eecc649f280c4e0e71bb708df",
     "kac-diagram": "dc23dc3c713c6c6add58478d72a75d7d26e82b484347a4e9df286d6c35f2ecce",
     "hexagon": "dc9f69d25a858771dfcebec0e55a1fbf5046fa61c002b13a5950d1bd55fe91dd",
-    "braiding": "176eb1f0246b6a4963faae09820ef80c132803bad61e0f35a6c746b29fadfc6c",
+    "braiding": "ad96f2c501892446471ec8ef1162690458e2b25feefe212050f79d5aab6f0357",
     "decompose": "14f31227d113a6f06bc9b02adbb6d6d5e38c1dc2f0daff0776cba579db43e2bd",
     "o0-check": "36ebb45c7481756d648dcc14f328e89e2300d0b3287b6ff6925294d81afa1485",
     "sl2": "54c49f8b4f62cc343cfb7fcba616a7fa66ee898d25fb529b158195dd41b15e75",
@@ -372,6 +373,7 @@ def test_readme_lists_every_exit_code_of_the_table():
 def test_unsupported_object_error_is_one_class(monkeypatch):
     assert kacmod.UnsupportedObjectError is virasoro.UnsupportedObjectError
     assert cli.UnsupportedObjectError is virasoro.UnsupportedObjectError
+    assert fusion.UnsupportedObjectError is base.UnsupportedObjectError is cli.UnsupportedObjectError
     params = Params(2, 3)
     socle = fusion.decomp_from_pairs([(1, simple_l(3, 1))])
     k12 = fusion.decomp_from_pairs([(1, kac_k(1, 2))])
@@ -434,7 +436,32 @@ MONOMIAL_STRS = {
 @pytest.mark.parametrize("c", MONOMIAL_STRS, ids=str)
 def test_monomial_str_forms(c):
     for e, text in zip((-1, 0, 1), MONOMIAL_STRS[c]):
-        assert cli._monomial_str(Fraction(c), e) == text
+        assert cli._monomial_str(rat_str(Fraction(c)), e) == text
+
+
+# Integers on both sides of 2**64, so the big-int paths of gcd and // run.
+_RATIO_INTS = st.one_of(st.integers(-50, 50), st.integers(-(2**80), 2**80))
+
+
+@given(_RATIO_INTS, _RATIO_INTS.filter(bool))
+@example(0, 1)
+@example(0, -7)
+@example(-6, 4)
+@example(6, -4)
+@example(-6, -4)
+@example(2**64 + 1, -(2**64 + 1))
+@example(3 * 2**70, -(2**65))
+def test_ratio_str_writes_the_fraction_as_rat_str_does(num, den):
+    # `sl2 --op cg` writes its cells through `base.ratio_str` from two
+    # integers, without building a Fraction; `rat_str` delegates to it.
+    assert base.ratio_str(num, den) == rat_str(Fraction(num, den)) == str(Fraction(num, den))
+
+
+def test_ratio_str_refuses_a_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        base.ratio_str(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        base.ratio_str(0, 0)
 
 
 @pytest.mark.parametrize("digits", [4000, 5000])
@@ -468,8 +495,9 @@ def test_integer_option_cap_boundary_and_messages():
 
 
 HUGE = "1" + "0" * 23  # 24 digits: past the platform's index size
-# 10^18 + 1 channels fit the index size, but their list of 8e18 bytes
-# cannot be allocated.
+# `fuse-L` at m = n = 10^18 asks for 10^18 - 1 channels: they fit the index
+# size, but their list of 8e18 bytes cannot be allocated.  `fuse-C` refuses
+# the same size by its cap.
 BIG = str(10**18)
 
 
@@ -483,8 +511,18 @@ BIG = str(10**18)
         ["sl2", "--op", "irrep", "--n", HUGE],
         ["sl2", "--op", "form", "--n", HUGE],
         ["fuse-C", "--m", BIG, "--n", BIG],
+        ["fuse-L", "--p", "2", "--q", "3", "--m", BIG, "--n", BIG],
     ],
-    ids=["fuse-C", "fuse-L", "kac-diagram", "braiding", "sl2-irrep", "sl2-form", "fuse-C-memory"],
+    ids=[
+        "fuse-C",
+        "fuse-L",
+        "kac-diagram",
+        "braiding",
+        "sl2-irrep",
+        "sl2-form",
+        "fuse-C-memory",
+        "fuse-L-memory",
+    ],
 )
 def test_overflowing_sizes_exit_2_with_one_line(argv):
     # Each of these used to end in an OverflowError or MemoryError traceback
@@ -638,9 +676,15 @@ def test_fast_parser_equals_argparse(argv):
 
 
 # Values for the fuzzed calls: every size small, so that a call takes
-# milliseconds, and `--t` both good and bad.
+# milliseconds, and `--t` both good and bad.  A capped size is also drawn
+# past its cap, which is refused before any work.
 _FUZZ_INTS = st.integers(-2, 12).map(str)
 _FUZZ_T = st.sampled_from(["1/2", "0", "1/0", "x", "1e200"])
+_FUZZ_CAPS = {
+    ("fuse-C", "--m"): cli.FUSE_C_MAX_INDEX,
+    ("fuse-C", "--n"): cli.FUSE_C_MAX_INDEX,
+    ("braiding", "--n"): cli.BRAIDING_MAX_N,
+}
 
 
 @st.composite
@@ -666,6 +710,9 @@ def _well_formed_argv(draw) -> list[str]:
         if flag in by or kwargs.get("required") or draw(st.booleans()):
             if "choices" in kwargs:
                 value = draw(st.sampled_from(list(kwargs["choices"])))
+            elif (command, flag) in _FUZZ_CAPS:
+                cap = _FUZZ_CAPS[command, flag]
+                value = draw(st.one_of(_FUZZ_INTS, st.integers(cap + 1, 10**30).map(str)))
             else:
                 value = draw(_FUZZ_T if flag == "--t" else _FUZZ_INTS)
             argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
@@ -677,6 +724,8 @@ def _well_formed_argv(draw) -> list[str]:
 @example(["kac-diagram", "--pq-preset", "2,3", "--r", "4", "--s", "4"])
 @example(["hexagon", "--p", "1", "--q", "1", "--t", "1e200"])
 @example(["sl2", "--n", "12", "--op", "cg", "--m", "12", "--k", "0"])
+@example(["fuse-C", "--m", "150001", "--n", "3"])
+@example(["braiding", "--pq-preset", "2,3", "--n", "60001"])
 def test_fuzzed_calls_exit_with_a_code_of_the_table(argv):
     code, out, err = run_cli(argv)
     assert code in cli.EXIT_CODES.values(), (argv, code)
@@ -825,6 +874,25 @@ def test_sl2_caps_admit_their_largest_calls():
     ]:
         with mock.patch.object(cli, "_emit", lambda payload: None):
             assert run_cli(["sl2", *argv]) == (0, "", ""), op
+
+
+def test_size_caps_refuse_one_past_and_admit_the_cap():
+    for argv, message in [
+        (["fuse-C", "--m", "150001", "--n", "0"], "fuse-C --m 150001 is over its cap of 150000"),
+        (["fuse-C", "--m", "0", "--n", "150001"], "fuse-C --n 150001 is over its cap of 150000"),
+        (["braiding", "--pq-preset", "2,3", "--n", "60001"], "braiding --n 60001 is over its cap of 60000"),
+    ]:
+        assert run_cli(argv) == (2, "", f"error: {message}\n")
+    with mock.patch.object(cli, "_emit", lambda payload: None):
+        assert run_cli(["fuse-C", "--m", "150000", "--n", "7"]) == (0, "", "")
+    # At its cap `braiding` gets past the check, to the parameters.
+    passed = ValueError("past the cap")
+    with mock.patch.object(cli, "_resolve_params", side_effect=passed):
+        assert run_cli(["braiding", "--pq-preset", "2,3", "--n", "60000"]) == (
+            2,
+            "",
+            "error: past the cap\n",
+        )
 
 
 def test_sl2_subcommand():
@@ -1038,44 +1106,72 @@ def test_console_entry_point():
     assert json.loads(result.stdout) == {"c": "0", "h": "0", "canonical": [1, 1]}
 
 
-# The triplet modules each call loads, besides triplet, triplet.cli and the
-# scalar and label layers (exactnum, virasoro) that every call needs.
+# By row id: the triplet modules each call loads, besides triplet,
+# triplet.cli and the fraction-free triplet.base that every call needs, and
+# the call's exit code.  The scalar and label layers (exactnum, virasoro)
+# load only with the subcommands that read them: `import triplet.cli` and
+# every `sl2` call, an error included, run without them.
 LOADED_LAYERS = [
-    (None, set()),
-    (["weights", "--p", "2", "--q", "3", "--r", "7", "--s", "1"], set()),
-    (["fuse-C", "--m", "1", "--n", "1"], {"fusion"}),
-    (["sl2", "--n", "2", "--op", "irrep"], {"sl2rep"}),
-    (["kac-diagram", "--p", "2", "--q", "3", "--m", "2", "--n", "2"], {"kacmod"}),
-    (["hexagon", "--p", "2", "--q", "3"], {"fusion", "braidfmat"}),
-    (["decompose", "--p", "2", "--q", "3", "--target", "wpq", "--nmax", "2"], {"wpq"}),
+    ("import", None, set(), 0),
+    ("weights", ["weights", "--p", "2", "--q", "3", "--r", "7", "--s", "1"], {"exactnum", "virasoro"}, 0),
+    ("fuse-C", ["fuse-C", "--m", "1", "--n", "1"], {"exactnum", "virasoro", "fusion"}, 0),
+    ("sl2", ["sl2", "--n", "2", "--op", "irrep"], {"sl2rep"}, 0),
+    ("sl2-form", ["sl2", "--n", "3", "--op", "form"], {"sl2rep"}, 0),
+    ("sl2-cg", ["sl2", "--n", "2", "--op", "cg", "--m", "3", "--k", "1"], {"sl2rep"}, 0),
+    ("sl2-error", ["sl2", "--n", "-1", "--op", "irrep"], {"sl2rep"}, 2),
+    ("fuse-C-cap", ["fuse-C", "--m", "150001", "--n", "1"], set(), 2),
+    ("braiding-cap", ["braiding", "--p", "2", "--q", "3", "--n", "60001"], set(), 2),
     (
+        "kac-diagram",
+        ["kac-diagram", "--p", "2", "--q", "3", "--m", "2", "--n", "2"],
+        {"exactnum", "virasoro", "kacmod"},
+        0,
+    ),
+    (
+        "hexagon",
+        ["hexagon", "--p", "2", "--q", "3"],
+        {"exactnum", "virasoro", "fusion", "braidfmat"},
+        0,
+    ),
+    (
+        "decompose",
+        ["decompose", "--p", "2", "--q", "3", "--target", "wpq", "--nmax", "2"],
+        {"exactnum", "virasoro", "wpq"},
+        0,
+    ),
+    (
+        "verify",
         ["verify", "--suite", "wpq"],
-        {"kacmod", "fusion", "wpq", "braidfmat", "linalg", "sl2rep", "verify"},
+        {"exactnum", "virasoro", "kacmod", "fusion", "wpq", "braidfmat", "linalg", "sl2rep", "verify"},
+        0,
     ),
 ]
+# The Fraction stack: `fractions` and the `decimal` and `numbers` it loads.
+# Only the scalar layer brings it in.
+FRACTION_STACK = ["decimal", "fractions", "numbers"]
+# What argparse loads, for argv that the fast parser declines.
+ARGPARSE_STDLIB = ["argparse", "gettext", "locale"]
 
 # argv follows "call"; "import" alone only imports the CLI.  `json` is
 # imported for the report only after sys.modules has been read.
 LOADED_MODULES_SCRIPT = """
 import io, sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 import triplet.cli
 code = 0
 if sys.argv[1] == "call":
-    with redirect_stdout(io.StringIO()):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = triplet.cli.main(sys.argv[2:])
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "triplet")
 slow_stdlib = ("argparse", "dataclasses", "gettext", "inspect", "json", "locale")
 slow = sorted(m for m in slow_stdlib if m in sys.modules)
+fraction_stack = sorted(m for m in ("decimal", "fractions", "numbers") if m in sys.modules)
 import json
-print(json.dumps({"exit": code, "modules": loaded, "slow_stdlib": slow}))
+print(json.dumps({"exit": code, "modules": loaded, "slow_stdlib": slow, "fractions": fraction_stack}))
 """
 
 
-@pytest.mark.parametrize(
-    "argv, layers", LOADED_LAYERS, ids=[a[0] if a else "import" for a, _ in LOADED_LAYERS]
-)
-def test_subcommand_loads_only_its_layers(argv, layers):
+def _loaded_modules(argv) -> dict:
     # A fresh interpreter per call: what this one has imported says nothing.
     result = subprocess.run(
         [sys.executable, "-c", LOADED_MODULES_SCRIPT, *(["call", *argv] if argv else ["import"])],
@@ -1084,13 +1180,22 @@ def test_subcommand_loads_only_its_layers(argv, layers):
         check=True,
         env=_child_env(),
     )
-    base = {"triplet", "triplet.cli", "triplet.exactnum", "triplet.virasoro"}
+    return json.loads(result.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, layers, code", [pytest.param(*row, id=name) for name, *row in LOADED_LAYERS]
+)
+def test_subcommand_loads_only_its_layers(argv, layers, code):
+    base = {"triplet", "triplet.base", "triplet.cli"}
     # No layer builds its value classes with `dataclasses`, which would
     # also load `inspect`, `ast`, `dis` and `tokenize` on every call; the
     # CLI writes its JSON without the `json` package, and parses well-formed
     # argv without `argparse` and the `gettext` and `locale` it loads.
-    assert json.loads(result.stdout) == {
-        "exit": 0,
+    declined = argv is not None and cli._parse_known(argv) is None
+    assert _loaded_modules(argv) == {
+        "exit": code,
         "modules": sorted(base | {f"triplet.{layer}" for layer in layers}),
-        "slow_stdlib": [],
+        "slow_stdlib": ARGPARSE_STDLIB if declined else [],
+        "fractions": FRACTION_STACK if "exactnum" in layers else [],
     }

@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import mutant
-from triplet import braidfmat, exactnum, fusion, kacmod, sl2rep, virasoro
-from triplet.exactnum import CACHE_SIZE, Phase, phase_from_weight, rat_str
+from triplet import braidfmat, exactnum, fusion, kacmod, sl2rep, verify, virasoro
+from triplet.base import CACHE_SIZE
+from triplet.exactnum import Phase, phase_from_weight, rat_str
 from triplet.verify import PROPERTIES, _phase_sign, run_suites
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
@@ -127,8 +128,20 @@ def test_evaluation_property_catches_an_evaluate_that_scales_f20_up(monkeypatch)
         PROPERTIES["exactnum"]["param_scalar_evaluation_hom"]()
 
 
+@pytest.mark.parametrize(
+    "new",
+    ['return f"{x.numerator}/{x.denominator}"', "return ratio_str(abs(x.numerator), x.denominator)"],
+    ids=["always-writes-den", "drops-the-sign"],
+)
+def test_rat_addition_property_catches_a_wrong_rat_str(new, monkeypatch):
+    wrong = mutant(exactnum.rat_str, "return ratio_str(x.numerator, x.denominator)", new)
+    monkeypatch.setattr(verify, "rat_str", wrong)
+    with pytest.raises(AssertionError, match="rat_str"):
+        PROPERTIES["exactnum"]["rat_addition_exact"]()
+
+
 # The distinct keys `verify --suite all` asks each cache for, as recorded
-# above `exactnum.CACHE_SIZE` and in the README's cache list.
+# above `base.CACHE_SIZE` and in the README's cache list.
 VERIFY_ALL_CACHE_KEYS = {
     "build_irrep": 11,
     "invariant_form": 11,

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import mutant
 from triplet import fusion, verify
-from triplet.exactnum import CACHE_SIZE
+from triplet.base import CACHE_SIZE
 from triplet.fusion import (
     DecompEntry,
     DecompList,

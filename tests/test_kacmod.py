@@ -7,7 +7,7 @@ import pytest
 from conftest import mutant, run_cli
 
 from triplet import kacmod, verify
-from triplet.exactnum import CACHE_SIZE
+from triplet.base import CACHE_SIZE
 from triplet.kacmod import (
     ExactSeq,
     UnsupportedObjectError,

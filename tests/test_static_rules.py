@@ -19,7 +19,10 @@ or with a counter.
 """
 
 import ast
+import importlib
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -250,16 +253,27 @@ def test_every_public_function_is_named_outside_its_definition():
 
 
 def test_package_exports_exactly_its_public_imports():
-    # A stale name in __all__, say of a deleted class, fails the first check.
-    tree = _tree(Path(triplet.__file__))
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert all(hasattr(triplet, name) for name in triplet.__all__)
-    assert sorted(triplet.__all__) == sorted(n for n in imported if not n.startswith("_"))
+    # `triplet` resolves each exported name from its module on first use,
+    # through the `_EXPORTS` table.  A stale name in the table, say of a
+    # deleted class, fails the second check.
+    assert triplet.__all__ == list(triplet._EXPORTS)
+    assert not [name for name in triplet.__all__ if name.startswith("_")]
+    for name, module in triplet._EXPORTS.items():
+        home = importlib.import_module(f"triplet.{module}")
+        assert getattr(triplet, name) is getattr(home, name), name
+    assert set(triplet.__all__) <= set(dir(triplet))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        triplet.no_such_name  # noqa: B018
+    # A bare `import triplet` loads no submodule (and so no `fractions`).
+    script = "import sys, triplet; print([m for m in sys.modules if m.startswith('triplet.')])"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(Path(triplet.__file__).parents[1])},
+    )
+    assert result.stdout == "[]\n"
 
 
 def _calls_a_property(node: ast.AST) -> bool:

@@ -1,6 +1,6 @@
 """Value semantics of the immutable classes every layer builds on.
 
-Each class is a ``__slots__`` subclass of ``exactnum.Value``: equality only
+Each class is a ``__slots__`` subclass of ``base.Value``: equality only
 within one class, the hash of the field tuple, a ``Name(field=value, ...)``
 repr, read-only fields, and pickle/copy through ``__init__``.
 """
@@ -14,8 +14,9 @@ from fractions import Fraction
 import pytest
 
 import triplet
+from triplet.base import Value
 from triplet.braidfmat import hexagon_solutions
-from triplet.exactnum import Phase, Value
+from triplet.exactnum import Phase
 from triplet.fusion import DecompEntry, DecompList, fuse_L_family
 from triplet.kacmod import kac_length2_seq, kac_mm_nn_diagram
 from triplet.sl2rep import build_irrep, cg_maps, invariant_form

@@ -7,7 +7,7 @@ import pytest
 from conftest import mutant, run_cli
 
 from triplet import verify, virasoro
-from triplet.exactnum import CACHE_SIZE
+from triplet.base import CACHE_SIZE
 from triplet.virasoro import (
     ObjLabel,
     Params,

@@ -6,7 +6,7 @@ import pytest
 from conftest import mutant
 
 from triplet import virasoro, wpq
-from triplet.exactnum import CACHE_SIZE
+from triplet.base import CACHE_SIZE
 from triplet.kacmod import kac_length2_seq
 from triplet.verify import PROPERTIES
 from triplet.virasoro import Params, kac_dual_k11, kac_k, simple_l, sl2_index_to_obj
