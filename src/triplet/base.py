@@ -45,7 +45,8 @@ class Value:
     A subclass names its fields in ``__slots__`` and sets them once, in its
     own ``__init__``, after its checks.  Instances compare equal only to
     instances of the same class with equal fields, hash as the tuple of
-    their fields, print as ``Name(field=value, ...)`` and refuse assignment
+    their fields (`virasoro.ObjLabel` spells its label's fields out in that
+    tuple), print as ``Name(field=value, ...)`` and refuse assignment
     and deletion.  Pickle and copy rebuild through ``__init__``, so a loaded
     value passes the same checks.
     """

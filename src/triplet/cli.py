@@ -11,8 +11,9 @@ Each subcommand imports the layers it runs when it is called, the scalar
 and label layers (`exactnum`, `virasoro`) included, once per call and never
 once per output item, so a call pays for no layer it does not use: `sl2`
 writes its rational cells from integers through `base.ratio_str` and loads
-neither.  A size over its cap (`FUSE_C_MAX_INDEX`, `BRAIDING_MAX_N`) is
-refused before any layer is imported.  Every option is
+neither.  A size over its cap (`FUSE_C_MAX_INDEX`, `BRAIDING_MAX_N`,
+`DECOMPOSE_MAX_NMAX`, `O0_CHECK_MAX_NMAX`) is refused before any layer is
+imported.  Every option is
 defined once, in COMMANDS.  A well-formed call is parsed from that table by
 `_parse_known` and never imports argparse; help, usage and every argument
 error still come from argparse, byte for byte, through `build_parser`,
@@ -183,6 +184,8 @@ def _emit(payload: dict) -> None:
 # 1 s and 100 MB (README, "CLI").
 FUSE_C_MAX_INDEX = 150_000
 BRAIDING_MAX_N = 60_000
+DECOMPOSE_MAX_NMAX = 100_000
+O0_CHECK_MAX_NMAX = 100_000
 
 
 def _check_cap(command: str, flag: str, value: int, cap: int) -> None:
@@ -462,6 +465,7 @@ def _graded_json(entries, args) -> dict:
 
 
 def _cmd_decompose(args) -> int:
+    _check_cap("decompose", "--nmax", args.nmax, DECOMPOSE_MAX_NMAX)
     from . import wpq
 
     params = _resolve_params(args)
@@ -476,6 +480,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_o0_check(args) -> int:
+    _check_cap("o0-check", "--nmax", args.nmax, O0_CHECK_MAX_NMAX)
     from . import wpq
     from .exactnum import rat_str
 
@@ -655,13 +660,13 @@ COMMANDS = {
         (
             *_PQ,
             ("--target", {"choices": ("wpq", "wpq-equivariant", "ideal", "wprime"), "required": True}),
-            ("--nmax", _REQUIRED_INT),
+            ("--nmax", {**_REQUIRED_INT, "help": f"last entry n, at most {DECOMPOSE_MAX_NMAX}"}),
         ),
         _cmd_decompose,
     ),
     "o0-check": (
         "weight-congruence identities for induction",
-        (*_PQ, ("--nmax", _REQUIRED_INT)),
+        (*_PQ, ("--nmax", {**_REQUIRED_INT, "help": f"last row n, at most {O0_CHECK_MAX_NMAX}"})),
         _cmd_o0_check,
     ),
     "sl2": (

@@ -88,8 +88,15 @@ class ObjLabel(Value):
             return (self.kind, self.label) == (other.kind, other.label)
         return NotImplemented
 
+    # Hashed flat, in one frame: the key of `fusion._entry_class` is hashed
+    # on every lookup, and a nested tuple would call `VirLabel.__hash__`.
+    # Equal labels still hash equal, and the kind's str already makes the
+    # hash differ from process to process.
     def __hash__(self) -> int:
-        return hash((self.kind, self.label))
+        label = self.label
+        if label is None:
+            return hash((self.kind,))
+        return hash((self.kind, label.r, label.s))
 
     def __str__(self) -> str:
         if self.kind == KAC_DUAL_K11:

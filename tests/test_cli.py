@@ -225,8 +225,8 @@ HELP_SHA256 = {
     "kac-diagram": "dc23dc3c713c6c6add58478d72a75d7d26e82b484347a4e9df286d6c35f2ecce",
     "hexagon": "dc9f69d25a858771dfcebec0e55a1fbf5046fa61c002b13a5950d1bd55fe91dd",
     "braiding": "ad96f2c501892446471ec8ef1162690458e2b25feefe212050f79d5aab6f0357",
-    "decompose": "14f31227d113a6f06bc9b02adbb6d6d5e38c1dc2f0daff0776cba579db43e2bd",
-    "o0-check": "36ebb45c7481756d648dcc14f328e89e2300d0b3287b6ff6925294d81afa1485",
+    "decompose": "0dde35e1e46cd5c587ea036cac3e0b14065f312fda0b8599d199b04347f908bf",
+    "o0-check": "cec2d9b53ae68b7dfaa21f213a08388999e612e2a6e48bab0424875f94d9435f",
     "sl2": "54c49f8b4f62cc343cfb7fcba616a7fa66ee898d25fb529b158195dd41b15e75",
     "verify": "0034cb854a4f2f747568a22a1ccece91c7c2a8abcfc913a5de0268a86bfd340b",
 }
@@ -684,6 +684,8 @@ _FUZZ_CAPS = {
     ("fuse-C", "--m"): cli.FUSE_C_MAX_INDEX,
     ("fuse-C", "--n"): cli.FUSE_C_MAX_INDEX,
     ("braiding", "--n"): cli.BRAIDING_MAX_N,
+    ("decompose", "--nmax"): cli.DECOMPOSE_MAX_NMAX,
+    ("o0-check", "--nmax"): cli.O0_CHECK_MAX_NMAX,
 }
 
 
@@ -726,6 +728,8 @@ def _well_formed_argv(draw) -> list[str]:
 @example(["sl2", "--n", "12", "--op", "cg", "--m", "12", "--k", "0"])
 @example(["fuse-C", "--m", "150001", "--n", "3"])
 @example(["braiding", "--pq-preset", "2,3", "--n", "60001"])
+@example(["decompose", "--p", "2", "--q", "3", "--target", "wpq", "--nmax", "100001"])
+@example(["o0-check", "--pq-preset", "3,4", "--nmax", "100001"])
 def test_fuzzed_calls_exit_with_a_code_of_the_table(argv):
     code, out, err = run_cli(argv)
     assert code in cli.EXIT_CODES.values(), (argv, code)
@@ -881,18 +885,24 @@ def test_size_caps_refuse_one_past_and_admit_the_cap():
         (["fuse-C", "--m", "150001", "--n", "0"], "fuse-C --m 150001 is over its cap of 150000"),
         (["fuse-C", "--m", "0", "--n", "150001"], "fuse-C --n 150001 is over its cap of 150000"),
         (["braiding", "--pq-preset", "2,3", "--n", "60001"], "braiding --n 60001 is over its cap of 60000"),
+        (
+            ["decompose", "--p", "2", "--q", "3", "--target", "ideal", "--nmax", "100001"],
+            "decompose --nmax 100001 is over its cap of 100000",
+        ),
+        (["o0-check", "--pq-preset", "2,3", "--nmax", "100001"], "o0-check --nmax 100001 is over its cap of 100000"),
     ]:
         assert run_cli(argv) == (2, "", f"error: {message}\n")
     with mock.patch.object(cli, "_emit", lambda payload: None):
         assert run_cli(["fuse-C", "--m", "150000", "--n", "7"]) == (0, "", "")
-    # At its cap `braiding` gets past the check, to the parameters.
+    # At its cap each of the others gets past the check, to the parameters.
     passed = ValueError("past the cap")
     with mock.patch.object(cli, "_resolve_params", side_effect=passed):
-        assert run_cli(["braiding", "--pq-preset", "2,3", "--n", "60000"]) == (
-            2,
-            "",
-            "error: past the cap\n",
-        )
+        for argv in (
+            ["braiding", "--pq-preset", "2,3", "--n", "60000"],
+            ["decompose", "--pq-preset", "2,3", "--target", "wpq", "--nmax", "100000"],
+            ["o0-check", "--pq-preset", "2,3", "--nmax", "100000"],
+        ):
+            assert run_cli(argv) == (2, "", "error: past the cap\n"), argv
 
 
 def test_sl2_subcommand():
@@ -1121,6 +1131,13 @@ LOADED_LAYERS = [
     ("sl2-error", ["sl2", "--n", "-1", "--op", "irrep"], {"sl2rep"}, 2),
     ("fuse-C-cap", ["fuse-C", "--m", "150001", "--n", "1"], set(), 2),
     ("braiding-cap", ["braiding", "--p", "2", "--q", "3", "--n", "60001"], set(), 2),
+    (
+        "decompose-cap",
+        ["decompose", "--p", "2", "--q", "3", "--target", "wpq", "--nmax", "100001"],
+        set(),
+        2,
+    ),
+    ("o0-check-cap", ["o0-check", "--p", "2", "--q", "3", "--nmax", "100001"], set(), 2),
     (
         "kac-diagram",
         ["kac-diagram", "--p", "2", "--q", "3", "--m", "2", "--n", "2"],

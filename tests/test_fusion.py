@@ -152,6 +152,64 @@ def test_fusion_ring_laws_catch_a_wrong_reused_product(monkeypatch):
     assert len(wrong_calls) == 1
 
 
+def _wrong_at_one_operand_pair(monkeypatch, left, right):
+    """Make fusion_ring_product wrong, by one extra unit, exactly when its
+    operands equal (left, right) as values."""
+    correct = fusion.fusion_ring_product
+    wrong_calls = []
+
+    def wrong(params, a, b):
+        out = correct(params, a, b)
+        if (a, b) != (left, right):
+            return out
+        wrong_calls.append((a, b))
+        first = out.entries[0]
+        return DecompList((DecompEntry(first.mult + 1, first.obj),) + out.entries[1:])
+
+    monkeypatch.setattr(fusion, "fusion_ring_product", wrong)
+    return wrong_calls
+
+
+def test_fusion_ring_laws_catch_one_wrong_distinct_left_product(monkeypatch):
+    # (ab)c is computed once per {a, b} and c: with a = L_1, b = L_3 at (1,3,2)
+    # and read back at (3,1,2).  One wrong (ab)c with a != b must still fail.
+    params = Params(2, 3)
+    basis = [one(sl2_index_to_obj(params, k)) for k in range(11)]
+    ab = fusion_ring_product(params, basis[1], basis[3])
+    assert len(ab.entries) == 2
+    wrong_calls = _wrong_at_one_operand_pair(monkeypatch, ab, basis[2])
+    with pytest.raises(AssertionError, match=r"^\(ab\)c != a\(bc\) at \(1, 3, 2\) :"):
+        PROPERTIES["fusion"]["fusion_ring_commutative_associative"]()
+    assert len(wrong_calls) == 1
+
+
+def test_fusion_ring_laws_catch_one_wrong_distinct_right_product(monkeypatch):
+    # a(bc) is computed once per a and {b, c}: with a = L_2 and bc = L_1 L_3
+    # at (2,1,3), read back at (2,3,1).
+    params = Params(2, 3)
+    basis = [one(sl2_index_to_obj(params, k)) for k in range(11)]
+    bc = fusion_ring_product(params, basis[1], basis[3])
+    wrong_calls = _wrong_at_one_operand_pair(monkeypatch, basis[2], bc)
+    with pytest.raises(AssertionError, match=r"^\(ab\)c != a\(bc\) at \(2, 1, 3\) :"):
+        PROPERTIES["fusion"]["fusion_ring_commutative_associative"]()
+    assert len(wrong_calls) == 1
+
+
+def test_fusion_ring_laws_compute_each_distinct_product_once(monkeypatch):
+    # 2 x 121 basis products (ab and ba), then 66 x 11 distinct (ab)c and
+    # 11 x 66 distinct a(bc): 242 + 1,452 calls, against 242 + 2 x 1,331.
+    correct = fusion.fusion_ring_product
+    calls = []
+
+    def counted(params, a, b):
+        calls.append((a, b))
+        return correct(params, a, b)
+
+    monkeypatch.setattr(fusion, "fusion_ring_product", counted)
+    PROPERTIES["fusion"]["fusion_ring_commutative_associative"]()
+    assert len(calls) == 242 + 1452
+
+
 def test_fusion_ring_laws_catch_a_channel_range_from_the_wrong_start(monkeypatch):
     # The sl2 x sl2 channel range is written inline; starting it at |a-b|+2
     # drops the lowest channel of every basis product.

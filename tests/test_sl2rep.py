@@ -14,6 +14,7 @@ from triplet.sl2rep import (
 )
 from triplet.verify import (
     PROPERTIES,
+    _channel_maps,
     _form_rows,
     _int_product,
     _irrep_rows,
@@ -129,13 +130,14 @@ def test_cg_system_equals_dense_inverse_oracle(m):
     # sl2rep.cg_biorthogonality_and_completeness compares every m,n <= 5.
     for n in range(8):
         if max(m, n) >= 6:
-            assert _system_equals_oracle(sl2rep._cg_system(m, n), cg_system_oracle(m, n)), (m, n)
+            maps = _channel_maps(sl2rep._cg_system(m, n))
+            assert _system_equals_oracle(maps, cg_system_oracle(m, n)), (m, n)
 
 
 def test_system_comparison_sees_one_changed_entry():
     # The cross-multiplied comparison is not fooled by a rescaled channel,
     # and it sees a single changed entry.
-    system, oracle = sl2rep._cg_system(2, 1), cg_system_oracle(2, 1)
+    system, oracle = _channel_maps(sl2rep._cg_system(2, 1)), cg_system_oracle(2, 1)
     assert _system_equals_oracle(system, oracle)
     (rows, row_den), (columns, lead) = oracle[1]
     rescaled = ((rows, row_den), ([{i: 3 * x for i, x in c.items()} for c in columns], 3 * lead))

@@ -1,8 +1,9 @@
 """Value semantics of the immutable classes every layer builds on.
 
 Each class is a ``__slots__`` subclass of ``base.Value``: equality only
-within one class, the hash of the field tuple, a ``Name(field=value, ...)``
-repr, read-only fields, and pickle/copy through ``__init__``.
+within one class, the hash of the field tuple (``ObjLabel`` hashes its label
+flat), a ``Name(field=value, ...)`` repr, read-only fields, and pickle/copy
+through ``__init__``.
 """
 
 import copy
@@ -20,7 +21,16 @@ from triplet.exactnum import Phase
 from triplet.fusion import DecompEntry, DecompList, fuse_L_family
 from triplet.kacmod import kac_length2_seq, kac_mm_nn_diagram
 from triplet.sl2rep import build_irrep, cg_maps, invariant_form
-from triplet.virasoro import ObjLabel, Params, VirLabel, kac_dual_k11, kac_k, simple_l
+from triplet.virasoro import (
+    ObjLabel,
+    Params,
+    VirLabel,
+    _sl2_obj,
+    canonical_obj,
+    kac_dual_k11,
+    kac_k,
+    simple_l,
+)
 from triplet.wpq import GradedEntry, decompose_wpq_equivariant
 
 P23 = Params(2, 3)
@@ -51,6 +61,14 @@ IDS = [type(x).__name__ for x in INSTANCES]
 
 def fields(x) -> tuple:
     return tuple(getattr(x, name) for name in type(x).__slots__)
+
+
+def hashed(x) -> tuple:
+    """The tuple x hashes as: its fields, except that an ObjLabel spells its
+    label out flat, (kind, r, s), or is (kind,) for K'_{1,1}."""
+    if type(x) is ObjLabel:
+        return (x.kind,) if x.label is None else (x.kind, x.label.r, x.label.s)
+    return fields(x)
 
 
 def test_instances_cover_every_value_class():
@@ -87,7 +105,7 @@ def test_equal_fields_of_different_classes_are_unequal():
 def test_value_semantics(x):
     cls = type(x)
     names = cls.__slots__
-    assert hash(x) == hash(fields(x))
+    assert hash(x) == hash(hashed(x))
     assert x != fields(x)
     assert repr(x) == f"{cls.__name__}(" + ", ".join(f"{n}={getattr(x, n)!r}" for n in names) + ")"
     again = cls(**{n: getattr(x, n) for n in names})
@@ -111,6 +129,29 @@ def test_pickle_and_copy_round_trip(x):
         assert type(y) is type(x)
         assert y == x
         assert hash(y) == hash(x)
+
+
+def test_equal_obj_labels_hash_equal_however_they_are_built():
+    # Freshly built, canonicalized, interned by the sl2 dictionary, and the
+    # unlabelled K'_{1,1}: each pair is equal and hashes alike, also after a
+    # pickle or copy round trip.
+    p23 = Params(2, 3)
+    groups = [
+        [ObjLabel("SimpleL", VirLabel(7, 1)), simple_l(7, 1), _sl2_obj(2, 2)],
+        # L_{1,5} is L_{3,1} at (2,3); canonical_obj builds a new label.
+        [simple_l(3, 1), canonical_obj(p23, simple_l(1, 5)), canonical_obj(p23, simple_l(3, 1))],
+        [ObjLabel("KacDualK11"), kac_dual_k11(), _sl2_obj(2, 0), _sl2_obj(5, 0)],
+        [ObjLabel("KacK", VirLabel(1, 2)), kac_k(1, 2), canonical_obj(p23, kac_k(1, 2))],
+    ]
+    for group in groups:
+        copies = [y for x in group for y in (pickle.loads(pickle.dumps(x)), copy.copy(x))]
+        for x in group + copies:
+            assert type(x) is ObjLabel
+            assert x == group[0] and hash(x) == hash(group[0]), (x, group[0])
+    # Distinct labels stay distinct as set members: a flat hash of
+    # (kind, r, s) does not merge a kind with another's fields.
+    assert len({group[0] for group in groups}) == len(groups)
+    assert len({simple_l(7, 1), kac_k(7, 1), simple_l(1, 7)}) == 3
 
 
 def test_pickle_load_reruns_the_checks():
