@@ -11,10 +11,10 @@ Each subcommand imports the layers it runs when it is called, the scalar
 and label layers (`exactnum`, `virasoro`) included, once per call and never
 once per output item, so a call pays for no layer it does not use: `sl2`
 writes its rational cells from integers through `base.ratio_str` and loads
-neither.  A size over its cap (`FUSE_C_MAX_INDEX`, `BRAIDING_MAX_N`,
-`DECOMPOSE_MAX_NMAX`, `O0_CHECK_MAX_NMAX`) is refused before any layer is
-imported.  Every option is
-defined once, in COMMANDS.  A well-formed call is parsed from that table by
+neither.  Every option is defined once, in COMMANDS, with the `cost` of a
+call, which bounds what it builds and writes from its integers alone; a
+call over MAX_BUILT_BYTES or MAX_OUTPUT_BYTES is refused before any layer
+is imported.  A well-formed call is parsed from that table by
 `_parse_known` and never imports argparse; help, usage and every argument
 error still come from argparse, byte for byte, through `build_parser`,
 which builds the arguments of the one subcommand named (`--help` still
@@ -23,8 +23,7 @@ lists all ten).  JSON is written by this module's one writer,
 `json` package is never loaded.  It writes every payload a bounded piece at
 a time and never holds a payload's whole text.  `sl2` hands it matrices by
 their nonzero cells (`_Sparse`), so such a call takes memory in proportion
-to the nonzero cells and time in proportion to its output; each `sl2` call
-is capped by the cells it writes (`SL2_MAX_CELLS`).
+to the nonzero cells and time in proportion to its output.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from __future__ import annotations
 import os
 import sys
 from _json import encode_basestring_ascii
+from math import gcd
 from types import SimpleNamespace
 
 from .base import UnsupportedObjectError, ratio_str
@@ -49,7 +49,7 @@ EXIT_CODES = {
     # A `verify` property failed.
     "failed": 1,
     # An argument or validation failure (argparse's own usage errors exit 2
-    # too), a request over its cap, or one too large for memory.
+    # too), a request over the budget, or one too large for memory.
     "invalid": 2,
     # A structurally unsupported request, e.g. the Loewy diagram of a
     # general Kac label.
@@ -179,31 +179,21 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-# The largest value each capped size option takes.  A call over its cap
-# exits 2 before any layer is imported.  At its cap a call takes under about
-# 1 s and 100 MB (README, "CLI").
-FUSE_C_MAX_INDEX = 150_000
-BRAIDING_MAX_N = 60_000
-DECOMPOSE_MAX_NMAX = 100_000
-O0_CHECK_MAX_NMAX = 100_000
-
-
-def _check_cap(command: str, flag: str, value: int, cap: int) -> None:
-    if value > cap:
-        raise ValueError(f"{command} {flag} {value} is over its cap of {cap}")
+def _pq(args) -> tuple[int, int]:
+    """(p, q) from --pq-preset or --p and --q, not yet checked by `Params`."""
+    if args.pq_preset:
+        if args.p is not None or args.q is not None:
+            raise ValueError("--pq-preset conflicts with explicit --p/--q")
+        return PQ_PRESETS[args.pq_preset]
+    if args.p is None or args.q is None:
+        raise ValueError("missing --p/--q (or use --pq-preset)")
+    return args.p, args.q
 
 
 def _resolve_params(args):
     from .virasoro import Params
 
-    if getattr(args, "pq_preset", None):
-        if args.p is not None or args.q is not None:
-            raise ValueError("--pq-preset conflicts with explicit --p/--q")
-        p, q = PQ_PRESETS[args.pq_preset]
-        return Params(p, q)
-    if args.p is None or args.q is None:
-        raise ValueError("missing --p/--q (or use --pq-preset)")
-    return Params(args.p, args.q)
+    return Params(*_pq(args))
 
 
 def _obj_json(obj) -> dict:
@@ -239,8 +229,6 @@ def _cmd_fuse_l(args) -> int:
 
 
 def _cmd_fuse_c(args) -> int:
-    _check_cap("fuse-C", "--m", args.m, FUSE_C_MAX_INDEX)
-    _check_cap("fuse-C", "--n", args.n, FUSE_C_MAX_INDEX)
     from . import fusion
 
     channels = fusion.fuse_C(args.m, args.n)
@@ -416,7 +404,6 @@ def _cmd_hexagon(args) -> int:
 
 def _cmd_braiding(args) -> int:
     n = args.n
-    _check_cap("braiding", "--n", n, BRAIDING_MAX_N)
     from . import braidfmat, fusion
     from .exactnum import Phase, rat_str
 
@@ -465,7 +452,6 @@ def _graded_json(entries, args) -> dict:
 
 
 def _cmd_decompose(args) -> int:
-    _check_cap("decompose", "--nmax", args.nmax, DECOMPOSE_MAX_NMAX)
     from . import wpq
 
     params = _resolve_params(args)
@@ -480,7 +466,6 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_o0_check(args) -> int:
-    _check_cap("o0-check", "--nmax", args.nmax, O0_CHECK_MAX_NMAX)
     from . import wpq
     from .exactnum import rat_str
 
@@ -491,15 +476,6 @@ def _cmd_o0_check(args) -> int:
     ]
     _emit({"n_max": args.nmax, "rows": rows})
     return 0
-
-
-# The most matrix cells one `sl2` call writes, by --op, with the count it
-# writes: an irrep's E, F and H, a form's B, and a Clebsch-Gordan channel's
-# projection and inclusion.  A call over its cap exits 2 before anything is
-# built.  At its cap a call takes about 0.5-0.6 s and at most about 60 MB
-# (README, "sl2 linear algebra").
-SL2_MAX_CELLS = {"irrep": 100_000_000, "form": 100_000_000, "cg": 40_000_000}
-SL2_CELLS = {"irrep": "3(n+1)^2", "form": "(n+1)^2", "cg": "2(k+1)(m+1)(n+1)"}
 
 
 def _cmd_sl2(args) -> int:
@@ -513,14 +489,6 @@ def _cmd_sl2(args) -> int:
         if m is None or k is None:
             raise ValueError("--op cg requires --m and --k")
         sl2rep.check_channel(m, n, k)
-        cells = 2 * (k + 1) * (m + 1) * (n + 1)
-    else:
-        cells = (3 if op == "irrep" else 1) * (n + 1) ** 2
-    if cells > SL2_MAX_CELLS[op]:
-        raise ValueError(
-            f"sl2 --op {op} would write {SL2_CELLS[op]} = {cells} matrix cells, "
-            f"over its cap of {SL2_MAX_CELLS[op]}"
-        )
     # Only the nonzero cells are built, as text, before the first byte is
     # written; `_write_json` fills in the zeros a piece at a time.
     if op == "irrep":
@@ -539,12 +507,13 @@ def _cmd_sl2(args) -> int:
     else:
         cg = sl2rep.cg_maps(m, n, k)
         dim = (m + 1) * (n + 1)
+        columns = cg.inclusion_columns()
         proj = {
             r: {i: ratio_str(x * cg.big, cg.scale) for i, x in row.items()}
-            for r, row in enumerate(cg.projection_rows())
+            for r, row in enumerate(cg.projection_rows(columns))
         }
         incl: dict[int, dict[int, str]] = {}
-        for j, column in enumerate(cg.inclusion_columns()):
+        for j, column in enumerate(columns):
             for i, x in column.items():
                 incl.setdefault(i, {})[j] = ratio_str(x, cg.big)
         payload = {
@@ -592,6 +561,115 @@ class _Suites:
         return iter(["all", *sorted(verify.PROPERTIES)])
 
 
+# `main` refuses a call whose COMMANDS `cost` (built, written) is over
+# either budget: `built` bounds the text the handler builds as Python values
+# (all of a list payload, only the nonzero cells of an `sl2` matrix), and
+# `written` all of stdout.  `braiding` at small p and q, the costliest per
+# byte built, sets MAX_BUILT_BYTES (README, "CLI").
+MAX_BUILT_BYTES = 9_000_000
+MAX_OUTPUT_BYTES = 1_200_000_000
+
+
+def _chars(bits: int) -> int:
+    """The most characters of str(x) for |x| < 2**bits: log10(2) < 0.30103."""
+    return bits * 30103 // 100000 + 2
+
+
+def _valid_pq(args) -> tuple[int, int]:
+    """(p, q) where `_resolve_params` takes them, else (0, 0)."""
+    try:
+        p, q = _pq(args)
+    except ValueError:
+        return 0, 0
+    return (p, q) if min(p, q) > 1 and gcd(p, q) == 1 else (0, 0)
+
+
+def _listed(ok, count: int, entry: int, head: int) -> tuple[int, int]:
+    """A list payload of `count` entries of at most `entry` bytes, built whole;
+    (0, 0) where the handler refuses its arguments itself (`ok` false)."""
+    size = head + count * entry if ok else 0
+    return size, size
+
+
+def _fixed_cost(args) -> tuple[int, int]:
+    return 8192, 8192  # `weights`, `hexagon` (--t is capped) and `verify`
+
+
+def _fuse_c_cost(args) -> tuple[int, int]:
+    m, n = args.m, args.n
+    return _listed(min(m, n) >= 0, min(m, n) + 1, 90 + _chars((m + n).bit_length()), 22)
+
+
+def _fuse_l_cost(args) -> tuple[int, int]:
+    (p, _), m, n = _valid_pq(args), args.m, args.n
+    label = _chars(((m + n) * p).bit_length())  # L_{(k+2)p-1,1}, k <= m+n-4
+    return _listed(p and min(m, n) >= 2, min(m, n) - 1, 134 + label, 22)
+
+
+def _kac_diagram_cost(args) -> tuple[int, int]:
+    (p, q), m, n, r, s = _valid_pq(args), args.m, args.n, args.r, args.s
+    if p and None not in (r, s) and (m, n) == (None, None) and (r + 1) % p == (s + 1) % q == 0:
+        m, n = (r + 1) // p, (s + 1) // q
+    elif (r, s) != (None, None) or None in (m, n):
+        m = n = 0
+    # 4n-2 nodes and 8n-6 edges at most; a node's label is at most
+    # (m+n+1)max(p,q), its name holds it (twice in DOT), and its weight is
+    # N/4 with |N| <= 4(m+n+1)^2 pq.
+    label = _chars(((m + n + 1) * max(p, q)).bit_length())
+    name = 4 + 2 * label
+    node = 176 + 6 * name + 2 * label + _chars((4 * (m + n + 1) ** 2 * p * q).bit_length())
+    return _listed(p and 2 <= n <= m, 4 * n - 2, node, 150 + 4 * label)
+
+
+def _braiding_cost(args) -> tuple[int, int]:
+    (p, q), n = _valid_pq(args), args.n
+    # Channel k <= 2n: k and two exponents in [0, 2) over a divisor of 4pq.
+    channel = 72 + 3 * _chars((2 * n).bit_length()) + 4 * _chars((8 * p * q).bit_length())
+    return _listed(p and n >= 0, n + 1, channel, 330 + _chars(n.bit_length()))
+
+
+def _decompose_cost(args) -> tuple[int, int]:
+    (p, q), n = _valid_pq(args), args.nmax
+    # Entry i <= n: 2i-2, 2i-1, the label 2ip-1 and the weight (ip-1)(iq-1).
+    entry = 160 + 2 * _chars((2 * n).bit_length()) + _chars((2 * n * p).bit_length())
+    entry += _chars((n * n * p * q).bit_length())
+    return _listed(p and n >= (1 if args.target == "ideal" else 2), n, entry, 100)
+
+
+def _o0_check_cost(args) -> tuple[int, int]:
+    (p, q), n = _valid_pq(args), args.nmax
+    # Row i <= n: i and the integer (ip-1)(iq-2).
+    row = 75 + _chars(n.bit_length()) + _chars((n * n * p * q).bit_length())
+    return _listed(p and n >= 2, n - 1, row, 40 + _chars(n.bit_length()))
+
+
+def _sl2_cost(args) -> tuple[int, int]:
+    n, m, k = args.n, args.m, args.k
+    if args.op != "cg":
+        # E, F and H hold 3n+1 nonzero cells, each below (n+1)^2; B n+1 signs.
+        count = 3 if args.op == "irrep" else 1
+        shapes, cells = [(n + 1, n + 1)] * count, count * (n + 1)
+        cell = _chars(2 * (n + 1).bit_length())
+    elif None in (m, k) or (m + n - k) % 2 or not abs(m - n) <= k <= m + n:
+        return 0, 0
+    else:
+        # An inclusion cell is x/big and a projection cell x*big/scale, with
+        # x below 2^x_bits, big below 2^big_bits and scale below 2^(2 x_bits)
+        # (README, "sl2 linear algebra"); a matrix has at most
+        # (k+1)(min(m,n)+1) nonzero cells.
+        s, big_bits = (m + n - k) // 2, 3 * (m + 1) // 2 + 1
+        x_bits = n + s + big_bits + k + (s + 1).bit_length()
+        dim = (m + 1) * (n + 1)
+        shapes, cells = [(k + 1, dim), (dim, k + 1)], 2 * (k + 1) * (min(m, n) + 1)
+        cell = _chars(x_bits + big_bits) + _chars(2 * x_bits)
+    if n < 0:
+        return 0, 0
+    built = cells * (12 + cell)
+    # A zero cell takes 11 bytes, and a row 13 more.
+    dense = sum(rows * (13 + 11 * cols) for rows, cols in shapes)
+    return built, 100 + 3 * _chars(max(shapes[0]).bit_length()) + dense + built
+
+
 _PQ = (
     ("--p", {"type": _int_arg, "default": None, "help": "first member of the coprime pair"}),
     ("--q", {"type": _int_arg, "default": None, "help": "second member of the coprime pair"}),
@@ -607,8 +685,8 @@ _PQ = (
 _REQUIRED_INT = {"type": _int_arg, "required": True}
 _OPTIONAL_INT = {"type": _int_arg, "default": None}
 
-# name -> (help line, options, handler), in the order --help lists them.
-# Each option is (flag, add_argument keywords); the keywords are only
+# name -> (help line, options, handler, cost), in the order --help lists
+# them.  Each option is (flag, add_argument keywords); the keywords are only
 # `type`, `choices`, `required`, `default`, `action="append"` and `help`,
 # which both `build_parser` and `_parse_known` read.
 COMMANDS = {
@@ -616,19 +694,22 @@ COMMANDS = {
         "central charge, conformal weight, canonical label",
         (*_PQ, ("--r", _REQUIRED_INT), ("--s", _REQUIRED_INT)),
         _cmd_weights,
+        _fixed_cost,
     ),
     "fuse-L": (
         "fusion of L_{mp-1,1} with L_{np-1,1}",
         (*_PQ, ("--m", _REQUIRED_INT), ("--n", _REQUIRED_INT)),
         _cmd_fuse_l,
+        _fuse_l_cost,
     ),
     "fuse-C": (
         "sl2-type fusion channels of L_m with L_n",
         (
-            ("--m", {**_REQUIRED_INT, "help": f"index m of L_m, at most {FUSE_C_MAX_INDEX}"}),
-            ("--n", {**_REQUIRED_INT, "help": f"index n of L_n, at most {FUSE_C_MAX_INDEX}"}),
+            ("--m", {**_REQUIRED_INT, "help": "index m of L_m"}),
+            ("--n", {**_REQUIRED_INT, "help": "index n of L_n"}),
         ),
         _cmd_fuse_c,
+        _fuse_c_cost,
     ),
     "kac-diagram": (
         "Loewy diagram of K_{mp-1,nq-1}",
@@ -641,6 +722,7 @@ COMMANDS = {
             ("--format", {"choices": ("json", "dot"), "default": "json"}),
         ),
         _cmd_kac_diagram,
+        _kac_diagram_cost,
     ),
     "hexagon": (
         "invertible F-matrix solutions of the hexagon constraint",
@@ -649,25 +731,29 @@ COMMANDS = {
             ("--t", {"type": str, "default": None, "help": "evaluate the family at rational t=NUM/DEN"}),
         ),
         _cmd_hexagon,
+        _fixed_cost,
     ),
     "braiding": (
         "R-scalars and balancing phases on L_n (x) L_n",
-        (*_PQ, ("--n", {**_REQUIRED_INT, "help": f"index n of L_n, at most {BRAIDING_MAX_N}"})),
+        (*_PQ, ("--n", {**_REQUIRED_INT, "help": "index n of L_n"})),
         _cmd_braiding,
+        _braiding_cost,
     ),
     "decompose": (
         "truncated decompositions of the triplet algebra",
         (
             *_PQ,
             ("--target", {"choices": ("wpq", "wpq-equivariant", "ideal", "wprime"), "required": True}),
-            ("--nmax", {**_REQUIRED_INT, "help": f"last entry n, at most {DECOMPOSE_MAX_NMAX}"}),
+            ("--nmax", {**_REQUIRED_INT, "help": "last entry n"}),
         ),
         _cmd_decompose,
+        _decompose_cost,
     ),
     "o0-check": (
         "weight-congruence identities for induction",
-        (*_PQ, ("--nmax", {**_REQUIRED_INT, "help": f"last row n, at most {O0_CHECK_MAX_NMAX}"})),
+        (*_PQ, ("--nmax", {**_REQUIRED_INT, "help": "last row n"})),
         _cmd_o0_check,
+        _o0_check_cost,
     ),
     "sl2": (
         "explicit sl2 irreducibles, forms, and CG maps",
@@ -678,14 +764,14 @@ COMMANDS = {
                 {
                     "choices": ("irrep", "form", "cg"),
                     "required": True,
-                    "help": "what to write; each is capped by its matrix cells: "
-                    + ", ".join(f"{op} {SL2_CELLS[op]} <= {SL2_MAX_CELLS[op]}" for op in SL2_CELLS),
+                    "help": "what to write: E, F and H of V_n, its form, or a CG channel",
                 },
             ),
             ("--m", _OPTIONAL_INT),
             ("--k", _OPTIONAL_INT),
         ),
         _cmd_sl2,
+        _sl2_cost,
     ),
     "verify": (
         "run the exact property suites",
@@ -700,6 +786,7 @@ COMMANDS = {
             ),
         ),
         _cmd_verify,
+        _fixed_cost,
     ),
 }
 
@@ -780,7 +867,7 @@ def build_parser(command: str | None = None):
         description="Exact representation-theoretic data of the W_{p,q} triplet construction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help, options, _) in COMMANDS.items():
+    for name, (help, options, *_) in COMMANDS.items():
         if name == command:
             subparser = sub.add_parser(name, help=help)
             for flag, kwargs in options:
@@ -802,7 +889,14 @@ def main(argv: list[str] | None = None) -> int:
                 # no subcommand name does, so this is the one it runs, if any.
                 command = next((token for token in argv if token in COMMANDS), None)
                 args = build_parser(command).parse_args(argv)
-            return COMMANDS[args.command][2](args)
+            _, _, handler, cost = COMMANDS[args.command]
+            built, written = cost(args)
+            if built > MAX_BUILT_BYTES or written > MAX_OUTPUT_BYTES:
+                raise ValueError(
+                    f"{args.command} may build {built} and write {written} bytes, over "
+                    f"its budgets of {MAX_BUILT_BYTES} built and {MAX_OUTPUT_BYTES} written"
+                )
+            return handler(args)
         except UnsupportedObjectError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_CODES["unsupported"]

@@ -21,7 +21,7 @@ from .virasoro import (
     SIMPLE_L,
     ObjLabel,
     Params,
-    _sl2_obj,
+    _sl2_label,
     canonical_label,
     canonical_obj,
     obj_to_sl2_index,
@@ -194,5 +194,6 @@ def fusion_ring_product(params: Params, a: DecompList, b: DecompList) -> DecompL
 def _sl2_entry(p: int, k: int, mult: int) -> DecompEntry:
     """The product entry mult * L_k, one object per (p, k, mult) while the
     cache holds it, so equal products compare their entries by identity;
-    the label is read from the cache behind :func:`virasoro.sl2_index_to_obj`."""
-    return DecompEntry(mult, _sl2_obj(p, k))
+    the label is read under the dictionary's cache policy
+    (:func:`virasoro._sl2_label`)."""
+    return DecompEntry(mult, _sl2_label(p, k))

@@ -464,6 +464,15 @@ def even_subring_closed():
         for n in range(0, 13, 2):
             channels = fusion.fuse_C(m, n)
             _expect(all(k % 2 == 0 for k in channels), "fuse_C", (m, n), "=", channels)
+    # The same closure on labels: a product of two even basis labels of the
+    # ring laws' range has only even dictionary labels as entries.
+    params = Params(2, 3)
+    even = [fusion.decomp_from_pairs([(1, sl2_index_to_obj(params, k))]) for k in range(0, 11, 2)]
+    for a in even:
+        for b in even:
+            product = fusion.fusion_ring_product(params, a, b)
+            indices = [obj_to_sl2_index(params, e.obj) for e in product.entries]
+            _expect(all(i is not None and i % 2 == 0 for i in indices), a, "*", b, "=", product)
 
 
 # --- braidfmat --------------------------------------------------------------
@@ -739,8 +748,12 @@ ChannelMaps = dict[int, tuple[sl2rep.CGChannel, list[dict[int, int]], list[dict[
 
 def _channel_maps(system: dict[int, sl2rep.CGChannel]) -> ChannelMaps:
     """Each channel of a system with its projection rows and inclusion
-    columns, each read once."""
-    return {k: (cg, cg.projection_rows(), cg.inclusion_columns()) for k, cg in system.items()}
+    columns, the rows reflected from the columns, which are built once."""
+    maps = {}
+    for k, cg in system.items():
+        columns = cg.inclusion_columns()
+        maps[k] = (cg, cg.projection_rows(columns), columns)
+    return maps
 
 
 def _system_equals_oracle(maps: ChannelMaps, oracle: dict) -> bool:
@@ -935,6 +948,12 @@ def equivariant_dimension_agreement():
         for pe, ge in zip(plain, graded):
             _expect(pe.mult == ge.mult == (ge.psl2 + 1), params, pe, ge)
             _expect(pe.obj == ge.obj and pe.lowest_weight == ge.lowest_weight, params, pe, ge)
+        # Entry n is graded by V_{2n-2}: its multiplicity is the dimension of
+        # `sl2rep`'s irreducible, on V_0..V_10, the weights the sl2rep suite
+        # builds.
+        for n, entry in enumerate(plain[:6], start=1):
+            dim = len(sl2rep.build_irrep(2 * n - 2).h)
+            _expect(entry.mult == dim, params, "entry", n, entry, "is not graded by dim", dim)
         # The contragredient is the even part of the sl2 dictionary: entry n
         # is L_{2n-2}, with K'_{1,1} = L_0 at n = 1.
         for n, entry in enumerate(wpq.decompose_wprime(params, 20), start=1):

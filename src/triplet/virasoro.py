@@ -192,7 +192,15 @@ def sl2_index_to_obj(params: Params, n: int) -> ObjLabel:
     """The dictionary n -> L_n: K'_{1,1} for n = 0, L_{(n+2)p-1,1} for n >= 1."""
     if n < 0:
         raise ValueError(f"sl2 index must be >= 0, got {n}")
-    return _sl2_obj(params.p, n)
+    return _sl2_label(params.p, n)
+
+
+def _sl2_label(p: int, n: int) -> ObjLabel:
+    """L_n at p under the dictionary's one cache policy: an index below
+    CACHE_SIZE goes through the cache, and a larger one is built without
+    inserting it, so that a long family (a decomposition, a fusion product,
+    a balancing check) keeps the keys that earlier calls put there."""
+    return (_sl2_obj if n < CACHE_SIZE else _sl2_obj.__wrapped__)(p, n)
 
 
 # The dictionary depends only on p.  The key is the int p, not Params,

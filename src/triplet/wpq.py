@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .base import CACHE_SIZE, Value
+from .base import Value
 from .exactnum import Rat
-from .virasoro import ObjLabel, Params, VirLabel, _sl2_obj, conformal_weight, kac_dual_k11
-from .virasoro import kac_k, simple_l
+from .virasoro import ObjLabel, Params, VirLabel, conformal_weight, kac_dual_k11, kac_k
+from .virasoro import simple_l, sl2_index_to_obj
 
 
 class GradedEntry(Value):
@@ -43,13 +43,8 @@ def _decompose(
         raise ValueError(f"n_max must be >= {n_min}, got {n_max}")
     h = Fraction(0) if head.label is None else conformal_weight(params, head.label)
     entries = [GradedEntry(psl2=0 if graded else None, mult=1, obj=head, lowest_weight=h)]
-    p = params.p
     for k in range(2, 2 * n_max - 1, 2):
-        # Indices below CACHE_SIZE go through the dictionary's cache, which one
-        # decomposition then fills at most half of; larger ones are built
-        # without inserting them, so a long decomposition keeps the keys that
-        # earlier calls put there.
-        obj = _sl2_obj(p, k) if k < CACHE_SIZE else _sl2_obj.__wrapped__(p, k)
+        obj = sl2_index_to_obj(params, k)
         h = conformal_weight(params, obj.label)
         entries.append(GradedEntry(k if graded else None, k + 1, obj, h))
     return tuple(entries)

@@ -221,13 +221,13 @@ HELP_SHA256 = {
     None: "4446d7df6457fb1b6cf3ca93c6c51e038fa8a11b50b0a16cf305c6116e4ec3ca",
     "weights": "10a2c2bf40abac6ab0211b91a153a82e348150ae64f5ee7c7d9c90519a996b4c",
     "fuse-L": "339a345a8a9c83ef1e452f8404fc90cd3288a6fc051213c58cad3682e0e7ed55",
-    "fuse-C": "545afdd44ea2f20159ee2d4bac737fd444b8fd3eecc649f280c4e0e71bb708df",
+    "fuse-C": "65d1fecaaa569dfc7456f25e7b0d6a4fb7cd6fa9de4c0ad2c8bed90cbba5a52c",
     "kac-diagram": "dc23dc3c713c6c6add58478d72a75d7d26e82b484347a4e9df286d6c35f2ecce",
     "hexagon": "dc9f69d25a858771dfcebec0e55a1fbf5046fa61c002b13a5950d1bd55fe91dd",
-    "braiding": "ad96f2c501892446471ec8ef1162690458e2b25feefe212050f79d5aab6f0357",
-    "decompose": "0dde35e1e46cd5c587ea036cac3e0b14065f312fda0b8599d199b04347f908bf",
-    "o0-check": "cec2d9b53ae68b7dfaa21f213a08388999e612e2a6e48bab0424875f94d9435f",
-    "sl2": "54c49f8b4f62cc343cfb7fcba616a7fa66ee898d25fb529b158195dd41b15e75",
+    "braiding": "1ef22d77217cda3789f607cee7e5d54df6b487f62f76f6a846d4078ed406ba4e",
+    "decompose": "c723071a222654d366c54e520439a5d1da2078b906fe33905f5666294a715cea",
+    "o0-check": "a22bd734d77a7992eb1f385e39f602f270544abab0341bc87f220ce5a01b4dba",
+    "sl2": "333cb5bba65a7ebd9dc6fd3f78b4d34825f819674c1cffaaaed6180d227d06fb",
     "verify": "0034cb854a4f2f747568a22a1ccece91c7c2a8abcfc913a5de0268a86bfd340b",
 }
 
@@ -355,8 +355,8 @@ def test_any_other_exception_exits_5_with_one_line(monkeypatch):
     def broken(args):
         raise RuntimeError("first line\nsecond line")
 
-    help, options, _ = cli.COMMANDS["weights"]
-    monkeypatch.setitem(cli.COMMANDS, "weights", (help, options, broken))
+    help, options, _, cost = cli.COMMANDS["weights"]
+    monkeypatch.setitem(cli.COMMANDS, "weights", (help, options, broken, cost))
     code, out, err = run_cli(["weights", "--p", "2", "--q", "3", "--r", "1", "--s", "1"])
     assert (code, out) == (cli.EXIT_CODES["internal"], "") == (5, "")
     assert err == "error: internal error: RuntimeError: first line second line\n"
@@ -676,21 +676,19 @@ def test_fast_parser_equals_argparse(argv):
 
 
 # Values for the fuzzed calls: every size small, so that a call takes
-# milliseconds, and `--t` both good and bad.  A capped size is also drawn
-# past its cap, which is refused before any work.
+# milliseconds, and `--t` both good and bad.  Every integer size option of
+# a sized subcommand is also drawn from 10**6 to 10**30: such a call is
+# refused by its cost before any work, or cheap because its other size is
+# small.
 _FUZZ_INTS = st.integers(-2, 12).map(str)
+_FUZZ_SIZES = _FUZZ_INTS | st.integers(10**6, 10**30).map(str)
 _FUZZ_T = st.sampled_from(["1/2", "0", "1/0", "x", "1e200"])
-_FUZZ_CAPS = {
-    ("fuse-C", "--m"): cli.FUSE_C_MAX_INDEX,
-    ("fuse-C", "--n"): cli.FUSE_C_MAX_INDEX,
-    ("braiding", "--n"): cli.BRAIDING_MAX_N,
-    ("decompose", "--nmax"): cli.DECOMPOSE_MAX_NMAX,
-    ("o0-check", "--nmax"): cli.O0_CHECK_MAX_NMAX,
-}
+# The subcommands that a size option scales.
+SIZED = ["fuse-L", "fuse-C", "kac-diagram", "braiding", "decompose", "o0-check", "sl2"]
 
 
 @st.composite
-def _well_formed_argv(draw) -> list[str]:
+def _well_formed_argv(draw, sizes=_FUZZ_SIZES) -> list[str]:
     """A well-formed call of any subcommand but `verify`: each option at
     most once, every required one, values of the right kind but not always
     in range.  (p, q) comes from 1-6, coprime or not, or from a preset."""
@@ -712,11 +710,10 @@ def _well_formed_argv(draw) -> list[str]:
         if flag in by or kwargs.get("required") or draw(st.booleans()):
             if "choices" in kwargs:
                 value = draw(st.sampled_from(list(kwargs["choices"])))
-            elif (command, flag) in _FUZZ_CAPS:
-                cap = _FUZZ_CAPS[command, flag]
-                value = draw(st.one_of(_FUZZ_INTS, st.integers(cap + 1, 10**30).map(str)))
+            elif flag == "--t":
+                value = draw(_FUZZ_T)
             else:
-                value = draw(_FUZZ_T if flag == "--t" else _FUZZ_INTS)
+                value = draw(sizes if command in SIZED else _FUZZ_INTS)
             argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     return argv
 
@@ -726,10 +723,14 @@ def _well_formed_argv(draw) -> list[str]:
 @example(["kac-diagram", "--pq-preset", "2,3", "--r", "4", "--s", "4"])
 @example(["hexagon", "--p", "1", "--q", "1", "--t", "1e200"])
 @example(["sl2", "--n", "12", "--op", "cg", "--m", "12", "--k", "0"])
-@example(["fuse-C", "--m", "150001", "--n", "3"])
-@example(["braiding", "--pq-preset", "2,3", "--n", "60001"])
-@example(["decompose", "--p", "2", "--q", "3", "--target", "wpq", "--nmax", "100001"])
-@example(["o0-check", "--pq-preset", "3,4", "--nmax", "100001"])
+@example(["fuse-L", "--p", "2", "--q", "3", "--m", "600000", "--n", "600000"])
+@example(["kac-diagram", "--p", "2", "--q", "3", "--m", "100000", "--n", "100000"])
+@example(["kac-diagram", "--p", "2", "--q", "3", "--r", "199999", "--s", "299999"])
+@example(["fuse-C", "--m", "150001", "--n", "150001"])
+@example(["braiding", "--pq-preset", "2,3", "--n", "100000"])
+@example(["decompose", "--p", "2", "--q", "3", "--target", "wpq", "--nmax", "100000"])
+@example(["o0-check", "--pq-preset", "3,4", "--nmax", "100000"])
+@example(["sl2", "--n", "1000000", "--op", "cg", "--m", "1000000", "--k", "1000000"])
 def test_fuzzed_calls_exit_with_a_code_of_the_table(argv):
     code, out, err = run_cli(argv)
     assert code in cli.EXIT_CODES.values(), (argv, code)
@@ -846,63 +847,232 @@ def test_o0_check_output():
          "error: k=2 is not a channel of V_3 (x) V_2\n"),
         (["--n", "2", "--op", "cg", "--m", "3", "--k", "7"],
          "error: k=7 is not a channel of V_3 (x) V_2\n"),
+        # One past each op's budget edge (see the budget tests below).
         (
-            ["--n", "5773", "--op", "irrep"],
-            "error: sl2 --op irrep would write 3(n+1)^2 = 100017228 matrix cells, "
-            "over its cap of 100000000\n",
+            ["--n", "6028", "--op", "irrep"],
+            "error: sl2 may build 379827 and write 1200126826 bytes, over its budgets of 9000000 built and 1200000000 written\n",
         ),
         (
-            ["--n", "10000", "--op", "form"],
-            "error: sl2 --op form would write (n+1)^2 = 100020001 matrix cells, "
-            "over its cap of 100000000\n",
+            ["--n", "10443", "--op", "form"],
+            "error: sl2 may build 229768 and write 1200214154 bytes, over its budgets of 9000000 built and 1200000000 written\n",
         ),
         (
-            ["--n", "271", "--op", "cg", "--m", "271", "--k", "272"],
-            "error: sl2 --op cg would write 2(k+1)(m+1)(n+1) = 40395264 matrix cells, "
-            "over its cap of 40000000\n",
+            ["--n", "102", "--op", "cg", "--m", "102", "--k", "102"],
+            "error: sl2 may build 9272266 and write 33451634 bytes, over its budgets of 9000000 built and 1200000000 written\n",
         ),
     ],
     ids=["n<0", "cg", "cg-m", "cg-k", "k-below", "k-above", "irrep-cap", "form-cap", "cg-cap"],
 )
 def test_sl2_errors_exit_2_with_empty_stdout(argv, message):
-    # Every check runs before the first byte is written, caps included.
+    # Every check runs before the first byte is written, budgets included.
     assert run_cli(["sl2", *argv]) == (2, "", message)
 
 
+def _cost(argv: list[str]) -> tuple[int, int]:
+    """The cost `main` reads for a well-formed argv, on either parser's path."""
+    args = cli._parse_known(argv) or cli.build_parser(argv[0]).parse_args(argv)
+    return cli.COMMANDS[argv[0]][3](args)
+
+
+def _refusal(argv: list[str]) -> str:
+    """The one line that refuses `argv` by its cost."""
+    built, written = _cost(argv)
+    return (
+        f"error: {argv[0]} may build {built} and write {written} bytes, over its budgets of "
+        f"{cli.MAX_BUILT_BYTES} built and {cli.MAX_OUTPUT_BYTES} written\n"
+    )
+
+
+def _admitted(argv: list[str]) -> bool:
+    built, written = _cost(argv)
+    return built <= cli.MAX_BUILT_BYTES and written <= cli.MAX_OUTPUT_BYTES
+
+
+P100, Q100 = str(10**99 + 7), str(10**99 + 9)  # coprime, of INT_MAX_CHARS digits
+# Each sized call as a function of one size, which its cost grows with.
+BUDGET_EDGES = {
+    "fuse-L": lambda v: ["fuse-L", "--p", "2", "--q", "3", "--m", v, "--n", v],
+    "fuse-C": lambda v: ["fuse-C", "--m", v, "--n", v],
+    "kac-diagram": lambda v: ["kac-diagram", "--p", "2", "--q", "3", "--m", v, "--n", v],
+    "kac-diagram-rs": lambda v: [
+        "kac-diagram", "--pq-preset", "2,3", "--r", str(2 * int(v) - 1), "--s", str(3 * int(v) - 1)
+    ],
+    "braiding": lambda v: ["braiding", "--pq-preset", "2,3", "--n", v],
+    "braiding-100-digits": lambda v: ["braiding", "--p", P100, "--q", Q100, "--n", v],
+    "decompose": lambda v: ["decompose", "--p", "2", "--q", "3", "--target", "ideal", "--nmax", v],
+    "decompose-100-digits": lambda v: [
+        "decompose", "--p", P100, "--q", Q100, "--target", "wpq-equivariant", "--nmax", v
+    ],
+    "o0-check": lambda v: ["o0-check", "--pq-preset", "3,4", "--nmax", v],
+    "sl2-irrep": lambda v: ["sl2", "--n", v, "--op", "irrep"],
+    "sl2-form": lambda v: ["sl2", "--n", v, "--op", "form"],
+    "sl2-cg": lambda v: ["sl2", "--op", "cg", *(f"--{x}={2 * int(v)}" for x in "mnk")],
+    "sl2-cg-k0": lambda v: ["sl2", "--n", v, "--op", "cg", "--m", v, "--k", "0"],
+}
+
+
+def _edge(make) -> int:
+    """The largest size that `make` is admitted at, by bisection."""
+    low, high = 2, 4
+    while _admitted(make(str(high))):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if _admitted(make(str(mid))) else (low, mid)
+    return low
+
+
+@pytest.mark.parametrize("name", list(BUDGET_EDGES))
+def test_budget_refuses_one_past_its_edge_and_admits_the_edge(name):
+    make = BUDGET_EDGES[name]
+    edge = _edge(make)
+    over = make(str(edge + 1))
+    assert run_cli(over) == (2, "", _refusal(over))
+    # At the edge the call gets past the budget, to its handler: to the
+    # parameters, or for the parameter-free calls to the writer.
+    past = ValueError("past the budget")
+    with mock.patch.object(cli, "_resolve_params", side_effect=past):
+        with mock.patch.object(cli, "_emit", side_effect=past):
+            assert run_cli(make(str(edge))) == (2, "", "error: past the budget\n")
+
+
 def test_sl2_caps_admit_their_largest_calls():
-    # Each size just inside its cap is accepted; only its output is skipped.
-    for argv, op in [
-        (["--n", "5772", "--op", "irrep"], "irrep"),
-        (["--n", "9999", "--op", "form"], "form"),
-        (["--n", "270", "--op", "cg", "--m", "270", "--k", "270"], "cg"),
-    ]:
+    # At each op's budget edge the whole handler runs; only its output is skipped.
+    for name in ["sl2-irrep", "sl2-form", "sl2-cg", "sl2-cg-k0"]:
+        make = BUDGET_EDGES[name]
         with mock.patch.object(cli, "_emit", lambda payload: None):
-            assert run_cli(["sl2", *argv]) == (0, "", ""), op
+            assert run_cli(make(str(_edge(make)))) == (0, "", ""), name
 
 
-def test_size_caps_refuse_one_past_and_admit_the_cap():
-    for argv, message in [
-        (["fuse-C", "--m", "150001", "--n", "0"], "fuse-C --m 150001 is over its cap of 150000"),
-        (["fuse-C", "--m", "0", "--n", "150001"], "fuse-C --n 150001 is over its cap of 150000"),
-        (["braiding", "--pq-preset", "2,3", "--n", "60001"], "braiding --n 60001 is over its cap of 60000"),
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fuse-L", "--p", "2", "--q", "3", "--m", "600000", "--n", "600000"],
+        ["kac-diagram", "--p", "2", "--q", "3", "--m", "100000", "--n", "100000"],
+        ["kac-diagram", "--p", "2", "--q", "3", "--r", "199999", "--s", "299999"],
+    ],
+    ids=["fuse-L", "kac-diagram", "kac-diagram-rs"],
+)
+def test_formerly_uncapped_calls_are_refused_in_one_line(argv):
+    code, out, err = run_cli(argv)
+    assert (code, out, err) == (2, "", _refusal(argv))
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sl2", "--n", "3000", "--op", "form"],
+        ["sl2", "--op", "cg", "--m", "60", "--n", "60", "--k", "60"],
+        ["braiding", "--p", "2", "--q", "3", "--n", "20000"],
+    ],
+    ids=["sl2-form", "sl2-cg", "braiding"],
+)
+def test_budgets_admit_the_streamed_and_the_mid_sized_calls(argv):
+    assert _admitted(argv)
+
+
+HUGE_SIZE = str(10**30)
+
+
+# Huge sizes with arguments that the handler refuses itself: its own
+# message is written, not the budget's.
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
         (
-            ["decompose", "--p", "2", "--q", "3", "--target", "ideal", "--nmax", "100001"],
-            "decompose --nmax 100001 is over its cap of 100000",
+            ["fuse-L", "--p", "4", "--q", "2", "--m", HUGE_SIZE, "--n", HUGE_SIZE],
+            2,
+            "p and q must be coprime, got (4,2)",
         ),
-        (["o0-check", "--pq-preset", "2,3", "--nmax", "100001"], "o0-check --nmax 100001 is over its cap of 100000"),
-    ]:
-        assert run_cli(argv) == (2, "", f"error: {message}\n")
-    with mock.patch.object(cli, "_emit", lambda payload: None):
-        assert run_cli(["fuse-C", "--m", "150000", "--n", "7"]) == (0, "", "")
-    # At its cap each of the others gets past the check, to the parameters.
-    passed = ValueError("past the cap")
-    with mock.patch.object(cli, "_resolve_params", side_effect=passed):
-        for argv in (
-            ["braiding", "--pq-preset", "2,3", "--n", "60000"],
-            ["decompose", "--pq-preset", "2,3", "--target", "wpq", "--nmax", "100000"],
-            ["o0-check", "--pq-preset", "2,3", "--nmax", "100000"],
-        ):
-            assert run_cli(argv) == (2, "", "error: past the cap\n"), argv
+        (
+            ["fuse-L", "--pq-preset", "2,3", "--p", "2", "--m", HUGE_SIZE, "--n", HUGE_SIZE],
+            2,
+            "--pq-preset conflicts with explicit --p/--q",
+        ),
+        (["braiding", "--q", "3", "--n", HUGE_SIZE], 2, "missing --p/--q (or use --pq-preset)"),
+        (
+            ["kac-diagram", "--pq-preset", "2,3", "--m", HUGE_SIZE, "--n", HUGE_SIZE, "--r", "5"],
+            2,
+            "give either --m/--n or --r/--s, not both",
+        ),
+        (
+            ["kac-diagram", "--pq-preset", "2,3", "--r", HUGE_SIZE, "--s", HUGE_SIZE],
+            3,
+            f"no Loewy diagram available for the general Kac label K_{{{HUGE_SIZE},{HUGE_SIZE}}}",
+        ),
+        (
+            ["kac-diagram", "--pq-preset", "2,3", "--m", "5", "--n", HUGE_SIZE],
+            2,
+            f"diagram needs m >= n (swap the arguments), got m=5 < n={HUGE_SIZE}",
+        ),
+        (
+            ["decompose", "--p", "1", "--q", "3", "--target", "wpq", "--nmax", HUGE_SIZE],
+            2,
+            "p and q must be >= 2, got (1,3)",
+        ),
+        (
+            ["o0-check", "--p", "6", "--q", "3", "--nmax", HUGE_SIZE],
+            2,
+            "p and q must be coprime, got (6,3)",
+        ),
+        (
+            ["sl2", "--n", HUGE_SIZE, "--op", "cg", "--m", HUGE_SIZE, "--k", "1"],
+            2,
+            f"k=1 is not a channel of V_{HUGE_SIZE} (x) V_{HUGE_SIZE}",
+        ),
+        (["sl2", "--n", HUGE_SIZE, "--op", "cg"], 2, "--op cg requires --m and --k"),
+    ],
+)
+def test_a_cost_is_within_budget_where_the_handler_refuses_the_arguments(argv, code, message):
+    assert _admitted(argv), argv
+    assert run_cli(argv) == (code, "", f"error: {message}\n")
+
+
+# What a cost may overstate: written <= COST_K * len(stdout) + COST_C.
+COST_K, COST_C = 4, 8192
+
+
+@st.composite
+def _small_argv(draw) -> list[str]:
+    """A small well-formed call of any subcommand, `verify` included."""
+    if draw(st.integers(0, 10)) == 0:
+        return ["verify", "--suite", draw(st.sampled_from(["all", *sorted(verify.PROPERTIES)]))]
+    return draw(_well_formed_argv(sizes=_FUZZ_INTS))
+
+
+@given(_small_argv())
+@example(["fuse-C", "--m", "12", "--n", "12"])
+@example(["kac-diagram", "--pq-preset", "3,4", "--m", "12", "--n", "12", "--format", "dot"])
+@example(["braiding", "--pq-preset", "2,5", "--n", "1"])
+@example(["sl2", "--n", "12", "--op", "cg", "--m", "12", "--k", "12"])
+@example(["verify", "--suite", "all"])
+def test_cost_bounds_the_output_and_is_close_to_it(argv):
+    built, written = _cost(argv)
+    code, out, _ = run_cli(argv)
+    if code == 0:
+        assert len(out) <= written and built <= written, (argv, len(out), built, written)
+        assert written <= COST_K * len(out) + COST_C, (argv, len(out), written)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["braiding", "--p", P100, "--q", Q100, "--n", "300"],
+        ["decompose", "--p", Q100, "--q", "2", "--target", "wpq-equivariant", "--nmax", "300"],
+        ["o0-check", "--p", P100, "--q", Q100, "--nmax", "300"],
+        ["fuse-L", "--p", P100, "--q", Q100, "--m", "300", "--n", "200"],
+        ["kac-diagram", "--p", P100, "--q", Q100, "--m", "40", "--n", "30", "--format", "dot"],
+        ["kac-diagram", "--p", Q100, "--q", "2", "--m", "40", "--n", "30"],
+        ["sl2", "--n", "61", "--op", "cg", "--m", "60", "--k", "61"],
+        ["sl2", "--n", "300", "--op", "cg", "--m", "1", "--k", "301"],
+        ["sl2", "--n", "400", "--op", "irrep"],
+    ],
+)
+def test_cost_bounds_the_output_at_large_digits_and_sizes(argv):
+    built, written = _cost(argv)
+    code, out, _ = run_cli(argv)
+    assert code == 0 and len(out) <= written and built <= written
 
 
 def test_sl2_subcommand():
@@ -1129,15 +1299,21 @@ LOADED_LAYERS = [
     ("sl2-form", ["sl2", "--n", "3", "--op", "form"], {"sl2rep"}, 0),
     ("sl2-cg", ["sl2", "--n", "2", "--op", "cg", "--m", "3", "--k", "1"], {"sl2rep"}, 0),
     ("sl2-error", ["sl2", "--n", "-1", "--op", "irrep"], {"sl2rep"}, 2),
-    ("fuse-C-cap", ["fuse-C", "--m", "150001", "--n", "1"], set(), 2),
-    ("braiding-cap", ["braiding", "--p", "2", "--q", "3", "--n", "60001"], set(), 2),
+    # One call over its budget per sized subcommand: refused before any layer.
+    ("fuse-L-cap", ["fuse-L", "--p", "2", "--q", "3", "--m", "600000", "--n", "600000"], set(), 2),
+    ("fuse-C-cap", ["fuse-C", "--m", "150001", "--n", "150001"], set(), 2),
+    ("kac-diagram-cap", ["kac-diagram", "--p", "2", "--q", "3", "--m", "100000", "--n", "100000"], set(), 2),
+    ("kac-diagram-rs-cap", ["kac-diagram", "--p", "2", "--q", "3", "--r", "199999", "--s", "299999"], set(), 2),
+    ("braiding-cap", ["braiding", "--p", "2", "--q", "3", "--n", "100000"], set(), 2),
     (
         "decompose-cap",
-        ["decompose", "--p", "2", "--q", "3", "--target", "wpq", "--nmax", "100001"],
+        ["decompose", "--p", "2", "--q", "3", "--target", "wpq", "--nmax", "100000"],
         set(),
         2,
     ),
-    ("o0-check-cap", ["o0-check", "--p", "2", "--q", "3", "--nmax", "100001"], set(), 2),
+    ("o0-check-cap", ["o0-check", "--p", "2", "--q", "3", "--nmax", "100000"], set(), 2),
+    ("sl2-cap", ["sl2", "--n", "20000", "--op", "form"], set(), 2),
+    ("sl2-cg-cap", ["sl2", "--n", "200", "--op", "cg", "--m", "200", "--k", "200"], set(), 2),
     (
         "kac-diagram",
         ["kac-diagram", "--p", "2", "--q", "3", "--m", "2", "--n", "2"],

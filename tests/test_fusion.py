@@ -81,6 +81,15 @@ def test_fuse_C_properties_catch_a_wrong_channel(name, monkeypatch):
         PROPERTIES["fusion"][name]()
 
 
+def test_even_subring_property_catches_odd_channels_of_even_labels(monkeypatch):
+    # The ring product's channels start one above |i-j|: `fuse_C` is
+    # untouched, so only the closure check on labels sees the odd entries.
+    wrong = mutant(fusion.fusion_ring_product, "range(abs(ia - ib),", "range(abs(ia - ib) + 1,")
+    monkeypatch.setattr(fusion, "fusion_ring_product", wrong)
+    with pytest.raises(AssertionError, match=r"\*"):
+        PROPERTIES["fusion"]["even_subring_closed"]()
+
+
 def test_fuse_L_family_examples():
     for params in PAIRS:
         p = params.p

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mutant
+from conftest import mutant, run_cli
 from triplet import linalg, sl2rep, verify
 from triplet.sl2rep import (
+    CGChannel,
+    _cg_system,
     build_irrep,
     cg_maps,
     invariant_form,
@@ -350,3 +352,19 @@ def test_simplicity_witness_checks_length_before_building_form():
     with pytest.raises(ValueError, match="length 81"):
         _simplicity_witness(40, [1, 0, 0])
     assert sl2rep.invariant_form.cache_info().currsize == 0
+
+
+def test_each_channel_builds_its_inclusion_columns_once(monkeypatch):
+    # The projection rows are reflected from the columns a caller already
+    # holds; `sl2 --op cg` and `verify._channel_maps` each build them once
+    # per channel, and the rows equal those built from scratch.
+    for k, cg in _cg_system(4, 3).items():
+        assert cg.projection_rows(cg.inclusion_columns()) == cg.projection_rows()
+    built = []
+    columns = CGChannel.inclusion_columns
+    monkeypatch.setattr(CGChannel, "inclusion_columns", lambda cg: built.append(cg) or columns(cg))
+    assert run_cli(["sl2", "--op", "cg", "--m", "4", "--n", "3", "--k", "3"])[0] == 0
+    assert len(built) == 1
+    built.clear()
+    _channel_maps(_cg_system(4, 3))
+    assert len(built) == len(_cg_system(4, 3)) == 4

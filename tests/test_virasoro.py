@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from conftest import mutant, run_cli
 
-from triplet import verify, virasoro
+from triplet import braidfmat, fusion, verify, virasoro
 from triplet.base import CACHE_SIZE
 from triplet.virasoro import (
     ObjLabel,
@@ -177,13 +177,32 @@ def test_sl2_dictionary_cache_is_bounded_and_equals_the_uncached_path():
             obj = sl2_index_to_obj(params, n)
             assert obj == cache.__wrapped__(p, n)
             assert obj == (kac_dual_k11() if n == 0 else simple_l((n + 2) * p - 1, 1))
-            # A second read is a hit on the same object.
-            assert sl2_index_to_obj(params, n) is obj
+            # Below the bound a second read is a hit on the same object; past
+            # it the label is built again, never inserted.
+            again = sl2_index_to_obj(params, n)
+            assert again is obj if n < CACHE_SIZE else again == obj and again is not obj
         with pytest.raises(ValueError):
             sl2_index_to_obj(params, -1)
     info = cache.cache_info()
-    # 301 keys per pair, far past the bound; each pair evicts the last.
-    assert (info.misses, info.currsize) == (301 * len(verify.TEST_PARAMS), CACHE_SIZE)
+    # CACHE_SIZE keys per pair, the bound; each p evicts the last one's.
+    assert (info.misses, info.currsize) == (CACHE_SIZE * len(verify.TEST_PARAMS), CACHE_SIZE)
+    cache.cache_clear()
+
+
+def test_long_families_keep_the_registry_keys_in_the_dictionary_cache():
+    # A balancing check and a family fusion far past the cache bound go
+    # through the dictionary's one cache policy, so the keys of the verify
+    # registry survive both: a second run of the registry misses nothing.
+    cache = virasoro._sl2_obj
+    cache.cache_clear()
+    assert all(ok for _, (_, ok, _) in verify.run_suites(sorted(verify.PROPERTIES)))
+    registry = cache.cache_info().currsize
+    braidfmat.balancing_check(Params(2, 3), 2000)
+    fusion.fuse_L_family(Params(2, 3), 2000, 2000)
+    assert cache.cache_info().currsize < CACHE_SIZE
+    misses = cache.cache_info().misses
+    verify.run_suites(sorted(verify.PROPERTIES))
+    assert cache.cache_info().misses == misses and registry == 83
     cache.cache_clear()
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from conftest import mutant
 
-from triplet import virasoro, wpq
+from triplet import sl2rep, virasoro, wpq
 from triplet.base import CACHE_SIZE
 from triplet.kacmod import kac_length2_seq
 from triplet.verify import PROPERTIES
@@ -154,3 +154,12 @@ def test_o0_property_catches_h12_read_as_h11(monkeypatch):
     assert wrong(Params(2, 3), 20) == o0_weight_identity(Params(2, 3), 20)
     with pytest.raises(AssertionError):
         PROPERTIES["wpq"]["o0_weight_identity_integral"]()
+
+
+def test_grading_property_catches_an_irrep_of_the_wrong_dimension(monkeypatch):
+    # V_n built one weight too long: every decomposition is unchanged, so
+    # only the comparison of entry n's multiplicity with dim V_{2n-2} fails.
+    wrong = mutant(sl2rep.build_irrep.__wrapped__, "range(n, -n - 1, -2)", "range(n, -n - 3, -2)")
+    monkeypatch.setattr(sl2rep, "build_irrep", wrong)
+    with pytest.raises(AssertionError, match="is not graded by dim"):
+        PROPERTIES["wpq"]["equivariant_dimension_agreement"]()
