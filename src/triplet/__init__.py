@@ -21,7 +21,6 @@ _EXPORTS = {
     "conformal_weight": "virasoro",
     "kac_dual_k11": "virasoro",
     "kac_k": "virasoro",
-    "phase_from_weight": "exactnum",
     "rat_str": "exactnum",
     "simple_l": "virasoro",
 }

@@ -1,11 +1,14 @@
 """Braiding scalars, balancing phases, and the hexagon-constrained F-matrix.
 
-Two conventions coexist for the self-braiding eigenvalues on L_1 (x) L_1:
-the tabulated values (e^{i*pi*pq/2}, -e^{i*pi*pq/2}) and direct evaluation
-of the weight formula e^{i*pi*(h_{(k+2)p-1,1} - 2h_{(n+2)p-1,1})}.  They
-differ by a global sign; both square to the balancing phases, and the
-hexagon constraint is blind to the flip, so both are exposed and the
-discrepancy is flagged rather than resolved.
+The self-braiding eigenvalue of L_n (x) L_n on channel k is
+R_n^k = e^{i*pi*(pq*n^2 + 2n - k)/2} = e^{i*pi*pq*n^2/2} * (-1)^{n-k/2}:
+a scalar twist times the eigenvalue of the flip on channel k of
+V_n (x) V_n in Rep SL_2.  It is the weight formula
+e^{i*pi*(h_{(k+2)p-1,1} - 2h_{(n+2)p-1,1})} in closed form, and `verify`
+keeps that formula as its oracle.  For even n the twist is 1, so the even
+L_n carry Rep PSL_2's symmetric braiding.  The tabulated values on
+L_1 (x) L_1 are the formula times -1; both square to the balancing phases,
+and the hexagon constraint is blind to the sign.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from fractions import Fraction
 from typing import Literal
 
 from .base import Value
-from .exactnum import Phase, Rat, phase_from_weight
+from .exactnum import Phase, Rat
 from .fusion import fuse_C
-from .virasoro import Params, VirLabel, conformal_weight, sl2_lowest_weight
+from .virasoro import Params
 
 
 # The gauge of the Parametrized family: F(t) = D_t F(1) D_t^-1 with
@@ -81,29 +84,20 @@ def r_scalar_table(params: Params, n: int, k: int) -> Phase:
 
 
 def r_scalar_formula(params: Params, n: int, k: int) -> Phase:
-    """R_n^k = e^{i*pi*(h_{(k+2)p-1,1} - 2*h_{(n+2)p-1,1})} on a valid channel."""
+    """R_n^k = e^{i*pi*(pq*n^2 + 2n - k)/2} on a valid channel."""
     if n < 0 or not (0 <= k <= 2 * n and k % 2 == 0):
         raise ValueError(f"k={k} is not a channel of L_{n} (x) L_{n}")
-    p = params.p
-    hk = conformal_weight(params, VirLabel((k + 2) * p - 1, 1))
-    hn = conformal_weight(params, VirLabel((n + 2) * p - 1, 1))
-    return Phase(hk - 2 * hn)
+    return Phase(Fraction(params.p * params.q * n * n + 2 * n - k, 2))
 
 
 def balancing_check(params: Params, n: int) -> dict[int, Phase]:
-    """Channelwise squared braiding from balancing: e^{2*pi*i*(h_k - 2*h_n)}.
+    """Channelwise squared braiding from balancing: e^{i*pi*pq*n} on every channel.
 
-    Weights follow the sl2-type dictionary, so the unit channel k = 0
-    contributes weight 0.
+    That is e^{2*pi*i*(h_k - 2*h_n)}, with the unit channel k = 0 of weight 0.
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    hn = sl2_lowest_weight(params, n)
-    out: dict[int, Phase] = {}
-    for k in fuse_C(n, n):
-        hk = sl2_lowest_weight(params, k)
-        out[k] = phase_from_weight(hk - 2 * hn, 2)
-    return out
+    return dict.fromkeys(fuse_C(n, n), Phase(params.p * params.q * n))
 
 
 def hexagon_solutions(params: Params) -> list[FSolution]:

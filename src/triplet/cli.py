@@ -403,14 +403,13 @@ def _cmd_hexagon(args) -> int:
 
 
 def _cmd_braiding(args) -> int:
-    n = args.n
     from . import braidfmat, fusion
     from .exactnum import Phase, rat_str
 
     def phase_json(phase) -> dict:
         return {"exp": rat_str(phase.exponent)}
 
-    params = _resolve_params(args)
+    params, n = _resolve_params(args), args.n
     if n < 0:
         raise ValueError(f"--n must be >= 0, got {n}")
     channels = fusion.fuse_C(n, n)
@@ -564,8 +563,8 @@ class _Suites:
 # `main` refuses a call whose COMMANDS `cost` (built, written) is over
 # either budget: `built` bounds the text the handler builds as Python values
 # (all of a list payload, only the nonzero cells of an `sl2` matrix), and
-# `written` all of stdout.  `braiding` at small p and q, the costliest per
-# byte built, sets MAX_BUILT_BYTES (README, "CLI").
+# `written` all of stdout.  `braiding`, the costliest per byte built, sets
+# MAX_BUILT_BYTES (README, "CLI").
 MAX_BUILT_BYTES = 9_000_000
 MAX_OUTPUT_BYTES = 1_200_000_000
 
@@ -622,9 +621,9 @@ def _kac_diagram_cost(args) -> tuple[int, int]:
 
 
 def _braiding_cost(args) -> tuple[int, int]:
-    (p, q), n = _valid_pq(args), args.n
-    # Channel k <= 2n: k and two exponents in [0, 2) over a divisor of 4pq.
-    channel = 72 + 3 * _chars((2 * n).bit_length()) + 4 * _chars((8 * p * q).bit_length())
+    (p, _), n = _valid_pq(args), args.n
+    # Channel k <= 2n: k and two exponents, each 0, 1/2, 1 or 3/2.
+    channel = 72 + 3 * _chars((2 * n).bit_length()) + 12
     return _listed(p and n >= 0, n + 1, channel, 330 + _chars(n.bit_length()))
 
 

@@ -82,7 +82,3 @@ def _phase(num: int, den: int) -> Phase:
     _set_exponent(out, _mod2(num, den))
     return out
 
-
-def phase_from_weight(h: Rat, multiple: int) -> Phase:
-    """The phase e^{i*pi*multiple*h} for a conformal weight h."""
-    return Phase(multiple * Fraction(h))

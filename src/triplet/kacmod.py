@@ -94,8 +94,9 @@ def kac_mm_nn_diagram(params: Params, m: int, n: int) -> LoewyDiagram:
         raise ValueError(f"diagram needs n >= 2, got n={n}")
     if m < n:
         raise ValueError(f"diagram needs m >= n (swap the arguments), got m={m} < n={n}")
-    # As in `wpq`, sizes below CACHE_SIZE go through the cache, so what it
-    # keeps stays bounded; a larger diagram is built without inserting it.
+    # As in `virasoro._sl2_label`, sizes below CACHE_SIZE go through the
+    # cache, so what it keeps stays bounded; a larger diagram is built
+    # without inserting it.
     build = _diagram if m < CACHE_SIZE else _diagram.__wrapped__
     return build(params.p, params.q, m, n)
 

@@ -223,6 +223,12 @@ def family_weight_identities():
             h = conformal_weight(params, VirLabel(n * p - 1, 1))
             expected = Fraction((n * p - 2) * (n * q - 2), 4)
             _expect(h == expected, params, "h_{np-1,1} =", h, "!=", expected, "at n =", n)
+        # The dictionary's closed form against the weight of L_n's label, on
+        # the indices n <= 8 of the braidfmat suite.
+        for n in range(1, 9):
+            h = conformal_weight(params, sl2_index_to_obj(params, n).label)
+            lowest = sl2_lowest_weight(params, n)
+            _expect(lowest == h, params, "lowest weight of L_n", lowest, "!=", h, "at n =", n)
 
 
 # --- kacmod -----------------------------------------------------------------
@@ -501,16 +507,47 @@ def _hexagon_sign_matrix(r0: Phase, r2: Phase) -> tuple[tuple[Fraction, Fraction
     return ((signs[(0, 0)], signs[(0, 2)]), (signs[(2, 0)], signs[(2, 2)]))
 
 
+def _flip_sign(channel: sl2rep.CGChannel) -> Phase:
+    """The eigenvalue of the flip v (x) w -> w (x) v on the highest-weight
+    vector of channel k of V_n (x) V_n: the top column holds c_a at
+    v_a (x) v_{s-a}, and the flip sends it to c_{s-a}."""
+    top = dict(channel.columns[0])
+    flipped = {channel.s - a: x for a, x in top.items()}
+    if flipped == top:
+        return Phase(0)
+    _expect(flipped == {a: -x for a, x in top.items()}, channel, "is not a flip eigenvector")
+    return Phase(1)
+
+
 @_property("braidfmat")
 def squared_r_scalars_equal_balancing():
+    # The closed forms against the weight formula, their oracle: h[j] is
+    # the weight of L_{(j+2)p-1,1}, once per pair.  R_n^k is
+    # e^{i*pi*(h_k - 2h_n)} and the balancing e^{2*pi*i*(h_k - 2h_n)}, with
+    # the unit's weight 0.  For n <= 6, R_n^k is also the twist
+    # e^{i*pi*pq*n^2/2} times the flip's eigenvalue on channel k of
+    # V_n (x) V_n, read once from the systems the sl2rep suite builds.
+    flips = {}
+    for n in range(7):
+        for k, cg in sl2rep._cg_system(n, n).items():
+            flips[n, k] = _flip_sign(cg)
     for params in TEST_PARAMS:
+        p, q = params.p, params.q
+        h = [conformal_weight(params, VirLabel((j + 2) * p - 1, 1)) for j in range(17)]
         for n in range(9):
             balancing = braidfmat.balancing_check(params, n)
+            twist = Phase(Fraction(p * q * n * n, 2))
+            two_hn = 2 * h[n]
             for k in fusion.fuse_C(n, n):
-                if k > 8:
-                    continue
                 formula = braidfmat.r_scalar_formula(params, n, k)
+                oracle = Phase(h[k] - two_hn)
+                _expect(formula == oracle, params, (n, k), ": R =", formula, "!=", oracle)
+                oracle = Phase(2 * ((h[k] if k else 0) - two_hn))
+                _expect(balancing[k] == oracle, params, (n, k), ":", balancing[k], "!=", oracle)
                 _expect(formula**2 == balancing[k], params, (n, k), ":", formula, balancing[k])
+                if n <= 6:
+                    flip = twist * flips[n, k]
+                    _expect(formula == flip, params, (n, k), ": R =", formula, "!=", flip)
             # The PSL_2 part is symmetric: for even n every channel k is even,
             # so the lowest weights ((k+2)p-2)((k+2)q-2)/4 of L_k and of L_n
             # are integers and every balancing phase is 1.
@@ -521,6 +558,9 @@ def squared_r_scalars_equal_balancing():
             table = braidfmat.r_scalar_table(params, 1, k)
             phase = braidfmat.balancing_check(params, 1)[k]
             _expect(table**2 == phase, params, "k =", k, ":", table, "squared !=", phase)
+            # The table is the twisted flip negated.
+            flip = Phase(Fraction(p * q, 2) + 1) * flips[1, k]
+            _expect(table == flip, params, "k =", k, ": table", table, "!=", flip)
 
 
 @_property("braidfmat")
@@ -960,6 +1000,8 @@ def equivariant_dimension_agreement():
             _expect(entry.obj == sl2_index_to_obj(params, 2 * n - 2), params, n, entry)
             _expect(entry.psl2 == 2 * n - 2 and entry.mult == 2 * n - 1, params, n, entry)
             _expect(entry.lowest_weight == sl2_lowest_weight(params, 2 * n - 2), params, n, entry)
+            h = conformal_weight(params, entry.obj.label) if n > 1 else 0
+            _expect(entry.lowest_weight == h, params, n, entry, "has not the weight", h)
 
 
 @_property("wpq")

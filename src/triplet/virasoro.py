@@ -228,7 +228,10 @@ def obj_to_sl2_index(params: Params, obj: ObjLabel) -> int | None:
 
 
 def sl2_lowest_weight(params: Params, n: int) -> Rat:
-    """Lowest conformal weight of L_n: 0 for the unit K'_{1,1}."""
+    """Lowest conformal weight of L_n: 0 for the unit K'_{1,1}, else
+    h_{(n+2)p-1,1} = ((n+2)p-2)((n+2)q-2)/4, with no label built."""
+    if n < 0:
+        raise ValueError(f"sl2 index must be >= 0, got {n}")
     if n == 0:
         return Fraction(0)
-    return conformal_weight(params, sl2_index_to_obj(params, n).label)
+    return Fraction(((n + 2) * params.p - 2) * ((n + 2) * params.q - 2), 4)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .base import Value
 from .exactnum import Rat
 from .virasoro import ObjLabel, Params, VirLabel, conformal_weight, kac_dual_k11, kac_k
-from .virasoro import simple_l, sl2_index_to_obj
+from .virasoro import simple_l, sl2_index_to_obj, sl2_lowest_weight
 
 
 class GradedEntry(Value):
@@ -44,9 +44,8 @@ def _decompose(
     h = Fraction(0) if head.label is None else conformal_weight(params, head.label)
     entries = [GradedEntry(psl2=0 if graded else None, mult=1, obj=head, lowest_weight=h)]
     for k in range(2, 2 * n_max - 1, 2):
-        obj = sl2_index_to_obj(params, k)
-        h = conformal_weight(params, obj.label)
-        entries.append(GradedEntry(k if graded else None, k + 1, obj, h))
+        h = sl2_lowest_weight(params, k)
+        entries.append(GradedEntry(k if graded else None, k + 1, sl2_index_to_obj(params, k), h))
     return tuple(entries)
 
 

@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mutant
-from triplet import braidfmat
+from conftest import mutant, run_cli
+from triplet import braidfmat, sl2rep, verify
 from triplet.braidfmat import (
     GAUGE_EXPONENTS,
     FMatrix,
@@ -22,8 +23,8 @@ from triplet.braidfmat import (
 )
 from triplet.exactnum import Phase
 from triplet.fusion import fuse_C
-from triplet.verify import PROPERTIES, _phase_sign
-from triplet.virasoro import Params, conformal_weight, sl2_lowest_weight
+from triplet.verify import PROPERTIES, _flip_sign, _phase_sign
+from triplet.virasoro import Params, VirLabel, conformal_weight, sl2_lowest_weight
 
 PAIRS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
 
@@ -81,6 +82,63 @@ def test_r_scalar_formula_domain():
             r_scalar_formula(Params(2, 3), n, k)
 
 
+def test_r_scalars_are_the_twisted_flip_through_n_12():
+    # The flip's eigenvalue on channel k of V_n (x) V_n is (-1)^{n-k/2}, read
+    # from `cg_maps` past the n <= 6 of the braidfmat suite.  R_n^k is that
+    # sign times e^{i*pi*pq*n^2/2}, and the table at n = 1 its negative.
+    for n in range(13):
+        for k in fuse_C(n, n):
+            flip = _flip_sign(sl2rep.cg_maps(n, n, k))
+            assert flip == Phase(n - k // 2)
+            for params in PAIRS:
+                twist = Phase(Fraction(params.p * params.q * n * n, 2))
+                assert r_scalar_formula(params, n, k) == twist * flip
+                if n == 1:
+                    assert r_scalar_table(params, 1, k) == twist * flip * Phase(1)
+
+
+coprime_pairs = st.tuples(st.integers(2, 10**30), st.integers(2, 10**30)).filter(
+    lambda pq: gcd(*pq) == 1
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coprime_pairs, st.integers(0, 60))
+def test_closed_forms_equal_the_weight_formula(pq, n):
+    # h[j] is the weight of L_{(j+2)p-1,1}, the dictionary's L_j for j >= 1.
+    params = Params(*pq)
+    h = [conformal_weight(params, VirLabel((j + 2) * params.p - 1, 1)) for j in range(2 * n + 1)]
+    assert [sl2_lowest_weight(params, j) for j in range(1, 2 * n + 1)] == h[1:]
+    assert sl2_lowest_weight(params, 0) == 0
+    balancing = balancing_check(params, n)
+    for k in fuse_C(n, n):
+        assert r_scalar_formula(params, n, k) == Phase(h[k] - 2 * h[n])
+        assert balancing[k] == Phase(2 * ((h[k] if k else 0) - 2 * h[n]))
+
+
+def test_r_scalar_property_catches_a_formula_without_the_2n_term(monkeypatch):
+    # e^{i*pi*(pq*n^2 - k)/2} squares to the balancing on every channel and
+    # is the tabulated convention at n = 1; only the weight formula and the
+    # flip sign tell it apart.
+    wrong = mutant(r_scalar_formula, " + 2 * n - k, 2)", " - k, 2)")
+    monkeypatch.setattr(braidfmat, "r_scalar_formula", wrong)
+    for params in PAIRS:
+        for k in (0, 2):
+            assert wrong(params, 1, k) == r_scalar_table(params, 1, k)
+    with pytest.raises(AssertionError, match="R ="):
+        PROPERTIES["braidfmat"]["squared_r_scalars_equal_balancing"]()
+    code, out, _ = run_cli(["verify", "--suite", "braidfmat"])
+    assert code == 1
+    assert "FAIL braidfmat.squared_r_scalars_equal_balancing: AssertionError:" in out
+
+
+def test_r_scalar_property_catches_a_flipped_eigenvalue(monkeypatch):
+    flip = verify._flip_sign
+    monkeypatch.setattr(verify, "_flip_sign", lambda channel: flip(channel) * Phase(1))
+    with pytest.raises(AssertionError, match="R ="):
+        PROPERTIES["braidfmat"]["squared_r_scalars_equal_balancing"]()
+
+
 def test_balancing_examples():
     for params in PAIRS:
         eps = Fraction((-1) ** (params.p * params.q))
@@ -91,41 +149,34 @@ def test_balancing_examples():
 
 
 def test_balancing_property_catches_an_asymmetric_psl2_part(monkeypatch):
-    # Shifting the weight of L_n by 1/4 for even n >= 4, in both the R-scalar
-    # formula and the balancing, keeps R^2 equal to the balancing phase on
-    # every channel, and leaves n = 1 alone for the tabulated R-scalars; only
-    # the check that the even-n phases are 1 sees it.
-    def shift(n):
-        return Fraction(1, 4) if n >= 4 and n % 2 == 0 else 0
-
-    def cw(params, lbl):
-        n, rem = divmod(lbl.r + 1, params.p)
-        h = conformal_weight(params, lbl)
-        return h + shift(n - 2) if lbl.s == 1 and rem == 0 else h
-
-    def lowest(params, n):
-        return sl2_lowest_weight(params, n) + shift(n)
-
-    monkeypatch.setattr(braidfmat, "conformal_weight", cw)
-    monkeypatch.setattr(braidfmat, "sl2_lowest_weight", lowest)
+    # Twisting R_n^k by e^{i*pi/4} and the balancing by e^{i*pi/2} for even
+    # n >= 4 keeps R^2 equal to the balancing phase on every channel, and
+    # leaves n = 1 alone for the tabulated R-scalars; the even-n phases are
+    # no longer 1, and neither closed form is the weight formula.
+    shift = "Fraction(int(n >= 4 and n % 2 == 0), {})"
+    old = "Fraction(params.p * params.q * n * n + 2 * n - k, 2)"
+    formula = mutant(r_scalar_formula, old, f"{old} + {shift.format(4)}")
+    old = "Phase(params.p * params.q * n)"
+    balancing = mutant(balancing_check, old, f"Phase(params.p * params.q * n + {shift.format(2)})")
+    monkeypatch.setattr(braidfmat, "r_scalar_formula", formula)
+    monkeypatch.setattr(braidfmat, "balancing_check", balancing)
     params = PAIRS[0]
     for n in range(9):
         for k in fuse_C(n, n):
-            assert r_scalar_formula(params, n, k) ** 2 == balancing_check(params, n)[k]
-    assert balancing_check(params, 2)[4] != Phase(0)
+            square = braidfmat.r_scalar_formula(params, n, k) ** 2
+            assert square == braidfmat.balancing_check(params, n)[k]
+    assert braidfmat.balancing_check(params, 4)[4] != Phase(0)
     with pytest.raises(AssertionError):
         PROPERTIES["braidfmat"]["squared_r_scalars_equal_balancing"]()
 
 
-def test_phase_denominators_divide_4pq():
+def test_phase_denominators_divide_2():
     for params in PAIRS:
-        bound = 4 * params.p * params.q
         for n in range(9):
             for k in fuse_C(n, n):
-                phase = r_scalar_formula(params, n, k)
-                assert bound % phase.exponent.denominator == 0
+                assert r_scalar_formula(params, n, k).exponent.denominator in (1, 2)
             for phase in balancing_check(params, n).values():
-                assert bound % phase.exponent.denominator == 0
+                assert phase.exponent.denominator == 1
 
 
 def test_hexagon_solutions_shape():
@@ -211,7 +262,8 @@ def test_intrinsic_dimension_property_catches_a_dimension_that_is_f00(monkeypatc
 
 def test_parity_sign_property_catches_a_balancing_off_by_a_half(monkeypatch):
     # A weight shifted by 1/2 negates every balancing phase e^{2*pi*i*h}.
-    wrong = mutant(balancing_check, "hk - 2 * hn, 2", "hk - 2 * hn + Fraction(1, 2), 2")
+    old = "Phase(params.p * params.q * n)"
+    wrong = mutant(balancing_check, old, "Phase(params.p * params.q * n + 1)")
     monkeypatch.setattr(braidfmat, "balancing_check", wrong)
     with pytest.raises(AssertionError):
         PROPERTIES["braidfmat"]["balancing_n1_is_parity_sign"]()

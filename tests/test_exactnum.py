@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import mutant
 from triplet import braidfmat, exactnum, fusion, kacmod, sl2rep, verify, virasoro
 from triplet.base import CACHE_SIZE
-from triplet.exactnum import Phase, phase_from_weight, rat_str
+from triplet.exactnum import Phase, rat_str
 from triplet.verify import PROPERTIES, _phase_sign, run_suites
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
@@ -28,13 +28,6 @@ def test_phase_pow_examples():
     assert Phase(Fraction(1, 2)) ** 2 == Phase(Fraction(1))
     assert Phase(Fraction(11, 7)) ** 0 == Phase(Fraction(0))
     assert Phase(Fraction(2, 3)) ** 4 == Phase(Fraction(2, 3))
-
-
-def test_phase_from_weight_examples():
-    assert phase_from_weight(Fraction(15), 2) == Phase(Fraction(0))
-    assert phase_from_weight(Fraction(1, 2), 2) == Phase(Fraction(1))
-    # weight 7 = h at the (2,3) third family point; any even multiple is trivial
-    assert phase_from_weight(Fraction(7), -4) == Phase(Fraction(0))
 
 
 def test_phase_exponent_reduced_into_range():

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from conftest import mutant, run_cli
 
-from triplet import braidfmat, fusion, verify, virasoro
+from triplet import braidfmat, fusion, verify, virasoro, wpq
 from triplet.base import CACHE_SIZE
 from triplet.virasoro import (
     ObjLabel,
@@ -190,9 +190,10 @@ def test_sl2_dictionary_cache_is_bounded_and_equals_the_uncached_path():
 
 
 def test_long_families_keep_the_registry_keys_in_the_dictionary_cache():
-    # A balancing check and a family fusion far past the cache bound go
-    # through the dictionary's one cache policy, so the keys of the verify
-    # registry survive both: a second run of the registry misses nothing.
+    # A balancing check far past the cache bound builds no label, and a
+    # family fusion as long goes through the dictionary's one cache policy,
+    # so the keys of the verify registry survive both: a second run of the
+    # registry misses nothing.
     cache = virasoro._sl2_obj
     cache.cache_clear()
     assert all(ok for _, (_, ok, _) in verify.run_suites(sorted(verify.PROPERTIES)))
@@ -277,6 +278,27 @@ def test_family_weight_property_catches_a_weight_one_too_low(monkeypatch):
     assert conformal_weight(params, lbl) == Fraction(weight_numerator(params, lbl), 24) - 1
     with pytest.raises(AssertionError):
         PROPERTIES["virasoro"]["family_weight_identities"]()
+
+
+@pytest.mark.parametrize(
+    "suite, name, message",
+    [
+        ("virasoro", "family_weight_identities", "lowest weight of L_n"),
+        ("wpq", "equivariant_dimension_agreement", "has not the weight"),
+    ],
+)
+def test_weight_properties_catch_a_dictionary_weight_one_index_low(
+    suite, name, message, monkeypatch
+):
+    # The weight of L_{(n+1)p-1,1} in place of L_n's: `wpq` and `verify` read
+    # the same closed form, so only the comparison with the weight of L_n's
+    # label sees it.
+    old = "((n + 2) * params.p - 2) * ((n + 2) * params.q - 2)"
+    wrong = mutant(virasoro.sl2_lowest_weight, old, old.replace("n + 2", "n + 1"))
+    for module in (virasoro, verify, wpq):
+        monkeypatch.setattr(module, "sl2_lowest_weight", wrong)
+    with pytest.raises(AssertionError, match=message):
+        PROPERTIES[suite][name]()
 
 
 def test_canonical_property_catches_a_non_idempotent_label(monkeypatch):
