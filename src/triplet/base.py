@@ -2,9 +2,11 @@
 
 The value-class base, the cache bound, the one exception for requests the
 source results do not cover, and the formatter of a rational given as two
-integers.  `sl2rep` and `cli` need nothing else below them, so neither
-they nor `import triplet.cli` load the Fraction stack (`fractions` with its
-`decimal` and `numbers`), which `exactnum` brings in.
+integers.  `sl2rep`, `cli` and the label and structure layers (`virasoro`,
+`fusion`, `kacmod`, `wpq`), which work on integer numerators, need nothing
+else below them, so neither they nor `import triplet.cli` load the Fraction
+stack (`fractions` with its `decimal` and `numbers`); `exactnum` brings it
+in, and so does the first call of `virasoro`'s Rat API.
 """
 
 from __future__ import annotations

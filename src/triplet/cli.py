@@ -9,21 +9,25 @@ same argv, byte-identical bytes, whatever the environment.
 Only the fraction-free `base` loads with this module, never `fractions`.
 Each subcommand imports the layers it runs when it is called, the scalar
 and label layers (`exactnum`, `virasoro`) included, once per call and never
-once per output item, so a call pays for no layer it does not use: `sl2`
-writes its rational cells from integers through `base.ratio_str` and loads
-neither.  Every option is defined once, in COMMANDS, with the `cost` of a
-call, which bounds what it builds and writes from its integers alone; a
-call over MAX_BUILT_BYTES or MAX_OUTPUT_BYTES is refused before any layer
-is imported.  A well-formed call is parsed from that table by
-`_parse_known` and never imports argparse; help, usage and every argument
-error still come from argparse, byte for byte, through `build_parser`,
-which builds the arguments of the one subcommand named (`--help` still
-lists all ten).  JSON is written by this module's one writer,
-`_write_json`, byte-equal to ``json.dumps(payload, indent=2)``, so the
-`json` package is never loaded.  It writes every payload a bounded piece at
-a time and never holds a payload's whole text.  `sl2` hands it matrices by
-their nonzero cells (`_Sparse`), so such a call takes memory in proportion
-to the nonzero cells and time in proportion to its output.
+once per output item, so a call pays for no layer it does not use.  Every
+rational of `weights`, `kac-diagram`, `decompose` and `o0-check` is written
+from the integer numerators of the label layer through `base.ratio_str`, as
+`sl2` writes its cells, so these, `fuse-L` and `fuse-C` load neither
+`exactnum` nor the Fraction stack (`fractions` with its `decimal` and
+`numbers`); only `hexagon`, `braiding` and `verify`, whose values are
+phases and F-matrices, load it.  Every option is defined once, in COMMANDS,
+with the `cost` of a call, which bounds what it builds and writes from its
+integers alone; a call over MAX_BUILT_BYTES or MAX_OUTPUT_BYTES is refused
+before any layer is imported.  A well-formed call is parsed from that table
+by `_parse_known` and never imports argparse; help, usage and every
+argument error still come from argparse, byte for byte, through
+`build_parser`, which builds the arguments of the one subcommand named
+(`--help` still lists all ten).  JSON is written by this module's one
+writer, `_write_json`, byte-equal to ``json.dumps(payload, indent=2)``, so
+the `json` package is never loaded.  It writes every payload a bounded
+piece at a time and never holds a payload's whole text.  `sl2` hands it
+matrices by their nonzero cells (`_Sparse`), so such a call takes memory in
+proportion to the nonzero cells and time in proportion to its output.
 """
 
 from __future__ import annotations
@@ -203,16 +207,16 @@ def _obj_json(obj) -> dict:
 
 
 def _cmd_weights(args) -> int:
-    from .exactnum import rat_str
-    from .virasoro import VirLabel, canonical_label, central_charge, conformal_weight
+    from .virasoro import VirLabel, canonical_label, central_charge_numerator, weight_numerator
 
     params = _resolve_params(args)
+    pq = params.p * params.q
     lbl = VirLabel(args.r, args.s)
     can = canonical_label(params, lbl)
     _emit(
         {
-            "c": rat_str(central_charge(params)),
-            "h": rat_str(conformal_weight(params, lbl)),
+            "c": ratio_str(central_charge_numerator(params), pq),
+            "h": ratio_str(weight_numerator(params, lbl), 4 * pq),
             "canonical": [can.r, can.s],
         }
     )
@@ -258,7 +262,7 @@ def _diagram_args_to_mn(params, args) -> tuple[int, int]:
 
 def _diagram_dot(diagram, weights: list[str]) -> str:
     """A Loewy diagram as DOT, rank-grouped by layer; `weights` are the
-    nodes' conformal weights as written by `rat_str`."""
+    nodes' conformal weights as written by `ratio_str`."""
     lines = ["digraph loewy {", "  rankdir=TB;"]
     for layer in ("top", "middle", "socle"):
         ids = [n.id for n in diagram.nodes if n.layer == layer]
@@ -274,13 +278,13 @@ def _diagram_dot(diagram, weights: list[str]) -> str:
 
 def _cmd_kac_diagram(args) -> int:
     from . import kacmod
-    from .exactnum import rat_str
-    from .virasoro import conformal_weight
+    from .virasoro import weight_numerator
 
     params = _resolve_params(args)
     m, n = _diagram_args_to_mn(params, args)
     diagram = kacmod.kac_mm_nn_diagram(params, m, n)
-    weights = [rat_str(conformal_weight(params, node.label)) for node in diagram.nodes]
+    four_pq = 4 * params.p * params.q
+    weights = [ratio_str(weight_numerator(params, node.label), four_pq) for node in diagram.nodes]
     if args.format == "dot":
         sys.stdout.write(_diagram_dot(diagram, weights))
         return 0
@@ -406,19 +410,31 @@ def _cmd_braiding(args) -> int:
     from . import braidfmat, fusion
     from .exactnum import Phase, rat_str
 
+    # Every exponent is one of 0, 1/2, 1 and 3/2, so each {"exp": ...} is
+    # built once and shared by every channel that has it, as is each
+    # channel's key; the bytes written are the same.
+    shared: dict = {}
+
     def phase_json(phase) -> dict:
-        return {"exp": rat_str(phase.exponent)}
+        exp = phase.exponent
+        key = exp.numerator, exp.denominator  # a Fraction hashes slower
+        out = shared.get(key)
+        if out is None:
+            out = shared[key] = {"exp": rat_str(exp)}
+        return out
 
     params, n = _resolve_params(args), args.n
     if n < 0:
         raise ValueError(f"--n must be >= 0, got {n}")
     channels = fusion.fuse_C(n, n)
+    keys = [str(k) for k in channels]
     balancing = braidfmat.balancing_check(params, n)
     payload = {
         "n": n,
         "channels": channels,
         "formula": {
-            str(k): phase_json(braidfmat.r_scalar_formula(params, n, k)) for k in channels
+            key: phase_json(braidfmat.r_scalar_formula(params, n, k))
+            for key, k in zip(keys, channels)
         },
     }
     if n == 1:
@@ -434,18 +450,16 @@ def _cmd_braiding(args) -> int:
             "tabulated and formula R-scalars differ by an overall sign; "
             "both conventions square to the balancing phases"
         )
-    payload["balancing"] = {str(k): phase_json(balancing[k]) for k in channels}
+    payload["balancing"] = {key: phase_json(balancing[k]) for key, k in zip(keys, channels)}
     _emit(payload)
     return 0
 
 
 def _graded_json(entries, args) -> dict:
-    from .exactnum import rat_str
-
     rows = []
     for e in entries:
         row = {} if e.psl2 is None else {"psl2": e.psl2}
-        row.update(mult=e.mult, obj=_obj_json(e.obj), h=rat_str(e.lowest_weight))
+        row.update(mult=e.mult, obj=_obj_json(e.obj), h=ratio_str(e.lowest_weight, 1))
         rows.append(row)
     return {"target": args.target, "n_max": args.nmax, "entries": rows}
 
@@ -466,11 +480,11 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_o0_check(args) -> int:
     from . import wpq
-    from .exactnum import rat_str
 
     params = _resolve_params(args)
+    # The difference is an int, or a Fraction where it is not integral.
     rows = [
-        {"n": n, "difference": rat_str(diff), "integral": flag}
+        {"n": n, "difference": ratio_str(diff.numerator, diff.denominator), "integral": flag}
         for n, diff, flag in wpq.o0_weight_identity(params, args.nmax)
     ]
     _emit({"n_max": args.nmax, "rows": rows})
@@ -563,8 +577,9 @@ class _Suites:
 # `main` refuses a call whose COMMANDS `cost` (built, written) is over
 # either budget: `built` bounds the text the handler builds as Python values
 # (all of a list payload, only the nonzero cells of an `sl2` matrix), and
-# `written` all of stdout.  `braiding`, the costliest per byte built, sets
-# MAX_BUILT_BYTES (README, "CLI").
+# `written` all of stdout.  `fuse-L`, the costliest per byte built, with
+# `fuse-C`, `decompose` and `o0-check` close behind, sets MAX_BUILT_BYTES
+# (README, "CLI").
 MAX_BUILT_BYTES = 9_000_000
 MAX_OUTPUT_BYTES = 1_200_000_000
 
@@ -794,10 +809,12 @@ def _parse_known(argv: list[str]):
     """The namespace `build_parser().parse_args(argv)` returns, read from
     COMMANDS alone, or None where argv leaves this strict grammar: the
     subcommand first, then only its own flags, each as `--flag VALUE` or
-    `--flag=VALUE`, no separate VALUE starting with "-" and no VALUE "--",
-    a flag repeated only if it appends, every value passing its `type` and
-    `choices`, and every required flag given.  Help, abbreviations and
-    every error are left to argparse, the one writer of their bytes."""
+    `--flag=VALUE`, no VALUE "--", no separate VALUE starting with "-"
+    unless the rest is decimal digits (argparse too reads such a negative
+    integer as a value, since no option looks like one), a flag repeated
+    only if it appends, every value passing its `type` and `choices`, and
+    every required flag given.  Help, abbreviations and every error are
+    left to argparse, the one writer of their bytes."""
     if not argv or argv[0] not in COMMANDS:
         return None
     options = dict(COMMANDS[argv[0]][1])
@@ -808,7 +825,7 @@ def _parse_known(argv: list[str]):
         flag, equals, value = token.partition("=")
         if not equals:
             value = next(tokens, "-")  # a missing value is declined like "-"
-            if value.startswith("-"):
+            if value.startswith("-") and not value[1:].isdecimal():
                 return None
         elif value == "--":  # argparse drops it and is left with no value
             return None

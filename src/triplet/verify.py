@@ -565,10 +565,19 @@ def squared_r_scalars_equal_balancing():
 
 @_property("braidfmat")
 def balancing_n1_is_parity_sign():
+    # The balancing on L_1 (x) L_1 against its oracle, the weight formula
+    # e^{2*pi*i*(h_k - 2h_{3p-1,1})} with h_0 = 0 for the unit and h_2 that
+    # of L_{4p-1,1}, and against the sign (-1)^{pq} it takes on both channels.
     for params in TEST_PARAMS:
-        eps = Fraction((-1) ** (params.p * params.q))
+        p = params.p
+        eps = Fraction((-1) ** (p * params.q))
+        two_h1 = 2 * conformal_weight(params, VirLabel(3 * p - 1, 1))
+        weights = {0: 0, 2: conformal_weight(params, VirLabel(4 * p - 1, 1))}
+        balancing = braidfmat.balancing_check(params, 1)
         for k in (0, 2):
-            sign = _phase_sign(braidfmat.balancing_check(params, 1)[k])
+            oracle = Phase(2 * (weights[k] - two_h1))
+            _expect(balancing[k] == oracle, params, "k =", k, ":", balancing[k], "!=", oracle)
+            sign = _phase_sign(balancing[k])
             _expect(sign == eps, params, "k =", k, ":", sign, "!=", eps)
 
 

@@ -4,18 +4,25 @@ Labels live on the Kac table: a pair (r,s) of positive integers names both
 the simple module L_{r,s} and the Kac module K_{r,s} of weight h_{r,s}.
 Distinct labels can name isomorphic simple modules; ``canonical_label``
 picks the unique representative with r >= 1, 1 <= s <= q and q*r >= p*s.
+
+Every rational here is an integer numerator over a fixed denominator:
+pq c over pq (``central_charge_numerator``), 4pq h_{r,s} over 4pq
+(``weight_numerator``) and 4h over 4 for the dictionary's L_n
+(``sl2_weight_numerator``).  The layers above and `cli` read these
+integers, so that neither this module nor they load `fractions` (with its
+`decimal` and `numbers`).  Only the Rat API, ``central_charge``,
+``conformal_weight`` and ``sl2_lowest_weight``, returns a ``Fraction``;
+`fractions` is imported on its first call.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 # UnsupportedObjectError is imported for callers that catch it from the
 # label layer; `kacmod` and `fusion` raise it.
 from .base import CACHE_SIZE, UnsupportedObjectError, Value, slot_setters  # noqa: F401
-from .exactnum import Rat
 
 
 class Params(Value):
@@ -120,10 +127,26 @@ def kac_dual_k11() -> ObjLabel:
     return ObjLabel(KAC_DUAL_K11)
 
 
-def central_charge(params: Params) -> Rat:
-    """c = 1 - 6(p-q)^2/(pq), exactly."""
+def _fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den).  The first call imports `fractions` and rebinds
+    this global to the class itself, so later calls cost what a module-level
+    import would, and a caller of the integer API never loads it."""
+    global _fraction
+    from fractions import Fraction
+
+    _fraction = Fraction
+    return Fraction(num, den)
+
+
+def central_charge_numerator(params: Params) -> int:
+    """pq c = pq - 6(p - q)^2, an integer."""
     p, q = params.p, params.q
-    return 1 - Fraction(6 * (p - q) ** 2, p * q)
+    return p * q - 6 * (p - q) ** 2
+
+
+def central_charge(params: Params) -> Fraction:
+    """c = 1 - 6(p-q)^2/(pq) = central_charge_numerator / pq, exactly."""
+    return _fraction(central_charge_numerator(params), params.p * params.q)
 
 
 def weight_numerator(params: Params, lbl: VirLabel) -> int:
@@ -137,9 +160,9 @@ def weight_numerator(params: Params, lbl: VirLabel) -> int:
     return (q * lbl.r - p * lbl.s) ** 2 - (p - q) ** 2
 
 
-def conformal_weight(params: Params, lbl: VirLabel) -> Rat:
+def conformal_weight(params: Params, lbl: VirLabel) -> Fraction:
     """h_{r,s} = weight_numerator / 4pq, exactly, as one Fraction."""
-    return Fraction(weight_numerator(params, lbl), 4 * params.p * params.q)
+    return _fraction(weight_numerator(params, lbl), 4 * params.p * params.q)
 
 
 def canonical_label(params: Params, lbl: VirLabel) -> VirLabel:
@@ -227,11 +250,17 @@ def obj_to_sl2_index(params: Params, obj: ObjLabel) -> int | None:
     return n - 2
 
 
-def sl2_lowest_weight(params: Params, n: int) -> Rat:
-    """Lowest conformal weight of L_n: 0 for the unit K'_{1,1}, else
-    h_{(n+2)p-1,1} = ((n+2)p-2)((n+2)q-2)/4, with no label built."""
+def sl2_weight_numerator(params: Params, n: int) -> int:
+    """4 times the lowest conformal weight of L_n: 0 for the unit K'_{1,1},
+    else 4h_{(n+2)p-1,1} = ((n+2)p-2)((n+2)q-2), with no label built.  For
+    even n both factors are even, so the weight itself is an integer."""
     if n < 0:
         raise ValueError(f"sl2 index must be >= 0, got {n}")
     if n == 0:
-        return Fraction(0)
-    return Fraction(((n + 2) * params.p - 2) * ((n + 2) * params.q - 2), 4)
+        return 0
+    return ((n + 2) * params.p - 2) * ((n + 2) * params.q - 2)
+
+
+def sl2_lowest_weight(params: Params, n: int) -> Fraction:
+    """Lowest conformal weight of L_n, sl2_weight_numerator / 4, exactly."""
+    return _fraction(sl2_weight_numerator(params, n), 4)

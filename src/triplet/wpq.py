@@ -7,24 +7,27 @@ grading module V_{2n-2}.  The ideal is that sum; the algebra and its
 contragredient put K_{1,1} or K'_{1,1} in place of the n = 1 term.  The
 graded form of the algebra and the contragredient carry the labels 2n-2.
 Each decomposition is returned as a tuple of ``GradedEntry`` values, entry
-n at index n-1; ``cli`` writes it as JSON.
+n at index n-1; ``cli`` writes it as JSON.  Every lowest weight is an
+``int``, read from the integer numerators of `virasoro`, so this module
+loads no `fractions`; only ``o0_weight_identity`` builds a ``Fraction``,
+and only for a difference that is not an integer.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .base import Value
-from .exactnum import Rat
 from .virasoro import ObjLabel, Params, VirLabel, conformal_weight, kac_dual_k11, kac_k
-from .virasoro import simple_l, sl2_index_to_obj, sl2_lowest_weight
+from .virasoro import simple_l, sl2_index_to_obj, sl2_weight_numerator, weight_numerator
 
 
 class GradedEntry(Value):
+    """Entry n of a decomposition: `mult` copies of `obj`, of the integer
+    lowest weight `lowest_weight`, graded by V_psl2 (psl2 None if not)."""
+
     # psl2 is the even highest weight 2n of the multiplicity module, if graded.
     __slots__ = ("psl2", "mult", "obj", "lowest_weight")
 
-    def __init__(self, psl2: int | None, mult: int, obj: ObjLabel, lowest_weight: Rat) -> None:
+    def __init__(self, psl2: int | None, mult: int, obj: ObjLabel, lowest_weight: int) -> None:
         if psl2 is not None:
             if psl2 % 2 or psl2 < 0:
                 raise ValueError(f"grading labels are even and >= 0, got {psl2}")
@@ -36,15 +39,18 @@ class GradedEntry(Value):
 def _decompose(
     params: Params, head: ObjLabel, graded: bool, n_max: int, n_min: int = 2
 ) -> tuple[GradedEntry, ...]:
-    # Entry 1 is the head, of the weight of its label (0 for K'_{1,1});
-    # entry n >= 2 is (2n-1) copies of the dictionary's L_{2n-2} = L_{2np-1,1},
-    # graded by V_{2n-2}.
+    # Entry 1 is the head, of the weight of its label (0 for K'_{1,1}, 0 for
+    # K_{1,1} and (p-1)(q-1) for L_{2p-1,1}); entry n >= 2 is (2n-1) copies
+    # of the dictionary's L_{2n-2} = L_{2np-1,1}, graded by V_{2n-2}, whose
+    # weight numerator over 4 is an integer since 2n-2 is even.
     if n_max < n_min:
         raise ValueError(f"n_max must be >= {n_min}, got {n_max}")
-    h = Fraction(0) if head.label is None else conformal_weight(params, head.label)
+    h = 0
+    if head.label is not None:
+        h = weight_numerator(params, head.label) // (4 * params.p * params.q)
     entries = [GradedEntry(psl2=0 if graded else None, mult=1, obj=head, lowest_weight=h)]
     for k in range(2, 2 * n_max - 1, 2):
-        h = sl2_lowest_weight(params, k)
+        h = sl2_weight_numerator(params, k) // 4
         entries.append(GradedEntry(k if graded else None, k + 1, sl2_index_to_obj(params, k), h))
     return tuple(entries)
 
@@ -71,18 +77,25 @@ def decompose_wprime(params: Params, n_max: int) -> tuple[GradedEntry, ...]:
     return _decompose(params, kac_dual_k11(), True, n_max)
 
 
-def o0_weight_identity(params: Params, n_max: int) -> list[tuple[int, Rat, bool]]:
+def o0_weight_identity(params: Params, n_max: int) -> list[tuple[int, int | Fraction, bool]]:
     """The congruence h_{1,2nq-2} - h_{1,2} = (np-1)(nq-2) for 2 <= n <= n_max.
 
     Returns (n, difference, integrality flag); the flag records that the
     difference is an integer, and the difference itself always equals the
-    closed form.
+    closed form.  The difference is read from the two weight numerators
+    over 4pq: an ``int`` when it is integral, and the exact ``Fraction`` of
+    the two weights only when it is not.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    h12 = conformal_weight(params, VirLabel(1, 2))
+    four_pq = 4 * params.p * params.q
+    label12 = VirLabel(1, 2)
+    h12 = weight_numerator(params, label12)
     out = []
     for n in range(2, n_max + 1):
-        diff = conformal_weight(params, VirLabel(1, 2 * n * params.q - 2)) - h12
-        out.append((n, diff, diff.denominator == 1))
+        lbl = VirLabel(1, 2 * n * params.q - 2)
+        diff, rem = divmod(weight_numerator(params, lbl) - h12, four_pq)
+        if rem:
+            diff = conformal_weight(params, lbl) - conformal_weight(params, label12)
+        out.append((n, diff, not rem))
     return out

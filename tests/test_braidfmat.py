@@ -261,11 +261,13 @@ def test_intrinsic_dimension_property_catches_a_dimension_that_is_f00(monkeypatc
 
 
 def test_parity_sign_property_catches_a_balancing_off_by_a_half(monkeypatch):
-    # A weight shifted by 1/2 negates every balancing phase e^{2*pi*i*h}.
+    # A weight shifted by 1/2 negates every balancing phase e^{2*pi*i*h};
+    # the comparison with the weight formula sees it first.
     old = "Phase(params.p * params.q * n)"
     wrong = mutant(balancing_check, old, "Phase(params.p * params.q * n + 1)")
     monkeypatch.setattr(braidfmat, "balancing_check", wrong)
-    with pytest.raises(AssertionError):
+    oracle_mismatch = r"^Params\(p=2, q=3\) k = 0 : Phase\(exponent=Fraction\(1, 1\)\) != Phase"
+    with pytest.raises(AssertionError, match=oracle_mismatch):
         PROPERTIES["braidfmat"]["balancing_n1_is_parity_sign"]()
 
 

@@ -9,7 +9,9 @@ Only ``cli`` writes the JSON and DOT output formats.
 Dense fills use the shared ``exactnum.ZERO``, never a private ``Fraction(0)``,
 and ``sl2rep`` builds no dense fill at all.
 No module reaches into the private API of ``fractions``, which changes
-between the Python versions the package supports.
+between the Python versions the package supports.  The label and structure
+layers ``virasoro``, ``fusion``, ``kacmod`` and ``wpq`` work on integer
+numerators and bind neither ``fractions`` nor ``exactnum`` at module level.
 Every public function and method has a caller in the package, or is
 documented in the README; ``verify`` does not count as a caller, except of
 its own functions.
@@ -42,6 +44,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 FRACTIONS_PRIVATE = {"_normalize", "_from_coprime_ints", "_numerator", "_denominator"}
 # Decorators that register the function they wrap; the registry calls it.
 REGISTRARS = {"_property"}
+# The layers that work on integer numerators, and the modules they may import
+# only inside a function, where a call that needs a Fraction loads them.
+INTEGER_LAYERS = ["fusion.py", "kacmod.py", "virasoro.py", "wpq.py"]
+FRACTION_MODULES = {"fractions", "exactnum"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -185,6 +191,40 @@ def test_no_private_fractions_api(path):
         or (isinstance(n, ast.Name) and n.id in FRACTIONS_PRIVATE)
     ]
     assert found == []
+
+
+def _module_level_fraction_imports(path: Path) -> list[str]:
+    """Imports of `fractions` or `exactnum`, under any name and by any path,
+    that run when `path` is imported: every one outside a function body."""
+    tree = _tree(path)
+    in_functions = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in in_functions:
+            continue
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        else:
+            continue
+        if FRACTION_MODULES & {part for name in names for part in name.split(".")}:
+            found.append(_where(path, node))
+    return found
+
+
+@pytest.mark.parametrize("name", INTEGER_LAYERS)
+def test_integer_layers_bind_no_fractions_at_module_level(name):
+    # `weights`, `fuse-L`, `fuse-C`, `kac-diagram`, `decompose` and
+    # `o0-check` load only these layers, and so no Fraction stack;
+    # `tests/test_cli.py` checks the modules that each call loads.
+    path = next(path for path in SOURCES if path.name == name)
+    assert _module_level_fraction_imports(path) == []
 
 
 def _names_used(node: ast.AST) -> set[str]:
@@ -372,6 +412,23 @@ def test_static_rules_catch_a_violation(tmp_path):
             test_no_private_fractions_api(src)
     src.write_text("n, d = x.numerator, x.denominator\ny = Fraction(n, d)\n")
     test_no_private_fractions_api(src)
+    for text in (
+        "import fractions\n",
+        "import fractions as f\n",
+        "from fractions import Fraction\n",
+        "from .exactnum import Rat\n",
+        "from . import base, exactnum\n",
+        "import triplet.exactnum\n",
+        "try:\n    from fractions import Fraction\nexcept ImportError:\n    pass\n",
+        "class Weight:\n    from .exactnum import Rat\n",
+    ):
+        src.write_text(text)
+        assert len(_module_level_fraction_imports(src)) == 1, text
+    src.write_text(
+        "from .base import ratio_str\n"
+        "def weight(num, den):\n    from fractions import Fraction\n    return Fraction(num, den)\n"
+    )
+    assert _module_level_fraction_imports(src) == []
     for text in (
         "def test_rerun():\n    PROPERTIES['fusion']['dimension_grading']()\n",
         "def test_rerun(tmp_path):\n    verify.PROPERTIES[suite][name]()\n",
