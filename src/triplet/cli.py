@@ -10,15 +10,16 @@ Only the fraction-free `base` loads with this module, never `fractions`.
 Each subcommand imports the layers it runs when it is called, the scalar
 and label layers (`exactnum`, `virasoro`) included, once per call and never
 once per output item, so a call pays for no layer it does not use.  Every
-rational of `weights`, `kac-diagram`, `decompose` and `o0-check` is written
-from the integer numerators of the label layer through `base.ratio_str`, as
-`sl2` writes its cells, so these, `fuse-L` and `fuse-C` load neither
-`exactnum` nor the Fraction stack (`fractions` with its `decimal` and
-`numbers`); only `hexagon`, `braiding` and `verify`, whose values are
-phases and F-matrices, load it.  Every option is defined once, in COMMANDS,
-with the `cost` of a call, which bounds what it builds and writes from its
-integers alone; a call over MAX_BUILT_BYTES or MAX_OUTPUT_BYTES is refused
-before any layer is imported.  A well-formed call is parsed from that table
+rational of `weights` and `kac-diagram` is written from the integer
+numerators of the label layer through `base.ratio_str`, as `sl2` writes its
+cells, and `decompose` and `o0-check` write `int` weights, so these, `fuse-L`
+and `fuse-C` load neither `exactnum` nor the Fraction stack (`fractions`
+with its `decimal` and `numbers`); only `hexagon`, `braiding` and
+`verify`, whose values are phases and F-matrices, load it.  Every option
+is defined once, in COMMANDS, with the `cost` of a call, which bounds
+what it builds and writes from its integers alone; a call over
+MAX_BUILT_BYTES or MAX_OUTPUT_BYTES is refused before any layer is
+imported.  A well-formed call is parsed from that table
 by `_parse_known` and never imports argparse; help, usage and every
 argument error still come from argparse, byte for byte, through
 `build_parser`, which builds the arguments of the one subcommand named
@@ -459,7 +460,7 @@ def _graded_json(entries, args) -> dict:
     rows = []
     for e in entries:
         row = {} if e.psl2 is None else {"psl2": e.psl2}
-        row.update(mult=e.mult, obj=_obj_json(e.obj), h=ratio_str(e.lowest_weight, 1))
+        row.update(mult=e.mult, obj=_obj_json(e.obj), h=str(e.lowest_weight))
         rows.append(row)
     return {"target": args.target, "n_max": args.nmax, "entries": rows}
 
@@ -482,9 +483,8 @@ def _cmd_o0_check(args) -> int:
     from . import wpq
 
     params = _resolve_params(args)
-    # The difference is an int, or a Fraction where it is not integral.
     rows = [
-        {"n": n, "difference": ratio_str(diff.numerator, diff.denominator), "integral": flag}
+        {"n": n, "difference": str(diff), "integral": flag}
         for n, diff, flag in wpq.o0_weight_identity(params, args.nmax)
     ]
     _emit({"n_max": args.nmax, "rows": rows})

@@ -12,7 +12,9 @@ pq c over pq (``central_charge_numerator``), 4pq h_{r,s} over 4pq
 integers, so that neither this module nor they load `fractions` (with its
 `decimal` and `numbers`).  Only the Rat API, ``central_charge``,
 ``conformal_weight`` and ``sl2_lowest_weight``, returns a ``Fraction``;
-`fractions` is imported on its first call.
+`fractions` is imported on its first call.  Their return annotations name
+``Fraction``, which this module never binds at its top level, so
+`typing.get_type_hints` cannot resolve them: they are documentation only.
 """
 
 from __future__ import annotations

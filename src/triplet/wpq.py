@@ -9,14 +9,13 @@ graded form of the algebra and the contragredient carry the labels 2n-2.
 Each decomposition is returned as a tuple of ``GradedEntry`` values, entry
 n at index n-1; ``cli`` writes it as JSON.  Every lowest weight is an
 ``int``, read from the integer numerators of `virasoro`, so this module
-loads no `fractions`; only ``o0_weight_identity`` builds a ``Fraction``,
-and only for a difference that is not an integer.
+loads no `fractions`.
 """
 
 from __future__ import annotations
 
 from .base import Value
-from .virasoro import ObjLabel, Params, VirLabel, conformal_weight, kac_dual_k11, kac_k
+from .virasoro import ObjLabel, Params, VirLabel, kac_dual_k11, kac_k
 from .virasoro import simple_l, sl2_index_to_obj, sl2_weight_numerator, weight_numerator
 
 
@@ -77,14 +76,14 @@ def decompose_wprime(params: Params, n_max: int) -> tuple[GradedEntry, ...]:
     return _decompose(params, kac_dual_k11(), True, n_max)
 
 
-def o0_weight_identity(params: Params, n_max: int) -> list[tuple[int, int | Fraction, bool]]:
+def o0_weight_identity(params: Params, n_max: int) -> list[tuple[int, int, bool]]:
     """The congruence h_{1,2nq-2} - h_{1,2} = (np-1)(nq-2) for 2 <= n <= n_max.
 
-    Returns (n, difference, integrality flag); the flag records that the
-    difference is an integer, and the difference itself always equals the
-    closed form.  The difference is read from the two weight numerators
-    over 4pq: an ``int`` when it is integral, and the exact ``Fraction`` of
-    the two weights only when it is not.
+    Returns (n, difference, integrality flag): the difference is the
+    quotient of the two weight numerators' difference by 4pq, and the flag
+    records that the division left no remainder.  The numerators differ by
+    4pq(np-1)(nq-2), so the flag always holds and the difference equals the
+    closed form.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -95,7 +94,5 @@ def o0_weight_identity(params: Params, n_max: int) -> list[tuple[int, int | Frac
     for n in range(2, n_max + 1):
         lbl = VirLabel(1, 2 * n * params.q - 2)
         diff, rem = divmod(weight_numerator(params, lbl) - h12, four_pq)
-        if rem:
-            diff = conformal_weight(params, lbl) - conformal_weight(params, label12)
         out.append((n, diff, not rem))
     return out

@@ -1,4 +1,3 @@
-import __future__
 import inspect
 import io
 import textwrap
@@ -20,14 +19,11 @@ def run_cli(argv) -> tuple[int, str, str]:
 
 def mutant(fn, old: str, new: str):
     """fn recompiled from its source with the one occurrence of `old`
-    replaced by `new`, in fn's module namespace and under its module's
-    `from __future__ import annotations`, if any, so that an annotation
-    naming what the module never imports stays unevaluated: a wrong
-    implementation to monkeypatch in where a fast path is written inline."""
+    replaced by `new`, in fn's module namespace: a wrong implementation to
+    monkeypatch in where a fast path is written inline."""
     source = textwrap.dedent(inspect.getsource(fn))
     assert source.count(old) == 1, (fn.__qualname__, old)
     namespace: dict = {}
-    future = fn.__code__.co_flags & __future__.annotations.compiler_flag
-    code = compile(source.replace(old, new), inspect.getsourcefile(fn), "exec", flags=future)
+    code = compile(source.replace(old, new), inspect.getsourcefile(fn), "exec")
     exec(code, fn.__globals__, namespace)
     return namespace[fn.__name__]
