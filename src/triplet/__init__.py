@@ -13,15 +13,13 @@ of one is read.
 _EXPORTS = {
     "ObjLabel": "virasoro",
     "Params": "virasoro",
-    "Phase": "exactnum",
-    "Rat": "exactnum",
+    "Phase": "braidfmat",
     "VirLabel": "virasoro",
     "canonical_label": "virasoro",
     "central_charge": "virasoro",
     "conformal_weight": "virasoro",
     "kac_dual_k11": "virasoro",
     "kac_k": "virasoro",
-    "rat_str": "exactnum",
     "simple_l": "virasoro",
 }
 

@@ -5,8 +5,9 @@ source results do not cover, and the formatter of a rational given as two
 integers.  `sl2rep`, `cli` and the label and structure layers (`virasoro`,
 `fusion`, `kacmod`, `wpq`), which work on integer numerators, need nothing
 else below them, so neither they nor `import triplet.cli` load the Fraction
-stack (`fractions` with its `decimal` and `numbers`); `exactnum` brings it
-in, and so does the first call of `virasoro`'s Rat API.
+stack (`fractions` with its `decimal` and `numbers`); `braidfmat` brings
+it in, and so does the first call of `virasoro`'s ``central_charge`` or
+``conformal_weight``.
 """
 
 from __future__ import annotations

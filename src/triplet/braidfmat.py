@@ -9,6 +9,10 @@ keeps that formula as its oracle.  For even n the twist is 1, so the even
 L_n carry Rep PSL_2's symmetric braiding.  The tabulated values on
 L_1 (x) L_1 are the formula times -1; both square to the balancing phases,
 and the hexagon constraint is blind to the sign.
+
+Scalars are exact: F-matrix entries are `Fraction`s, and each braiding
+scalar is one root of unity, a ``Phase`` stored as a rational multiple of
+pi.  Importing this module loads the Fraction stack.
 """
 
 from __future__ import annotations
@@ -17,10 +21,66 @@ import math
 from fractions import Fraction
 from typing import Literal
 
-from .base import Value
-from .exactnum import Phase, Rat
+from .base import Value, slot_setters
 from .fusion import fuse_C
 from .virasoro import Params
+
+# The zero exponent that every phase of exponent 0 stores; a zero that is
+# another object still compares equal by value.
+_ZERO = Fraction(0)
+
+
+class Phase(Value):
+    """The root of unity e^{i*pi*exponent} with exponent rational mod 2.
+
+    Exponents of e^{i*pi*(-)} rather than e^{2*pi*i*(-)} because the
+    braiding scalars are half-integer multiples of conformal weights.
+    """
+
+    __slots__ = ("exponent",)
+
+    def __init__(self, exponent: Fraction) -> None:
+        if exponent.__class__ is not Fraction and exponent.__class__ is not int:
+            exponent = Fraction(exponent)
+        _set_exponent(self, _mod2(exponent.numerator, exponent.denominator))
+
+    # Hashed and compared in the inner loops of `verify`, so the field tuple
+    # is spelled out rather than built by `Value`.
+    def __eq__(self, other):
+        if other.__class__ is Phase:
+            return self.exponent == other.exponent
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.exponent,))
+
+    def __mul__(self, other: "Phase") -> "Phase":
+        a, b = self.exponent, other.exponent
+        num = a.numerator * b.denominator + b.numerator * a.denominator
+        return _phase(num, a.denominator * b.denominator)
+
+    def __pow__(self, k: int) -> "Phase":
+        return _phase(k * self.exponent.numerator, self.exponent.denominator)
+
+
+(_set_exponent,) = slot_setters(Phase)
+
+
+def _mod2(num: int, den: int) -> Fraction:
+    """num/den mod 2, in [0, 2), as one Fraction: (num mod 2*den)/den.
+
+    The residue differs from num by a multiple of 2*den, so over den it is
+    num/den minus an even integer.  A zero residue is the shared ``_ZERO``.
+    """
+    residue = num % (2 * den)
+    return Fraction(residue, den) if residue else _ZERO
+
+
+def _phase(num: int, den: int) -> Phase:
+    """Phase(num/den) from integers, for the products of two phases."""
+    out = object.__new__(Phase)
+    _set_exponent(out, _mod2(num, den))
+    return out
 
 
 # The gauge of the Parametrized family: F(t) = D_t F(1) D_t^-1 with
@@ -42,14 +102,14 @@ class FMatrix(Value):
         entries = (f00, f02, f20, f22)
         self._assign(*[x if x.__class__ is Fraction else Fraction(x) for x in entries])
 
-    def entries(self) -> tuple[Rat, Rat, Rat, Rat]:
+    def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.f00, self.f02, self.f20, self.f22)
 
-    def determinant(self) -> Rat:
+    def determinant(self) -> Fraction:
         a, b, c, d = self.entries()
         return a * d - b * c
 
-    def evaluate(self, t0: Rat) -> "FMatrix":
+    def evaluate(self, t0: Fraction) -> "FMatrix":
         """The gauge conjugate D_{t0} F D_{t0}^-1: F02 times t0, F20 over t0."""
         return FMatrix(self.f00, self.f02 * t0, self.f20 / t0, self.f22)
 
@@ -149,7 +209,7 @@ def hexagon_residual(params: Params, matrix: FMatrix) -> FMatrix:
     )
 
 
-def intrinsic_dimension(sol: FSolution) -> Rat:
+def intrinsic_dimension(sol: FSolution) -> Fraction:
     """1/F00: the evaluation-coevaluation composite on the unit channel."""
     value = sol.matrix.f00
     if value == 0:

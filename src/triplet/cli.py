@@ -7,28 +7,28 @@ runs the same checks under `python -O`.  Output depends on argv alone:
 same argv, byte-identical bytes, whatever the environment.
 
 Only the fraction-free `base` loads with this module, never `fractions`.
-Each subcommand imports the layers it runs when it is called, the scalar
-and label layers (`exactnum`, `virasoro`) included, once per call and never
-once per output item, so a call pays for no layer it does not use.  Every
-rational of `weights` and `kac-diagram` is written from the integer
-numerators of the label layer through `base.ratio_str`, as `sl2` writes its
-cells, and `decompose` and `o0-check` write `int` weights, so these, `fuse-L`
-and `fuse-C` load neither `exactnum` nor the Fraction stack (`fractions`
-with its `decimal` and `numbers`); only `hexagon`, `braiding` and
-`verify`, whose values are phases and F-matrices, load it.  Every option
-is defined once, in COMMANDS, with the `cost` of a call, which bounds
-what it builds and writes from its integers alone; a call over
+Each subcommand imports the layers it runs when it is called, the label
+layer `virasoro` included, once per call and never once per output item, so
+a call pays for no layer it does not use.  Every rational of `weights` and
+`kac-diagram` is written from the integer numerators of the label layer
+through `base.ratio_str`, as `sl2` writes its cells, and `decompose` and
+`o0-check` write `int` weights, so these, `fuse-L` and `fuse-C` never load
+the Fraction stack (`fractions` with its `decimal` and `numbers`).  Only
+`hexagon`, `braiding` and `verify`, whose values are phases and F-matrices,
+load it, through `braidfmat`, and they write each `Fraction` with `str`.
+Every option is defined once, in COMMANDS, with the `cost` of a call, which
+bounds what it builds and writes from its integers alone; a call over
 MAX_BUILT_BYTES or MAX_OUTPUT_BYTES is refused before any layer is
-imported.  A well-formed call is parsed from that table
-by `_parse_known` and never imports argparse; help, usage and every
-argument error still come from argparse, byte for byte, through
-`build_parser`, which builds the arguments of the one subcommand named
-(`--help` still lists all ten).  JSON is written by this module's one
-writer, `_write_json`, byte-equal to ``json.dumps(payload, indent=2)``, so
-the `json` package is never loaded.  It writes every payload a bounded
-piece at a time and never holds a payload's whole text.  `sl2` hands it
-matrices by their nonzero cells (`_Sparse`), so such a call takes memory in
-proportion to the nonzero cells and time in proportion to its output.
+imported.  A well-formed call is parsed from that table by `_parse_known`
+and never imports argparse; help, usage and every argument error still come
+from argparse, byte for byte, through `build_parser`, which builds the
+arguments of the one subcommand named (`--help` still lists all ten).  JSON
+is written by this module's one writer, `_write_json`, byte-equal to
+``json.dumps(payload, indent=2)``, so the `json` package is never loaded.
+It writes every payload a bounded piece at a time and never holds a
+payload's whole text.  `sl2` hands it matrices by their nonzero cells
+(`_Sparse`), so such a call takes memory in proportion to the nonzero cells
+and time in proportion to its output.
 """
 
 from __future__ import annotations
@@ -310,7 +310,7 @@ def _cmd_kac_diagram(args) -> int:
 
 
 def _monomial_str(c: str, e: int) -> str:
-    """c*t^e for e in {-1, 0, 1}, given c as written by `rat_str`: "0",
+    """c*t^e for e in {-1, 0, 1}, given c as written by `str`: "0",
     "-1/2", "t", "-t", "-3/4*t" or "(-3/4)/(t)"."""
     if c == "0" or not e:
         return c
@@ -321,7 +321,7 @@ def _monomial_str(c: str, e: int) -> str:
 
 def _fmatrix_json(entries, exponents=((0, 0), (0, 0))) -> list[list[str]]:
     """The F-matrix of `entries`, (F00, F02, F20, F22) as written by
-    `rat_str`, with entry (i, j) printed as the monomial c*t^exponents[i][j]."""
+    `str`, with entry (i, j) printed as the monomial c*t^exponents[i][j]."""
     f00, f02, f20, f22 = entries
     (e00, e02), (e20, e22) = exponents
     return [
@@ -379,7 +379,6 @@ def _parse_t(text: str):
 
 def _cmd_hexagon(args) -> int:
     from . import braidfmat
-    from .exactnum import rat_str
 
     params = _resolve_params(args)
     t0 = None if args.t is None else _parse_t(args.t)
@@ -395,21 +394,20 @@ def _cmd_hexagon(args) -> int:
         payload["residual_zero"] = payload["residual_zero"] and zero
         entry = {
             "kind": sol.kind,
-            "F": _fmatrix_json(map(rat_str, sol.matrix.entries()), braidfmat.GAUGE_EXPONENTS),
-            "intrinsic_dimension": rat_str(braidfmat.intrinsic_dimension(sol)),
+            "F": _fmatrix_json(map(str, sol.matrix.entries()), braidfmat.GAUGE_EXPONENTS),
+            "intrinsic_dimension": str(braidfmat.intrinsic_dimension(sol)),
         }
         if t0 is not None:
-            entry["F_at_t"] = _fmatrix_json(map(rat_str, sol.matrix.evaluate(t0).entries()))
+            entry["F_at_t"] = _fmatrix_json(map(str, sol.matrix.evaluate(t0).entries()))
         payload["solutions"].append(entry)
     if t0 is not None:
-        payload["t"] = rat_str(t0)
+        payload["t"] = str(t0)
     _emit(payload)
     return 0
 
 
 def _cmd_braiding(args) -> int:
     from . import braidfmat, fusion
-    from .exactnum import Phase, rat_str
 
     # Every exponent is one of 0, 1/2, 1 and 3/2, so each {"exp": ...} is
     # built once and shared by every channel that has it, as is each
@@ -421,7 +419,7 @@ def _cmd_braiding(args) -> int:
         key = exp.numerator, exp.denominator  # a Fraction hashes slower
         out = shared.get(key)
         if out is None:
-            out = shared[key] = {"exp": rat_str(exp)}
+            out = shared[key] = {"exp": str(exp)}
         return out
 
     params, n = _resolve_params(args), args.n
@@ -444,7 +442,7 @@ def _cmd_braiding(args) -> int:
         }
         payload["conventions_differ_by_sign"] = all(
             braidfmat.r_scalar_table(params, 1, k)
-            == Phase(braidfmat.r_scalar_formula(params, 1, k).exponent + 1)
+            == braidfmat.Phase(braidfmat.r_scalar_formula(params, 1, k).exponent + 1)
             for k in (0, 2)
         )
         payload["note"] = (

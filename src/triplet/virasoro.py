@@ -10,11 +10,11 @@ pq c over pq (``central_charge_numerator``), 4pq h_{r,s} over 4pq
 (``weight_numerator``) and 4h over 4 for the dictionary's L_n
 (``sl2_weight_numerator``).  The layers above and `cli` read these
 integers, so that neither this module nor they load `fractions` (with its
-`decimal` and `numbers`).  Only the Rat API, ``central_charge``,
-``conformal_weight`` and ``sl2_lowest_weight``, returns a ``Fraction``;
-`fractions` is imported on its first call.  Their return annotations name
-``Fraction``, which this module never binds at its top level, so
-`typing.get_type_hints` cannot resolve them: they are documentation only.
+`decimal` and `numbers`).  Only ``central_charge`` and
+``conformal_weight`` return a ``Fraction``; `fractions` is imported on the
+first call of either.  Their return annotations name ``Fraction``, which
+this module never binds at its top level, so `typing.get_type_hints`
+cannot resolve them: they are documentation only.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-# UnsupportedObjectError is imported for callers that catch it from the
-# label layer; `kacmod` and `fusion` raise it.
-from .base import CACHE_SIZE, UnsupportedObjectError, Value, slot_setters  # noqa: F401
+from .base import CACHE_SIZE, Value, slot_setters
 
 
 class Params(Value):
@@ -261,8 +259,3 @@ def sl2_weight_numerator(params: Params, n: int) -> int:
     if n == 0:
         return 0
     return ((n + 2) * params.p - 2) * ((n + 2) * params.q - 2)
-
-
-def sl2_lowest_weight(params: Params, n: int) -> Fraction:
-    """Lowest conformal weight of L_n, sl2_weight_numerator / 4, exactly."""
-    return _fraction(sl2_weight_numerator(params, n), 4)

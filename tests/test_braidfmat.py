@@ -14,6 +14,7 @@ from triplet.braidfmat import (
     GAUGE_EXPONENTS,
     FMatrix,
     FSolution,
+    Phase,
     balancing_check,
     hexagon_residual,
     hexagon_solutions,
@@ -21,10 +22,9 @@ from triplet.braidfmat import (
     r_scalar_formula,
     r_scalar_table,
 )
-from triplet.exactnum import Phase
 from triplet.fusion import fuse_C
 from triplet.verify import PROPERTIES, _flip_sign, _phase_sign
-from triplet.virasoro import Params, VirLabel, conformal_weight, sl2_lowest_weight
+from triplet.virasoro import Params, VirLabel, conformal_weight, sl2_weight_numerator
 
 PAIRS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
 
@@ -108,8 +108,8 @@ def test_closed_forms_equal_the_weight_formula(pq, n):
     # h[j] is the weight of L_{(j+2)p-1,1}, the dictionary's L_j for j >= 1.
     params = Params(*pq)
     h = [conformal_weight(params, VirLabel((j + 2) * params.p - 1, 1)) for j in range(2 * n + 1)]
-    assert [sl2_lowest_weight(params, j) for j in range(1, 2 * n + 1)] == h[1:]
-    assert sl2_lowest_weight(params, 0) == 0
+    assert [Fraction(sl2_weight_numerator(params, j), 4) for j in range(1, 2 * n + 1)] == h[1:]
+    assert sl2_weight_numerator(params, 0) == 0
     balancing = balancing_check(params, n)
     for k in fuse_C(n, n):
         assert r_scalar_formula(params, n, k) == Phase(h[k] - 2 * h[n])

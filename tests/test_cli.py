@@ -20,8 +20,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import triplet
-from triplet import base, cli, fusion, kacmod, verify, virasoro
-from triplet.exactnum import rat_str
+from triplet import base, cli, fusion, kacmod, verify
 from triplet.virasoro import Params, kac_k, simple_l
 
 
@@ -371,8 +370,7 @@ def test_readme_lists_every_exit_code_of_the_table():
 
 
 def test_unsupported_object_error_is_one_class(monkeypatch):
-    assert kacmod.UnsupportedObjectError is virasoro.UnsupportedObjectError
-    assert cli.UnsupportedObjectError is virasoro.UnsupportedObjectError
+    assert kacmod.UnsupportedObjectError is base.UnsupportedObjectError
     assert fusion.UnsupportedObjectError is base.UnsupportedObjectError is cli.UnsupportedObjectError
     params = Params(2, 3)
     socle = fusion.decomp_from_pairs([(1, simple_l(3, 1))])
@@ -436,7 +434,7 @@ MONOMIAL_STRS = {
 @pytest.mark.parametrize("c", MONOMIAL_STRS, ids=str)
 def test_monomial_str_forms(c):
     for e, text in zip((-1, 0, 1), MONOMIAL_STRS[c]):
-        assert cli._monomial_str(rat_str(Fraction(c)), e) == text
+        assert cli._monomial_str(str(Fraction(c)), e) == text
 
 
 # Integers on both sides of 2**64, so the big-int paths of gcd and // run.
@@ -451,10 +449,23 @@ _RATIO_INTS = st.one_of(st.integers(-50, 50), st.integers(-(2**80), 2**80))
 @example(-6, -4)
 @example(2**64 + 1, -(2**64 + 1))
 @example(3 * 2**70, -(2**65))
-def test_ratio_str_writes_the_fraction_as_rat_str_does(num, den):
+def test_ratio_str_writes_what_str_writes_of_the_fraction(num, den):
     # `sl2 --op cg` writes its cells through `base.ratio_str` from two
-    # integers, without building a Fraction; `rat_str` delegates to it.
-    assert base.ratio_str(num, den) == rat_str(Fraction(num, den)) == str(Fraction(num, den))
+    # integers, without building a Fraction; `hexagon` and `braiding` write
+    # theirs with `str`, and the two must agree.
+    assert base.ratio_str(num, den) == str(Fraction(num, den))
+
+
+@given(st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4))
+def test_ratio_str_round_trip(a):
+    assert Fraction(base.ratio_str(a.numerator, a.denominator)) == a
+
+
+def test_ratio_str_format():
+    assert base.ratio_str(3, 1) == "3"
+    assert base.ratio_str(-22, 5) == "-22/5"
+    assert base.ratio_str(22, -5) == "-22/5"
+    assert base.ratio_str(-6, -4) == "3/2"
 
 
 def test_ratio_str_refuses_a_zero_denominator():
@@ -1292,13 +1303,13 @@ def test_console_entry_point():
 
 # By row id: the triplet modules each call loads, besides triplet,
 # triplet.cli and the fraction-free triplet.base that every call needs, and
-# the call's exit code.  The scalar and label layers (exactnum, virasoro)
-# load only with the subcommands that read them: `import triplet.cli` and
-# every `sl2` call, an error included, run without them.
+# the call's exit code.  The label layer `virasoro` loads only with the
+# subcommands that read it: `import triplet.cli` and every `sl2` call, an
+# error included, run without it.
 LOADED_LAYERS = [
     ("import", None, set(), 0),
     # The label and structure layers work on integer numerators: none of
-    # these six subcommands loads `exactnum` or the Fraction stack.
+    # these six subcommands loads the Fraction stack.
     ("weights", ["weights", "--p", "2", "--q", "3", "--r", "7", "--s", "1"], {"virasoro"}, 0),
     ("fuse-L", ["fuse-L", "--p", "2", "--q", "3", "--m", "3", "--n", "4"], {"virasoro", "fusion"}, 0),
     ("fuse-C", ["fuse-C", "--m", "1", "--n", "1"], {"virasoro", "fusion"}, 0),
@@ -1336,13 +1347,13 @@ LOADED_LAYERS = [
     (
         "hexagon",
         ["hexagon", "--p", "2", "--q", "3"],
-        {"exactnum", "virasoro", "fusion", "braidfmat"},
+        {"virasoro", "fusion", "braidfmat"},
         0,
     ),
     (
         "braiding",
         ["braiding", "--p", "2", "--q", "3", "--n", "1"],
-        {"exactnum", "virasoro", "fusion", "braidfmat"},
+        {"virasoro", "fusion", "braidfmat"},
         0,
     ),
     (
@@ -1355,13 +1366,14 @@ LOADED_LAYERS = [
     (
         "verify",
         ["verify", "--suite", "wpq"],
-        {"exactnum", "virasoro", "kacmod", "fusion", "wpq", "braidfmat", "linalg", "sl2rep", "verify"},
+        {"virasoro", "kacmod", "fusion", "wpq", "braidfmat", "linalg", "sl2rep", "verify"},
         0,
     ),
 ]
 # The Fraction stack: `fractions` and the `decimal` and `numbers` it loads.
-# Only the scalar layer brings it in, and the Rat API of `virasoro` on its
-# first call, which no subcommand above makes without `exactnum`.
+# Only `braidfmat` brings it in, and `virasoro`'s `central_charge` and
+# `conformal_weight` on their first call, which no subcommand above makes
+# without `braidfmat`.
 FRACTION_STACK = ["decimal", "fractions", "numbers"]
 # What argparse loads, for argv that the fast parser declines.
 ARGPARSE_STDLIB = ["argparse", "gettext", "locale"]
@@ -1411,5 +1423,5 @@ def test_subcommand_loads_only_its_layers(argv, layers, code):
         "exit": code,
         "modules": sorted(base | {f"triplet.{layer}" for layer in layers}),
         "slow_stdlib": ARGPARSE_STDLIB if declined else [],
-        "fractions": FRACTION_STACK if "exactnum" in layers else [],
+        "fractions": FRACTION_STACK if "braidfmat" in layers else [],
     }

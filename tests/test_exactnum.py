@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: phases and rationals."""
+"""Phases and rationals, and the `exactnum` suite of `verify` that checks them."""
 
 from fractions import Fraction
 
@@ -7,12 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import mutant
-from triplet import braidfmat, exactnum, fusion, kacmod, sl2rep, verify, virasoro
+from triplet import base, braidfmat, fusion, kacmod, sl2rep, verify, virasoro
 from triplet.base import CACHE_SIZE
-from triplet.exactnum import Phase, rat_str
+from triplet.braidfmat import Phase
 from triplet.verify import PROPERTIES, _phase_sign, run_suites
 
-rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 phase_exponents = st.fractions(min_value=-100, max_value=100, max_denominator=48)
 phases = phase_exponents.map(Phase)
 
@@ -61,7 +60,7 @@ def test_phase_product_and_power_reduce_like_the_fraction_sum(a, b, k):
 
 def test_phase_property_catches_a_reduction_mod_1(monkeypatch):
     # Every group law holds in Q/Z too, so only the order-2 check sees it.
-    monkeypatch.setattr(exactnum, "_mod2", mutant(exactnum._mod2, "num % (2 * den)", "num % den"))
+    monkeypatch.setattr(braidfmat, "_mod2", mutant(braidfmat._mod2, "num % (2 * den)", "num % den"))
     with pytest.raises(AssertionError):
         PROPERTIES["exactnum"]["phase_abelian_group"]()
 
@@ -78,41 +77,6 @@ def test_phase_order_divides_twice_denominator(a):
     assert a ** (2 * a.exponent.denominator) == Phase(0)
 
 
-@given(rationals)
-def test_rat_str_round_trip(a):
-    assert Fraction(rat_str(a)) == a
-
-
-def test_rat_str_format():
-    assert rat_str(Fraction(3)) == "3"
-    assert rat_str(Fraction(-22, 5)) == "-22/5"
-
-
-def _rat_str_converting(x) -> str:
-    """`rat_str` as it was, converting every input with Fraction(x) first."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-@pytest.mark.parametrize(
-    "x",
-    [
-        *(0, 1, -1, 12, -(10**40), True, False),
-        *(Fraction(0), Fraction(-3), Fraction(-22, 5), Fraction(1, 10**30), Fraction(-(10**30), 7)),
-    ],
-)
-def test_rat_str_equals_the_converting_path(x):
-    assert rat_str(x) == _rat_str_converting(x)
-
-
-@given(rationals)
-def test_rat_str_equals_the_converting_path_on_rationals(a):
-    for x in (a, -a, a.numerator, -a.numerator):
-        assert rat_str(x) == _rat_str_converting(x)
-
-
 def test_evaluation_property_catches_an_evaluate_that_scales_f20_up(monkeypatch):
     # F20 times t0 instead of over it: D_t F D_t^-1 is no longer a conjugation.
     wrong = mutant(braidfmat.FMatrix.evaluate, "self.f20 / t0", "self.f20 * t0")
@@ -122,14 +86,13 @@ def test_evaluation_property_catches_an_evaluate_that_scales_f20_up(monkeypatch)
 
 
 @pytest.mark.parametrize(
-    "new",
-    ['return f"{x.numerator}/{x.denominator}"', "return ratio_str(abs(x.numerator), x.denominator)"],
+    "old, new",
+    [("return str(num)", 'return f"{num}/{den}"'), ("num //= g", "num = abs(num // g)")],
     ids=["always-writes-den", "drops-the-sign"],
 )
-def test_rat_addition_property_catches_a_wrong_rat_str(new, monkeypatch):
-    wrong = mutant(exactnum.rat_str, "return ratio_str(x.numerator, x.denominator)", new)
-    monkeypatch.setattr(verify, "rat_str", wrong)
-    with pytest.raises(AssertionError, match="rat_str"):
+def test_rat_addition_property_catches_a_wrong_ratio_str(old, new, monkeypatch):
+    monkeypatch.setattr(verify, "ratio_str", mutant(base.ratio_str, old, new))
+    with pytest.raises(AssertionError, match="ratio_str"):
         PROPERTIES["exactnum"]["rat_addition_exact"]()
 
 

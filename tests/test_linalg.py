@@ -9,8 +9,11 @@ import pytest
 
 from conftest import mutant
 from triplet import linalg
-from triplet.exactnum import ZERO
 from triplet.verify import _int_product
+
+# The zero the seeded cases share; each case is also replayed with distinct
+# zero objects.
+ZERO = Fraction(0)
 
 
 def _sparse_int(rng: random.Random, density: float, size: int = 9) -> int:
@@ -122,8 +125,6 @@ def _dense_product(a, b):
 
 
 def _signed_rat(rng: random.Random, density: float) -> Fraction:
-    # Zeros are the shared `exactnum.ZERO`; each case is also replayed with
-    # distinct zero objects.
     if rng.random() >= density:
         return ZERO
     return Fraction(rng.randint(-(10**6), 10**6), rng.choice((-1, 1)) * rng.randint(1, 10**6))

@@ -6,12 +6,13 @@ Nothing is floating point, and ``math`` serves only integer gcd/lcm.
 Brute-force oracles live only in ``verify``, and the character oracle and the
 sl2 form and Clebsch-Gordan oracles never read the closed forms they check.
 Only ``cli`` writes the JSON and DOT output formats.
-Dense fills use the shared ``exactnum.ZERO``, never a private ``Fraction(0)``,
-and ``sl2rep`` builds no dense fill at all.
+No dense fill makes a private ``Fraction(0)`` for every list it fills, and
+``sl2rep`` builds no dense fill at all.
 No module reaches into the private API of ``fractions``, which changes
 between the Python versions the package supports.  The label and structure
 layers ``virasoro``, ``fusion``, ``kacmod`` and ``wpq`` work on integer
-numerators and bind neither ``fractions`` nor ``exactnum`` at module level.
+numerators and bind neither ``fractions`` nor a module that loads it
+(``braidfmat``, ``verify``) at module level.
 Every public function and method has a caller in the package, or is
 documented in the README; ``verify`` does not count as a caller, except of
 its own functions.
@@ -45,9 +46,10 @@ FRACTIONS_PRIVATE = {"_normalize", "_from_coprime_ints", "_numerator", "_denomin
 # Decorators that register the function they wrap; the registry calls it.
 REGISTRARS = {"_property"}
 # The layers that work on integer numerators, and the modules they may import
-# only inside a function, where a call that needs a Fraction loads them.
+# only inside a function, where a call that needs a Fraction loads them: the
+# modules whose import loads the Fraction stack.
 INTEGER_LAYERS = ["fusion.py", "kacmod.py", "virasoro.py", "wpq.py"]
-FRACTION_MODULES = {"fractions", "exactnum"}
+FRACTION_MODULES = {"fractions", "braidfmat", "verify"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -148,8 +150,8 @@ def _is_fraction_zero(node: ast.AST) -> bool:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_dense_fills_use_the_shared_zero(path):
-    # `exactnum.ZERO` is the package's one zero Fraction; a list filled with
-    # a private Fraction(0) would make another for every fill.
+    # A list filled with a private Fraction(0) makes another zero for every
+    # fill; a fill shares one zero object.
     found = [
         _where(path, n)
         for n in ast.walk(_tree(path))
@@ -194,8 +196,9 @@ def test_no_private_fractions_api(path):
 
 
 def _module_level_fraction_imports(path: Path) -> list[str]:
-    """Imports of `fractions` or `exactnum`, under any name and by any path,
-    that run when `path` is imported: every one outside a function body."""
+    """Imports of a module of FRACTION_MODULES, under any name and by any
+    path, that run when `path` is imported: every one outside a function
+    body."""
     tree = _tree(path)
     in_functions = {
         id(inner)
@@ -316,6 +319,20 @@ def test_package_exports_exactly_its_public_imports():
     assert result.stdout == "[]\n"
 
 
+def _readme_layout_modules(text: str) -> list[str]:
+    """The modules that the README's "Library layout" table lists, in order."""
+    section = text.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `triplet\.(\w+)`", section, re.MULTILINE)
+
+
+def test_readme_layout_lists_exactly_the_modules():
+    # One row per module of the package, and none for a module that is gone.
+    listed = _readme_layout_modules(README.read_text())
+    assert sorted(listed) == sorted(
+        path.stem for path in SOURCES if path.stem not in ("__init__", "__main__")
+    )
+
+
 def _calls_a_property(node: ast.AST) -> bool:
     """A call `PROPERTIES[...][...]()`, or one through a module attribute."""
     if not (
@@ -369,6 +386,8 @@ def test_static_rules_catch_a_violation(tmp_path):
         test_no_float(src)
     with pytest.raises(AssertionError):
         test_math_only_for_gcd_and_lcm(src)
+    layout = "## Library layout\n\n| `triplet.base` | x |\n| `triplet.gone` | y |\n\n## CLI\n"
+    assert _readme_layout_modules(f"# t\n\n{layout}| `triplet.cli` | z |\n") == ["base", "gone"]
     src.write_text("from math import gcd, isqrt\n")
     with pytest.raises(AssertionError):
         test_math_only_for_gcd_and_lcm(src)
@@ -416,11 +435,12 @@ def test_static_rules_catch_a_violation(tmp_path):
         "import fractions\n",
         "import fractions as f\n",
         "from fractions import Fraction\n",
-        "from .exactnum import Rat\n",
-        "from . import base, exactnum\n",
-        "import triplet.exactnum\n",
+        "from .braidfmat import Phase\n",
+        "from . import base, braidfmat\n",
+        "import triplet.braidfmat\n",
+        "from .verify import PROPERTIES\n",
         "try:\n    from fractions import Fraction\nexcept ImportError:\n    pass\n",
-        "class Weight:\n    from .exactnum import Rat\n",
+        "class Weight:\n    from .braidfmat import Phase\n",
     ):
         src.write_text(text)
         assert len(_module_level_fraction_imports(src)) == 1, text

@@ -16,8 +16,7 @@ import pytest
 
 import triplet
 from triplet.base import Value
-from triplet.braidfmat import hexagon_solutions
-from triplet.exactnum import Phase
+from triplet.braidfmat import Phase, hexagon_solutions
 from triplet.fusion import DecompEntry, DecompList, fuse_L_family
 from triplet.kacmod import kac_length2_seq, kac_mm_nn_diagram
 from triplet.sl2rep import build_irrep, cg_maps, invariant_form

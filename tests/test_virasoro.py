@@ -291,14 +291,15 @@ def test_weight_properties_catch_a_dictionary_weight_one_index_low(
     suite, name, message, monkeypatch
 ):
     # The weight of L_{(n+1)p-1,1} in place of L_n's: `wpq` and `verify` read
-    # the same closed form (`wpq` its numerator, `verify` the Fraction that
-    # `sl2_lowest_weight` builds from it), so only the comparison with the
-    # weight of L_n's label sees it.
+    # the same closed form, so only the comparison with the weight of L_n's
+    # label sees it.
     old = "((n + 2) * params.p - 2) * ((n + 2) * params.q - 2)"
     wrong = mutant(virasoro.sl2_weight_numerator, old, old.replace("n + 2", "n + 1"))
-    for module in (virasoro, wpq):
+    params = Params(2, 3)
+    right = virasoro.sl2_weight_numerator(params, 2)
+    for module in (virasoro, wpq, verify):
         monkeypatch.setattr(module, "sl2_weight_numerator", wrong)
-    assert verify.sl2_lowest_weight(Params(2, 3), 2) == Fraction(wrong(Params(2, 3), 2), 4)
+    assert 4 * wpq.decompose_wprime(params, 2)[1].lowest_weight == wrong(params, 2) != right
     with pytest.raises(AssertionError, match=message):
         PROPERTIES[suite][name]()
 
