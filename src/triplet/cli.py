@@ -378,10 +378,10 @@ def _parse_t(text: str):
 
 
 def _cmd_hexagon(args) -> int:
-    from . import braidfmat
-
     params = _resolve_params(args)
     t0 = None if args.t is None else _parse_t(args.t)
+    from . import braidfmat
+
     solutions = braidfmat.hexagon_solutions(params)
     payload = {
         "epsilon": solutions[0].epsilon,
@@ -407,6 +407,9 @@ def _cmd_hexagon(args) -> int:
 
 
 def _cmd_braiding(args) -> int:
+    params, n = _resolve_params(args), args.n
+    if n < 0:
+        raise ValueError(f"--n must be >= 0, got {n}")
     from . import braidfmat, fusion
 
     # Every exponent is one of 0, 1/2, 1 and 3/2, so each {"exp": ...} is
@@ -422,9 +425,6 @@ def _cmd_braiding(args) -> int:
             out = shared[key] = {"exp": str(exp)}
         return out
 
-    params, n = _resolve_params(args), args.n
-    if n < 0:
-        raise ValueError(f"--n must be >= 0, got {n}")
     channels = fusion.fuse_C(n, n)
     keys = [str(k) for k in channels]
     balancing = braidfmat.balancing_check(params, n)
@@ -655,6 +655,12 @@ def _o0_check_cost(args) -> tuple[int, int]:
     return _listed(p and n >= 2, n - 1, row, 40 + _chars(n.bit_length()))
 
 
+def _binom_bits(x: int, y: int) -> int:
+    """A bit count b with C(x, y) < 2**b, from bit lengths alone: C(x, y) is
+    at most 2^x and at most x^min(y, x-y)."""
+    return min(x, min(y, x - y) * x.bit_length()) + 1
+
+
 def _sl2_cost(args) -> tuple[int, int]:
     n, m, k = args.n, args.m, args.k
     if args.op != "cg":
@@ -665,15 +671,20 @@ def _sl2_cost(args) -> tuple[int, int]:
     elif None in (m, k) or (m + n - k) % 2 or not abs(m - n) <= k <= m + n:
         return 0, 0
     else:
-        # An inclusion cell is x/big and a projection cell x*big/scale, with
-        # x below 2^x_bits, big below 2^big_bits and scale below 2^(2 x_bits)
-        # (README, "sl2 linear algebra"); a matrix has at most
-        # (k+1)(min(m,n)+1) nonzero cells.
-        s, big_bits = (m + n - k) // 2, 3 * (m + 1) // 2 + 1
-        x_bits = n + s + big_bits + k + (s + 1).bit_length()
+        # Over the denominator C(m, s), inclusion cell (a, b) of column j is
+        # N = sum_z (-1)^z C(j, a-z) C(n-b, z) C(m-a, s-z), below 2^(k+s) and
+        # at most (k+s)^k, and a projection cell is N C(m, s) over
+        # C(k, m-s) C(k+s+1, s) (README, "sl2 linear algebra").  Each is
+        # reduced, so it is at most as long as these.  A matrix has at most
+        # (k+1)(min(m,n)+1) nonzero cells; `cell` is one inclusion cell, one
+        # projection cell and one cell's 12 bytes of layout.
+        s = (m + n - k) // 2
+        n_bits = min(k + s, k * (k + s).bit_length()) + 1
+        d_bits = _binom_bits(m, s)
+        pair_bits = _binom_bits(k, m - s) + _binom_bits(k + s + 1, s)
         dim = (m + 1) * (n + 1)
-        shapes, cells = [(k + 1, dim), (dim, k + 1)], 2 * (k + 1) * (min(m, n) + 1)
-        cell = _chars(x_bits + big_bits) + _chars(2 * x_bits)
+        shapes, cells = [(k + 1, dim), (dim, k + 1)], (k + 1) * (min(m, n) + 1)
+        cell = 12 + _chars(n_bits) + _chars(d_bits) + _chars(n_bits + d_bits) + _chars(pair_bits)
     if n < 0:
         return 0, 0
     built = cells * (12 + cell)

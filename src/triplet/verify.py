@@ -390,9 +390,10 @@ def fusion_ring_product_oracle(
     return fusion.DecompList(tuple(sorted(merged.entries, key=key)))
 
 
-def _weyl_character(n: int) -> dict[int, int]:
-    """Character of V_n as {degree: multiplicity}: x^n + x^{n-2} + ... + x^{-n}."""
-    return {d: 1 for d in range(-n, n + 1, 2)}
+def _weyl_character(n: int) -> range:
+    """Character of V_n, x^n + x^{n-2} + ... + x^{-n}, as its degrees, each of
+    multiplicity one."""
+    return range(-n, n + 1, 2)
 
 
 def cg_oracle(m: int, n: int) -> list[int]:
@@ -400,26 +401,42 @@ def cg_oracle(m: int, n: int) -> list[int]:
 
     Valid because characters of distinct irreducibles have distinct top
     degrees and all multiplicities are non-negative.  Independent of
-    `fusion`: it never reads the closed-form rule it checks.
+    `fusion`: it never reads the closed-form rule it checks.  The product
+    is a list, entry (d + m + n)/2 the multiplicity of degree d; a peeled
+    character with a degree that is not one of the product's fails at the
+    largest such degree.
     """
     if m < 0 or n < 0:
         raise ValueError(f"indices must be >= 0, got ({m},{n})")
-    product: dict[int, int] = {}
-    char_n = _weyl_character(n)
+    total = m + n
+    product = [0] * (total + 1)
+    offsets = [(db + n) // 2 for db in _weyl_character(n)]
     for da in _weyl_character(m):
-        for db in char_n:
-            product[da + db] = product.get(da + db, 0) + 1
+        base = (da + m) // 2
+        for j in offsets:
+            product[base + j] += 1
+
+    def failure(degree: int) -> AssertionError:
+        remaining = {2 * i - total: x for i, x in enumerate(product) if x}
+        return AssertionError(f"character peeling failed at degree {degree}: {remaining}")
+
     peeled: list[int] = []
-    while product:
-        k = max(product)
-        mult = product[k]
-        if k < 0 or mult <= 0:
-            raise AssertionError(f"character peeling failed at degree {k}: {product}")
+    for i in range(total, -1, -1):
+        mult = product[i]
+        if not mult:
+            continue
+        k = 2 * i - total
+        if k < 0 or mult < 0:
+            raise failure(k)
         peeled += [k] * mult
-        for deg in _weyl_character(k):
-            product[deg] = product.get(deg, 0) - mult
-            if not product[deg]:
-                del product[deg]
+        # From the top down, so that a failure names the largest degree.
+        for d in reversed(_weyl_character(k)):
+            j = d + total
+            if j & 1 or not 0 <= j <= 2 * total:
+                raise failure(d)
+            product[j >> 1] -= mult
+        if product[i]:
+            raise failure(k)
     return sorted(peeled)
 
 
@@ -637,7 +654,8 @@ def intrinsic_dimensions():
 
 
 def _nonzero(row: dict[int, int]) -> dict[int, int]:
-    return {j: x for j, x in row.items() if x}
+    """`row` without its zero entries: `row` itself when it has none."""
+    return {j: x for j, x in row.items() if x} if 0 in row.values() else row
 
 
 def _irrep_rows(rep: sl2rep.Irrep) -> tuple[list[dict[int, int]], ...]:
@@ -709,10 +727,12 @@ def _kron_sum(a: list[dict[int, int]], b: list[dict[int, int]]) -> list[dict[int
     db = len(b)
     out = []
     for i, a_row in enumerate(a):
+        a_part = [(k * db, x) for k, x in a_row.items()]
+        start = i * db
         for j, b_row in enumerate(b):
-            row = {k * db + j: x for k, x in a_row.items()}
+            row = {k + j: x for k, x in a_part}
             for k, x in b_row.items():
-                row[i * db + k] = row.get(i * db + k, 0) + x
+                row[start + k] = row.get(start + k, 0) + x
             out.append(_nonzero(row))
     return out
 
@@ -749,22 +769,31 @@ def cg_system_oracle(m: int, n: int) -> dict[int, tuple[tuple[list, int], tuple[
     # Column j of F on V_m (x) V_n is row j of F^T, which is a Kronecker sum too.
     f_cols = _kron_sum(_transpose(f_m, m + 1), _transpose(f_n, n + 1))
     channels = cg_oracle(m, n)
-
-    def weight_indices(w: int) -> list[int]:
-        out = []
-        for a in range(m + 1):
-            for b in range(n + 1):
-                if (m - 2 * a) + (n - 2 * b) == w:
-                    out.append(a * (n + 1) + b)
-        return out
+    # The flat indices of each weight, in order, and each index's weight and
+    # place among them.
+    indices: dict[int, list[int]] = {}
+    weight, place = [0] * dim, [0] * dim
+    for a in range(m + 1):
+        for b in range(n + 1):
+            j, w = a * (n + 1) + b, (m - 2 * a) + (n - 2 * b)
+            same = indices.setdefault(w, [])
+            weight[j], place[j] = w, len(same)
+            same.append(j)
+    # E's rows restricted to the columns of each weight, read in one pass:
+    # the system whose kernel holds the highest-weight vectors of that weight.
+    restricted: dict[int, list[dict[int, int]]] = {}
+    for row in e_t:
+        parts: dict[int, dict[int, int]] = {}
+        for j, x in row.items():
+            parts.setdefault(weight[j], {})[place[j]] = x
+        for w, part in parts.items():
+            restricted.setdefault(w, []).append(part)
 
     columns: list[dict[int, int]] = []  # column c of C D, sparse
     blocks: dict[int, tuple[int, int, int]] = {}
     for k in channels:
-        idx = weight_indices(k)
-        place = {j: t for t, j in enumerate(idx)}
-        restricted = [{place[j]: x for j, x in row.items() if j in place} for row in e_t]
-        basis = linalg._kernel_int([row for row in restricted if row], len(idx))
+        idx = indices.get(k, [])
+        basis = linalg._kernel_int(restricted.get(k, []), len(idx))
         if len(basis) != 1:
             raise AssertionError(
                 f"channel {k} of V_{m} (x) V_{n} has multiplicity {len(basis)}, expected 1"
@@ -823,9 +852,11 @@ def _system_equals_oracle(maps: ChannelMaps, oracle: dict) -> bool:
         return False
     for k, (cg, proj, incl) in maps.items():
         (rows, row_den), (columns, lead) = oracle[k]
-        proj = [{j: x * cg.big for j, x in row.items()} for row in proj]
+        # A projection row is x*big/scale: x over scale equals rows over
+        # row_den*big.
         if not (
-            _same_over(proj, cg.scale, rows, row_den) and _same_over(incl, cg.big, columns, lead)
+            _same_over(proj, cg.scale, rows, row_den * cg.big)
+            and _same_over(incl, cg.big, columns, lead)
         ):
             return False
     return True
@@ -921,8 +952,9 @@ def cg_biorthogonality_and_completeness():
                 x_rows += proj
                 y_columns += incl
                 diagonal += [{c: cg.scale} for c in range(len(diagonal), len(y_columns))]
+            flat = set(range(dim))
             square = len(x_rows) == len(y_columns) == dim and all(
-                0 <= i < dim for vec in x_rows + y_columns for i in vec
+                vec.keys() <= flat for vec in x_rows + y_columns
             )
             _expect(square, (m, n), ": P and I are not", dim, "x", dim)
             product = _int_product(x_rows, _transpose(y_columns, dim))
@@ -1063,11 +1095,21 @@ def multiplicity_totals_square():
 
 @_property("wpq")
 def o0_weight_identity_integral():
+    # h_{1,2nq-2} - h_{1,2} from the three-term oracle's numerators, as the
+    # quotient and remainder of their difference by 4pq: the remainder is 0,
+    # the quotient is (np-1)(nq-2), and `wpq`'s quotient and integrality
+    # flag are the same.
     for params in TEST_PARAMS:
-        for n, diff, flag in wpq.o0_weight_identity(params, 20):
-            _expect(flag and diff.denominator == 1 and diff >= 0, params, n, diff, flag)
-            expected = (n * params.p - 1) * (n * params.q - 2)
-            _expect(diff == expected, params, "n =", n, ":", diff, "!=", expected)
+        p, q = params.p, params.q
+        h12 = weight_numerator_oracle(params, VirLabel(1, 2))
+        rows = wpq.o0_weight_identity(params, 20)
+        _expect([n for n, _, _ in rows] == list(range(2, 21)), params, "rows", rows)
+        for n, diff, flag in rows:
+            oracle = weight_numerator_oracle(params, VirLabel(1, 2 * n * q - 2))
+            quotient, rem = divmod(oracle - h12, 4 * p * q)
+            expected = (n * p - 1) * (n * q - 2)
+            _expect(rem == 0 and quotient == expected, params, "n =", n, ":", quotient, rem)
+            _expect((diff, flag) == (quotient, True), params, "n =", n, ":", diff, flag)
 
 
 # --- runners ----------------------------------------------------------------

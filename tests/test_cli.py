@@ -872,8 +872,8 @@ def test_o0_check_output():
             "error: sl2 may build 229768 and write 1200214154 bytes, over its budgets of 9000000 built and 1200000000 written\n",
         ),
         (
-            ["--n", "102", "--op", "cg", "--m", "102", "--k", "102"],
-            "error: sl2 may build 9272266 and write 33451634 bytes, over its budgets of 9000000 built and 1200000000 written\n",
+            ["--n", "154", "--op", "cg", "--m", "154", "--k", "154"],
+            "error: sl2 may build 9105475 and write 91345183 bytes, over its budgets of 9000000 built and 1200000000 written\n",
         ),
     ],
     ids=["n<0", "cg", "cg-m", "cg-k", "k-below", "k-above", "irrep-cap", "form-cap", "cg-cap"],
@@ -1088,6 +1088,40 @@ def test_cost_bounds_the_output_at_large_digits_and_sizes(argv):
     built, written = _cost(argv)
     code, out, _ = run_cli(argv)
     assert code == 0 and len(out) <= written and built <= written
+
+
+def _cg_argv(m: int, n: int, k: int) -> list[str]:
+    return ["sl2", "--n", str(n), "--op", "cg", "--m", str(m), "--k", str(k)]
+
+
+def _built_text(argv: list[str]) -> int:
+    """What `built` counts of an `sl2 --op cg` call: the text of each nonzero
+    cell it builds, and 12 bytes of layout each."""
+    payloads = []
+    with mock.patch.object(cli, "_emit", payloads.append):
+        assert run_cli(argv) == (0, "", "")
+    (payload,) = payloads
+    rows = [*payload["projection"].rows.values(), *payload["inclusion"].rows.values()]
+    return sum(12 + len(cell) for row in rows for cell in row.values())
+
+
+def test_sl2_cg_cost_covers_the_text_of_its_nonzero_cells():
+    # The cells are reduced fractions, whose digits the cost bounds through
+    # the closed forms of their numerators and denominators.
+    for m in range(13):
+        for n in range(13):
+            for k in range(abs(m - n), m + n + 1, 2):
+                argv = _cg_argv(m, n, k)
+                assert _built_text(argv) <= _cost(argv)[0], argv
+
+
+@pytest.mark.parametrize(
+    "m, n, k",
+    [(60, 60, 60), (152, 152, 152), (100, 100, 0), (100, 200, 100), (150, 50, 100), (1, 300, 301)],
+)
+def test_sl2_cg_cost_covers_the_text_of_large_channels(m, n, k):
+    argv = _cg_argv(m, n, k)
+    assert _built_text(argv) <= _cost(argv)[0]
 
 
 def test_sl2_subcommand():
@@ -1331,7 +1365,7 @@ LOADED_LAYERS = [
     ),
     ("o0-check-cap", ["o0-check", "--p", "2", "--q", "3", "--nmax", "100000"], set(), 2),
     ("sl2-cap", ["sl2", "--n", "20000", "--op", "form"], set(), 2),
-    ("sl2-cg-cap", ["sl2", "--n", "200", "--op", "cg", "--m", "200", "--k", "200"], set(), 2),
+    ("sl2-cg-cap", ["sl2", "--n", "154", "--op", "cg", "--m", "154", "--k", "154"], set(), 2),
     (
         "kac-diagram",
         ["kac-diagram", "--p", "2", "--q", "3", "--m", "2", "--n", "2"],
@@ -1356,6 +1390,11 @@ LOADED_LAYERS = [
         {"virasoro", "fusion", "braidfmat"},
         0,
     ),
+    # Refused by their handlers, which check --n and --t before they load
+    # `braidfmat` and `fusion`.
+    ("braiding-error", ["braiding", "--p", "2", "--q", "3", "--n", "-1"], {"virasoro"}, 2),
+    ("hexagon-t-zero", ["hexagon", "--p", "2", "--q", "3", "--t", "0"], {"virasoro"}, 2),
+    ("hexagon-t-over-zero", ["hexagon", "--p", "2", "--q", "3", "--t", "1/0"], {"virasoro"}, 2),
     (
         "decompose",
         ["decompose", "--p", "2", "--q", "3", "--target", "wpq", "--nmax", "2"],
@@ -1371,9 +1410,9 @@ LOADED_LAYERS = [
     ),
 ]
 # The Fraction stack: `fractions` and the `decimal` and `numbers` it loads.
-# Only `braidfmat` brings it in, and `virasoro`'s `central_charge` and
-# `conformal_weight` on their first call, which no subcommand above makes
-# without `braidfmat`.
+# Only `braidfmat` brings it in, `hexagon`'s `--t`, which is parsed as a
+# Fraction, and `virasoro`'s `central_charge` and `conformal_weight` on their
+# first call, which no subcommand above makes without `braidfmat`.
 FRACTION_STACK = ["decimal", "fractions", "numbers"]
 # What argparse loads, for argv that the fast parser declines.
 ARGPARSE_STDLIB = ["argparse", "gettext", "locale"]
@@ -1423,5 +1462,5 @@ def test_subcommand_loads_only_its_layers(argv, layers, code):
         "exit": code,
         "modules": sorted(base | {f"triplet.{layer}" for layer in layers}),
         "slow_stdlib": ARGPARSE_STDLIB if declined else [],
-        "fractions": FRACTION_STACK if "braidfmat" in layers else [],
+        "fractions": FRACTION_STACK if "braidfmat" in layers or "--t" in (argv or ()) else [],
     }

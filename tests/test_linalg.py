@@ -124,15 +124,16 @@ def _dense_product(a, b):
     ]
 
 
-def _signed_rat(rng: random.Random, density: float) -> Fraction:
+def _signed_rat(rng: random.Random, density: float, size: int = 10**6) -> Fraction:
     if rng.random() >= density:
         return ZERO
-    return Fraction(rng.randint(-(10**6), 10**6), rng.choice((-1, 1)) * rng.randint(1, 10**6))
+    return Fraction(rng.randint(-size, size), rng.choice((-1, 1)) * rng.randint(1, size))
 
 
 def _elimination_cases():
     """Seeded matrices: every shape up to 9 x 9, empty ones included, at
-    densities 0 to 1, some rank-deficient and some with all-zero rows."""
+    densities 0 to 1, some rank-deficient and some with all-zero rows; and
+    tall sparse ones, as the oracles' systems are (`_tall_sparse_cases`)."""
     rng = random.Random(20253)
     cases = []
     for rows in range(10):
@@ -147,6 +148,32 @@ def _elimination_cases():
             right = [[_signed_rat(rng, density) for _ in range(cols)] for _ in range(rank)]
             product = _dense_product(left, right) if rank else [[ZERO] * cols for _ in range(rows)]
             cases.append([[x if x else ZERO for x in row] for row in product])
+    return cases + _tall_sparse_cases()
+
+
+def _tall_sparse_cases():
+    """Seeded tall sparse matrices of small entries, up to 40 x 16, as the
+    oracles' systems are.  A third of the rows of some hold one entry, so
+    their pivots clear a column by deletion; the pivot rows of the sparse
+    ones hold entries the rows they clear lack, so those rows fill in; and
+    some repeat a row or add up two, so that rows cancel to zero, entry by
+    entry."""
+    rng = random.Random(20254)
+    cases = []
+    for rows, cols in [(12, 4), (16, 7), (24, 9), (30, 12), (40, 16)]:
+        for density in (0.15, 0.3):
+            a = [[_signed_rat(rng, density, 9) for _ in range(cols)] for _ in range(rows)]
+            cases.append(a)
+            one_entry = [list(row) for row in a]
+            for i in rng.sample(range(rows), rows // 3):
+                one_entry[i] = [ZERO] * cols
+                one_entry[i][rng.randrange(cols)] = _signed_rat(rng, 1.0, 9)
+            cases.append(one_entry)
+            cancelling = [list(row) for row in a]
+            for i in rng.sample(range(rows), rows // 4):
+                j, k = rng.randrange(rows), rng.randrange(rows)
+                cancelling[i] = [x + y for x, y in zip(a[j], a[k])] if j != k else list(a[j])
+            cases.append([[x if x else ZERO for x in row] for row in cancelling])
     return cases
 
 
@@ -243,3 +270,22 @@ def test_elimination_check_catches_a_wrong_integer_core(monkeypatch):
     monkeypatch.setattr(linalg, "_rref_int", mutant(linalg._rref_int, "xs * y", "x * y"))
     with pytest.raises(AssertionError):
         _check_elimination_equals_the_oracle(_elimination_cases())
+
+
+def test_elimination_check_catches_a_column_index_left_behind_on_fill_in(monkeypatch):
+    # A row that gains an entry in column j by fill-in, but not a place in
+    # the column's index, is never cleared at j.
+    wrong = mutant(linalg._rref_int, "holders[j].add(i)", "pass")
+    monkeypatch.setattr(linalg, "_rref_int", wrong)
+    with pytest.raises(AssertionError):
+        _check_elimination_equals_the_oracle(_tall_sparse_cases())
+
+
+def test_elimination_check_catches_a_column_index_left_behind_on_cancellation(monkeypatch):
+    # A row whose entry in column j cancels, but that keeps its place in the
+    # column's index, is cleared or taken as the pivot at j by an entry it
+    # no longer holds.
+    wrong = mutant(linalg._rref_int, "holders[j].discard(i)", "pass")
+    monkeypatch.setattr(linalg, "_rref_int", wrong)
+    with pytest.raises((AssertionError, KeyError)):
+        _check_elimination_equals_the_oracle(_tall_sparse_cases())
