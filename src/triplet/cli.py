@@ -29,6 +29,15 @@ It writes every payload a bounded piece at a time and never holds a
 payload's whole text.  `sl2` hands it matrices by their nonzero cells
 (`_Sparse`), so such a call takes memory in proportion to the nonzero cells
 and time in proportion to its output.
+
+A `triplet` process enters through `run`, and nothing else: `python -m
+triplet`, `python -m triplet.cli` and the `triplet` console script.  `run`
+returns `main`'s exit code and then calls `gc.freeze()`, also when argparse
+exits for `--help` or a usage error.  The interpreter's last collection at
+exit then skips every object the call left, whose memory the OS takes back
+anyway.  stdout and stderr are still flushed and `atexit` handlers still run.
+`main` called in process, by the tests or a library caller, never freezes
+the heap.
 """
 
 from __future__ import annotations
@@ -948,5 +957,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CODES["internal"]
 
 
+def run() -> int:
+    """The process entry point: `main` on sys.argv, then `gc.freeze()`, so
+    the last collection at interpreter exit skips the whole heap."""
+    import gc
+
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

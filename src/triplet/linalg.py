@@ -13,7 +13,9 @@ systems are tall and sparse (the invariance system of V_8 has 232 rows over
 81 columns, 104 of them one-entry rows), so it keeps the rows of each column
 in an index, visits only those at each pivot, and pivots on the sparsest
 candidate row (Markowitz, 1957): a one-entry pivot row clears its column by
-deletion.  No Fraction is built here.
+deletion.  Only the columns that may hold a pivot are indexed; the identity
+of an augmented [A | Id] is carried along each row operation without one.
+No Fraction is built here.
 """
 
 from __future__ import annotations
@@ -32,13 +34,16 @@ def _rref_int(rows: list[dict[int, int]], cols: int) -> list[int]:
     """Reduce sparse integer rows over `cols` columns in place, and return
     the pivot columns.
 
-    At the end, row r < len(pivots) is the primitive integer multiple of row
-    r of the reduced row echelon form, and every later row is empty.  The
-    columns are taken in order; `holders[c]` is the set of rows with an
-    entry in column c, kept exact through fill-in and cancellation, so a
-    pivot visits only the rows it clears.  The pivot row of column c is the
-    one with the fewest entries among the rows that are not pivot rows yet
-    (Markowitz), divided by its content.  Clearing column c of row i
+    Entries at column `cols` and beyond, like the identity of an augmented
+    [A | Id], are carried: every row operation combines them too, but they
+    are never pivots and no index holds them.  At the end, row r <
+    len(pivots) is the primitive integer multiple of row r of the reduced
+    row echelon form, carried entries included, and every later row is
+    empty below `cols`.  The columns are taken in order; `holders[c]` is the
+    set of rows with an entry in column c < `cols`, kept exact through
+    fill-in and cancellation, so a pivot visits only the rows it clears.
+    The pivot row of column c is the one with the fewest entries among the
+    rows that are not pivot rows yet (Markowitz), divided by its content.  Clearing column c of row i
     against the pivot row P, whose entry there is p, replaces row i by
     (p*row - row[c]*P)/g with g = gcd(p, row[c]), then divides it by its
     content; when c is P's one entry, that is deleting row i's entry at c.
@@ -47,19 +52,18 @@ def _rref_int(rows: list[dict[int, int]], cols: int) -> list[int]:
     holders: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
-            column = holders.get(j)
-            if column is None:
-                holders[j] = {i}
-            else:
-                column.add(i)
+            if j < cols:
+                column = holders.get(j)
+                if column is None:
+                    holders[j] = {i}
+                else:
+                    column.add(i)
     done = [False] * n_rows
     order: list[int] = []  # the pivot rows, by pivot column
     pivots: list[int] = []
     # Fill-in lands only on columns of a pivot row, so no column gains its
     # first entry, and column c is never read once it is cleared.
     for c in sorted(holders):
-        if c >= cols:
-            break
         rows_c = holders[c]
         candidates = [i for i in rows_c if not done[i]]
         if not candidates:
@@ -89,14 +93,16 @@ def _rref_int(rows: list[dict[int, int]], cols: int) -> list[int]:
                 for j, y in rest:
                     old = new.get(j)
                     if old is None:  # fill-in, by a nonzero entry
-                        holders[j].add(i)
+                        if j < cols:
+                            holders[j].add(i)
                         old = 0
                     z = old - xs * y
                     if z:
                         new[j] = z
                     else:
                         del new[j]
-                        holders[j].discard(i)
+                        if j < cols:
+                            holders[j].discard(i)
                 rows[i] = _primitive(new)
         if len(order) == n_rows:
             break

@@ -756,7 +756,8 @@ def cg_system_oracle(m: int, n: int) -> dict[int, tuple[tuple[list, int], tuple[
     `sl2rep.build_irrep`'s bands.  Each channel's columns are integral once
     multiplied by its lead, the first nonzero entry of its highest-weight
     vector; the augmented [C D | Id], D that diagonal of leads, is reduced
-    once, and the projections are D (C D)^-1.  Channel k maps to
+    once on the columns of C D, the identity carried, and the projections
+    are D (C D)^-1.  Channel k maps to
     ((rows, row_den), (columns, lead)): the projection rows are the sparse
     integer rows over row_den, the inclusion columns the sparse integer
     columns over lead, both keyed by the flat index a(n+1) + b.
@@ -814,7 +815,7 @@ def cg_system_oracle(m: int, n: int) -> dict[int, tuple[tuple[list, int], tuple[
     for c, column in enumerate(columns):
         for i, x in column.items():
             augmented[i][c] = x
-    if linalg._rref_int(augmented, 2 * dim) != list(range(dim)):
+    if linalg._rref_int(augmented, dim) != list(range(dim)):
         raise AssertionError(f"the change of basis of V_{m} (x) V_{n} is singular")
     # Row c of (C D)^-1 is reduced row c past column dim, over its pivot; a
     # channel's projection rows are lead times those, over the lcm of the

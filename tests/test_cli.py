@@ -1,6 +1,8 @@
 """CLI grammar, JSON/DOT output, exit codes, and the verify report."""
 
 import argparse
+import ast
+import gc
 import hashlib
 import io
 import json
@@ -1324,15 +1326,85 @@ def test_determinism_across_repeats():
         assert first[0] == 0
 
 
+WEIGHTS_ARGV = ["weights", "--p", "2", "--q", "3", "--r", "1", "--s", "1"]
+# One argv per exit of `main`: 0, a usage error (2), an invalid value (2), an
+# unsupported request (3), and argparse's `--help`, which raises SystemExit.
+PROCESS_EXITS = [
+    (WEIGHTS_ARGV, 0),
+    (["weights", "--p", "2"], 2),
+    (["sl2", "--n", "-1", "--op", "irrep"], 2),
+    (["kac-diagram", "--p", "2", "--q", "3", "--r", "4", "--s", "4"], 3),
+    (["--help"], 0),
+]
+PROCESS_EXIT_IDS = ["ok", "usage", "invalid", "unsupported", "help"]
+
+
+def _child_run(args) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of `python args` on this checkout."""
+    run = subprocess.run([sys.executable, *args], capture_output=True, env=_child_env())
+    return run.returncode, run.stdout, run.stderr
+
+
+def _exit_calls(path: Path) -> list[str]:
+    """The names f of the `sys.exit(f())` calls in a source file."""
+    return [
+        node.args[0].func.id
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "sys.exit"
+        and isinstance(node.args[0], ast.Call)
+        and isinstance(node.args[0].func, ast.Name)
+    ]
+
+
 def test_console_entry_point():
-    result = subprocess.run(
-        [sys.executable, "-m", "triplet", "weights", "--p", "2", "--q", "3", "--r", "1", "--s", "1"],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=_child_env(),
-    )
-    assert json.loads(result.stdout) == {"c": "0", "h": "0", "canonical": [1, 1]}
+    # `python -m triplet`, `python -m triplet.cli` and the `triplet` console
+    # script all enter through one function of `cli`.  pyproject.toml is read
+    # with a regex: tomllib needs Python 3.11.
+    package = Path(triplet.__file__).resolve().parent
+    pyproject = (package.parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^(\w+) = "triplet\.cli:(\w+)"$', scripts, re.MULTILINE) == [("triplet", "run")]
+    assert _exit_calls(package / "__main__.py") == ["run"]
+    assert _exit_calls(package / "cli.py") == ["run"]
+    # The console script's wrapper imports the function and exits with what
+    # it returns, as the `-c` line here does.
+    console = ["-c", "import sys; from triplet.cli import run; sys.exit(run())"]
+    runs = {}
+    for argv, code in PROCESS_EXITS[:2]:
+        runs[code] = _child_run(["-m", "triplet", *argv])
+        assert runs[code][0] == code
+        assert _child_run(["-m", "triplet.cli", *argv]) == runs[code]
+        assert _child_run([*console, *argv]) == runs[code]
+    assert json.loads(runs[0][1]) == {"c": "0", "h": "0", "canonical": [1, 1]}
+
+
+@pytest.mark.parametrize("argv, code", PROCESS_EXITS, ids=PROCESS_EXIT_IDS)
+def test_main_in_process_never_freezes_the_heap(argv, code):
+    # Only the process entry `cli.run` freezes the heap, after `main` has
+    # returned; a caller of `main`, like this test process, keeps collecting.
+    frozen = gc.get_freeze_count()
+    assert run_cli(argv)[0] == code
+    assert gc.get_freeze_count() == frozen
+
+
+# The package run as `python -m` runs it, after an atexit handler that
+# reports, on stdout, whether the heap was frozen by then.
+ATEXIT_SCRIPT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stdout.write(f"atexit: frozen {gc.get_freeze_count() > 0}\\n"))
+runpy.run_module("triplet", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv, code", PROCESS_EXITS, ids=PROCESS_EXIT_IDS)
+def test_process_exit_runs_atexit_and_keeps_the_exit_code(argv, code):
+    # The process ends through the interpreter's own shutdown, not os._exit:
+    # atexit handlers run, stdout is flushed after them, and the exit code
+    # is main's.
+    expected, out, err = _child_run(["-m", "triplet", *argv])
+    assert expected == code
+    assert _child_run(["-c", ATEXIT_SCRIPT, *argv]) == (code, out + b"atexit: frozen True\n", err)
 
 
 # By row id: the triplet modules each call loads, besides triplet,

@@ -193,13 +193,15 @@ def _int_row(row) -> dict[int, int]:
     return linalg._primitive({j: x.numerator * (d // x.denominator) for j, x in support})
 
 
-def _rref(a):
+def _rref(a, cols=None):
     """The reduced row echelon form of a matrix of Fraction and its pivot
-    columns, by `linalg._rref_int` on its rows scaled to integer rows."""
+    columns, by `linalg._rref_int` on its rows scaled to integer rows; the
+    pivots are taken from the first `cols` columns, all by default, and the
+    rest are carried."""
     rows = [_int_row(row) for row in a]
-    cols = len(a[0]) if a else 0
-    pivots = linalg._rref_int(rows, cols)
-    out = _zeros(len(rows), cols)
+    width = len(a[0]) if a else 0
+    pivots = linalg._rref_int(rows, width if cols is None else cols)
+    out = _zeros(len(rows), width)
     for row, out_row, c in zip(rows, out, pivots):
         for j, x in row.items():
             out_row[j] = Fraction(x, row[c])
@@ -220,11 +222,12 @@ def _identity(n: int) -> list:
 
 
 def _inverse(a):
-    """The right half of the reduced [a | Id], or None unless its pivots are
-    the columns of a: the inverse of a square a by `linalg._rref_int`."""
+    """The right half of [a | Id] reduced on the columns of a, the identity
+    carried, or None unless its pivots are the columns of a: the inverse of a
+    square a by `linalg._rref_int`, as `verify.cg_system_oracle` finds it."""
     n = len(a)
-    reduced, pivots = _rref([list(row) + row_id for row, row_id in zip(a, _identity(n))])
-    if pivots[:n] != list(range(n)):
+    reduced, pivots = _rref([list(row) + row_id for row, row_id in zip(a, _identity(n))], n)
+    if pivots != list(range(n)):
         return None
     return [row[n:] for row in reduced[:n]]
 
@@ -268,6 +271,15 @@ def test_elimination_check_catches_a_wrong_integer_core(monkeypatch):
     # goes wrong as soon as gcd(p, x) > 1; `_rref` and `_kernel_int` both
     # reduce through `_rref_int`.
     monkeypatch.setattr(linalg, "_rref_int", mutant(linalg._rref_int, "xs * y", "x * y"))
+    with pytest.raises(AssertionError):
+        _check_elimination_equals_the_oracle(_elimination_cases())
+
+
+def test_elimination_check_catches_a_carried_column_left_behind(monkeypatch):
+    # A pivot row whose entries past `cols` are not carried into the rows it
+    # clears leaves the right half of a reduced [a | Id] wrong.
+    wrong = mutant(linalg._rref_int, "if j != c]", "if j != c and j < cols]")
+    monkeypatch.setattr(linalg, "_rref_int", wrong)
     with pytest.raises(AssertionError):
         _check_elimination_equals_the_oracle(_elimination_cases())
 
