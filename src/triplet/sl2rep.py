@@ -68,13 +68,11 @@ class CGChannel(Value):
             {a * stride + s + j - a: x for a, x in column} for j, column in enumerate(self.columns)
         ]
 
-    def projection_rows(self, columns: list[dict[int, int]] | None = None) -> list[dict[int, int]]:
+    def projection_rows(self, columns: list[dict[int, int]]) -> list[dict[int, int]]:
         """Projection row i as {flat index: x}; the row is x*big/scale.
         Row i is inclusion column k-i reflected, read from `columns`, the
-        `inclusion_columns()` a caller already holds, or built here."""
+        `inclusion_columns()` the caller holds."""
         last = (self.m + 1) * (self.n + 1) - 1
-        if columns is None:
-            columns = self.inclusion_columns()
         return [{last - i: x for i, x in column.items()} for column in reversed(columns)]
 
 

@@ -3,13 +3,16 @@
 Each property re-checks one structural identity of one module with exact
 arithmetic and no tolerance: it holds on its whole stated range or it
 fails; there is nothing to calibrate.  ``PROPERTIES`` is the ordered
-registry, suite by suite, of zero-argument checks that raise on failure,
-and the only list of suites: ``triplet verify`` and the test suite both
-read it, so no check and no suite name is written twice.  A property that
-samples seeds its own generator and checks the same values alone as inside
-its suite.  A failed check raises ``AssertionError`` naming the values it
-compared; no check is an ``assert`` statement, so ``python -O`` runs them
-all the same.
+registry, suite by suite, of checks that raise on failure, and the only
+list of suites: ``triplet verify`` and the test suite both read it, so no
+check and no suite name is written twice.  Every property is callable with
+no arguments, which is how the registry runs it.  A property that tier-1
+runs deeper takes its range as keywords, each defaulting to the registry's
+range, and the deeper test calls the same function, so no loop is written
+twice either.  A property that samples seeds its own generator and checks
+the same values alone as inside its suite.  A failed check raises
+``AssertionError`` naming the values it compared; no check is an
+``assert`` statement, so ``python -O`` runs them all the same.
 """
 
 from __future__ import annotations
@@ -164,17 +167,19 @@ def weight_numerator_oracle(params: Params, lbl: VirLabel) -> int:
 
 
 @_property("virasoro")
-def weight_translation_symmetry():
+def weight_translation_symmetry(*, oracle_max: int = 20):
     # Weights are compared as their integer numerators 4pq h_{r,s}.  Each one
     # of the (50+p) x (50+q) grid is computed once; h[r][s] is that of (r,s),
     # and row and column 0 are unused.  Row r and its translate by (p,q) are
     # compared as one list.  `conformal_weight` itself, denominator
     # included, is compared with the oracle's numerator over 4pq for
-    # r,s <= 20, by cross-multiplication on integers.
-    # The labels, labels[r][s] = (r,s), are built once for every pair.
+    # r,s <= oracle_max, by cross-multiplication on integers.
+    # The labels, labels[r][s] = (r,s), are built once for every pair, as
+    # far as the translates and the oracle's range reach.
+    rows = max(50 + max(params.p for params in TEST_PARAMS), oracle_max)
+    cols = max(50 + max(params.q for params in TEST_PARAMS), oracle_max)
     labels = [None] + [
-        [None] + [VirLabel(r, s) for s in range(1, 51 + max(params.q for params in TEST_PARAMS))]
-        for r in range(1, 51 + max(params.p for params in TEST_PARAMS))
+        [None] + [VirLabel(r, s) for s in range(1, cols + 1)] for r in range(1, rows + 1)
     ]
     for params in TEST_PARAMS:
         p, q = params.p, params.q
@@ -186,8 +191,8 @@ def weight_translation_symmetry():
             row, shifted = h[r][1:51], h[r + p][1 + q : 51 + q]
             _expect(row == shifted, params, "row r =", r, ":", row, "!=", shifted)
         four_pq = 4 * p * q
-        for r in range(1, 21):
-            for lbl in labels[r][1:21]:
+        for r in range(1, oracle_max + 1):
+            for lbl in labels[r][1 : oracle_max + 1]:
                 weight, oracle = conformal_weight(params, lbl), weight_numerator_oracle(params, lbl)
                 same = weight.numerator * four_pq == oracle * weight.denominator
                 _expect(same, params, lbl, ":", weight, "!=", oracle, "/", four_pq)
@@ -548,21 +553,21 @@ def _flip_sign(channel: sl2rep.CGChannel) -> Phase:
 
 
 @_property("braidfmat")
-def squared_r_scalars_equal_balancing():
-    # The closed forms against the weight formula, their oracle: h[j] is
-    # the weight of L_{(j+2)p-1,1}, once per pair.  R_n^k is
-    # e^{i*pi*(h_k - 2h_n)} and the balancing e^{2*pi*i*(h_k - 2h_n)}, with
-    # the unit's weight 0.  For n <= 6, R_n^k is also the twist
+def squared_r_scalars_equal_balancing(*, n_max: int = 8, flip_max: int = 6):
+    # The closed forms against the weight formula, their oracle, for
+    # n <= n_max: h[j] is the weight of L_{(j+2)p-1,1}, once per pair.  R_n^k
+    # is e^{i*pi*(h_k - 2h_n)} and the balancing e^{2*pi*i*(h_k - 2h_n)},
+    # with the unit's weight 0.  For n <= flip_max, R_n^k is also the twist
     # e^{i*pi*pq*n^2/2} times the flip's eigenvalue on channel k of
     # V_n (x) V_n, read once from the systems the sl2rep suite builds.
     flips = {}
-    for n in range(7):
+    for n in range(flip_max + 1):
         for k, cg in sl2rep._cg_system(n, n).items():
             flips[n, k] = _flip_sign(cg)
     for params in TEST_PARAMS:
         p, q = params.p, params.q
-        h = [conformal_weight(params, VirLabel((j + 2) * p - 1, 1)) for j in range(17)]
-        for n in range(9):
+        h = [conformal_weight(params, VirLabel((j + 2) * p - 1, 1)) for j in range(2 * n_max + 1)]
+        for n in range(n_max + 1):
             balancing = braidfmat.balancing_check(params, n)
             twist = Phase(Fraction(p * q * n * n, 2))
             two_hn = 2 * h[n]
@@ -573,7 +578,7 @@ def squared_r_scalars_equal_balancing():
                 oracle = Phase(2 * ((h[k] if k else 0) - two_hn))
                 _expect(balancing[k] == oracle, params, (n, k), ":", balancing[k], "!=", oracle)
                 _expect(formula**2 == balancing[k], params, (n, k), ":", formula, balancing[k])
-                if n <= 6:
+                if n <= flip_max:
                     flip = twist * flips[n, k]
                     _expect(formula == flip, params, (n, k), ": R =", formula, "!=", flip)
             # The PSL_2 part is symmetric: for even n every channel k is even,
@@ -902,27 +907,26 @@ def bracket_relations():
 
 
 @_property("sl2rep")
-def invariant_form_unique_nondegenerate_symmetry():
-    for n in range(11):
+def invariant_form_unique_nondegenerate_symmetry(*, n_max: int = 10, oracle_max: int = 8):
+    for n in range(n_max + 1):
         form = sl2rep.invariant_form(n)
         rows = _form_rows(form)
-        if n <= 8:
+        if n <= oracle_max:
             # The oracle raises unless the solution space is 1-dim.
             oracle, top = invariant_form_oracle(n)
             same = _same_over(rows, 1, oracle, top)
             _expect(same, "form on V_", n, ":", rows, "!=", oracle, "/", top)
         rank = len(linalg._rref_int([dict(row) for row in rows], n + 1))
         _expect(rank == n + 1, "form on V_", n, "has rank", rank)
+        # B[i][n-i] == sign * B[n-i][i]; every other entry is 0 on both sides.
         sign = 1 if n % 2 == 0 else -1
-        if n <= 6:
-            # B[i][n-i] == sign * B[n-i][i]; every other entry is 0 on both sides.
-            signs = form.signs
-            symmetric = all(x == sign * signs[n - i] for i, x in enumerate(signs))
-            _expect(symmetric, "form on V_", n, "is not", sign, "symmetric:", signs)
+        signs = form.signs
+        symmetric = all(x == sign * signs[n - i] for i, x in enumerate(signs))
+        _expect(symmetric, "form on V_", n, "is not", sign, "symmetric:", signs)
 
 
 @_property("sl2rep")
-def cg_biorthogonality_and_completeness():
+def cg_biorthogonality_and_completeness(*, n_max: int = 6, oracle_max: int = 5):
     # Stack every channel's projection rows, unscaled, into X and its
     # inclusion columns into Y.  Projection row i of channel k is X's row
     # times big_k/scale_k and inclusion column j is Y's column over big_k, so
@@ -930,14 +934,15 @@ def cg_biorthogonality_and_completeness():
     # diag(scale_k), on integers; completeness is I*P == Id.  Over Q a
     # square matrix with a one-sided inverse is invertible, so once X and Y
     # are dim x dim, P*I == Id implies I*P == Id and only X*Y is computed.
-    # The channel set is checked against `cg_oracle` at every size, the
-    # whole system against the integer oracle for m,n <= 5; there the
-    # oracle's channels are the keys of its system, which reads them from
-    # `cg_oracle`.  Each channel's rows and columns are read once.
-    for m in range(7):
-        for n in range(7):
+    # Every m,n <= n_max is checked.  The channel set is checked against
+    # `cg_oracle` at every size, the whole system against the integer oracle
+    # for m,n <= oracle_max; there the oracle's channels are the keys of its
+    # system, which reads them from `cg_oracle`.  Each channel's rows and
+    # columns are read once.
+    for m in range(n_max + 1):
+        for n in range(n_max + 1):
             maps = _channel_maps(sl2rep._cg_system(m, n))
-            small = m <= 5 and n <= 5
+            small = m <= oracle_max and n <= oracle_max
             system_oracle = cg_system_oracle(m, n) if small else None
             channels = sorted(maps)
             oracle = sorted(system_oracle) if small else cg_oracle(m, n)
@@ -969,7 +974,8 @@ def unit_channel_projection_is_bilinear_form():
     # Flattened over V_{2n} (x) V_{2n}, the form holds B[i][2n-i] at
     # i*(2n+1) + 2n - i.
     for n in range(1, 4):
-        (row,) = sl2rep.cg_maps(2 * n, 2 * n, 0).projection_rows()
+        cg = sl2rep.cg_maps(2 * n, 2 * n, 0)
+        (row,) = cg.projection_rows(cg.inclusion_columns())
         form = sl2rep.invariant_form(2 * n)
         flat = {i * (2 * n + 1) + 2 * n - i: x for i, x in enumerate(form.signs) if x}
         same_support = bool(flat) and row.keys() == flat.keys()

@@ -27,3 +27,11 @@ def mutant(fn, old: str, new: str):
     code = compile(source.replace(old, new), inspect.getsourcefile(fn), "exec")
     exec(code, fn.__globals__, namespace)
     return namespace[fn.__name__]
+
+
+def with_top_entry(cg, delta: int):
+    """The `sl2rep.CGChannel` `cg` with `delta` added to the first entry of
+    its top column: one changed entry of a Clebsch-Gordan system."""
+    (a, x), *rest = cg.columns[0]
+    fields = {name: getattr(cg, name) for name in cg.__slots__}
+    return type(cg)(**{**fields, "columns": (((a, x + delta), *rest), *cg.columns[1:])})

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mutant, run_cli
-from triplet import braidfmat, sl2rep, verify
+from triplet import braidfmat, verify
 from triplet.braidfmat import (
     GAUGE_EXPONENTS,
     FMatrix,
@@ -23,7 +23,7 @@ from triplet.braidfmat import (
     r_scalar_table,
 )
 from triplet.fusion import fuse_C
-from triplet.verify import PROPERTIES, _flip_sign, _phase_sign
+from triplet.verify import PROPERTIES, _phase_sign
 from triplet.virasoro import Params, VirLabel, conformal_weight, sl2_weight_numerator
 
 PAIRS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
@@ -83,18 +83,8 @@ def test_r_scalar_formula_domain():
 
 
 def test_r_scalars_are_the_twisted_flip_through_n_12():
-    # The flip's eigenvalue on channel k of V_n (x) V_n is (-1)^{n-k/2}, read
-    # from `cg_maps` past the n <= 6 of the braidfmat suite.  R_n^k is that
-    # sign times e^{i*pi*pq*n^2/2}, and the table at n = 1 its negative.
-    for n in range(13):
-        for k in fuse_C(n, n):
-            flip = _flip_sign(sl2rep.cg_maps(n, n, k))
-            assert flip == Phase(n - k // 2)
-            for params in PAIRS:
-                twist = Phase(Fraction(params.p * params.q * n * n, 2))
-                assert r_scalar_formula(params, n, k) == twist * flip
-                if n == 1:
-                    assert r_scalar_table(params, 1, k) == twist * flip * Phase(1)
+    # The braidfmat suite's property past its n <= 8 and flips n <= 6.
+    verify.squared_r_scalars_equal_balancing(n_max=12, flip_max=12)
 
 
 coprime_pairs = st.tuples(st.integers(2, 10**30), st.integers(2, 10**30)).filter(

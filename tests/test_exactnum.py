@@ -1,5 +1,6 @@
 """Phases and rationals, and the `exactnum` suite of `verify` that checks them."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from conftest import mutant
 from triplet import base, braidfmat, fusion, kacmod, sl2rep, verify, virasoro
 from triplet.base import CACHE_SIZE
 from triplet.braidfmat import Phase
-from triplet.verify import PROPERTIES, _phase_sign, run_suites
+from triplet.verify import PROPERTIES, _phase_sign
 
 phase_exponents = st.fractions(min_value=-100, max_value=100, max_denominator=48)
 phases = phase_exponents.map(Phase)
@@ -109,6 +110,14 @@ VERIFY_ALL_CACHE_KEYS = {
 }
 
 
+# The one time budget of the registry: every property run once, in process,
+# on cold caches and with no arguments, as `verify --suite all` runs them,
+# takes less than this many seconds all together.  A new property spends
+# from it at its registry range; a deeper range goes to a tier-1 call with
+# keywords.
+REGISTRY_BUDGET_S = 0.5
+
+
 def test_verify_all_cache_sizes_match_the_record():
     caches = [
         sl2rep.build_irrep,
@@ -121,8 +130,18 @@ def test_verify_all_cache_sizes_match_the_record():
     ]
     for cache in caches:
         cache.cache_clear()
-    results = run_suites(sorted(PROPERTIES))
-    assert all(ok for _, (_, ok, _) in results)
+    seconds = {}
+    for suite, props in PROPERTIES.items():
+        for name, check in props.items():
+            start = time.perf_counter()
+            check()
+            seconds[f"{suite}.{name}"] = time.perf_counter() - start
     sizes = {cache.__name__: cache.cache_info().currsize for cache in caches}
     assert sizes == VERIFY_ALL_CACHE_KEYS
     assert max(sizes.values()) < CACHE_SIZE
+    total = sum(seconds.values())
+    slowest = sorted(seconds.items(), key=lambda item: item[1], reverse=True)[:5]
+    assert total < REGISTRY_BUDGET_S, (
+        f"the registry took {total:.3f}s, over its {REGISTRY_BUDGET_S}s budget; slowest: "
+        + ", ".join(f"{name} {s:.3f}s" for name, s in slowest)
+    )

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mutant, run_cli
+from conftest import mutant, run_cli, with_top_entry
 from triplet import linalg, sl2rep, verify
 from triplet.sl2rep import (
     CGChannel,
@@ -21,12 +21,10 @@ from triplet.verify import (
     _int_product,
     _irrep_rows,
     _kron_sum,
-    _same_over,
     _simplicity_witness,
     _system_equals_oracle,
     cg_oracle,
     cg_system_oracle,
-    invariant_form_oracle,
 )
 
 
@@ -62,11 +60,11 @@ def _cg_dense(m: int, n: int, k: int) -> tuple[list, list]:
     """(projection, inclusion) of channel k as dense matrices of Fraction."""
     cg = cg_maps(m, n, k)
     dim = (m + 1) * (n + 1)
+    columns = cg.inclusion_columns()
     proj = [
         [Fraction(row.get(i, 0) * cg.big, cg.scale) for i in range(dim)]
-        for row in cg.projection_rows()
+        for row in cg.projection_rows(columns)
     ]
-    columns = cg.inclusion_columns()
     incl = [[Fraction(col.get(i, 0), cg.big) for col in columns] for i in range(dim)]
     return proj, incl
 
@@ -112,11 +110,9 @@ def test_invariant_form_invariance_equations():
             assert total == [[0] * (n + 1) for _ in range(n + 1)]
 
 
-# n <= 8 is compared by `invariant_form_unique_nondegenerate_symmetry`.
-@pytest.mark.parametrize("n", range(9, 13))
-def test_invariant_form_equals_nullspace_oracle(n):
-    rows, top = invariant_form_oracle(n)
-    assert _same_over(_form_rows(invariant_form(n)), 1, rows, top)
+def test_invariant_form_equals_nullspace_oracle():
+    # The sl2rep suite's property past its n <= 10 and oracle n <= 8.
+    verify.invariant_form_unique_nondegenerate_symmetry(n_max=12, oracle_max=12)
 
 
 def test_invariant_form_antidiagonal_closed_form():
@@ -127,13 +123,9 @@ def test_invariant_form_antidiagonal_closed_form():
                 assert b[i][j] == ((-1) ** i if i + j == n else 0)
 
 
-@pytest.mark.parametrize("m", range(8))
-def test_cg_system_equals_dense_inverse_oracle(m):
-    # sl2rep.cg_biorthogonality_and_completeness compares every m,n <= 5.
-    for n in range(8):
-        if max(m, n) >= 6:
-            maps = _channel_maps(sl2rep._cg_system(m, n))
-            assert _system_equals_oracle(maps, cg_system_oracle(m, n)), (m, n)
+def test_cg_system_equals_dense_inverse_oracle():
+    # The sl2rep suite's property past its m,n <= 6 and oracle m,n <= 5.
+    verify.cg_biorthogonality_and_completeness(n_max=7, oracle_max=7)
 
 
 def test_system_comparison_sees_one_changed_entry():
@@ -150,13 +142,6 @@ def test_system_comparison_sees_one_changed_entry():
     assert not _system_equals_oracle(system, {**oracle, 1: ((rows, row_den), (changed, lead))})
 
 
-def _with_top_entry(cg: sl2rep.CGChannel, delta: int) -> sl2rep.CGChannel:
-    """`cg` with `delta` added to the first entry of its top column."""
-    (a, x), *rest = cg.columns[0]
-    fields = {name: getattr(cg, name) for name in cg.__slots__}
-    return sl2rep.CGChannel(**{**fields, "columns": (((a, x + delta), *rest), *cg.columns[1:])})
-
-
 def test_cg_property_catches_a_wrong_system_beyond_the_oracle(monkeypatch):
     # (6,6) is outside the integer oracle's range in the property, so only the
     # stacked product P*I can see the changed entry.
@@ -166,7 +151,7 @@ def test_cg_property_catches_a_wrong_system_beyond_the_oracle(monkeypatch):
         system = right(m, n)
         if (m, n) != (6, 6):
             return system
-        return {**system, 0: _with_top_entry(system[0], 1)}
+        return {**system, 0: with_top_entry(system[0], 1)}
 
     monkeypatch.setattr(sl2rep, "_cg_system", wrong)
     with pytest.raises(AssertionError):
@@ -201,7 +186,8 @@ def test_unit_channel_property_catches_a_sign_error(monkeypatch):
     # channel-0 projection is no longer a multiple of the alternating form.
     wrong = mutant(sl2rep.cg_maps, "-num * (b + 1)", "num * (b + 1)")
     monkeypatch.setattr(sl2rep, "cg_maps", wrong)
-    (row,) = wrong(2, 2, 0).projection_rows()
+    cg = wrong(2, 2, 0)
+    (row,) = cg.projection_rows(cg.inclusion_columns())
     assert sorted(row.values()) == [1, 1, 1]
     with pytest.raises(AssertionError):
         PROPERTIES["sl2rep"]["unit_channel_projection_is_bilinear_form"]()
@@ -227,15 +213,17 @@ def test_large_sizes_stay_within_budget():
     start = time.perf_counter()
     for k in range(0, 41, 2):
         cg = cg_maps(20, 20, k)
-        assert len(cg.projection_rows()) == k + 1 == len(cg.inclusion_columns())
-        assert all(0 <= i < 441 for col in cg.inclusion_columns() for i in col)
+        columns = cg.inclusion_columns()
+        assert len(cg.projection_rows(columns)) == k + 1 == len(columns)
+        assert all(0 <= i < 441 for col in columns for i in col)
     assert time.perf_counter() - start < 5.0
     # One channel at a time: about 0.1 s for all 25 on a 2-vCPU Xeon.
     start = time.perf_counter()
     for k in range(0, 49, 2):
         cg = cg_maps(24, 24, k)
-        assert len(cg.projection_rows()) == k + 1 == len(cg.inclusion_columns())
-        assert all(0 <= i < 625 for col in cg.inclusion_columns() for i in col)
+        columns = cg.inclusion_columns()
+        assert len(cg.projection_rows(columns)) == k + 1 == len(columns)
+        assert all(0 <= i < 625 for col in columns for i in col)
     assert time.perf_counter() - start < 1.0
 
 
@@ -251,8 +239,9 @@ def test_cg_maps_beyond_oracle_range(m, n, channels):
     for k in channels:
         small = dict(zip("efh", _irrep_rows(build_irrep(k))))
         cg = cg_maps(m, n, k)
-        x = cg.projection_rows()
-        y = verify._transpose(cg.inclusion_columns(), dim)
+        columns = cg.inclusion_columns()
+        x = cg.projection_rows(columns)
+        y = verify._transpose(columns, dim)
         assert _int_product(x, y) == [{i: cg.scale} for i in range(k + 1)], k
         for name, rows in big.items():
             assert _int_product(x, rows) == _int_product(small[name], x), (k, name)
@@ -355,11 +344,9 @@ def test_simplicity_witness_checks_length_before_building_form():
 
 
 def test_each_channel_builds_its_inclusion_columns_once(monkeypatch):
-    # The projection rows are reflected from the columns a caller already
-    # holds; `sl2 --op cg` and `verify._channel_maps` each build them once
-    # per channel, and the rows equal those built from scratch.
-    for k, cg in _cg_system(4, 3).items():
-        assert cg.projection_rows(cg.inclusion_columns()) == cg.projection_rows()
+    # The projection rows are reflected from the columns the caller holds;
+    # `sl2 --op cg` and `verify._channel_maps` each build them once per
+    # channel.
     built = []
     columns = CGChannel.inclusion_columns
     monkeypatch.setattr(CGChannel, "inclusion_columns", lambda cg: built.append(cg) or columns(cg))

@@ -16,9 +16,11 @@ numerators and bind neither ``fractions`` nor a module that loads it
 Every public function and method has a caller in the package, or is
 documented in the README; ``verify`` does not count as a caller, except of
 its own functions.
-Each registry property runs once in tier-1, in ``test_acceptance.py``; any
-other test that calls one takes ``monkeypatch``, to run it against a mutant
-or with a counter.
+Each registry property runs once as the registry runs it, with no
+arguments, in ``test_acceptance.py``; any other test that re-runs one so,
+through ``PROPERTIES`` or by the function's name, takes ``monkeypatch``, to
+run it against a mutant or with a counter.  A call with keywords runs a
+property past its registry range, and any test may make one.
 """
 
 import ast
@@ -266,6 +268,13 @@ def _public_defs(tree: ast.Module) -> list[ast.FunctionDef]:
     return defs
 
 
+def _is_registered(node: ast.FunctionDef) -> bool:
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id in REGISTRARS
+        for d in node.decorator_list
+    )
+
+
 def _unnamed_public_defs(sources: list[Path], readme: str) -> list[str]:
     """Public functions and methods that no source names outside their own
     definition, that no registering decorator wraps, and that no README code
@@ -281,12 +290,8 @@ def _unnamed_public_defs(sources: list[Path], readme: str) -> list[str]:
     for path, tree in trees.items():
         named = production + counts[path] if path.name == "verify.py" else production
         for node in _public_defs(tree):
-            registered = any(
-                isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id in REGISTRARS
-                for d in node.decorator_list
-            )
             outside = named[node.name] - _name_counts(node)[node.name]
-            if not (registered or outside or node.name in documented):
+            if not (_is_registered(node) or outside or node.name in documented):
                 unnamed.append(f"{_where(path, node)} {node.name}")
     return unnamed
 
@@ -333,30 +338,50 @@ def test_readme_layout_lists_exactly_the_modules():
     )
 
 
-def _calls_a_property(node: ast.AST) -> bool:
-    """A call `PROPERTIES[...][...]()`, or one through a module attribute."""
-    if not (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Subscript)
-        and isinstance(node.func.value, ast.Subscript)
-    ):
+def _reruns_a_property(node: ast.AST, names: set[str]) -> bool:
+    """A call with no arguments of `PROPERTIES[...][...]`, or one through a
+    module attribute, or of a registered function by one of `names` or as
+    an attribute of its registered name."""
+    if not isinstance(node, ast.Call) or node.args or node.keywords:
         return False
-    registry = node.func.value.value
-    name = registry.id if isinstance(registry, ast.Name) else getattr(registry, "attr", None)
-    return name == "PROPERTIES"
+    func = node.func
+    if isinstance(func, ast.Subscript) and isinstance(func.value, ast.Subscript):
+        registry = func.value.value
+        name = registry.id if isinstance(registry, ast.Name) else getattr(registry, "attr", None)
+        return name == "PROPERTIES"
+    if isinstance(func, ast.Attribute):
+        return func.attr in REGISTERED
+    return isinstance(func, ast.Name) and func.id in names
+
+
+# The registry's functions, by their names in `verify.py`.
+REGISTERED = {
+    node.name
+    for node in _tree(next(path for path in SOURCES if path.name == "verify.py")).body
+    if isinstance(node, ast.FunctionDef) and _is_registered(node)
+}
 
 
 @pytest.mark.parametrize("path", TESTS, ids=lambda path: path.name)
 def test_properties_rerun_only_under_monkeypatch(path):
     # `test_acceptance.py` runs every property once; a plain re-run elsewhere
-    # only repeats it.
+    # only repeats it.  A registered function may be called by its own name
+    # or under the name it is imported as.
+    tree = _tree(path)
+    names = REGISTERED | {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in REGISTERED
+    }
     found = [
         f"{_where(path, n)} {n.name}"
-        for n in ast.walk(_tree(path))
+        for n in ast.walk(tree)
         if isinstance(n, ast.FunctionDef)
         and n.name.startswith("test_")
         and "monkeypatch" not in {a.arg for a in n.args.args}
-        and any(_calls_a_property(call) for call in ast.walk(n))
+        and any(_reruns_a_property(call, names) for call in ast.walk(n))
     ]
     assert found == []
 
@@ -452,6 +477,9 @@ def test_static_rules_catch_a_violation(tmp_path):
     for text in (
         "def test_rerun():\n    PROPERTIES['fusion']['dimension_grading']()\n",
         "def test_rerun(tmp_path):\n    verify.PROPERTIES[suite][name]()\n",
+        "def test_rerun():\n    verify.fuse_C_equals_cg_oracle()\n",
+        "from triplet.verify import fuse_C_equals_cg_oracle as check\n"
+        "def test_rerun():\n    check()\n",
     ):
         src.write_text(text)
         with pytest.raises(AssertionError):
@@ -459,6 +487,8 @@ def test_static_rules_catch_a_violation(tmp_path):
     src.write_text(
         "def test_mutant(monkeypatch):\n    PROPERTIES['fusion']['dimension_grading']()\n"
         "def test_names():\n    assert PROPERTIES['fusion']\n"
+        "def test_depth():\n    verify.cg_biorthogonality_and_completeness(n_max=7)\n"
+        "    PROPERTIES['virasoro']['weight_translation_symmetry'](oracle_max=79)\n"
     )
     test_properties_rerun_only_under_monkeypatch(src)
     src.write_text("def cg_oracle(m, n):\n    return _peel(m, n)\ndef _peel(m, n):\n    return fuse_C(m)\n")
