@@ -907,8 +907,10 @@ def bracket_relations():
 
 
 @_property("sl2rep")
-def invariant_form_unique_nondegenerate_symmetry(*, n_max: int = 10, oracle_max: int = 8):
-    for n in range(n_max + 1):
+def invariant_form_unique_nondegenerate_symmetry(
+    *, n_min: int = 0, n_max: int = 10, oracle_max: int = 8
+):
+    for n in range(n_min, n_max + 1):
         form = sl2rep.invariant_form(n)
         rows = _form_rows(form)
         if n <= oracle_max:
@@ -926,7 +928,9 @@ def invariant_form_unique_nondegenerate_symmetry(*, n_max: int = 10, oracle_max:
 
 
 @_property("sl2rep")
-def cg_biorthogonality_and_completeness(*, n_max: int = 6, oracle_max: int = 5):
+def cg_biorthogonality_and_completeness(
+    *, n_max: int = 6, oracle_max: int = 5, m_only: int | None = None
+):
     # Stack every channel's projection rows, unscaled, into X and its
     # inclusion columns into Y.  Projection row i of channel k is X's row
     # times big_k/scale_k and inclusion column j is Y's column over big_k, so
@@ -934,12 +938,12 @@ def cg_biorthogonality_and_completeness(*, n_max: int = 6, oracle_max: int = 5):
     # diag(scale_k), on integers; completeness is I*P == Id.  Over Q a
     # square matrix with a one-sided inverse is invertible, so once X and Y
     # are dim x dim, P*I == Id implies I*P == Id and only X*Y is computed.
-    # Every m,n <= n_max is checked.  The channel set is checked against
-    # `cg_oracle` at every size, the whole system against the integer oracle
-    # for m,n <= oracle_max; there the oracle's channels are the keys of its
-    # system, which reads them from `cg_oracle`.  Each channel's rows and
-    # columns are read once.
-    for m in range(n_max + 1):
+    # Every m,n <= n_max is checked, or only the row m == m_only of them.
+    # The channel set is checked against `cg_oracle` at every size, the
+    # whole system against the integer oracle for m,n <= oracle_max; there
+    # the oracle's channels are the keys of its system, which reads them
+    # from `cg_oracle`.  Each channel's rows and columns are read once.
+    for m in range(n_max + 1) if m_only is None else (m_only,):
         for n in range(n_max + 1):
             maps = _channel_maps(sl2rep._cg_system(m, n))
             small = m <= oracle_max and n <= oracle_max

@@ -110,9 +110,10 @@ def test_invariant_form_invariance_equations():
             assert total == [[0] * (n + 1) for _ in range(n + 1)]
 
 
-def test_invariant_form_equals_nullspace_oracle():
-    # The sl2rep suite's property past its n <= 10 and oracle n <= 8.
-    verify.invariant_form_unique_nondegenerate_symmetry(n_max=12, oracle_max=12)
+# The sl2rep suite's property past its n <= 10 and oracle n <= 8, one n each.
+@pytest.mark.parametrize("n", range(9, 13))
+def test_invariant_form_equals_nullspace_oracle(n):
+    verify.invariant_form_unique_nondegenerate_symmetry(n_min=n, n_max=n, oracle_max=n)
 
 
 def test_invariant_form_antidiagonal_closed_form():
@@ -123,9 +124,10 @@ def test_invariant_form_antidiagonal_closed_form():
                 assert b[i][j] == ((-1) ** i if i + j == n else 0)
 
 
-def test_cg_system_equals_dense_inverse_oracle():
-    # The sl2rep suite's property past its m,n <= 6 and oracle m,n <= 5.
-    verify.cg_biorthogonality_and_completeness(n_max=7, oracle_max=7)
+# The sl2rep suite's property past its m,n <= 6 and oracle m,n <= 5, one m each.
+@pytest.mark.parametrize("m", range(8))
+def test_cg_system_equals_dense_inverse_oracle(m):
+    verify.cg_biorthogonality_and_completeness(n_max=7, oracle_max=7, m_only=m)
 
 
 def test_system_comparison_sees_one_changed_entry():
