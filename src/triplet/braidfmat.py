@@ -7,7 +7,7 @@ V_n (x) V_n in Rep SL_2.  It is the weight formula
 e^{i*pi*(h_{(k+2)p-1,1} - 2h_{(n+2)p-1,1})} in closed form, and `verify`
 keeps that formula as its oracle.  For even n the twist is 1, so the even
 L_n carry Rep PSL_2's symmetric braiding.  The tabulated values on
-L_1 (x) L_1 are the formula times -1; both square to the balancing phases,
+L_1 (x) L_1 are the formula times -1; both square to the balancing phase,
 and the hexagon constraint is blind to the sign.
 
 Scalars are exact: F-matrix entries are `Fraction`s, and each braiding
@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Literal
 
 from .base import Value, slot_setters
-from .fusion import fuse_C
 from .virasoro import Params
 
 # The zero exponent that every phase of exponent 0 stores; a zero that is
@@ -132,13 +131,13 @@ def _epsilon(params: Params) -> int:
     return -1 if (params.p * params.q) % 2 else 1
 
 
-def r_scalar_table(params: Params, n: int, k: int) -> Phase:
-    """Tabulated self-braiding eigenvalues: only (n,k) = (1,0) and (1,2).
+def r_scalar_table(params: Params, k: int) -> Phase:
+    """Tabulated self-braiding eigenvalues of L_1 (x) L_1: only k = 0 and 2.
 
     R_1^0 = e^{i*pi*pq/2} and R_1^2 = -e^{i*pi*pq/2}.
     """
-    if n != 1 or k not in (0, 2):
-        raise ValueError(f"tabulated R-scalars cover n=1, k in {{0,2}} only, got ({n},{k})")
+    if k not in (0, 2):
+        raise ValueError(f"tabulated R-scalars cover n=1, k in {{0,2}} only, got k={k}")
     base = Fraction(params.p * params.q, 2)
     return Phase(base if k == 0 else base + 1)
 
@@ -150,14 +149,15 @@ def r_scalar_formula(params: Params, n: int, k: int) -> Phase:
     return Phase(Fraction(params.p * params.q * n * n + 2 * n - k, 2))
 
 
-def balancing_check(params: Params, n: int) -> dict[int, Phase]:
-    """Channelwise squared braiding from balancing: e^{i*pi*pq*n} on every channel.
+def balancing_check(params: Params, n: int) -> Phase:
+    """The squared braiding on L_n (x) L_n from balancing: e^{i*pi*pq*n}.
 
-    That is e^{2*pi*i*(h_k - 2*h_n)}, with the unit channel k = 0 of weight 0.
+    That is e^{2*pi*i*(h_k - 2*h_n)} on each channel k, with the unit
+    channel k = 0 of weight 0; the phase is the same on every channel.
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    return dict.fromkeys(fuse_C(n, n), Phase(params.p * params.q * n))
+    return Phase(params.p * params.q * n)
 
 
 def hexagon_solutions(params: Params) -> list[FSolution]:

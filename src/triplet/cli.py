@@ -395,12 +395,10 @@ def _cmd_hexagon(args) -> int:
     payload = {
         "epsilon": solutions[0].epsilon,
         "solutions": [],
+        # `hexagon_solutions` raises unless every residual is zero.
         "residual_zero": True,
     }
     for sol in solutions:
-        residual = braidfmat.hexagon_residual(params, sol.matrix)
-        zero = not any(residual.entries())
-        payload["residual_zero"] = payload["residual_zero"] and zero
         entry = {
             "kind": sol.kind,
             "F": _fmatrix_json(map(str, sol.matrix.entries()), braidfmat.GAUGE_EXPONENTS),
@@ -436,7 +434,6 @@ def _cmd_braiding(args) -> int:
 
     channels = fusion.fuse_C(n, n)
     keys = [str(k) for k in channels]
-    balancing = braidfmat.balancing_check(params, n)
     payload = {
         "n": n,
         "channels": channels,
@@ -447,10 +444,10 @@ def _cmd_braiding(args) -> int:
     }
     if n == 1:
         payload["table"] = {
-            str(k): phase_json(braidfmat.r_scalar_table(params, 1, k)) for k in (0, 2)
+            str(k): phase_json(braidfmat.r_scalar_table(params, k)) for k in (0, 2)
         }
         payload["conventions_differ_by_sign"] = all(
-            braidfmat.r_scalar_table(params, 1, k)
+            braidfmat.r_scalar_table(params, k)
             == braidfmat.Phase(braidfmat.r_scalar_formula(params, 1, k).exponent + 1)
             for k in (0, 2)
         )
@@ -458,7 +455,7 @@ def _cmd_braiding(args) -> int:
             "tabulated and formula R-scalars differ by an overall sign; "
             "both conventions square to the balancing phases"
         )
-    payload["balancing"] = {key: phase_json(balancing[k]) for key, k in zip(keys, channels)}
+    payload["balancing"] = dict.fromkeys(keys, phase_json(braidfmat.balancing_check(params, n)))
     _emit(payload)
     return 0
 

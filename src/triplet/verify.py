@@ -530,14 +530,9 @@ def _hexagon_sign_matrix(r0: Phase, r2: Phase) -> tuple[tuple[int, int], ...]:
     """Left-hand-side signs of the scalar hexagon R_1^k F_{kl} R_1^l = (F^2)_{kl}.
 
     With the normalization R_{m1}^1 = 1 the constraint reads
-    s_{kl} * F_{kl} = (F^2)_{kl} with s_{kl} = R_1^k * R_1^l, and the signs
-    are unchanged when both scalars are negated simultaneously.
+    s_{kl} * F_{kl} = (F^2)_{kl} with s_{kl} = R_1^k * R_1^l.
     """
-    signs = {}
-    for k, rk in ((0, r0), (2, r2)):
-        for l, rl in ((0, r0), (2, r2)):
-            signs[(k, l)] = _phase_sign(rk * rl)
-    return ((signs[(0, 0)], signs[(0, 2)]), (signs[(2, 0)], signs[(2, 2)]))
+    return tuple(tuple(_phase_sign(rk * rl) for rl in (r0, r2)) for rk in (r0, r2))
 
 
 def _flip_sign(channel: sl2rep.CGChannel) -> Phase:
@@ -576,20 +571,19 @@ def squared_r_scalars_equal_balancing(*, n_max: int = 8, flip_max: int = 6):
                 oracle = Phase(h[k] - two_hn)
                 _expect(formula == oracle, params, (n, k), ": R =", formula, "!=", oracle)
                 oracle = Phase(2 * ((h[k] if k else 0) - two_hn))
-                _expect(balancing[k] == oracle, params, (n, k), ":", balancing[k], "!=", oracle)
-                _expect(formula**2 == balancing[k], params, (n, k), ":", formula, balancing[k])
+                _expect(balancing == oracle, params, (n, k), ":", balancing, "!=", oracle)
+                _expect(formula**2 == balancing, params, (n, k), ":", formula, balancing)
                 if n <= flip_max:
                     flip = twist * flips[n, k]
                     _expect(formula == flip, params, (n, k), ": R =", formula, "!=", flip)
             # The PSL_2 part is symmetric: for even n every channel k is even,
             # so the lowest weights ((k+2)p-2)((k+2)q-2)/4 of L_k and of L_n
-            # are integers and every balancing phase is 1.
+            # are integers and the balancing phase is 1.
             if n % 2 == 0:
-                one = all(phase == Phase(0) for phase in balancing.values())
-                _expect(one, params, "n =", n, "balancing", balancing)
+                _expect(balancing == Phase(0), params, "n =", n, "balancing", balancing)
+        phase = braidfmat.balancing_check(params, 1)
         for k in (0, 2):
-            table = braidfmat.r_scalar_table(params, 1, k)
-            phase = braidfmat.balancing_check(params, 1)[k]
+            table = braidfmat.r_scalar_table(params, k)
             _expect(table**2 == phase, params, "k =", k, ":", table, "squared !=", phase)
             # The table is the twisted flip negated.
             flip = Phase(Fraction(p * q, 2) + 1) * flips[1, k]
@@ -598,20 +592,12 @@ def squared_r_scalars_equal_balancing(*, n_max: int = 8, flip_max: int = 6):
 
 @_property("braidfmat")
 def balancing_n1_is_parity_sign():
-    # The balancing on L_1 (x) L_1 against its oracle, the weight formula
-    # e^{2*pi*i*(h_k - 2h_{3p-1,1})} with h_0 = 0 for the unit and h_2 that
-    # of L_{4p-1,1}, and against the sign (-1)^{pq} it takes on both channels.
+    # The balancing on L_1 (x) L_1 is the sign (-1)^{pq}.  Its weight formula
+    # is the n = 1 case of `squared_r_scalars_equal_balancing`.
     for params in TEST_PARAMS:
-        p = params.p
-        eps = (-1) ** (p * params.q)
-        two_h1 = 2 * conformal_weight(params, VirLabel(3 * p - 1, 1))
-        weights = {0: 0, 2: conformal_weight(params, VirLabel(4 * p - 1, 1))}
-        balancing = braidfmat.balancing_check(params, 1)
-        for k in (0, 2):
-            oracle = Phase(2 * (weights[k] - two_h1))
-            _expect(balancing[k] == oracle, params, "k =", k, ":", balancing[k], "!=", oracle)
-            sign = _phase_sign(balancing[k])
-            _expect(sign == eps, params, "k =", k, ":", sign, "!=", eps)
+        eps = (-1) ** (params.p * params.q)
+        sign = _phase_sign(braidfmat.balancing_check(params, 1))
+        _expect(sign == eps, params, "balancing sign", sign, "!=", eps)
 
 
 @_property("braidfmat")
@@ -629,22 +615,18 @@ def hexagon_solutions_zero_residual():
 
 @_property("braidfmat")
 def hexagon_sign_flip_invariance():
+    # Both conventions of R_1^k, the table and the formula (its negation),
+    # give the signs s_kl that `hexagon_residual` applies, s * F - F^2.  The
+    # unit matrix E_kl squares to delta_kl * E_kl, so s_kl is
+    # residual(E_kl)_kl + delta_kl.
+    units = [braidfmat.FMatrix(*(int(i == j) for j in range(4))) for i in range(4)]
     for params in TEST_PARAMS:
-        r0 = braidfmat.r_scalar_table(params, 1, 0)
-        r2 = braidfmat.r_scalar_table(params, 1, 2)
-        flipped0 = Phase(r0.exponent + 1)
-        flipped2 = Phase(r2.exponent + 1)
-        signs = _hexagon_sign_matrix(r0, r2)
-        flipped = _hexagon_sign_matrix(flipped0, flipped2)
-        _expect(signs == flipped, params, "flip changes the signs:", signs, "->", flipped)
-        eps = (-1) ** (params.p * params.q)
-        _expect(signs == ((eps, -eps), (-eps, eps)), params, "signs", signs)
-        # The weight-formula convention is one of the two flips, so it
-        # derives the same matrix equation.
-        f0 = braidfmat.r_scalar_formula(params, 1, 0)
-        f2 = braidfmat.r_scalar_formula(params, 1, 2)
-        formula = _hexagon_sign_matrix(f0, f2)
-        _expect(formula == signs, params, "formula signs", formula, "!=", signs)
+        s = [braidfmat.hexagon_residual(params, e).entries()[i] for i, e in enumerate(units)]
+        applied = ((s[0] + 1, s[1]), (s[2], s[3] + 1))
+        table = _hexagon_sign_matrix(*(braidfmat.r_scalar_table(params, k) for k in (0, 2)))
+        _expect(table == applied, params, "table signs", table, "!=", applied)
+        formula = _hexagon_sign_matrix(*(braidfmat.r_scalar_formula(params, 1, k) for k in (0, 2)))
+        _expect(formula == applied, params, "formula signs", formula, "!=", applied)
 
 
 @_property("braidfmat")

@@ -31,22 +31,20 @@ PAIRS = [Params(2, 3), Params(3, 4), Params(2, 5), Params(3, 5), Params(4, 5)]
 
 def test_r_scalar_table_at_2_3():
     p23 = Params(2, 3)
-    assert r_scalar_table(p23, 1, 0) == Phase(Fraction(1))  # e^{3*pi*i} = -1
-    assert r_scalar_table(p23, 1, 2) == Phase(Fraction(0))  # +1
+    assert r_scalar_table(p23, 0) == Phase(Fraction(1))  # e^{3*pi*i} = -1
+    assert r_scalar_table(p23, 2) == Phase(Fraction(0))  # +1
 
 
 def test_r_scalar_table_ratio_is_minus_one():
     for params in PAIRS:
-        r0 = r_scalar_table(params, 1, 0)
-        r2 = r_scalar_table(params, 1, 2)
+        r0 = r_scalar_table(params, 0)
+        r2 = r_scalar_table(params, 2)
         assert r2 == r0 * Phase(Fraction(1))
 
 
 def test_r_scalar_table_domain():
-    with pytest.raises(ValueError):
-        r_scalar_table(Params(2, 3), 2, 0)
-    with pytest.raises(ValueError):
-        r_scalar_table(Params(2, 3), 1, 1)
+    with pytest.raises(ValueError, match=r"k in \{0,2\} only, got k=1$"):
+        r_scalar_table(Params(2, 3), 1)
 
 
 def test_r_scalar_formula_values():
@@ -62,13 +60,13 @@ def test_r_scalar_formula_values():
 def test_r_scalar_formula_square_is_convention_free():
     for params in PAIRS:
         sq = r_scalar_formula(params, 1, 2) ** 2
-        assert sq == balancing_check(params, 1)[2]
+        assert sq == balancing_check(params, 1)
 
 
 def test_r_scalar_conventions_differ_by_global_sign():
     for params in PAIRS:
         for k in (0, 2):
-            table = r_scalar_table(params, 1, k)
+            table = r_scalar_table(params, k)
             formula = r_scalar_formula(params, 1, k)
             assert formula == Phase(table.exponent + 1)
 
@@ -103,7 +101,7 @@ def test_closed_forms_equal_the_weight_formula(pq, n):
     balancing = balancing_check(params, n)
     for k in fuse_C(n, n):
         assert r_scalar_formula(params, n, k) == Phase(h[k] - 2 * h[n])
-        assert balancing[k] == Phase(2 * ((h[k] if k else 0) - 2 * h[n]))
+        assert balancing == Phase(2 * ((h[k] if k else 0) - 2 * h[n]))
 
 
 def test_r_scalar_property_catches_a_formula_without_the_2n_term(monkeypatch):
@@ -114,7 +112,7 @@ def test_r_scalar_property_catches_a_formula_without_the_2n_term(monkeypatch):
     monkeypatch.setattr(braidfmat, "r_scalar_formula", wrong)
     for params in PAIRS:
         for k in (0, 2):
-            assert wrong(params, 1, k) == r_scalar_table(params, 1, k)
+            assert wrong(params, 1, k) == r_scalar_table(params, k)
     with pytest.raises(AssertionError, match="R ="):
         PROPERTIES["braidfmat"]["squared_r_scalars_equal_balancing"]()
     code, out, _ = run_cli(["verify", "--suite", "braidfmat"])
@@ -132,10 +130,8 @@ def test_r_scalar_property_catches_a_flipped_eigenvalue(monkeypatch):
 def test_balancing_examples():
     for params in PAIRS:
         eps = Fraction((-1) ** (params.p * params.q))
-        phases = balancing_check(params, 1)
-        assert _phase_sign(phases[0]) == eps
-        assert _phase_sign(phases[2]) == eps
-        assert balancing_check(params, 0)[0] == Phase(Fraction(0))
+        assert _phase_sign(balancing_check(params, 1)) == eps
+        assert balancing_check(params, 0) == Phase(Fraction(0))
 
 
 def test_balancing_property_catches_an_asymmetric_psl2_part(monkeypatch):
@@ -154,8 +150,8 @@ def test_balancing_property_catches_an_asymmetric_psl2_part(monkeypatch):
     for n in range(9):
         for k in fuse_C(n, n):
             square = braidfmat.r_scalar_formula(params, n, k) ** 2
-            assert square == braidfmat.balancing_check(params, n)[k]
-    assert braidfmat.balancing_check(params, 4)[4] != Phase(0)
+            assert square == braidfmat.balancing_check(params, n)
+    assert braidfmat.balancing_check(params, 4) != Phase(0)
     with pytest.raises(AssertionError):
         PROPERTIES["braidfmat"]["squared_r_scalars_equal_balancing"]()
 
@@ -165,8 +161,7 @@ def test_phase_denominators_divide_2():
         for n in range(9):
             for k in fuse_C(n, n):
                 assert r_scalar_formula(params, n, k).exponent.denominator in (1, 2)
-            for phase in balancing_check(params, n).values():
-                assert phase.exponent.denominator == 1
+            assert balancing_check(params, n).exponent.denominator == 1
 
 
 def test_hexagon_solutions_shape():
@@ -251,14 +246,16 @@ def test_intrinsic_dimension_property_catches_a_dimension_that_is_f00(monkeypatc
 
 
 def test_parity_sign_property_catches_a_balancing_off_by_a_half(monkeypatch):
-    # A weight shifted by 1/2 negates every balancing phase e^{2*pi*i*h};
-    # the comparison with the weight formula sees it first.
+    # A weight shifted by 1/2 negates every balancing phase e^{2*pi*i*h}:
+    # the sign (-1)^{pq} sees it, and so does the weight formula.
     old = "Phase(params.p * params.q * n)"
     wrong = mutant(balancing_check, old, "Phase(params.p * params.q * n + 1)")
     monkeypatch.setattr(braidfmat, "balancing_check", wrong)
-    oracle_mismatch = r"^Params\(p=2, q=3\) k = 0 : Phase\(exponent=Fraction\(1, 1\)\) != Phase"
-    with pytest.raises(AssertionError, match=oracle_mismatch):
+    with pytest.raises(AssertionError, match=r"^Params\(p=2, q=3\) balancing sign -1 != 1$"):
         PROPERTIES["braidfmat"]["balancing_n1_is_parity_sign"]()
+    oracle_mismatch = r"^Params\(p=2, q=3\) \(0, 0\) : Phase\(exponent=Fraction\(1, 1\)\) != Phase"
+    with pytest.raises(AssertionError, match=oracle_mismatch):
+        PROPERTIES["braidfmat"]["squared_r_scalars_equal_balancing"]()
 
 
 def test_sign_flip_property_catches_equal_tabulated_scalars(monkeypatch):
@@ -267,6 +264,29 @@ def test_sign_flip_property_catches_equal_tabulated_scalars(monkeypatch):
     monkeypatch.setattr(braidfmat, "r_scalar_table", wrong)
     with pytest.raises(AssertionError):
         PROPERTIES["braidfmat"]["hexagon_sign_flip_invariance"]()
+
+
+def test_sign_flip_property_catches_a_residual_with_its_02_sign_flipped(monkeypatch):
+    # s_02 = +eps in place of -eps: the residual no longer applies the signs
+    # R_1^0 * R_1^2 of either convention.
+    wrong = mutant(hexagon_residual, "-b * (en + a + d)", "b * (en - a - d)")
+    monkeypatch.setattr(braidfmat, "hexagon_residual", wrong)
+    with pytest.raises(AssertionError, match="table signs"):
+        PROPERTIES["braidfmat"]["hexagon_sign_flip_invariance"]()
+
+
+def test_hexagon_solutions_check_their_own_residuals(monkeypatch):
+    # `hexagon` writes "residual_zero": true without recomputing it, because
+    # `hexagon_solutions` raises on a solution whose residual is not zero.
+    wrong = mutant(hexagon_solutions, "f20 = f00 * eps - f00 * f00", "f20 = f00 * eps - f00")
+    message = "^hexagon solution Parametrized fails the constraint$"
+    with pytest.raises(AssertionError, match=message):
+        wrong(Params(2, 3))
+    monkeypatch.setattr(braidfmat, "hexagon_solutions", wrong)
+    code, out, err = run_cli(["hexagon", "--p", "2", "--q", "3"])
+    assert (code, out) == (5, "")
+    assert err.startswith("error: internal error: AssertionError: hexagon solution Parametrized")
+    assert err.count("\n") == 1
 
 
 def test_intrinsic_dimension_rejects_zero_f00():

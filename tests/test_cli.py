@@ -167,6 +167,7 @@ _MATRICES = st.integers(0, 5).flatmap(
 @example([["-1"]], cli._PIECE_CELLS)
 @example([[], []], 1)
 @example([["0", "0", "0"], ["0", "0", "0"], ["0", "2", "0"], ["0", "0", "0"]], 2)
+@example([["0", "0"]] * 5, 1)
 def test_streamed_matrix_matches_json_dumps(matrix, piece):
     # The writer holds at most `piece` cells of text at once; small pieces
     # split runs of zero cells and of zero rows.  A "0" cell is left out or
@@ -323,6 +324,16 @@ def test_flag_equals_double_dash_fails_as_flag_double_dash(request_line):
 def test_exit_2_on_m_less_than_n():
     code, _, err = run_cli(["kac-diagram", "--p", "2", "--q", "3", "--m", "2", "--n", "3"])
     assert code == 2 and "swap" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--r", "5"], "--r and --s must be given together"), (["--m", "3"], "missing --m/--n")],
+    ids=["r-without-s", "m-without-n"],
+)
+def test_exit_2_on_a_half_given_kac_label(flags, message):
+    code, out, err = run_cli(["kac-diagram", "--p", "2", "--q", "3", *flags])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_exit_2_on_bad_params():
@@ -1450,12 +1461,7 @@ LOADED_LAYERS = [
         {"virasoro", "kacmod"},
         0,
     ),
-    (
-        "hexagon",
-        ["hexagon", "--p", "2", "--q", "3"],
-        {"virasoro", "fusion", "braidfmat"},
-        0,
-    ),
+    ("hexagon", ["hexagon", "--p", "2", "--q", "3"], {"virasoro", "braidfmat"}, 0),
     (
         "braiding",
         ["braiding", "--p", "2", "--q", "3", "--n", "1"],
@@ -1463,7 +1469,7 @@ LOADED_LAYERS = [
         0,
     ),
     # Refused by their handlers, which check --n and --t before they load
-    # `braidfmat` and `fusion`.
+    # `braidfmat`.
     ("braiding-error", ["braiding", "--p", "2", "--q", "3", "--n", "-1"], {"virasoro"}, 2),
     ("hexagon-t-zero", ["hexagon", "--p", "2", "--q", "3", "--t", "0"], {"virasoro"}, 2),
     ("hexagon-t-over-zero", ["hexagon", "--p", "2", "--q", "3", "--t", "1/0"], {"virasoro"}, 2),
